@@ -263,19 +263,16 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel,
                                    momentum_tol, err <= momentum_tol))
         u = s.field.u_faces
         rho = s.field.cell_masses
-        bad = 0
-        checked = 0
         A_scale = 1.0 + float(np.max(np.abs(fx.eval_A(model, u))))
-        for i in np.nonzero(rho > floor)[0]:
-            amin, amax = fx.a_range(model, float(u[i]), float(u[i + 1]))
-            speed = q[i] / rho[i]
-            # second term absorbs cancellation in A(u_{i+1}) - A(u_i)
-            # when the cell mass is tiny
-            slack = (1e-12 * (1.0 + abs(amin) + abs(amax))
-                     + 16 * np.finfo(float).eps * A_scale / rho[i])
-            checked += 1
-            if not (amin - slack <= speed <= amax + slack):
-                bad += 1
+        i = np.nonzero(rho > floor)[0]
+        amin, amax = fx.a_range(model, u[i], u[i + 1])
+        speed = q[i] / rho[i]
+        # second term absorbs cancellation in A(u_{i+1}) - A(u_i)
+        # when the cell mass is tiny
+        slack = (1e-12 * (1.0 + np.abs(amin) + np.abs(amax))
+                 + 16 * np.finfo(float).eps * A_scale / rho[i])
+        within = (amin - slack <= speed) & (speed <= amax + slack)
+        bad = int(np.count_nonzero(~within))
         records.append(CheckRecord("momentum_bracket", s.t, float(bad),
                                    0.0, 0.0, bad == 0))
     return records

@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 configuration/I-O error, 2 diagnostics failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
@@ -37,8 +38,6 @@ from .measure import (
 )
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
-KNOWN_CHECKS = ("mass", "oleinik", "pressureless", "pushforward",
-                "weak_residual", "w1_vs_particles")
 
 
 class ScenarioError(ValueError):
@@ -98,10 +97,14 @@ def _parse_initial(block: dict):
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
 
 
+def _reject_constant(name: str):
+    raise ScenarioError(f"scenario contains the non-finite number {name}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_constant=_reject_constant)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -135,9 +138,11 @@ def parse_scenario(raw: dict) -> Scenario:
     diag = raw.get("diagnostics", {})
     _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
     checks = tuple(diag.get("checks", DEFAULT_CHECKS))
-    for c in checks:
-        if c not in KNOWN_CHECKS:
-            raise ScenarioError(f"diagnostics.checks: unknown check {c!r}")
+    tolerances = dict(diag.get("tolerances", {}))
+    for where, names in (("checks", checks), ("tolerances", tolerances)):
+        for c in names:
+            if c not in CHECKS:
+                raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
     out = raw.get("output", {})
     _require_keys(out, {"directory", "formats"}, set(), "output")
 
@@ -151,7 +156,7 @@ def parse_scenario(raw: dict) -> Scenario:
         cfl=float(tblock.get("cfl", 0.45)),
         output_times=output_times,
         checks=checks,
-        tolerances=dict(diag.get("tolerances", {})),
+        tolerances=tolerances,
         out_dir=out.get("directory", "out"),
         formats=tuple(out.get("formats", ("csv", "json"))),
         raw=raw,
@@ -173,24 +178,17 @@ def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
 
 
 def run_particles(scn: Scenario):
+    """Oracle states at each output time (t_end included) and the merge events."""
     if not isinstance(scn.initial, AtomicMeasure):
         raise ScenarioError("particle engine requires atomic initial data")
-    system = particles.AggregateSystem.create(scn.initial, scn.model)
-    times = sorted(set(scn.output_times) | {scn.t_end})
-    rows = []
+    current = particles.AggregateSystem.create(scn.initial, scn.model)
+    states = []
     events: list[particles.MergeEvent] = []
-    current = system
-    for t in times:
+    for t in sorted(set(scn.output_times) | {scn.t_end}):
         current, ev = particles.advance(current, t)
+        states.append(current)
         events.extend(ev)
-        for i in range(current.atoms.n_atoms):
-            rows.append((t, i, float(current.atoms.positions[i]),
-                         float(current.atoms.masses[i]), float(current.v[i])))
-    return rows, events, current
-
-
-def _seed() -> int:
-    return int(os.environ.get("DUALFLOW_SEED", "0"))
+    return states, events
 
 
 def bundled_scenario(name: str) -> str:
@@ -200,71 +198,99 @@ def bundled_scenario(name: str) -> str:
     return str(resources.files("dualflow").joinpath("scenarios", name))
 
 
-def pair_with_oracle(scn: Scenario, snapshots):
+def pair_with_oracle(scn: Scenario, snapshots, states, events):
     """(snapshot, oracle atoms) pairs, skipping times within 2 dt of a merge.
 
-    Shock merging in the PDE path is smeared over a few cells, so the W1
-    comparison is meaningless right at an oracle merge instant.
+    ``states`` and ``events`` come from run_particles, whose output times
+    are the snapshot times.  Shock merging in the PDE path is smeared over a
+    few cells, so the W1 comparison is meaningless right at an oracle merge
+    instant.
     """
-    system = particles.AggregateSystem.create(scn.initial, scn.model)
-    _, all_events = particles.advance(system, scn.t_end)
     dt_est = pde.stable_dt(initial_grid(scn), scn.model, scn.cfl)
-    pairs = []
-    current = system
-    for s in snapshots:
-        current, _ = particles.advance(current, s.t)
-        if any(abs(s.t - e.t) <= 2 * dt_est for e in all_events):
-            continue
-        pairs.append((s, current.atoms))
-    return pairs
+    return [(s, state.atoms) for s, state in zip(snapshots, states, strict=True)
+            if not any(abs(s.t - e.t) <= 2 * dt_est for e in events)]
 
 
-def run_diagnostics(scn: Scenario, snapshots, particle_states=None) -> analysis.DiagnosticsReport:
-    report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
-    dx = scn.dx
-    tol = scn.tolerances
+def _bounded(name: str, values, tol: float) -> list[analysis.CheckRecord]:
+    """One record per (t, value) pair, passing when value <= tol."""
+    return [analysis.CheckRecord(name, t, v, tol, tol, v <= tol) for t, v in values]
+
+
+def _check_mass(scn, snapshots, pairs, tolerances):
     total = snapshots[0].field.total_mass
+    return _bounded("mass_conservation",
+                    [(s.t, abs(s.field.u_faces[-1] - total)) for s in snapshots],
+                    float(tolerances.get("mass", 1e-12)))
+
+
+def _check_oleinik(scn, snapshots, pairs, tolerances):
+    tol = float(tolerances.get("oleinik", 5 * scn.dx))
+    return [rec for s in snapshots if s.t > 0
+            for rec in analysis.check_oleinik(s, scn.model, tol)]
+
+
+def _check_pressureless(scn, snapshots, pairs, tolerances):
+    return analysis.pressureless_check(snapshots, scn.model)
+
+
+def _check_pushforward(scn, snapshots, pairs, tolerances):
+    flow = analysis.reconstruct_flow(snapshots, scn.initial, scn.model)
+    span = max(abs(scn.x_min), abs(scn.x_max))
+    funcs = {
+        "x": (lambda x: x, 1.0),
+        "x2": (lambda x: x * x, 2.0 * span),
+        "sin": (np.sin, 1.0),
+    }
+    per_lip = float(tolerances.get("pushforward", 5 * scn.dx))
+    return analysis.pushforward_checks(flow, snapshots, funcs, per_lip)
+
+
+def _check_weak_residual(scn, snapshots, pairs, tolerances):
+    return _bounded("weak_residual",
+                    [(snapshots[-1].t, analysis.weak_residual(snapshots, scn.model))],
+                    float(tolerances.get("weak_residual", 20 * scn.dx)))
+
+
+def _check_w1_vs_particles(scn, snapshots, pairs, tolerances):
+    return _bounded("w1_pde_vs_particles",
+                    [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
+                    float(tolerances.get("w1_vs_particles", 3 * scn.dx)))
+
+
+# The diagnostics a scenario can request, by name:
+# fn(scenario, snapshots, oracle pairs, tolerances) -> list of CheckRecord.
+CHECKS = {
+    "mass": _check_mass,
+    "oleinik": _check_oleinik,
+    "pressureless": _check_pressureless,
+    "pushforward": _check_pushforward,
+    "weak_residual": _check_weak_residual,
+    "w1_vs_particles": _check_w1_vs_particles,
+}
+
+
+def run_diagnostics(scn: Scenario, snapshots, oracle=None,
+                    write_json: bool = True) -> analysis.DiagnosticsReport:
+    """Run the scenario's checks on the PDE snapshots; write diagnostics.json.
+
+    w1_vs_particles compares against the sticky-particle oracle: ``oracle``
+    is run_particles' result, computed here when the caller has none.  A
+    scenario the oracle cannot serve is an error, never a skipped check.
+    """
+    pairs = None
+    if "w1_vs_particles" in scn.checks:
+        try:
+            oracle = oracle or run_particles(scn)
+        except (ScenarioError, particles.OracleError) as exc:
+            raise ScenarioError(f"w1_vs_particles: {exc}") from exc
+        pairs = pair_with_oracle(scn, snapshots, *oracle)
+    report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
-        if name == "mass":
-            mass_tol = float(tol.get("mass", 1e-12))
-            for s in snapshots:
-                err = abs(s.field.u_faces[-1] - total)
-                report.add(analysis.CheckRecord("mass_conservation", s.t, err,
-                                                mass_tol, mass_tol, err <= mass_tol))
-        elif name == "oleinik":
-            ole_tol = float(tol.get("oleinik", 5 * dx))
-            for s in snapshots:
-                if s.t > 0:
-                    for rec in analysis.check_oleinik(s, scn.model, ole_tol):
-                        report.add(rec)
-        elif name == "pressureless":
-            for rec in analysis.pressureless_check(snapshots, scn.model):
-                report.add(rec)
-        elif name == "pushforward":
-            flow = analysis.reconstruct_flow(snapshots, scn.initial, scn.model)
-            span = max(abs(scn.x_min), abs(scn.x_max))
-            funcs = {
-                "x": (lambda x: x, 1.0),
-                "x2": (lambda x: x * x, 2.0 * span),
-                "sin": (np.sin, 1.0),
-            }
-            per_lip = float(tol.get("pushforward", 5 * dx))
-            for rec in analysis.pushforward_checks(flow, snapshots, funcs, per_lip):
-                report.add(rec)
-        elif name == "weak_residual":
-            res_tol = float(tol.get("weak_residual", 20 * dx))
-            value = analysis.weak_residual(snapshots, scn.model, seed=_seed())
-            report.add(analysis.CheckRecord("weak_residual", snapshots[-1].t,
-                                            value, res_tol, res_tol,
-                                            value <= res_tol))
-        elif name == "w1_vs_particles":
-            if particle_states is None:
-                continue
-            w1_tol = float(tol.get("w1_vs_particles", 3 * dx))
-            for s, atoms in particle_states:
-                d = wasserstein1(s.field, atoms)
-                report.add(analysis.CheckRecord("w1_pde_vs_particles", s.t, d,
-                                                w1_tol, w1_tol, d <= w1_tol))
+        for rec in CHECKS[name](scn, snapshots, pairs, scn.tolerances):
+            report.add(rec)
+    if write_json:
+        with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
+            fh.write(report.to_json() + "\n")
     return report
 
 
@@ -278,15 +304,18 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _write_csv(path: str, header: list[str], rows):
+@contextlib.contextmanager
+def _atomic_open(path: str):
+    """Text handle on a temporary file that replaces ``path`` once closed.
+
+    Readers see the old file or the complete new one, never a partial
+    write; on error the temporary file is removed.
+    """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in rows:
-                writer.writerow([_fmt(v) for v in row])
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -294,44 +323,38 @@ def _write_csv(path: str, header: list[str], rows):
         raise
 
 
-def _write_text(path: str, text: str):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _write_csv(path: str, header: list[str], rows):
+    with _atomic_open(path) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
+
+
+def _atom_rows(snapshots):
+    for s in snapshots:
+        mu = extract_atoms(s.field)
+        for i in range(mu.n_atoms):
+            yield (s.t, i, float(mu.positions[i]), float(mu.masses[i]))
 
 
 def write_field_outputs(out_dir: str, snapshots):
-    face_rows = []
-    cell_rows = []
-    atom_rows = []
-    for s in snapshots:
-        f = s.field
-        for x, u in zip(f.faces, f.u_faces):
-            face_rows.append((s.t, float(x), float(u)))
-        dx = f.dx
-        for x, m in zip(f.centers, f.cell_masses):
-            cell_rows.append((s.t, float(x), float(m), float(m / dx)))
-        mu = extract_atoms(f)
-        for i in range(mu.n_atoms):
-            atom_rows.append((s.t, i, float(mu.positions[i]), float(mu.masses[i])))
-    _write_csv(os.path.join(out_dir, "fields_faces.csv"),
-               ["t", "x_face", "u"], face_rows)
+    _write_csv(os.path.join(out_dir, "fields_faces.csv"), ["t", "x_face", "u"],
+               ((s.t, float(x), float(u)) for s in snapshots
+                for x, u in zip(s.field.faces, s.field.u_faces)))
     _write_csv(os.path.join(out_dir, "fields_cells.csv"),
-               ["t", "x_center", "rho_cell_mass", "rho_density"], cell_rows)
+               ["t", "x_center", "rho_cell_mass", "rho_density"],
+               ((s.t, float(x), float(m), float(m / s.field.dx)) for s in snapshots
+                for x, m in zip(s.field.centers, s.field.cell_masses)))
     _write_csv(os.path.join(out_dir, "atoms_extracted.csv"),
-               ["t", "atom_id", "x", "m"], atom_rows)
+               ["t", "atom_id", "x", "m"], _atom_rows(snapshots))
 
 
-def write_particle_outputs(out_dir: str, rows, events):
+def write_particle_outputs(out_dir: str, states, events):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["t", "atom_id", "x", "m", "v"], rows)
+               ["t", "atom_id", "x", "m", "v"],
+               ((st.time, i, float(st.atoms.positions[i]), float(st.atoms.masses[i]),
+                 float(st.v[i])) for st in states for i in range(st.atoms.n_atoms)))
     _write_csv(os.path.join(out_dir, "events.csv"),
                ["t_event", "ids_merged", "x", "m"],
                [(e.t, "+".join(str(i) for i in e.indices), e.x, e.m)
@@ -344,10 +367,7 @@ def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
     rows = []
     for s in snapshots:
         f = s.field
-        ole = ""
-        if s.t > 0:
-            au = fx.eval_a(scn.model, f.u_faces)
-            ole = float(np.max(np.diff(au)) / f.dx)
+        ole = analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else ""
         rows.append((s.t, f.total_mass, float(np.max(f.cell_masses) / f.dx),
                      ole, residual))
     _write_csv(os.path.join(out_dir, "diagnostics.csv"),
@@ -363,43 +383,24 @@ def cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
     if args.out:
         scn.out_dir = args.out
-    engine = args.engine
-    particle_states = None
-    snapshots = None
+    oracle = None
+    if args.engine in ("particles", "both"):
+        oracle = run_particles(scn)
+        write_particle_outputs(scn.out_dir, *oracle)
+    if args.engine == "particles":
+        return 0
+    if args.engine == "both" and "w1_vs_particles" not in scn.checks:
+        scn = dataclasses.replace(scn, checks=scn.checks + ("w1_vs_particles",))
 
-    if engine in ("particles", "both"):
-        if not isinstance(scn.initial, AtomicMeasure):
-            raise ScenarioError("engine=particles requires atomic initial data")
-        if not fx.is_attractive(scn.model, scn.initial.total_mass):
-            raise ScenarioError("engine=particles requires an attractive-admissible "
-                                "flux (a non-increasing on [0, total mass])")
-        rows, events, _ = run_particles(scn)
-        write_particle_outputs(scn.out_dir, rows, events)
-
-    if engine in ("pde", "both"):
-        snapshots = run_pde(scn)
-        write_field_outputs(scn.out_dir, snapshots)
-
-    checks = scn.checks
-    if engine == "both":
-        particle_states = pair_with_oracle(scn, snapshots)
-        if "w1_vs_particles" not in checks:
-            checks = checks + ("w1_vs_particles",)
-
-    if snapshots is not None:
-        scn_checks = dataclasses.replace(scn, checks=checks) if checks != scn.checks else scn
-        report = run_diagnostics(scn_checks, snapshots, particle_states)
-        if "json" in scn.formats:
-            _write_text(os.path.join(scn.out_dir, "diagnostics.json"),
-                        report.to_json() + "\n")
-        write_summary_csv(scn.out_dir, scn, snapshots, report)
-        if not report.all_pass:
-            for c in report.checks:
-                if not c.passed:
-                    print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",
-                          file=sys.stderr)
-            return 2
-    return 0
+    snapshots = run_pde(scn)
+    write_field_outputs(scn.out_dir, snapshots)
+    report = run_diagnostics(scn, snapshots, oracle, write_json="json" in scn.formats)
+    write_summary_csv(scn.out_dir, scn, snapshots, report)
+    for c in report.checks:
+        if not c.passed:
+            print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",
+                  file=sys.stderr)
+    return 0 if report.all_pass else 2
 
 
 def _exact_repulsive_dirac(scn: Scenario):
@@ -419,7 +420,7 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
     if len(resolutions) < 3:
         raise ScenarioError("convergence study needs at least 3 resolutions")
     resolutions = sorted(int(n) for n in resolutions)
-    attractive = fx.is_attractive(scn.model, initial_total(scn))
+    attractive = fx.is_attractive(scn.model, scn.initial.total_mass)
     oracle_atoms = None
     exact_u = _exact_repulsive_dirac(scn)
     if attractive and isinstance(scn.initial, AtomicMeasure):
@@ -460,10 +461,6 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
     return rows
 
 
-def initial_total(scn: Scenario) -> float:
-    return scn.initial.total_mass
-
-
 def cmd_convergence(args) -> int:
     scn = load_scenario(args.scenario)
     resolutions = [int(s) for s in args.resolutions.split(",")]
@@ -501,15 +498,7 @@ def cmd_validate(args) -> int:
     scn = load_scenario(args.scenario)
     if args.out:
         scn.out_dir = args.out
-    snapshots = run_pde(scn)
-    particle_states = None
-    if ("w1_vs_particles" in scn.checks
-            and isinstance(scn.initial, AtomicMeasure)
-            and fx.is_attractive(scn.model, scn.initial.total_mass)):
-        particle_states = pair_with_oracle(scn, snapshots)
-    report = run_diagnostics(scn, snapshots, particle_states)
-    _write_text(os.path.join(scn.out_dir, "diagnostics.json"),
-                report.to_json() + "\n")
+    report = run_diagnostics(scn, run_pde(scn))
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
         print(f"{status} {c.name} t={c.t} value={c.value} bound={c.bound}")

@@ -98,11 +98,12 @@ def from_dict(block: dict) -> FluxModel:
 
 
 def _check_finite(u):
-    if not np.all(np.isfinite(u)):
+    if not np.isfinite(u).all():
         raise FluxError("non-finite argument to flux evaluation")
 
 
-def _pwl_arrays(model):
+@functools.lru_cache(maxsize=None)
+def _pwl_arrays(model: FluxModel):
     us = np.array([u for u, _ in model.nodes])
     avs = np.array([a for _, a in model.nodes])
     return us, avs
@@ -181,24 +182,49 @@ def stationary_points(model: FluxModel) -> tuple[float, ...]:
 
 
 @functools.lru_cache(maxsize=None)
-def _a_derivative_roots(model: FluxModel) -> tuple[float, ...]:
-    """Interior extremum candidates of a itself (for range-of-a queries)."""
+def _range_plan(model: FluxModel):
+    """Where a and a' can attain their extrema inside a query interval.
+
+    Returns ((a_cand, a_vals), (left, right, da_vals, da)).  a_cand are the
+    interior extremum candidates of a, and a_vals = a(a_cand).  Each
+    [left, right] is a stretch on which a' takes the value da_vals: single
+    points (the roots of a'') for polynomial kinds, where ``da`` holds the
+    coefficients of a' for the interval endpoints; the segments between
+    nodes plus the two constant extensions for the piecewise-linear kind,
+    which needs no endpoint values (``da`` is None).
+    """
     if model.kind == "piecewise-linear-a":
-        return tuple(u for u, _ in model.nodes)
+        us, avs = _pwl_arrays(model)
+        left = np.concatenate(([-np.inf], us))
+        right = np.concatenate((us, [np.inf]))
+        slopes = np.concatenate(([0.0], np.diff(avs) / np.diff(us), [0.0]))
+        return (us, eval_a(model, us)), (left, right, slopes, None)
     c = np.asarray(model.a_coeffs)
-    if len(c) <= 1:
-        return ()
-    dc = c[1:] * np.arange(1, len(c))
-    return tuple(_real_poly_roots(dc))
+    da = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
+    a_cand = _real_poly_roots(da)
+    da_cand = _real_poly_roots(da[1:] * np.arange(1, len(da)))
+    return (a_cand, eval_a(model, a_cand)), (da_cand, da_cand, P.polyval(da_cand, da), da)
 
 
-def a_range(model: FluxModel, lo: float, hi: float) -> tuple[float, float]:
-    """(min, max) of a over [lo, hi]."""
-    if hi < lo:
-        lo, hi = hi, lo
-    cand = [lo, hi] + [c for c in _a_derivative_roots(model) if lo < c < hi]
-    vals = eval_a(model, np.asarray(cand))
-    return float(np.min(vals)), float(np.max(vals))
+def _pick(lo, hi, left, right, vals, fill):
+    """Array [k, ...]: vals[k] where [left[k], right[k]] meets the open
+    interval (lo, hi), else fill."""
+    shape = vals.shape + (1,) * np.ndim(lo)
+    inside = (left.reshape(shape) < hi) & (lo < right.reshape(shape))
+    return np.where(inside, vals.reshape(shape), fill)
+
+
+def _scalar(x):
+    return x if np.ndim(x) else float(x)
+
+
+def a_range(model: FluxModel, lo, hi):
+    """(min, max) of a over each [lo, hi]; the bounds may come in either order."""
+    lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
+    cand, vals = _range_plan(model)[0]
+    ends = eval_a(model, np.array((lo, hi)))
+    vals = np.concatenate((ends, _pick(lo, hi, cand, cand, vals, ends[0])))
+    return _scalar(vals.min(axis=0)), _scalar(vals.max(axis=0))
 
 
 def max_wave_speed(model: FluxModel, lo: float, hi: float) -> float:
@@ -206,56 +232,29 @@ def max_wave_speed(model: FluxModel, lo: float, hi: float) -> float:
     return max(abs(amin), abs(amax))
 
 
-def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
-    """Largest slope of a on [lo, hi]; used to test the attractive hypothesis."""
-    if hi < lo:
-        lo, hi = hi, lo
-    if model.kind == "piecewise-linear-a":
-        us, avs = _pwl_arrays(model)
-        slopes = np.diff(avs) / np.diff(us)
-        best = -np.inf
-        for k, s in enumerate(slopes):
-            if us[k + 1] > lo and us[k] < hi:
-                best = max(best, s)
-        return 0.0 if best == -np.inf else float(best)
-    c = np.asarray(model.a_coeffs)
-    if len(c) <= 1:
-        return 0.0
-    dc = c[1:] * np.arange(1, len(c))
-    cand = [lo, hi] + [r for r in _real_poly_roots(dc[1:] * np.arange(1, len(dc)))
-                       if lo < r < hi]
-    return float(np.max(P.polyval(np.asarray(cand), dc)))
-
-
 def max_slope_on_intervals(model: FluxModel, lo, hi):
-    """Vectorized max of a' over each [lo_i, hi_i] (slope of the velocity).
+    """Max of a' (slope of the velocity) over each [lo_i, hi_i], lo_i <= hi_i.
 
     Positive values flag locally convex stretches of A, where rarefactions
-    live; the solver uses this to scale its corner-dissipation term.
+    live; the solver uses this to scale its corner-dissipation term.  At a
+    lone node of the piecewise-linear kind (lo_i = hi_i = a node) a' is
+    taken as 0.
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    if model.kind == "piecewise-linear-a":
-        us, avs = _pwl_arrays(model)
-        slopes = np.diff(avs) / np.diff(us)
-        out = np.full(np.broadcast(lo, hi).shape, -np.inf)
-        for k, s in enumerate(slopes):
-            overlap = (hi > us[k]) & (lo < us[k + 1])
-            out = np.where(overlap, np.maximum(out, s), out)
-        # degenerate interval entirely outside the node range: a is constant
-        return np.where(np.isfinite(out), out, 0.0)
-    c = np.asarray(model.a_coeffs)
-    if len(c) <= 1:
-        return np.zeros(np.broadcast(lo, hi).shape)
-    dc = c[1:] * np.arange(1, len(c))
-    out = np.maximum(P.polyval(lo, dc), P.polyval(hi, dc))
-    if len(dc) > 1:
-        ddc = dc[1:] * np.arange(1, len(dc))
-        for r in _real_poly_roots(ddc):
-            inside = (lo < r) & (r < hi)
-            if np.any(inside):
-                out = np.where(inside, np.maximum(out, P.polyval(r, dc)), out)
+    left, right, vals, da = _range_plan(model)[1]
+    if da is None:
+        out = _pick(lo, hi, left, right, vals, -np.inf).max(axis=0)
+        return np.where(out > -np.inf, out, 0.0)
+    out = np.maximum(P.polyval(lo, da), P.polyval(hi, da))
+    if vals.size:
+        out = np.maximum(out, _pick(lo, hi, left, right, vals, out).max(axis=0))
     return out
+
+
+def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
+    """Largest slope of a on [lo, hi]; used to test the attractive hypothesis."""
+    return float(max_slope_on_intervals(model, min(lo, hi), max(lo, hi)))
 
 
 def is_attractive(model: FluxModel, m_total: float, tol: float = 1e-12) -> bool:

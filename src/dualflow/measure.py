@@ -257,19 +257,11 @@ def _cdf_breaks(obj) -> np.ndarray:
     return obj.faces
 
 
-def _cdf_right(obj, x: np.ndarray) -> np.ndarray:
-    """CDF value (right limit) at x."""
+def _cdf(obj, x: np.ndarray, side: str) -> np.ndarray:
+    """CDF at x: its right limit for side="right", its left limit for side="left"."""
     if isinstance(obj, AtomicMeasure):
         cum = np.concatenate(([0.0], obj.cumulative))
-        return cum[np.searchsorted(obj.positions, x, side="right")]
-    return np.interp(x, obj.faces, obj.u_faces, left=0.0, right=obj.total_mass)
-
-
-def _cdf_left(obj, x: np.ndarray) -> np.ndarray:
-    """Left limit of the CDF at x."""
-    if isinstance(obj, AtomicMeasure):
-        cum = np.concatenate(([0.0], obj.cumulative))
-        return cum[np.searchsorted(obj.positions, x, side="left")]
+        return cum[np.searchsorted(obj.positions, x, side=side)]
     return np.interp(x, obj.faces, obj.u_faces, left=0.0, right=obj.total_mass)
 
 
@@ -279,14 +271,14 @@ def wasserstein1(mu, nu) -> float:
     Both primitives are piecewise linear (or constant) between the merged
     breakpoints, so the integral is computed exactly interval by interval.
     """
-    if abs(_total(mu) - _total(nu)) > 1e-10:
+    if abs(mu.total_mass - nu.total_mass) > 1e-10:
         raise MeasureError("wasserstein1 requires equal total masses")
     breaks = np.union1d(_cdf_breaks(mu), _cdf_breaks(nu))
     if breaks.size < 2:
         return 0.0
     a, b = breaks[:-1], breaks[1:]
-    d0 = _cdf_right(mu, a) - _cdf_right(nu, a)
-    d1 = _cdf_left(mu, b) - _cdf_left(nu, b)
+    d0 = _cdf(mu, a, "right") - _cdf(nu, a, "right")
+    d1 = _cdf(mu, b, "left") - _cdf(nu, b, "left")
     h = b - a
     same = d0 * d1 >= 0
     trap = 0.5 * (np.abs(d0) + np.abs(d1)) * h
@@ -295,13 +287,9 @@ def wasserstein1(mu, nu) -> float:
     return float(np.sum(np.where(same, trap, cross)))
 
 
-def _total(obj) -> float:
-    return obj.total_mass
-
-
 def quantile(obj, q: float) -> float:
     """Generalized inverse of the primitive: inf{x : U(x) >= q}, 0 < q < mass."""
-    total = _total(obj)
+    total = obj.total_mass
     if not (0.0 < q < total):
         raise MeasureError(f"quantile level {q} outside (0, {total})")
     if isinstance(obj, AtomicMeasure):

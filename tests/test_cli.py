@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from dualflow import cli
+from dualflow import cli, particles
 from dualflow.measure import AtomicMeasure, UniformDensity
 
 
@@ -66,6 +66,22 @@ class TestParsing:
                               time={"t_end": 1.0, "output_times": [0.5, 0.2]})
         with pytest.raises(cli.ScenarioError, match="sorted"):
             cli.load_scenario(path)
+
+    def test_unknown_tolerance_key_rejected(self, tmp_path):
+        path = write_scenario(
+            tmp_path, diagnostics={"checks": ["mass"],
+                                   "tolerances": {"mass_typo": 1.0}})
+        with pytest.raises(cli.ScenarioError, match="mass_typo"):
+            cli.load_scenario(path)
+
+    @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_number_rejected(self, tmp_path, constant):
+        text = json.dumps(scenario_dict()).replace('"t_end": 1.0',
+                                                   f'"t_end": {constant}')
+        path = tmp_path / "nonfinite.json"
+        path.write_text(text)
+        with pytest.raises(cli.ScenarioError, match=constant):
+            cli.load_scenario(str(path))
 
     def test_invalid_json_is_config_error(self, tmp_path):
         path = tmp_path / "broken.json"
@@ -134,6 +150,31 @@ class TestRunCommand:
         names = {c["name"] for c in report["checks"]}
         assert "w1_pde_vs_particles" in names
 
+    def test_both_engines_advance_oracle_once(self, tmp_path, monkeypatch):
+        times = []
+        advance = particles.advance
+
+        def counted(system, t):
+            times.append(t)
+            return advance(system, t)
+
+        monkeypatch.setattr(particles, "advance", counted)
+        path = write_scenario(tmp_path)
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--scenario", path, "--engine", "both",
+                         "--out", out]) == 0
+        assert times == [0.0, 0.5, 1.0]
+
+    def test_pde_run_honours_requested_w1(self, tmp_path):
+        path = write_scenario(
+            tmp_path,
+            diagnostics={"checks": ["mass", "w1_vs_particles"], "tolerances": {}})
+        out = str(tmp_path / "out")
+        assert cli.main(["run", "--scenario", path, "--out", out]) == 0
+        report = json.loads(open(os.path.join(out, "diagnostics.json")).read())
+        names = {c["name"] for c in report["checks"]}
+        assert "w1_pde_vs_particles" in names
+
     def test_particles_refuse_repulsive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, flux={"kind": "quadratic-repulsive"},
                               grid={"x_min": -1.0, "x_max": 3.0,
@@ -193,6 +234,22 @@ class TestValidateCommand:
         rc = cli.main(["validate", "--scenario", path, "--out", out])
         assert rc == 2
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("overrides", [
+        {"initial": {"type": "uniform", "x_left": -0.5, "x_right": 0.5,
+                     "mass": 1.0}},
+        {"flux": {"kind": "quadratic-repulsive"},
+         "grid": {"x_min": -1.0, "x_max": 3.0, "n_cells": 200}},
+    ], ids=["density-initial", "repulsive-flux"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_requested_w1_the_oracle_cannot_serve(self, tmp_path, capsys,
+                                                  overrides, command):
+        path = write_scenario(
+            tmp_path, diagnostics={"checks": ["mass", "w1_vs_particles"],
+                                   "tolerances": {}}, **overrides)
+        out = str(tmp_path / "out")
+        assert cli.main([command, "--scenario", path, "--out", out]) == 1
+        assert "w1_vs_particles" in capsys.readouterr().err
 
 
 class TestConvergenceCommand:

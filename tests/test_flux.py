@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
 from dualflow import flux as fx
@@ -90,6 +92,38 @@ def test_chord_slope_in_velocity_range(model):
         assert amin - 1e-12 <= slope <= amax + 1e-12
 
 
+def _slope_samples(model, lo, hi):
+    """a' at points strictly inside (lo, hi); none when lo == hi."""
+    u = np.linspace(lo, hi, 202)
+    u = 0.5 * (u[:-1] + u[1:])
+    u = u[(lo < u) & (u < hi)]
+    if model.nodes:
+        us, avs = np.array(model.nodes).T
+        slopes = np.concatenate(([0.0], np.diff(avs) / np.diff(us), [0.0]))
+        return slopes[np.searchsorted(us, u, side="right")]
+    return P.polyval(u, P.polyder(model.a_coeffs))
+
+
+# one model per flux kind; this polynomial has interior extrema of a and a'
+@pytest.mark.parametrize("model", [
+    ATTR, REP, fx.polynomial([0.1, 1.0, -3.0, 2.0]), PWL], ids=lambda m: m.kind)
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.floats(-1.0, 2.5), st.floats(-1.0, 2.5)),
+                min_size=1, max_size=8))
+def test_range_queries_bracket_samples(model, intervals):
+    lo = np.array([min(p) for p in intervals])
+    hi = np.array([max(p) for p in intervals])
+    amin, amax = fx.a_range(model, lo, hi)
+    slope = fx.max_slope_on_intervals(model, lo, hi)
+    for k, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
+        # the array call equals the element-by-element 0-d calls exactly
+        assert fx.a_range(model, l, h) == (amin[k], amax[k])
+        assert fx.max_slope_on_intervals(model, l, h) == slope[k]
+        a = fx.eval_a(model, np.linspace(l, h, 201))
+        assert amin[k] - 1e-12 <= a.min() and a.max() <= amax[k] + 1e-12
+        assert np.all(_slope_samples(model, l, h) <= slope[k] + 1e-12)
+
+
 def test_velocity_continuity_by_sampling():
     for model in ALL_MODELS:
         u = np.linspace(-0.1, 2.1, 20001)
@@ -114,6 +148,14 @@ def test_attractive_classification():
     assert fx.max_slope_of_a(PWL, 0.0, 2.0) <= 0.0
     rising = fx.piecewise_linear([(0.0, -1.0), (1.0, 1.0)])
     assert not fx.is_attractive(rising, 1.0)
+
+
+def test_max_slope_pwl_segments_and_extensions():
+    # a' is -4 on (0, 0.5) and 0 on the flat tail and the constant extensions
+    assert fx.max_slope_of_a(PWL, 0.0, 0.5) == -4.0
+    assert fx.max_slope_of_a(PWL, -1.0, 0.25) == 0.0
+    assert fx.max_slope_of_a(PWL, 0.5, 3.0) == 0.0
+    assert fx.max_slope_of_a(PWL, 0.1, 0.1) == -4.0
 
 
 def test_from_dict_fail_closed():
