@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -38,6 +38,7 @@ from .measure import (
 )
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
+FORMATS = ("csv", "json")
 
 
 class ScenarioError(ValueError):
@@ -57,7 +58,7 @@ class Scenario:
     checks: tuple[str, ...] = DEFAULT_CHECKS
     tolerances: dict = field(default_factory=dict)
     out_dir: str = "out"
-    formats: tuple[str, ...] = ("csv", "json")
+    formats: tuple[str, ...] = FORMATS
     raw: dict = field(default_factory=dict)
 
     @property
@@ -97,6 +98,12 @@ def _parse_initial(block: dict):
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
 def _reject_constant(name: str):
     raise ScenarioError(f"scenario contains the non-finite number {name}")
 
@@ -124,12 +131,22 @@ def parse_scenario(raw: dict) -> Scenario:
     grid = raw["grid"]
     _require_keys(grid, {"x_min", "x_max", "n_cells"},
                   {"x_min", "x_max", "n_cells"}, "grid")
+    x_min = _number(grid["x_min"], "grid.x_min")
+    x_max = _number(grid["x_max"], "grid.x_max")
+    if x_max <= x_min:
+        raise ScenarioError("grid.x_max must exceed grid.x_min")
+    n_cells = grid["n_cells"]
+    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
+        raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
     tblock = raw["time"]
     _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
-    t_end = float(tblock["t_end"])
+    t_end = _number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
         raise ScenarioError("time.t_end must be positive")
-    output_times = [float(t) for t in tblock.get("output_times", [])]
+    cfl = _number(tblock.get("cfl", 0.45), "time.cfl")
+    if not 0 < cfl <= 1:
+        raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
+    output_times = [_number(t, "time.output_times") for t in tblock.get("output_times", [])]
     if any(t < 0 or t > t_end for t in output_times):
         raise ScenarioError("time.output_times must lie in [0, t_end]")
     if output_times != sorted(output_times):
@@ -145,20 +162,26 @@ def parse_scenario(raw: dict) -> Scenario:
                 raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
     out = raw.get("output", {})
     _require_keys(out, {"directory", "formats"}, set(), "output")
+    formats = out.get("formats", FORMATS)
+    if not isinstance(formats, (list, tuple)):
+        raise ScenarioError(f"output.formats must be a list, got {formats!r}")
+    for f in formats:
+        if f not in FORMATS:
+            raise ScenarioError(f"output.formats: unknown format {f!r} (known: {list(FORMATS)})")
 
     return Scenario(
         model=model,
         initial=initial,
-        x_min=float(grid["x_min"]),
-        x_max=float(grid["x_max"]),
-        n_cells=int(grid["n_cells"]),
+        x_min=x_min,
+        x_max=x_max,
+        n_cells=n_cells,
         t_end=t_end,
-        cfl=float(tblock.get("cfl", 0.45)),
+        cfl=cfl,
         output_times=output_times,
         checks=checks,
         tolerances=tolerances,
         out_dir=out.get("directory", "out"),
-        formats=tuple(out.get("formats", ("csv", "json"))),
+        formats=tuple(formats),
         raw=raw,
     )
 
@@ -309,13 +332,17 @@ def _atomic_open(path: str):
     """Text handle on a temporary file that replaces ``path`` once closed.
 
     Readers see the old file or the complete new one, never a partial
-    write; on error the temporary file is removed.
+    write; on error the temporary file is removed.  The file gets the mode
+    open() would give it (0o666 less the umask), not mkstemp's 0o600.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             yield fh
+        umask = os.umask(0o077)   # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -323,42 +350,58 @@ def _atomic_open(path: str):
         raise
 
 
-def _write_csv(path: str, header: list[str], rows):
+def _cells(column, n: int):
+    """The n csv cells of one column: a numpy array, a list, or a scalar
+    repeated on every row; numbers are formatted as by _fmt."""
+    if isinstance(column, np.ndarray):
+        return map(repr, column.tolist())   # Python floats and ints
+    if isinstance(column, list):
+        return map(_fmt, column)
+    return itertools.repeat(_fmt(column), n)
+
+
+def _write_csv(path: str, header: list[str], blocks):
+    """Write a CSV byte for byte as the csv module's excel dialect would.
+
+    Each block is a tuple of columns (see _cells) giving that block's rows;
+    a block of scalars is one row.  No cell holds a comma, a quote or a line
+    break, so none needs quoting.
+    """
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        fh.write(",".join(header) + "\r\n")
+        for block in blocks:
+            n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
+            if n:
+                fh.write("\r\n".join(map(",".join, zip(*(_cells(c, n) for c in block)))))
+                fh.write("\r\n")
 
 
-def _atom_rows(snapshots):
+def _atom_blocks(snapshots):
     for s in snapshots:
         mu = extract_atoms(s.field)
-        for i in range(mu.n_atoms):
-            yield (s.t, i, float(mu.positions[i]), float(mu.masses[i]))
+        yield s.t, np.arange(mu.n_atoms), mu.positions, mu.masses
 
 
 def write_field_outputs(out_dir: str, snapshots):
     _write_csv(os.path.join(out_dir, "fields_faces.csv"), ["t", "x_face", "u"],
-               ((s.t, float(x), float(u)) for s in snapshots
-                for x, u in zip(s.field.faces, s.field.u_faces)))
+               ((s.t, s.field.faces, s.field.u_faces) for s in snapshots))
     _write_csv(os.path.join(out_dir, "fields_cells.csv"),
                ["t", "x_center", "rho_cell_mass", "rho_density"],
-               ((s.t, float(x), float(m), float(m / s.field.dx)) for s in snapshots
-                for x, m in zip(s.field.centers, s.field.cell_masses)))
+               ((s.t, s.field.centers, s.field.cell_masses, s.field.cell_masses / s.field.dx)
+                for s in snapshots))
     _write_csv(os.path.join(out_dir, "atoms_extracted.csv"),
-               ["t", "atom_id", "x", "m"], _atom_rows(snapshots))
+               ["t", "atom_id", "x", "m"], _atom_blocks(snapshots))
 
 
 def write_particle_outputs(out_dir: str, states, events):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t", "atom_id", "x", "m", "v"],
-               ((st.time, i, float(st.atoms.positions[i]), float(st.atoms.masses[i]),
-                 float(st.v[i])) for st in states for i in range(st.atoms.n_atoms)))
+               ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses,
+                 np.asarray(st.v, dtype=float)) for st in states))
     _write_csv(os.path.join(out_dir, "events.csv"),
                ["t_event", "ids_merged", "x", "m"],
-               [(e.t, "+".join(str(i) for i in e.indices), e.x, e.m)
-                for e in events])
+               [([e.t for e in events], ["+".join(str(i) for i in e.indices) for e in events],
+                 [e.x for e in events], [e.m for e in events])])
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
@@ -383,19 +426,23 @@ def cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
     if args.out:
         scn.out_dir = args.out
+    want_csv = "csv" in scn.formats
     oracle = None
     if args.engine in ("particles", "both"):
         oracle = run_particles(scn)
-        write_particle_outputs(scn.out_dir, *oracle)
+        if want_csv:
+            write_particle_outputs(scn.out_dir, *oracle)
     if args.engine == "particles":
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = dataclasses.replace(scn, checks=scn.checks + ("w1_vs_particles",))
 
     snapshots = run_pde(scn)
-    write_field_outputs(scn.out_dir, snapshots)
+    if want_csv:
+        write_field_outputs(scn.out_dir, snapshots)
     report = run_diagnostics(scn, snapshots, oracle, write_json="json" in scn.formats)
-    write_summary_csv(scn.out_dir, scn, snapshots, report)
+    if want_csv:
+        write_summary_csv(scn.out_dir, scn, snapshots, report)
     for c in report.checks:
         if not c.passed:
             print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",

@@ -12,7 +12,9 @@ A model is the pair (a, A) with the normalization A(0) = 0.  Built-in kinds:
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial import polynomial as P
@@ -51,9 +53,22 @@ class FluxModel:
             us = [u for u, _ in self.nodes]
             if any(u2 <= u1 for u1, u2 in zip(us, us[1:])):
                 raise FluxError("piecewise-linear-a nodes must have increasing u")
+            slopes = [(a2 - a1) / (u2 - u1)
+                      for (u1, a1), (u2, a2) in zip(self.nodes, self.nodes[1:])]
+            if not all(map(math.isfinite, [*us, *slopes])):
+                raise FluxError("piecewise-linear-a nodes must be finite, with a "
+                                "finite slope of a between them")
         elif self.kind == "polynomial":
             if not self.a_coeffs:
                 raise FluxError("polynomial model needs coefficients")
+            if not all(map(math.isfinite, self.a_coeffs)):
+                raise FluxError("polynomial coefficients must be finite")
+            try:   # the extremum candidates of A, a and a'
+                stationary_points(self)
+                _range_plan(self)
+            except np.linalg.LinAlgError as exc:
+                raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
+                                f"range: their roots cannot be computed ({exc})") from exc
 
 
 def quadratic_attractive() -> FluxModel:
@@ -122,27 +137,61 @@ def eval_a(model: FluxModel, u):
 
 
 @functools.lru_cache(maxsize=None)
-def _pwl_antiderivative_nodes(model: FluxModel):
-    # Cumulative trapezoid integrals of a at the nodes, shifted so A(0) = 0.
-    us, avs = _pwl_arrays(model)
-    seg = 0.5 * (avs[1:] + avs[:-1]) * np.diff(us)
-    raw = np.concatenate(([0.0], np.cumsum(seg)))
-    return us, avs, raw
+def _A_coeffs(model: FluxModel) -> np.ndarray:
+    """Coefficients of A for the polynomial kinds: c_k/(k+1) shifted by one."""
+    c = np.asarray(model.a_coeffs)
+    out = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
+    out.setflags(write=False)   # shared by every caller
+    return out
 
 
-def _pwl_A_raw(model, u):
-    us, avs, raw = _pwl_antiderivative_nodes(model)
-    u = np.asarray(u, dtype=float)
-    idx = np.clip(np.searchsorted(us, u, side="right") - 1, 0, len(us) - 2)
-    u0, u1 = us[idx], us[idx + 1]
-    a0, a1 = avs[idx], avs[idx + 1]
-    du = u - u0
-    slope = (a1 - a0) / (u1 - u0)
-    inside = raw[idx] + a0 * du + 0.5 * slope * du * du
-    # constant extension of a outside the node range
-    below = raw[0] + avs[0] * (u - us[0])
-    above = raw[-1] + avs[-1] * (u - us[-1])
-    return np.where(u < us[0], below, np.where(u > us[-1], above, inside))
+class _PwlA:
+    """A(u) for the piecewise-linear kind: a table per segment, built once."""
+
+    def __init__(self, model: FluxModel):
+        us, avs = _pwl_arrays(model)
+        raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
+        self.nodes = us
+        self.inner_nodes = us[1:-1]
+        # per segment k: u_k, a_k, A_raw(u_k) and half the slope of a
+        self.segments = (us[:-1], avs[:-1], raw[:-1],
+                         0.5 * ((avs[1:] - avs[:-1]) / (us[1:] - us[:-1])))
+        self.edges = (float(us[0]), float(avs[0]), float(raw[0]),
+                      float(us[-1]), float(avs[-1]), float(raw[-1]))
+        self.shift = float(self._raw(np.asarray(0.0), False))
+
+    def within(self, lo, hi) -> bool:
+        return bool(self.nodes[0] <= lo and hi <= self.nodes[-1])
+
+    def __call__(self, u, within: bool, out=None):
+        """A(u) = A_raw(u) - A_raw(0); ``within``: all u lie in the node range."""
+        out = self._raw(u, within, out)
+        out -= self.shift
+        return out
+
+    def _raw(self, u, within, out=None):
+        # the integral of a from the first node
+        u0, a0, raw0, half_slope = self.segments
+        idx = np.searchsorted(self.inner_nodes, u, side="right")
+        du = u - u0[idx]
+        val = a0[idx]
+        val *= du
+        val += raw0[idx]          # raw + a0*du
+        quad = half_slope[idx]
+        quad *= du
+        quad *= du                # 0.5*slope*du*du
+        out = np.add(val, quad, out=out)
+        if not within:   # constant extension of a outside the node range
+            u_first, a_first, raw_first, u_last, a_last, raw_last = self.edges
+            below = raw_first + a_first * (u - u_first)
+            above = raw_last + a_last * (u - u_last)
+            out = np.where(u < u_first, below, np.where(u > u_last, above, out))
+        return out
+
+
+@functools.lru_cache(maxsize=None)
+def _pwl_A(model: FluxModel) -> _PwlA:
+    return _PwlA(model)
 
 
 def eval_A(model: FluxModel, u):
@@ -150,11 +199,10 @@ def eval_A(model: FluxModel, u):
     u = np.asarray(u, dtype=float)
     _check_finite(u)
     if model.kind == "piecewise-linear-a":
-        out = _pwl_A_raw(model, u) - _pwl_A_raw(model, 0.0)
+        A = _pwl_A(model)
+        out = A(u, u.size == 0 or A.within(u.min(), u.max()))
     else:
-        c = np.asarray(model.a_coeffs)
-        ac = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
-        out = P.polyval(u, ac)
+        out = P.polyval(u, _A_coeffs(model))
     return out if out.ndim else float(out)
 
 
@@ -286,3 +334,139 @@ def godunov_flux(model: FluxModel, u_left, u_right):
             fmax = np.where(inside, np.maximum(fmax, Ac), fmax)
     out = np.where(ul <= ur, fmin, fmax)
     return out if out.ndim else float(out)
+
+
+# ---------------------------------------------------------------------------
+# compiled plan for the solver's time loop
+
+
+def _horner(x, coeffs, out):
+    """P.polyval(x, coeffs) into ``out``, in numpy's operation order:
+    c[-1] + x*0, then c[k] + y*x for k = len - 2 .. 0 (len(coeffs) >= 2)."""
+    if coeffs[-1] != 0.0:   # then c[-1] + x*0 is c[-1] itself
+        np.multiply(x, coeffs[-1], out=out)
+        np.add(out, coeffs[-2], out=out)
+        rest = coeffs[-3::-1]
+    else:
+        np.multiply(x, 0.0, out=out)
+        np.add(out, coeffs[-1], out=out)
+        rest = coeffs[-2::-1]
+    for c in rest:
+        np.multiply(out, x, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+class _Stage(NamedTuple):
+    """What the face flux needs on data within one range [lo, hi]."""
+
+    stationary: tuple   # (c, A(c)) for the stationary points with lo < c < hi
+    within: bool        # [lo, hi] lies in the piecewise-linear node range
+    corner: tuple | None  # None: the corner-dissipation term is exactly zero
+
+
+class FluxPlan:
+    """A FluxModel compiled once (``flux_plan``) for the PDE time loop.
+
+    Holds, as Python floats, the Horner coefficients of A and a' (polynomial
+    kinds) or the per-segment table of A with its A(0) shift (the
+    piecewise-linear kind), the stationary points of A with their values,
+    and the candidate stretches of a'.  Both queries below reproduce the
+    reference functions bit for bit: ``wave_bounds`` is stable_dt's bound,
+    ``fluxes`` is ``numerical_flux`` on consecutive face values.
+    """
+
+    def __init__(self, model: FluxModel):
+        self.model = model
+        left, right, vals, da = _range_plan(model)[1]
+        self.slope_cands = left, right, vals
+        self.da = () if da is None else tuple(da.tolist())   # a' for the polynomial kinds
+        if model.kind == "piecewise-linear-a":
+            self.pwl = _pwl_A(model)
+        else:
+            self.pwl = None
+            self.A_coeffs = tuple(_A_coeffs(model).tolist())
+        self.stationary = tuple((float(p), eval_A(model, p)) for p in stationary_points(model))
+        self.wave_bounds = functools.lru_cache(maxsize=64)(self._wave_bounds)
+        self._stage = functools.lru_cache(maxsize=64)(self._make_stage)
+
+    def _wave_bounds(self, lo: float, hi: float):
+        """(max |a|, max(0, max a')) over [lo, hi]: stable_dt's two range queries."""
+        return (max_wave_speed(self.model, lo, hi),
+                max(0.0, max_slope_of_a(self.model, lo, hi)))
+
+    def _make_stage(self, lo: float, hi: float) -> _Stage:
+        # A point or stretch not meeting (lo, hi) is strictly inside no face
+        # interval, so dropping it changes no flux.
+        stationary = tuple((c, Ac) for c, Ac in self.stationary if lo < c < hi)
+        left, right, vals = self.slope_cands
+        if self.pwl is not None:
+            within = self.pwl.within(lo, hi)
+            # max(0, slope) only sees the segments of positive slope
+            segs = tuple((l, r, v) for l, r, v in zip(left.tolist(), right.tolist(), vals.tolist())
+                         if v > 0.0 and l < hi and lo < r)
+            return _Stage(stationary, within, ("segments", segs) if segs else None)
+        if len(self.da) == 1:   # constant a' = k: corner term is max(k, 0)*|du|
+            k = self.da[0]
+            return _Stage(stationary, True, ("constant", k) if k > 0.0 else None)
+        cands = tuple((c, v) for c, v in zip(left.tolist(), vals.tolist()) if lo < c < hi)
+        return _Stage(stationary, True, ("polynomial", cands))
+
+    def fluxes(self, e, out, work, lo: float, hi: float, ordered: bool):
+        """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit.
+
+        ``lo`` and ``hi`` bound the values of ``e``; ``ordered`` says e is
+        nondecreasing.  ``work`` is a scratch array of shape (4, >= e.size).
+        """
+        m = e.size - 1
+        stage = self._stage(lo, hi)
+        uL, uR = e[:-1], e[1:]
+        if self.pwl is None:
+            A = _horner(e, self.A_coeffs, work[0, :m + 1])
+        else:
+            A = self.pwl(e, stage.within, out=work[0, :m + 1])
+        if ordered:
+            flo, fhi = uL, uR
+        else:
+            flo = np.minimum(uL, uR, out=work[1, :m])
+            fhi = np.maximum(uL, uR, out=work[2, :m])
+        # Godunov: min of A over [uL, uR], max over [uR, uL]
+        F = np.minimum(A[:-1], A[1:], out=out)
+        fmax = None if ordered else np.maximum(A[:-1], A[1:])
+        for c, Ac in stage.stationary:
+            inside = (flo < c) & (c < fhi)
+            np.minimum(F, Ac, out=F, where=inside)
+            if fmax is not None:
+                np.maximum(fmax, Ac, out=fmax, where=inside)
+        if fmax is not None:
+            np.copyto(F, fmax, where=uL > uR)
+        if stage.corner is None:
+            return F
+        # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * |du|
+        du = np.subtract(uR, uL, out=work[3, :m])
+        absdu = du if ordered else np.abs(du)
+        kind, data = stage.corner
+        if kind == "constant":
+            s = absdu if data == 1.0 else absdu * data
+        else:
+            if kind == "polynomial":
+                D = _horner(e, self.da, work[0, :m + 1])
+                slope = np.maximum(D[:-1], D[1:])
+                for c, v in data:
+                    np.maximum(slope, v, out=slope, where=(c < fhi) & (flo < c))
+                np.maximum(slope, 0.0, out=slope)
+            else:
+                slope = np.zeros(m)
+                for l, r, v in data:
+                    np.maximum(slope, v, out=slope, where=(l < fhi) & (flo < r))
+            s = np.multiply(slope, absdu, out=slope)
+        term = np.multiply(s, 0.5)
+        term *= du
+        F -= term
+        return F
+
+
+@functools.lru_cache(maxsize=None)
+def flux_plan(model: FluxModel) -> FluxPlan:
+    """The model's compiled plan, built once per model."""
+    return FluxPlan(model)

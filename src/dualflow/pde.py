@@ -13,7 +13,7 @@ momentum density as q_i = A(u_{i+1}) - A(u_i).
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,46 +52,143 @@ def numerical_flux(model: fx.FluxModel, u_left, u_right):
     return F - 0.5 * s * du
 
 
+def _cfl_dt(plan: fx.FluxPlan, u_lo: float, u_hi: float, jump: float,
+            dx: float, cfl: float, dt_max: float) -> float:
+    """The CFL step for faces in [u_lo, u_hi] whose largest jump is ``jump``."""
+    speed, slope = plan.wave_bounds(u_lo, u_hi)
+    # corner dissipation adds at most max(0, max a') * (largest face jump)
+    if slope > 0.0:
+        speed += slope * jump
+    if speed <= 0.0:
+        return dt_max
+    return min(cfl * dx / speed, dt_max)
+
+
 def stable_dt(field: GridField, model: fx.FluxModel, cfl: float,
               dt_max: float = np.inf) -> float:
     """CFL time step from the exact wave-speed bound on [min u, max u]."""
     u = field.u_faces
+    plan = fx.flux_plan(model)
     u_lo, u_hi = float(u.min()), float(u.max())
-    speed = fx.max_wave_speed(model, u_lo, u_hi)
-    # corner dissipation adds at most max(0, max a') * (largest face jump)
-    slope = max(0.0, fx.max_slope_of_a(model, u_lo, u_hi))
-    if slope > 0.0:
+    jump = 0.0
+    if plan.wave_bounds(u_lo, u_hi)[1] > 0.0:
         ext = np.concatenate(([0.0], u, [field.total_mass]))
-        speed += slope * float(np.max(np.abs(np.diff(ext))))
-    if speed <= 0.0:
-        return dt_max
-    return min(cfl * field.dx / speed, dt_max)
+        jump = float(np.max(np.abs(np.diff(ext))))
+    return _cfl_dt(plan, u_lo, u_hi, jump, field.dx, cfl, dt_max)
+
+
+class _March:
+    """The faces of one run between Dirichlet ghosts, advanced in place.
+
+    ``ext`` = [0, u_0, ..., u_n, M].  Only faces next to a non-zero jump
+    d_j = ext[j+1] - ext[j] can change in a step: elsewhere the update is
+    F(c, c) - F(c, c) = 0 exactly.  The jumps are non-zero only for j in
+    ``self.window`` (None when u is constant), which grows by at most one
+    jump per side per step, so each step updates that stretch alone.
+    """
+
+    def __init__(self, field: GridField, model: fx.FluxModel):
+        u = field.u_faces
+        if not np.all(np.isfinite(u)):
+            raise SolverError("NaN/Inf in solver state")
+        self.grid = field
+        self.plan = fx.flux_plan(model)
+        self.ext = np.concatenate(([0.0], u, [field.total_mass]))
+        self.pins = (float(u[0]), float(u[-1]))
+        self.work = np.empty((6, u.size + 2))
+        self._check(0, u.size)
+
+    def _check(self, j0: int, j1: int):
+        """Validate the jumps d_j0..d_j1, which hold every non-zero jump.
+
+        One pass gives the finiteness and monotonicity checks (a NaN or an
+        infinite face makes the smallest jump NaN or -inf), the ordering of
+        the faces, the largest jump for the CFL bound and the new window.
+        """
+        ext = self.ext
+        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], out=self.work[0, :j1 - j0 + 1])
+        d_min = float(d.min())
+        if not d_min >= -1e-14:
+            self.field()   # raises the validation error; ghost jumps are not checked
+        self.ordered = d_min >= 0.0
+        self.jump = max(float(d.max()), -d_min)
+        if d[0] and d[-1]:
+            self.window = (j0, j1)
+            return
+        nonzero = d != 0.0
+        if not nonzero.any():
+            self.window = None
+            return
+        self.window = (j0 + int(nonzero.argmax()), j1 - int(nonzero[::-1].argmax()))
+
+    def _u_range(self):
+        """(min u, max u): the end faces when u is nondecreasing."""
+        if self.ordered:
+            return float(self.ext[1]), float(self.ext[-2])
+        u = self.ext[1:-1]
+        return float(u.min()), float(u.max())
+
+    def _ext_range(self):
+        """(min, max) over the faces and the ghosts 0 and M."""
+        u_lo, u_hi = self._u_range()
+        return min(0.0, u_lo), max(float(self.ext[-1]), u_hi)
+
+    def dt(self, cfl: float, dt_max: float) -> float:
+        """stable_dt of the current faces."""
+        return _cfl_dt(self.plan, *self._u_range(), self.jump, self.grid.dx, cfl, dt_max)
+
+    def advance(self, dt: float):
+        """One Godunov step of length dt; boundary faces stay pinned exactly."""
+        if not np.isfinite(dt) or dt <= 0:
+            raise SolverError("no positive time step available (set dt_max for rest states)")
+        if self.window is None:
+            return
+        n = self.ext.size - 2   # faces
+        j0, j1 = max(self.window[0] - 1, 0), min(self.window[1] + 1, n)
+        work = self.work
+        m = j1 - j0 + 1
+        F = self.plan.fluxes(self.ext[j0:j1 + 2], work[4, :m], work, *self._ext_range(),
+                             self.ordered)
+        dF = np.subtract(F[1:], F[:-1], out=work[5, :m - 1])
+        dF *= dt / self.grid.dx
+        self.ext[j0 + 1:j1 + 1] -= dF
+        if j0 == 0 or j1 == n:
+            # Dirichlet pinning; warn when waves reach the edge of the grid.
+            first, last = self.pins
+            if abs(self.ext[1] - first) > 1e-12 or abs(self.ext[n] - last) > 1e-12:
+                warnings.warn("wave reached the grid boundary; domain too small",
+                              RuntimeWarning, stacklevel=3)
+            self.ext[1], self.ext[n] = first, last
+        self._check(j0, j1)
+
+    def field(self) -> GridField:
+        g = self.grid
+        return GridField(g.x_min, g.x_max, g.n_cells, self.ext[1:-1].copy()).validate()
+
+    def step_budget(self, t_end: float, cfl: float, dt_max: float, n_targets: int) -> float:
+        """More steps than any run to t_end takes.
+
+        u stays in its initial range (it is checked nondecreasing every
+        step between pinned end faces), so every step but the last before
+        an output time is at least the CFL step of the largest speed bound
+        on that range; doubling the count and a few steps more leave room
+        for roundoff.
+        """
+        lo, hi = self._ext_range()
+        speed, slope = self.plan.wave_bounds(lo, hi)
+        top = speed + slope * (hi - lo)
+        dt_floor = min(cfl * self.grid.dx / top, dt_max) if top > 0.0 else dt_max
+        return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
 
 
 def step(state: SolverState, model: fx.FluxModel, dt: float | None = None,
          dt_max: float = np.inf) -> SolverState:
     """Advance one Godunov step; boundary faces stay pinned exactly."""
-    field = state.field
-    u = field.u_faces
-    if not np.all(np.isfinite(u)):
-        raise SolverError("NaN/Inf in solver state")
+    march = _March(state.field, model)
     if dt is None:
-        dt = stable_dt(field, model, state.cfl, dt_max)
-    if not np.isfinite(dt) or dt <= 0:
-        raise SolverError("no positive time step available (set dt_max for rest states)")
-
-    total = field.total_mass
-    ext = np.concatenate(([0.0], u, [total]))
-    F = numerical_flux(model, ext[:-1], ext[1:])  # F[i] = flux(ext[i], ext[i+1])
-    new_u = u - (dt / field.dx) * (F[1:] - F[:-1])
-    # Dirichlet pinning; warn when waves reach the edge of the grid.
-    if abs(new_u[0] - u[0]) > 1e-12 or abs(new_u[-1] - u[-1]) > 1e-12:
-        warnings.warn("wave reached the grid boundary; domain too small",
-                      RuntimeWarning, stacklevel=2)
-    new_u[0] = u[0]
-    new_u[-1] = u[-1]
-    new_field = GridField(field.x_min, field.x_max, field.n_cells, new_u).validate()
-    return SolverState(state.t + dt, new_field, state.cfl, state.step_count + 1)
+        dt = march.dt(state.cfl, dt_max)
+    march.advance(dt)
+    return SolverState(state.t + dt, march.field(), state.cfl, state.step_count + 1)
 
 
 def run(initial: GridField, model: fx.FluxModel, t_end: float,
@@ -99,10 +196,12 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         dt_max: float = np.inf) -> list[SolverState]:
     """March to t_end, landing exactly on each requested output time.
 
-    Returns one snapshot per output time (t_end is always included).
+    Returns one snapshot per output time (t_end is always included).  A
+    run that needs more steps than its budget (``_March.step_budget``)
+    raises SolverError instead of running on.
     """
-    if t_end <= 0:
-        raise ValueError("t_end must be positive")
+    if not (0 < t_end < np.inf):
+        raise ValueError("t_end must be positive and finite")
     if not (0 < cfl <= 1):
         raise ValueError("cfl must lie in (0, 1]")
     initial.validate()
@@ -110,18 +209,22 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
     if targets[0] < 0 or targets[-1] > t_end:
         raise ValueError("output times must lie in [0, t_end]")
 
-    state = SolverState(0.0, initial, cfl, 0)
     snapshots: list[SolverState] = []
     if targets[0] == 0.0:
-        snapshots.append(state)
+        snapshots.append(SolverState(0.0, initial, cfl, 0))
         targets = targets[1:]
+    march = _March(initial, model)
+    budget = march.step_budget(t_end, cfl, dt_max, len(targets))
+    t, steps = 0.0, 0
     for target in targets:
-        while state.t < target - 1e-15:
-            dt = stable_dt(state.field, model, cfl, dt_max)
-            dt = min(dt, target - state.t)
-            state = step(state, model, dt=dt)
-        state = replace(state, t=target)  # absorb sub-1e-15 roundoff
-        snapshots.append(state)
+        while t < target - 1e-15:
+            if steps >= budget:
+                raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
+            dt = min(march.dt(cfl, dt_max), target - t)
+            march.advance(dt)
+            t += dt
+            steps += 1
+        snapshots.append(SolverState(target, march.field(), cfl, steps))  # t absorbs roundoff
     return snapshots
 
 

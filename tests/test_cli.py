@@ -2,6 +2,7 @@ import csv
 import json
 import os
 
+import numpy as np
 import pytest
 
 from dualflow import cli, particles
@@ -215,6 +216,68 @@ class TestRunCommand:
             a = open(os.path.join(out1, fname), "rb").read()
             b = open(os.path.join(out2, fname), "rb").read()
             assert a == b, fname
+
+
+class TestFailClosedFields:
+    @pytest.mark.parametrize("n_cells", [200.7, True, 0, -5, "200"])
+    def test_n_cells_must_be_a_positive_integer(self, tmp_path, n_cells):
+        path = write_scenario(tmp_path, grid={"x_min": -3.0, "x_max": 1.0,
+                                              "n_cells": n_cells})
+        with pytest.raises(cli.ScenarioError, match="grid.n_cells"):
+            cli.load_scenario(path)
+
+    @pytest.mark.parametrize("cfl", [0.0, -0.1, 1.5, "0.5", False])
+    def test_cfl_outside_unit_interval(self, tmp_path, cfl):
+        path = write_scenario(tmp_path, time={"t_end": 1.0, "cfl": cfl})
+        with pytest.raises(cli.ScenarioError, match="time.cfl"):
+            cli.load_scenario(path)
+
+    def test_cfl_one_accepted(self, tmp_path):
+        assert cli.load_scenario(write_scenario(tmp_path, time={"t_end": 1.0, "cfl": 1})).cfl == 1.0
+
+    @pytest.mark.parametrize("formats", [["xlsx"], ["csv", "parquet"], "csv"])
+    def test_unknown_output_format(self, tmp_path, formats):
+        path = write_scenario(tmp_path, output={"formats": formats})
+        with pytest.raises(cli.ScenarioError, match="output.formats"):
+            cli.load_scenario(path)
+
+    @pytest.mark.parametrize("formats, written", [
+        (["json"], ["diagnostics.json"]),
+        (["csv"], ["atoms_extracted.csv", "diagnostics.csv", "events.csv",
+                   "fields_cells.csv", "fields_faces.csv", "trajectory.csv"]),
+        ([], []),
+    ])
+    def test_run_honours_formats(self, tmp_path, formats, written):
+        path = write_scenario(tmp_path, output={"formats": formats})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--scenario", path, "--engine", "both", "--out", str(out)]) == 0
+        assert (sorted(os.listdir(out)) if out.exists() else []) == written
+
+
+class TestOutputFiles:
+    def test_mode_follows_the_umask(self, tmp_path):
+        path = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        old = os.umask(0o022)
+        try:
+            assert cli.main(["run", "--scenario", path, "--engine", "both", "--out", str(out)]) == 0
+        finally:
+            os.umask(old)
+        modes = {f.name: f.stat().st_mode & 0o777 for f in out.iterdir()}
+        assert len(modes) == 7 and set(modes.values()) == {0o644}, modes
+
+    def test_csv_bytes_match_the_csv_module(self, tmp_path):
+        blocks = [(0.25, np.array([1.0, -2.5e-300, 1 / 3]), np.arange(3), ["a+b", "", "c"]),
+                  (1.0, 2, "", float("nan")),
+                  (0.5, np.array([]), np.array([], dtype=int), [])]
+        cli._write_csv(str(tmp_path / "fast.csv"), ["t", "x", "i", "s"], blocks)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["t", "x", "i", "s"])
+            writer.writerows([[cli._fmt(v) for v in row] for row in
+                              [(0.25, 1.0, 0, "a+b"), (0.25, -2.5e-300, 1, ""),
+                               (0.25, 1 / 3, 2, "c"), (1.0, 2, "", float("nan"))]])
+        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestValidateCommand:

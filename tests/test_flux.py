@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, reject, settings, strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
@@ -158,6 +158,17 @@ def test_max_slope_pwl_segments_and_extensions():
     assert fx.max_slope_of_a(PWL, 0.1, 0.1) == -4.0
 
 
+@pytest.mark.parametrize("make", [
+    lambda: fx.piecewise_linear([(0.0, 0.0), (5e-324, 1.0)]),      # slope of a overflows
+    lambda: fx.piecewise_linear([(0.0, 0.0), (float("inf"), 1.0)]),
+    lambda: fx.polynomial([1.0, 2.2e-309]),                        # np.roots overflows
+    lambda: fx.polynomial([float("nan")]),
+], ids=["close-nodes", "infinite-node", "subnormal-lead", "nan-coefficient"])
+def test_models_without_finite_flux_rejected(make):
+    with pytest.raises(fx.FluxError):
+        make()
+
+
 def test_from_dict_fail_closed():
     assert fx.from_dict({"kind": "quadratic-attractive"}) == ATTR
     with pytest.raises(fx.FluxError):
@@ -166,3 +177,39 @@ def test_from_dict_fail_closed():
         fx.from_dict({"kind": "polynomial"})
     with pytest.raises(fx.FluxError):
         fx.from_dict({"kind": "tabulated"})
+
+
+def _pwl_A_reference(model, u):
+    """The antiderivative formula with all three branches evaluated, then
+    shifted by A_raw(0); eval_A must keep its values bit for bit."""
+    us, avs = (np.array(v) for v in zip(*model.nodes))
+    raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
+
+    def A_raw(u):
+        u = np.asarray(u, dtype=float)
+        idx = np.clip(np.searchsorted(us, u, side="right") - 1, 0, len(us) - 2)
+        u0, u1, a0, a1 = us[idx], us[idx + 1], avs[idx], avs[idx + 1]
+        du = u - u0
+        slope = (a1 - a0) / (u1 - u0)
+        inside = raw[idx] + a0 * du + 0.5 * slope * du * du
+        below = raw[0] + avs[0] * (u - us[0])
+        above = raw[-1] + avs[-1] * (u - us[-1])
+        return np.where(u < us[0], below, np.where(u > us[-1], above, inside))
+
+    return A_raw(u) - A_raw(0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(us=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=6, unique=True),
+       avs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+       u=st.lists(st.floats(-1.5, 2.5), min_size=1, max_size=30))
+def test_pwl_eval_A_keeps_its_values(us, avs, u):
+    try:
+        model = fx.piecewise_linear(zip(sorted(us), avs))
+    except fx.FluxError:   # nodes too close for a finite slope of a
+        reject()
+    for points in (np.array(u), np.clip(u, min(us), max(us))):
+        ref = _pwl_A_reference(model, points)
+        assert np.array_equal(fx.eval_A(model, points).view(np.int64), ref.view(np.int64))
+        scalar = np.float64(fx.eval_A(model, float(points[0])))
+        assert scalar.view(np.int64) == ref[0].view(np.int64)

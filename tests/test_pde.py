@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
-from dualflow import flux as fx
+from dualflow import cli, flux as fx
 from dualflow import measure as ms
 from dualflow import pde
 
@@ -139,3 +140,174 @@ class TestMomentum:
         amin, amax = fx.a_range(ATTR, 0.0, 1.0)
         assert np.all(ratio >= amin - 1e-10)
         assert np.all(ratio <= amax + 1e-10)
+
+
+def bits(x):
+    """The float64 bit patterns, so that equality is exact (sign of 0 too)."""
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def valid_model(build):
+    """The model build(args) makes, or None where FluxModel refuses the args."""
+    def make(args):
+        try:
+            return build(args)
+        except fx.FluxError:
+            return None
+    return make
+
+
+def polynomial_models(max_size):
+    return (st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=max_size)
+            .map(valid_model(fx.polynomial)).filter(lambda m: m is not None))
+
+
+@st.composite
+def pwl_models(draw, attractive=False):
+    us = sorted(draw(st.lists(st.floats(-0.2, 1.2), min_size=2, max_size=5,
+                              unique=True)))
+    avs = draw(st.lists(st.floats(-2.0, 2.0), min_size=len(us), max_size=len(us)))
+    if attractive:
+        avs = sorted(avs, reverse=True)
+    model = valid_model(fx.piecewise_linear)(list(zip(us, avs)))
+    assume(model is not None)
+    return model
+
+
+# one random model per flux kind
+KIND_MODELS = {
+    "quadratic-attractive": st.just(ATTR),
+    "quadratic-repulsive": st.just(REP),
+    "polynomial": polynomial_models(4),
+    "piecewise-linear-a": pwl_models(),
+}
+
+
+class TestFluxPlan:
+    @pytest.mark.parametrize("kind", fx.KINDS)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_kernel_equals_numerical_flux(self, kind, data):
+        model = data.draw(KIND_MODELS[kind])
+        faces = data.draw(st.lists(st.floats(-0.1, 1.5), min_size=2, max_size=40))
+        e = np.sort(np.array(faces)) + 0.0   # monotone, no negative zero
+        ref = bits(pde.numerical_flux(model, e[:-1], e[1:]))
+        plan = fx.flux_plan(model)
+        m = e.size - 1
+        lo, hi = float(e[0]), float(e[-1])
+        for ordered, bounds in ((True, (lo, hi)), (False, (lo, hi)), (True, (-1.0, 2.0))):
+            got = plan.fluxes(e, np.empty(m), np.empty((4, e.size)), *bounds, ordered)
+            assert np.array_equal(bits(got), ref)
+        # unordered faces take the general path
+        shuffled = np.array(data.draw(st.permutations(e.tolist())))
+        ref = bits(pde.numerical_flux(model, shuffled[:-1], shuffled[1:]))
+        got = plan.fluxes(shuffled, np.empty(m), np.empty((4, e.size)), lo, hi, False)
+        assert np.array_equal(bits(got), ref)
+
+
+def reference_run(initial, model, t_end, cfl, output_times, step_fn):
+    """pde.run's loop, one whole-grid step_fn(u, dt) at a time."""
+    targets = sorted(set(output_times) | {t_end})
+    u, t, out = initial.u_faces, 0.0, []
+    if targets[0] == 0.0:
+        out.append((0.0, u))
+        targets = targets[1:]
+    for target in targets:
+        while t < target - 1e-15:
+            field = ms.GridField(initial.x_min, initial.x_max, initial.n_cells, u)
+            dt = min(pde.stable_dt(field, model, cfl), target - t)
+            u = step_fn(field, dt)
+            t += dt
+        out.append((target, u))
+    return out
+
+
+def flux_step(model):
+    """The whole-grid Godunov step built from numerical_flux."""
+    def step_fn(field, dt):
+        u = field.u_faces
+        ext = np.concatenate(([0.0], u, [field.total_mass]))
+        F = pde.numerical_flux(model, ext[:-1], ext[1:])
+        new = u - (dt / field.dx) * (F[1:] - F[:-1])
+        new[0], new[-1] = u[0], u[-1]
+        return new
+    return step_fn
+
+
+def public_step(model, cfl):
+    def step_fn(field, dt):
+        return pde.step(pde.SolverState(0.0, field, cfl), model, dt=dt).field.u_faces
+    return step_fn
+
+
+class TestRunMatchesReference:
+    @pytest.mark.parametrize("name", ["single_dirac_attractive.json", "two_atoms_attractive.json",
+                                      "three_atoms_attractive.json", "single_dirac_repulsive.json"])
+    def test_bundled_scenarios_bit_identical(self, name):
+        scn = cli.load_scenario(cli.bundled_scenario(name))
+        grid = cli.initial_grid(scn)
+        snaps = pde.run(grid, scn.model, scn.t_end, cfl=scn.cfl, output_times=scn.output_times)
+        ref = reference_run(grid, scn.model, scn.t_end, scn.cfl, scn.output_times,
+                            flux_step(scn.model))
+        assert [s.t for s in snaps] == [t for t, _ in ref]
+        for s, (_, u) in zip(snaps, ref):
+            assert np.array_equal(bits(s.field.u_faces), bits(u))
+
+    @pytest.mark.parametrize("model", [ATTR, REP, fx.polynomial([0.1, 1.0, -3.0, 2.0]),
+                                       fx.piecewise_linear([(0.0, 1.0), (0.4, -0.5), (1.0, 0.5)])],
+                             ids=lambda m: m.kind)
+    def test_step_is_run_one_step_at_a_time(self, model):
+        grid = dirac_grid(n=120)
+        snaps = pde.run(grid, model, 0.5, output_times=[0.25])
+        for step_fn in (flux_step(model), public_step(model, 0.45)):
+            ref = reference_run(grid, model, 0.5, 0.45, [0.25], step_fn)
+            for s, (_, u) in zip(snaps, ref):
+                assert np.array_equal(bits(s.field.u_faces), bits(u))
+
+
+class TestStepBudget:
+    def test_exceeding_the_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(pde._March, "step_budget", lambda *args: 5)
+        with pytest.raises(pde.SolverError, match="budget"):
+            pde.run(dirac_grid(), ATTR, 1.0)
+
+    def test_budget_covers_the_run(self):
+        grid = dirac_grid(x_min=-1.0, x_max=3.0, n=400)
+        snaps = pde.run(grid, REP, 2.0, cfl=0.9, output_times=[0.5, 1.0])
+        budget = pde._March(grid, REP).step_budget(2.0, 0.9, np.inf, 3)
+        assert snaps[-1].step_count <= budget < 10 * snaps[-1].step_count
+
+    @pytest.mark.parametrize("t_end", [np.inf, np.nan])
+    def test_non_finite_t_end_rejected(self, t_end):
+        with pytest.raises(ValueError, match="t_end"):
+            pde.run(dirac_grid(), ATTR, t_end)
+
+
+# Models whose scheme is monotone under the CFL step: the corner-dissipation
+# coefficient max(0, max a') is zero (a non-increasing) or constant (a
+# linear).  A rising piecewise-linear a is left out: there the coefficient
+# jumps as a face value crosses a node, and the scheme is not monotone.
+CONTRACTIVE = st.one_of(
+    st.just(ATTR), st.just(REP),
+    polynomial_models(2),
+    pwl_models(attractive=True),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=CONTRACTIVE,
+       xs=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4, unique=True),
+       ys=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=4, unique=True))
+def test_l1_contraction(model, xs, ys):
+    # two initial data with the same mass, advanced with the same dt
+    def grid(pos):
+        mu = ms.AtomicMeasure.from_pairs((x, 1.0 / len(pos)) for x in pos)
+        return ms.sample_to_grid(mu, -3.0, 3.0, 120)
+    a, b = pde.SolverState(0.0, grid(xs)), pde.SolverState(0.0, grid(ys))
+    dist = np.sum(np.abs(a.field.u_faces - b.field.u_faces))
+    for _ in range(30):   # waves stay clear of the pinned boundaries
+        dt = min(pde.stable_dt(a.field, model, 0.45), pde.stable_dt(b.field, model, 0.45), 1.0)
+        a, b = pde.step(a, model, dt=dt), pde.step(b, model, dt=dt)
+        new = np.sum(np.abs(a.field.u_faces - b.field.u_faces))
+        assert new <= dist * (1 + 1e-12) + 1e-15
+        dist = new
