@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import dataclasses
 import itertools
 import json
@@ -361,19 +362,14 @@ def _cells(column, n: int):
 
 
 def _write_csv(path: str, header: list[str], blocks):
-    """Write a CSV byte for byte as the csv module's excel dialect would.
-
-    Each block is a tuple of columns (see _cells) giving that block's rows;
-    a block of scalars is one row.  No cell holds a comma, a quote or a line
-    break, so none needs quoting.
-    """
+    """Write a CSV; each block is a tuple of columns (see _cells) giving that
+    block's rows, and a block of scalars is one row."""
     with _atomic_open(path) as fh:
-        fh.write(",".join(header) + "\r\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
         for block in blocks:
             n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
-            if n:
-                fh.write("\r\n".join(map(",".join, zip(*(_cells(c, n) for c in block)))))
-                fh.write("\r\n")
+            writer.writerows(zip(*(_cells(c, n) for c in block)))
 
 
 def _atom_blocks(snapshots):
