@@ -76,33 +76,40 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
         raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _atom(pair, where: str) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise ScenarioError(f"{where} must be an [x, m] pair, got {pair!r}")
+    return _number(pair[0], f"{where}[0]"), _number(pair[1], f"{where}[1]")
+
+
+# initial.type -> (density class, its number fields in constructor order)
+DENSITIES = {"uniform": (UniformDensity, ("x_left", "x_right", "mass")),
+             "triangular": (TriangularDensity, ("x_left", "x_peak", "x_right", "mass"))}
+
+
 def _parse_initial(block: dict):
     kind = block.get("type")
     if kind == "atoms":
         _require_keys(block, {"type", "atoms"}, {"type", "atoms"}, "initial")
         pairs = block["atoms"]
-        if not pairs:
-            raise ScenarioError("initial.atoms must be non-empty (total mass > 0)")
+        if not isinstance(pairs, (list, tuple)) or not pairs:
+            raise ScenarioError("initial.atoms must be a non-empty list (total mass > 0)")
         try:
-            return AtomicMeasure.from_pairs(pairs)
+            return AtomicMeasure.from_pairs(
+                _atom(p, f"initial.atoms[{i}]") for i, p in enumerate(pairs))
         except MeasureError as exc:
             raise ScenarioError(f"initial.atoms: {exc}") from exc
-    if kind == "uniform":
-        _require_keys(block, {"type", "x_left", "x_right", "mass"},
-                      {"type", "x_left", "x_right", "mass"}, "initial")
-        return UniformDensity(block["x_left"], block["x_right"], block["mass"])
-    if kind == "triangular":
-        keys = {"type", "x_left", "x_peak", "x_right", "mass"}
-        _require_keys(block, keys, keys, "initial")
-        return TriangularDensity(block["x_left"], block["x_peak"],
-                                 block["x_right"], block["mass"])
+    if kind in DENSITIES:
+        cls, names = DENSITIES[kind]
+        _require_keys(block, {"type", *names}, {"type", *names}, "initial")
+        return cls(*(_number(block[k], f"initial.{k}") for k in names))
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
-
-
-def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
 
 
 def _reject_constant(name: str):
@@ -169,6 +176,9 @@ def parse_scenario(raw: dict) -> Scenario:
     for f in formats:
         if f not in FORMATS:
             raise ScenarioError(f"output.formats: unknown format {f!r} (known: {list(FORMATS)})")
+    out_dir = out.get("directory", "out")
+    if not isinstance(out_dir, str):
+        raise ScenarioError(f"output.directory must be a string, got {out_dir!r}")
 
     return Scenario(
         model=model,
@@ -181,7 +191,7 @@ def parse_scenario(raw: dict) -> Scenario:
         output_times=output_times,
         checks=checks,
         tolerances=tolerances,
-        out_dir=out.get("directory", "out"),
+        out_dir=out_dir,
         formats=tuple(formats),
         raw=raw,
     )
@@ -588,7 +598,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ScenarioError, fx.FluxError, MeasureError, particles.OracleError,
-            analysis.AnalysisError, ValueError) as exc:
+            analysis.AnalysisError, pde.SolverError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

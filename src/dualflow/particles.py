@@ -36,17 +36,20 @@ class MergeEvent:
     m: float
 
 
+def _speeds(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
+    # velocities without its attractiveness test, which no merge can change
+    cum = np.concatenate(([0.0], atoms.cumulative))
+    return np.diff(fx.eval_A(model, cum)) / atoms.masses
+
+
 def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
     """Aggregate speeds from the antiderivative increments over mass blocks."""
     if atoms.n_atoms == 0:
         raise MeasureError("no atoms")
-    total = atoms.total_mass
-    if not fx.is_attractive(model, total):
+    if not fx.is_attractive(model, atoms.total_mass):
         raise OracleError("aggregate dynamics requires a non-increasing velocity a "
                           "on [0, total mass]")
-    cum = np.concatenate(([0.0], atoms.cumulative))
-    A = fx.eval_A(model, cum)
-    return np.diff(A) / atoms.masses
+    return _speeds(atoms, model)
 
 
 @dataclass(frozen=True)
@@ -87,97 +90,53 @@ def next_event(system: AggregateSystem):
     return system.time + t_min, pairs
 
 
-def _coalesce(xs, ms, tol: float = EVENT_TOL) -> AtomicMeasure:
-    """Merge atoms whose gap has closed to within tol (roundoff guard)."""
-    out_x: list[float] = []
-    out_m: list[float] = []
-    for x, m in zip(xs, ms):
-        if out_x and x - out_x[-1] <= tol:
-            gm = out_m[-1] + m
-            out_x[-1] = (out_x[-1] * out_m[-1] + x * m) / gm
-            out_m[-1] = gm
-        else:
-            out_x.append(float(x))
-            out_m.append(float(m))
-    return AtomicMeasure(np.array(out_x), np.array(out_m))
+def _drift_and_merge(system: AggregateSystem, t: float, pairs, events: list):
+    """The system drifted to time t, with every linked run of atoms merged.
 
-
-def _merge_groups(pairs) -> list[list[int]]:
-    # union of overlapping adjacent pairs -> maximal index runs
-    members = sorted({i for p in pairs for i in p})
-    groups: list[list[int]] = []
-    for i in members:
-        if groups and i == groups[-1][-1] + 1:
-            groups[-1].append(i)
-        else:
-            groups.append([i])
-    return [g for g in groups if len(g) > 1]
-
-
-def _drift(atoms: AtomicMeasure, v: np.ndarray, dt: float) -> np.ndarray:
-    return atoms.positions + v * dt
+    Neighbours i, i+1 are linked when (i, i+1) is one of ``pairs`` or their
+    gap has closed to EVENT_TOL or less.  Each maximal run of linked atoms
+    becomes one aggregate at its centre of mass, recorded as one MergeEvent.
+    """
+    x = system.atoms.positions + system.v * (t - system.time)
+    link = np.diff(x) <= EVENT_TOL
+    link[[i for i, _ in pairs]] = True
+    if not link.any():
+        return AggregateSystem(t, AtomicMeasure(x, system.atoms.masses), system.model,
+                               v=system.v)
+    m = system.atoms.masses
+    starts = np.flatnonzero(np.concatenate(([True], ~link)))
+    ends = np.append(starts[1:], x.size)
+    new_x, new_m = x[starts], m[starts]
+    for k in np.flatnonzero(ends - starts > 1):
+        g = slice(starts[k], ends[k])
+        new_m[k] = gm = float(np.sum(m[g]))
+        new_x[k] = gx = float(np.sum(m[g] * x[g]) / gm)
+        events.append(MergeEvent(t, tuple(range(g.start, g.stop)), gx, gm))
+    atoms = AtomicMeasure(new_x, new_m)
+    return AggregateSystem(t, atoms, system.model, v=_speeds(atoms, system.model))
 
 
 def advance(system: AggregateSystem, t_target: float):
     """Alternate linear drift and sticky merges up to t_target.
 
-    Returns (system at t_target, list of MergeEvent).
+    Returns (system at t_target, list of MergeEvent).  With t_target = inf
+    the system is returned at its last merge, since no later time is finite.
     """
     if t_target < system.time - EVENT_TOL:
         raise ValueError("t_target must not precede the current time")
     events: list[MergeEvent] = []
-    n_events = 0
     while True:
         t_ev, pairs = next_event(system)
         if t_ev is None or t_ev > t_target:
-            dt = t_target - system.time
-            new_x = _drift(system.atoms, system.v, dt)
-            atoms = _coalesce(new_x, system.atoms.masses)
-            if atoms.n_atoms == system.atoms.n_atoms:
-                return AggregateSystem(t_target, atoms, system.model, v=system.v), events
-            return AggregateSystem(t_target, atoms, system.model), events
-        dt = t_ev - system.time
-        x = _drift(system.atoms, system.v, dt)
-        m = system.atoms.masses
-        groups = _merge_groups(pairs)
-        keep = np.ones(x.size, dtype=bool)
-        new_x = x.copy()
-        new_m = m.copy()
-        for g in groups:
-            gm = float(np.sum(m[g]))
-            gx = float(np.sum(m[g] * x[g]) / gm)
-            new_x[g[0]] = gx
-            new_m[g[0]] = gm
-            keep[g[1:]] = False
-            events.append(MergeEvent(t_ev, tuple(g), gx, gm))
-        atoms = _coalesce(new_x[keep], new_m[keep])
-        system = AggregateSystem(t_ev, atoms, system.model)
-        n_events += 1
-        if n_events > MAX_EVENTS:
+            if t_target == math.inf:
+                return system, events
+            return _drift_and_merge(system, t_target, [], events), events
+        system = _drift_and_merge(system, t_ev, pairs, events)
+        if len(events) > MAX_EVENTS:
             raise OracleError("event cap exceeded (10^6 merge events)")
 
 
 def collapse_time(system: AggregateSystem) -> float:
     """First time a single aggregate remains; math.inf if merges stall."""
-    n_events = 0
-    while system.atoms.n_atoms > 1:
-        t_ev, pairs = next_event(system)
-        if t_ev is None:
-            return math.inf
-        system, _ = advance(system, t_ev)
-        n_events += 1
-        if n_events > MAX_EVENTS:
-            raise OracleError("event cap exceeded (10^6 merge events)")
-    return system.time
-
-
-def trajectory_samples(system: AggregateSystem, times) -> list[tuple]:
-    """Rows (t, atom_id, x, m, v) at the given times, advancing a copy."""
-    rows = []
-    current = system
-    for t in sorted(times):
-        current, _ = advance(current, t)
-        for i in range(current.atoms.n_atoms):
-            rows.append((t, i, float(current.atoms.positions[i]),
-                         float(current.atoms.masses[i]), float(current.v[i])))
-    return rows
+    final, _ = advance(system, math.inf)
+    return final.time if final.atoms.n_atoms == 1 else math.inf

@@ -20,6 +20,8 @@ import numpy as np
 from . import flux as fx
 from .measure import GridField
 
+MAX_STEPS = 10**7   # the largest step budget pde.run accepts
+
 
 class SolverError(RuntimeError):
     """Fatal numerical failure (NaN state, invalid configuration)."""
@@ -52,29 +54,10 @@ def numerical_flux(model: fx.FluxModel, u_left, u_right):
     return F - 0.5 * s * du
 
 
-def _cfl_dt(plan: fx.FluxPlan, u_lo: float, u_hi: float, jump: float,
-            dx: float, cfl: float, dt_max: float) -> float:
-    """The CFL step for faces in [u_lo, u_hi] whose largest jump is ``jump``."""
-    speed, slope = plan.wave_bounds(u_lo, u_hi)
-    # corner dissipation adds at most max(0, max a') * (largest face jump)
-    if slope > 0.0:
-        speed += slope * jump
-    if speed <= 0.0:
-        return dt_max
-    return min(cfl * dx / speed, dt_max)
-
-
 def stable_dt(field: GridField, model: fx.FluxModel, cfl: float,
               dt_max: float = np.inf) -> float:
     """CFL time step from the exact wave-speed bound on [min u, max u]."""
-    u = field.u_faces
-    plan = fx.flux_plan(model)
-    u_lo, u_hi = float(u.min()), float(u.max())
-    jump = 0.0
-    if plan.wave_bounds(u_lo, u_hi)[1] > 0.0:
-        ext = np.concatenate(([0.0], u, [field.total_mass]))
-        jump = float(np.max(np.abs(np.diff(ext))))
-    return _cfl_dt(plan, u_lo, u_hi, jump, field.dx, cfl, dt_max)
+    return _March(field, model).dt(cfl, dt_max)
 
 
 class _March:
@@ -134,8 +117,14 @@ class _March:
         return min(0.0, u_lo), max(float(self.ext[-1]), u_hi)
 
     def dt(self, cfl: float, dt_max: float) -> float:
-        """stable_dt of the current faces."""
-        return _cfl_dt(self.plan, *self._u_range(), self.jump, self.grid.dx, cfl, dt_max)
+        """The CFL step of the current faces, at most dt_max."""
+        speed, slope = self.plan.wave_bounds(*self._u_range())
+        # corner dissipation adds at most max(0, max a') * (largest face jump)
+        if slope > 0.0:
+            speed += slope * self.jump
+        if speed <= 0.0:
+            return dt_max
+        return min(cfl * self.grid.dx / speed, dt_max)
 
     def advance(self, dt: float):
         """One Godunov step of length dt; boundary faces stay pinned exactly."""
@@ -197,8 +186,9 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
     """March to t_end, landing exactly on each requested output time.
 
     Returns one snapshot per output time (t_end is always included).  A
-    run that needs more steps than its budget (``_March.step_budget``)
-    raises SolverError instead of running on.
+    run whose step budget (``_March.step_budget``) exceeds MAX_STEPS is
+    refused before its first step, and one that needs more steps than its
+    budget raises SolverError instead of running on.
     """
     if not (0 < t_end < np.inf):
         raise ValueError("t_end must be positive and finite")
@@ -215,6 +205,9 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         targets = targets[1:]
     march = _March(initial, model)
     budget = march.step_budget(t_end, cfl, dt_max, len(targets))
+    if budget > MAX_STEPS:
+        raise SolverError(f"t_end = {t_end} needs a budget of {budget:.3g} steps, "
+                          f"more than MAX_STEPS = {MAX_STEPS}")
     t, steps = 0.0, 0
     for target in targets:
         while t < target - 1e-15:

@@ -1,11 +1,12 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from dualflow import cli, particles
+from dualflow import cli, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity
 
 
@@ -206,6 +207,19 @@ class TestRunCommand:
         assert rc == 2
         assert "FAIL" in capsys.readouterr().err
 
+    def test_huge_t_end_refused_before_stepping(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, time={"t_end": 1e300})
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "t_end" in err
+
+    def test_exhausted_step_budget_is_an_error_line(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(pde._March, "step_budget", lambda *args: 5)
+        path = write_scenario(tmp_path)
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "budget" in err
+
     def test_determinism_byte_identical(self, tmp_path):
         path = write_scenario(tmp_path)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
@@ -234,6 +248,27 @@ class TestFailClosedFields:
 
     def test_cfl_one_accepted(self, tmp_path):
         assert cli.load_scenario(write_scenario(tmp_path, time={"t_end": 1.0, "cfl": 1})).cfl == 1.0
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"initial": {"type": "uniform", "x_left": "a", "x_right": 1.0, "mass": 1.0}},
+         "initial.x_left"),
+        ({"initial": {"type": "triangular", "x_left": -1.0, "x_peak": None,
+                      "x_right": 1.0, "mass": 1.0}}, "initial.x_peak"),
+        ({"initial": {"type": "uniform", "x_left": -1.0, "x_right": 1.0, "mass": True}},
+         "initial.mass"),
+        ({"initial": {"type": "atoms", "atoms": [[0.0, True]]}}, "initial.atoms[0][1]"),
+        ({"initial": {"type": "atoms", "atoms": [[0.0, "x"]]}}, "initial.atoms[0][1]"),
+        ({"initial": {"type": "atoms", "atoms": [[0.0]]}}, "initial.atoms[0]"),
+        ({"output": {"directory": 5}}, "output.directory"),
+        ({"output": {"directory": None}}, "output.directory"),
+        ({"output": {"directory": ["out"]}}, "output.directory"),
+    ], ids=["x_left_string", "x_peak_null", "mass_bool", "atom_mass_bool",
+            "atom_mass_string", "atom_not_a_pair", "directory_int", "directory_null",
+            "directory_list"])
+    def test_bad_initial_or_output_field_named(self, tmp_path, overrides, field):
+        path = write_scenario(tmp_path, **overrides)
+        with pytest.raises(cli.ScenarioError, match=re.escape(field)):
+            cli.load_scenario(path)
 
     @pytest.mark.parametrize("formats", [["xlsx"], ["csv", "parquet"], "csv"])
     def test_unknown_output_format(self, tmp_path, formats):

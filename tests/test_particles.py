@@ -1,8 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from dualflow import cli
 from dualflow import flux as fx
 from dualflow import particles as pt
 from dualflow.measure import AtomicMeasure
@@ -135,12 +138,86 @@ class TestAdvanceEdgeCases:
         with pytest.raises(ValueError):
             pt.advance(s, 0.5)
 
-    def test_trajectory_samples_shape(self):
-        s = system([(-0.25, 0.5), (0.25, 0.5)])
-        rows = pt.trajectory_samples(s, [0.0, 0.5, 2.0])
+    def test_trajectory_csv_shape(self, tmp_path):
+        scn = cli.parse_scenario({
+            "flux": {"kind": "quadratic-attractive"},
+            "initial": {"type": "atoms", "atoms": [[-0.25, 0.5], [0.25, 0.5]]},
+            "grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 200},
+            "time": {"t_end": 2.0, "output_times": [0.0, 0.5, 2.0]},
+        })
+        cli.write_particle_outputs(str(tmp_path), *cli.run_particles(scn))
+        with open(tmp_path / "trajectory.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert header == ["t", "atom_id", "x", "m", "v"]
         # 2 atoms at t=0 and t=0.5, 1 atom at t=2
         assert len(rows) == 5
-        t_last, _, x_last, m_last, v_last = rows[-1]
+        t_last, _, x_last, m_last, v_last = map(float, rows[-1])
         assert (t_last, m_last) == (2.0, 1.0)
         assert x_last == pytest.approx(-1.0, abs=1e-12)
         assert v_last == pytest.approx(-0.5, abs=1e-12)
+
+
+class TestMergeAccounting:
+    """Every merge, however it is detected, is recorded as one MergeEvent."""
+
+    def test_merge_by_closed_gap_at_an_event_is_recorded(self):
+        # (0,1) collide at t = 1; (2,3) are due 3e-12 later, outside the
+        # event tolerance, but their gap has closed to 7.5e-13 by then
+        s = system([(-0.5, 0.25), (-0.25, 0.25), (1.0, 0.25), (1.25 + 7.5e-13, 0.25)])
+        final, events = pt.advance(s, 10.0)
+        assert final.atoms.n_atoms == 1
+        assert [e.indices for e in events] == [(0, 1), (2, 3), (0, 1)]
+        assert events[1].t == events[0].t == pytest.approx(1.0, abs=1e-12)
+        assert sum(len(e.indices) - 1 for e in events) == 3
+
+    def test_simultaneous_collisions_apart_stay_apart(self):
+        # (0,1) and (2,3) collide at t = 1, one unit apart: two aggregates
+        s = system([(-0.5, 0.25), (-0.25, 0.25), (1.0, 0.25), (1.25, 0.25)])
+        s2, events = pt.advance(s, 1.0)
+        assert [e.indices for e in events] == [(0, 1), (2, 3)]
+        assert s2.atoms.positions.tolist() == [-0.625, 0.375]
+
+    def test_merge_by_closed_gap_at_the_target_time_is_recorded(self):
+        s = system([(-0.25, 0.5), (0.25, 0.5)])
+        t = 1.0 - 1e-12
+        s2, events = pt.advance(s, t)
+        assert s2.atoms.n_atoms == 1
+        assert [(e.t, e.indices, e.m) for e in events] == [(t, (0, 1), 1.0)]
+        _, later = pt.advance(s2, 2.0)
+        assert later == []
+
+
+PWL_NODES = [0.0, 0.25, 0.5, 1.0]
+
+
+@st.composite
+def attractive_models(draw):
+    """quadratic-attractive, or a piecewise-linear a non-increasing everywhere
+    (drops of zero give constant stretches, where merges stall)."""
+    if draw(st.booleans()):
+        return ATTR
+    drops = draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                          min_size=len(PWL_NODES) - 1, max_size=len(PWL_NODES) - 1))
+    a = np.concatenate(([1.0], 1.0 - np.cumsum(drops)))
+    return fx.piecewise_linear(zip(PWL_NODES, a.tolist()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(model=attractive_models(),
+       xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=12, unique=True),
+       ks=st.lists(st.integers(1, 64), min_size=12, max_size=12),
+       times=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4))
+def test_merge_accounting_and_invariants(model, xs, ks, times):
+    # dyadic masses: every partial sum is exact, so mass must be too
+    s0 = system(zip(xs, [k / 256 for k in ks]), model=model)
+    n0, m0 = s0.atoms.n_atoms, s0.total_mass
+    x_bar0 = float(np.sum(s0.atoms.masses * s0.atoms.positions)) / m0
+    s, merged = s0, 0
+    for t in sorted(times):
+        s, events = pt.advance(s, t)
+        merged += sum(len(e.indices) - 1 for e in events)
+        assert merged == n0 - s.atoms.n_atoms
+        assert s.total_mass == m0
+        x_bar = float(np.sum(s.atoms.masses * s.atoms.positions)) / m0
+        assert x_bar == pytest.approx(x_bar0 + t * fx.eval_A(model, m0) / m0, abs=1e-12)
+        assert np.all(np.diff(s.atoms.positions) > 0)

@@ -30,6 +30,15 @@ class TestStableDt:
         assert pde.stable_dt(f, still, 0.45) == np.inf
         assert pde.stable_dt(f, still, 0.45, dt_max=0.25) == 0.25
 
+    @pytest.mark.parametrize("model", [ATTR, REP, fx.polynomial([0.1, 1.0, -3.0, 2.0]),
+                                       fx.piecewise_linear([(0.0, 1.0), (0.4, -0.5), (1.0, 0.5)])],
+                             ids=lambda m: m.kind)
+    def test_equals_the_whole_grid_scan(self, model):
+        two = ms.AtomicMeasure.from_pairs([(-0.5, 0.25), (0.3, 0.75)])
+        for f in (dirac_grid(), ms.sample_to_grid(two, -3.0, 1.0, 150)):
+            for cfl in (0.45, 0.9):
+                assert pde.stable_dt(f, model, cfl) == reference_dt(f, model, cfl)
+
     def test_step_rejects_infinite_dt(self):
         still = fx.polynomial([0.0])
         state = pde.SolverState(0.0, dirac_grid())
@@ -205,6 +214,19 @@ class TestFluxPlan:
         assert np.array_equal(bits(got), ref)
 
 
+def reference_dt(field, model, cfl):
+    """stable_dt from whole-grid scans: the wave-speed bound on [min u, max u],
+    plus max(0, max a') times the largest face jump, ghosts included."""
+    u = field.u_faces
+    lo, hi = float(u.min()), float(u.max())
+    speed = fx.max_wave_speed(model, lo, hi)
+    slope = max(0.0, fx.max_slope_of_a(model, lo, hi))
+    if slope > 0.0:
+        ext = np.concatenate(([0.0], u, [field.total_mass]))
+        speed += slope * float(np.max(np.abs(np.diff(ext))))
+    return cfl * field.dx / speed if speed > 0.0 else np.inf
+
+
 def reference_run(initial, model, t_end, cfl, output_times, step_fn):
     """pde.run's loop, one whole-grid step_fn(u, dt) at a time."""
     targets = sorted(set(output_times) | {t_end})
@@ -215,7 +237,7 @@ def reference_run(initial, model, t_end, cfl, output_times, step_fn):
     for target in targets:
         while t < target - 1e-15:
             field = ms.GridField(initial.x_min, initial.x_max, initial.n_cells, u)
-            dt = min(pde.stable_dt(field, model, cfl), target - t)
+            dt = min(reference_dt(field, model, cfl), target - t)
             u = step_fn(field, dt)
             t += dt
         out.append((target, u))
@@ -276,6 +298,13 @@ class TestStepBudget:
         snaps = pde.run(grid, REP, 2.0, cfl=0.9, output_times=[0.5, 1.0])
         budget = pde._March(grid, REP).step_budget(2.0, 0.9, np.inf, 3)
         assert snaps[-1].step_count <= budget < 10 * snaps[-1].step_count
+
+    def test_budget_above_max_steps_refused_before_stepping(self, monkeypatch):
+        def no_step(self, dt):
+            raise AssertionError("stepped")
+        monkeypatch.setattr(pde._March, "advance", no_step)
+        with pytest.raises(pde.SolverError, match="t_end"):
+            pde.run(dirac_grid(), ATTR, 1e300)
 
     @pytest.mark.parametrize("t_end", [np.inf, np.nan])
     def test_non_finite_t_end_rejected(self, t_end):
