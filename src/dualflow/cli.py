@@ -76,6 +76,14 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
         raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+def _typed(value, kind: type, where: str):
+    """value itself when it is a JSON object (kind dict) or list (kind list; tuples pass)."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ScenarioError(f"{where} must be {'a list' if kind is list else 'an object'}, "
+                            f"got {value!r}")
+    return value
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
@@ -128,15 +136,16 @@ def load_scenario(path: str) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    _require_keys(raw, {"flux", "initial", "grid", "time", "diagnostics", "output"},
+    _require_keys(_typed(raw, dict, "scenario"),
+                  {"flux", "initial", "grid", "time", "diagnostics", "output"},
                   {"flux", "initial", "grid", "time"}, "scenario")
     try:
-        model = fx.from_dict(raw["flux"])
+        model = fx.from_dict(_typed(raw["flux"], dict, "flux"))
     except fx.FluxError as exc:
         raise ScenarioError(f"flux: {exc}") from exc
-    initial = _parse_initial(raw["initial"])
+    initial = _parse_initial(_typed(raw["initial"], dict, "initial"))
 
-    grid = raw["grid"]
+    grid = _typed(raw["grid"], dict, "grid")
     _require_keys(grid, {"x_min", "x_max", "n_cells"},
                   {"x_min", "x_max", "n_cells"}, "grid")
     x_min = _number(grid["x_min"], "grid.x_min")
@@ -146,7 +155,7 @@ def parse_scenario(raw: dict) -> Scenario:
     n_cells = grid["n_cells"]
     if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
         raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
-    tblock = raw["time"]
+    tblock = _typed(raw["time"], dict, "time")
     _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
     t_end = _number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
@@ -154,25 +163,25 @@ def parse_scenario(raw: dict) -> Scenario:
     cfl = _number(tblock.get("cfl", 0.45), "time.cfl")
     if not 0 < cfl <= 1:
         raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
-    output_times = [_number(t, "time.output_times") for t in tblock.get("output_times", [])]
+    output_times = [_number(t, "time.output_times") for t in
+                    _typed(tblock.get("output_times", []), list, "time.output_times")]
     if any(t < 0 or t > t_end for t in output_times):
         raise ScenarioError("time.output_times must lie in [0, t_end]")
     if output_times != sorted(output_times):
         raise ScenarioError("time.output_times must be sorted")
 
-    diag = raw.get("diagnostics", {})
+    diag = _typed(raw.get("diagnostics", {}), dict, "diagnostics")
     _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
-    checks = tuple(diag.get("checks", DEFAULT_CHECKS))
-    tolerances = dict(diag.get("tolerances", {}))
+    checks = tuple(_typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
+    tolerances = _typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
     for where, names in (("checks", checks), ("tolerances", tolerances)):
         for c in names:
-            if c not in CHECKS:
+            if not isinstance(c, str) or c not in CHECKS:
                 raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
-    out = raw.get("output", {})
+    tolerances = {k: _number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
+    out = _typed(raw.get("output", {}), dict, "output")
     _require_keys(out, {"directory", "formats"}, set(), "output")
-    formats = out.get("formats", FORMATS)
-    if not isinstance(formats, (list, tuple)):
-        raise ScenarioError(f"output.formats must be a list, got {formats!r}")
+    formats = _typed(out.get("formats", FORMATS), list, "output.formats")
     for f in formats:
         if f not in FORMATS:
             raise ScenarioError(f"output.formats: unknown format {f!r} (known: {list(FORMATS)})")

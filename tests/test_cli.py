@@ -5,9 +5,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualflow import cli, particles, pde
-from dualflow.measure import AtomicMeasure, UniformDensity
+from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
 
 
 def scenario_dict(**overrides):
@@ -270,6 +271,22 @@ class TestFailClosedFields:
         with pytest.raises(cli.ScenarioError, match=re.escape(field)):
             cli.load_scenario(path)
 
+    @pytest.mark.parametrize("overrides, field", [
+        ({"grid": 5}, "grid"),
+        ({"flux": 5}, "flux"),
+        ({"initial": 5}, "initial"),
+        ({"time": {"t_end": 1.0, "output_times": 5}}, "time.output_times"),
+        ({"diagnostics": {"checks": 5}}, "diagnostics.checks"),
+        ({"diagnostics": {"tolerances": [1]}}, "diagnostics.tolerances"),
+        ({"diagnostics": {"tolerances": {"mass": "x"}}}, "diagnostics.tolerances.mass"),
+    ], ids=["grid", "flux", "initial", "output_times", "checks", "tolerances_list",
+            "tolerance_string"])
+    def test_wrongly_typed_container_is_an_error_line(self, tmp_path, capsys, overrides,
+                                                       field):
+        path = write_scenario(tmp_path, **overrides)
+        assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {field} must be ")
+
     @pytest.mark.parametrize("formats", [["xlsx"], ["csv", "parquet"], "csv"])
     def test_unknown_output_format(self, tmp_path, formats):
         path = write_scenario(tmp_path, output={"formats": formats})
@@ -396,3 +413,29 @@ class TestRiemannCommand:
         rc = cli.main(["riemann", "--flux",
                        '{"kind": "quadratic-attractive"}', "1", "0"])
         assert rc == 1
+
+
+# a(u) non-increasing on [0, 1] for each: the oracle serves all three
+CROSS_MODELS = {
+    "quadratic": {"kind": "quadratic-attractive"},
+    "cubic": {"kind": "polynomial", "coeffs": [0.0, -0.5, 0.0, -0.5]},
+    "piecewise-linear": {"kind": "piecewise-linear-a",
+                         "nodes": [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]},
+}
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=st.sampled_from(sorted(CROSS_MODELS)),
+       atoms=st.lists(st.tuples(st.floats(-1.5, 1.5), st.integers(1, 16)),
+                      min_size=1, max_size=6, unique_by=lambda a: a[0]))
+def test_engines_agree_in_w1(model, atoms):
+    """run --engine both: at every paired output time W1(PDE, oracle) <= 3 dx."""
+    total = sum(k for _, k in atoms)
+    scn = cli.parse_scenario(scenario_dict(
+        flux=CROSS_MODELS[model],
+        initial={"type": "atoms", "atoms": [[x, k / total] for x, k in atoms]},
+        grid={"x_min": -4.0, "x_max": 4.0, "n_cells": 400},
+        time={"t_end": 2.0, "output_times": [0.25, 0.5, 1.0, 1.5, 2.0]}))
+    snapshots = cli.run_pde(scn)
+    for snap, oracle_atoms in cli.pair_with_oracle(scn, snapshots, *cli.run_particles(scn)):
+        assert wasserstein1(snap.field, oracle_atoms) <= 3 * scn.dx

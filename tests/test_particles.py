@@ -1,5 +1,9 @@
+import bisect
 import csv
+import functools
+import heapq
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -170,6 +174,13 @@ class TestMergeAccounting:
         assert events[1].t == events[0].t == pytest.approx(1.0, abs=1e-12)
         assert sum(len(e.indices) - 1 for e in events) == 3
 
+    def test_collisions_within_the_tolerance_share_an_instant(self):
+        # closing speed 4: (2,3) collide 5e-13 after (0,1), when their gap
+        # is still 2e-12, so only the collision tolerance links them at t = 1
+        s = system([(0.0, 4.0), (4.0, 4.0), (100.0, 4.0), (104.0 + 2e-12, 4.0)])
+        _, events = pt.advance(s, 2.0)
+        assert [(e.t, e.indices) for e in events] == [(1.0, (0, 1)), (1.0, (2, 3))]
+
     def test_simultaneous_collisions_apart_stay_apart(self):
         # (0,1) and (2,3) collide at t = 1, one unit apart: two aggregates
         s = system([(-0.5, 0.25), (-0.25, 0.25), (1.0, 0.25), (1.25, 0.25)])
@@ -221,3 +232,179 @@ def test_merge_accounting_and_invariants(model, xs, ks, times):
         x_bar = float(np.sum(s.atoms.masses * s.atoms.positions)) / m0
         assert x_bar == pytest.approx(x_bar0 + t * fx.eval_A(model, m0) / m0, abs=1e-12)
         assert np.all(np.diff(s.atoms.positions) > 0)
+
+
+# ---------------------------------------------------------------------------
+# The O(N^2) loop the kinetic event queue replaced, kept as the test reference:
+# every instant drifts every aggregate, rebuilds the measure and recomputes
+# every speed.
+
+
+def _reference_speeds(atoms, model):
+    cum = np.concatenate(([0.0], atoms.cumulative))
+    return np.diff(fx.eval_A(model, cum)) / atoms.masses
+
+
+def _reference_drift_and_merge(system, t, pairs, events):
+    x = system.atoms.positions + system.v * (t - system.time)
+    link = np.diff(x) <= pt.EVENT_TOL
+    link[[i for i, _ in pairs]] = True
+    if not link.any():
+        return pt.AggregateSystem(t, AtomicMeasure(x, system.atoms.masses), system.model,
+                                  v=system.v)
+    m = system.atoms.masses
+    starts = np.flatnonzero(np.concatenate(([True], ~link)))
+    ends = np.append(starts[1:], x.size)
+    new_x, new_m = x[starts], m[starts]
+    for k in np.flatnonzero(ends - starts > 1):
+        g = slice(starts[k], ends[k])
+        new_m[k] = gm = float(np.sum(m[g]))
+        new_x[k] = gx = float(np.sum(m[g] * x[g]) / gm)
+        events.append(pt.MergeEvent(t, tuple(range(g.start, g.stop)), gx, gm))
+    atoms = AtomicMeasure(new_x, new_m)
+    return pt.AggregateSystem(t, atoms, system.model, v=_reference_speeds(atoms, system.model))
+
+
+def reference_advance(system, t_target):
+    events = []
+    while True:
+        t_ev, pairs = pt.next_event(system)
+        if t_ev is None or t_ev > t_target:
+            if t_target == math.inf:
+                return system, events
+            return _reference_drift_and_merge(system, t_target, [], events), events
+        system = _reference_drift_and_merge(system, t_ev, pairs, events)
+
+
+CUBIC = fx.polynomial([0.5, -0.5, 0.0, -1.0])  # a(u) = 1/2 - u/2 - u^3
+
+
+def assert_matches_reference(pairs, model, times):
+    """advance and reference_advance, chained through times and then to
+    t = inf, record the same merge groups; times, positions and speeds agree
+    to 1e-10 (relative beyond magnitude 1: slow merges can come at t ~ 10^3)
+    and masses exactly."""
+    close = functools.partial(pytest.approx, rel=1e-10, abs=1e-10)
+    new = old = system(pairs, model)
+    for t in [*sorted(times), math.inf]:
+        new, ev_new = pt.advance(new, t)
+        old, ev_old = reference_advance(old, t)
+        assert [e.indices for e in ev_new] == [e.indices for e in ev_old]
+        for a, b in zip(ev_new, ev_old):
+            assert (a.t, a.x) == close((b.t, b.x))
+            assert a.m == b.m
+        assert new.time == close(old.time)
+        assert new.atoms.masses.tolist() == old.atoms.masses.tolist()
+        assert new.atoms.positions == close(old.atoms.positions)
+        assert new.v == close(old.v)
+
+
+def random_configuration(rng):
+    """1-60 atoms with dyadic masses (exact partial sums) under one of the
+    three attractive model kinds; a third of them on a grid of eighths, half
+    of those with equal masses, to force simultaneous collisions."""
+    n = int(rng.integers(1, 61))
+    kind = rng.integers(3)
+    if kind == 0:
+        model = ATTR
+    elif kind == 1:
+        model = CUBIC
+    else:
+        drops = rng.choice([0.0, 0.25, 0.5, 1.0, 2.0], size=len(PWL_NODES) - 1)
+        model = fx.piecewise_linear(zip(PWL_NODES, (1.0 - np.cumsum([0.0, *drops])).tolist()))
+    xs = rng.uniform(-2.0, 2.0, n)
+    ks = rng.integers(1, 65, n)
+    if rng.random() < 1 / 3:
+        xs = np.round(xs * 8) / 8
+        if rng.random() < 0.5:
+            ks[:] = ks[0]
+    return list(zip(xs.tolist(), (ks / 4096).tolist())), model, rng.uniform(0.0, 3.0, 2).tolist()
+
+
+def test_seeded_sweep_matches_reference():
+    for seed in range(500):
+        pairs, model, times = random_configuration(np.random.default_rng(seed))
+        assert_matches_reference(pairs, model, times)
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.one_of(attractive_models(), st.just(CUBIC)),
+       xs=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=60, unique=True),
+       ks=st.lists(st.integers(1, 64), min_size=60, max_size=60),
+       times=st.lists(st.floats(0.0, 3.0), max_size=3))
+def test_matches_reference(model, xs, ks, times):
+    assert_matches_reference(zip(xs, [k / 4096 for k in ks]), model, times)
+
+
+# ---------------------------------------------------------------------------
+# Exact rational reference for a(u) = -u: speeds -(M_{l-1} + M_r)/2 are exact
+# for dyadic masses, and collisions are exact ties, with no tolerance.
+
+
+def exact_merges(xs, ms):
+    """(t, indices) of every merge of atoms at sorted xs, as Fractions."""
+    n = len(xs)
+    cum = [Fraction(0)]
+    for m in ms:
+        cum.append(cum[-1] + Fraction(m))
+    x0, t0, mass = [Fraction(x) for x in xs], [Fraction(0)] * n, [Fraction(m) for m in ms]
+    hi, v = list(range(1, n + 1)), [-(cum[i] + cum[i + 1]) / 2 for i in range(n)]
+    nxt, prv = list(range(1, n + 1)), list(range(-1, n - 1))
+    nxt[-1] = -1
+    stamp, live, heap, merges = [0] * n, list(range(n)), [], []
+
+    def push(s, t):  # the collision of s with its right neighbour
+        r = nxt[s]
+        gap = (x0[r] + v[r] * (t - t0[r])) - (x0[s] + v[s] * (t - t0[s]))
+        heapq.heappush(heap, (t + gap / (v[s] - v[r]), s, stamp[s]))
+
+    for s in range(n - 1):
+        push(s, Fraction(0))
+    while heap:
+        t, s, st = heapq.heappop(heap)
+        if stamp[s] != st:
+            continue
+        linked = {s}
+        while heap and heap[0][0] == t:
+            _, s, st = heapq.heappop(heap)
+            if stamp[s] == st:
+                linked.add(s)
+        runs = []
+        for s in sorted(linked):
+            if runs and runs[-1][-1] == s:
+                runs[-1].append(nxt[s])
+            else:
+                runs.append([s, nxt[s]])
+        ranks = [bisect.bisect_left(live, run[0]) for run in runs]
+        for run, rank in zip(runs, ranks):
+            merges.append((t, tuple(range(rank, rank + len(run)))))
+            l, r = run[0], run[-1]
+            mg = sum(mass[a] for a in run)
+            x0[l] = sum(mass[a] * (x0[a] + v[a] * (t - t0[a])) for a in run) / mg
+            t0[l], mass[l], hi[l] = t, mg, hi[r]
+            v[l] = -(cum[hi[l]] + cum[l]) / 2
+            for a in run[1:]:
+                stamp[a] = -1
+                del live[bisect.bisect_left(live, a)]
+            nxt[l] = nxt[r]
+            if nxt[l] >= 0:
+                prv[nxt[l]] = l
+            for a in (prv[l], l):
+                if a >= 0:
+                    stamp[a] += 1
+                    if nxt[a] >= 0:
+                        push(a, t)
+    return merges
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_event_times_match_exact_rationals(seed):
+    rng = np.random.default_rng(seed)
+    n = 300
+    xs = np.sort(rng.uniform(-1.0, 1.0, n)).tolist()
+    ms = (rng.integers(1, 65, n) / 16384).tolist()
+    final, events = pt.advance(system(zip(xs, ms)), math.inf)
+    exact = exact_merges(xs, ms)
+    assert final.atoms.n_atoms == 1
+    assert [e.indices for e in events] == [idx for _, idx in exact]
+    assert max(abs(e.t - float(t)) for e, (t, _) in zip(events, exact)) <= 1e-12
