@@ -1,17 +1,26 @@
 """Layer benchmark: best-of-3 wall time per case, written to BENCH_<label>.json.
 
-Only the particle layer so far: the collapse of N equal-mass atoms at seeded
-uniform positions on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5,
-timed over `particles.advance` to t = inf (every one of the N - 1 merges).
-Once a size takes longer than SKIP_AFTER_S, larger sizes (ten times as many
-atoms, so at least ten times as long) are recorded as null, so the script
-also finishes against the earlier O(N^2) engine.
+Two layers so far:
+
+- particles: the collapse of N equal-mass atoms at seeded uniform positions
+  on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5, timed over
+  `particles.advance` to t = inf (every one of the N - 1 merges).  Once a
+  size takes longer than SKIP_AFTER_S, larger sizes (ten times as many
+  atoms, so at least ten times as long) are recorded as null, so the script
+  also finishes against the earlier O(N^2) engine.
+- output: `cli.write_field_outputs` (fields_faces.csv, fields_cells.csv and
+  atoms_extracted.csv) for the 17 PDE snapshots of one fixed scenario: 24
+  seeded atoms under an attractive piecewise-linear a(u) on 1 600 cells,
+  the shape of the `attractive_crosscheck` benchmark workload.  Reported as
+  seconds and as MB of CSV written per second.
 
     python3 benchmarks/bench.py --label particle_oracle
+    python3 benchmarks/bench.py --label output_layer --layers output
 
-writes `BENCH_particle_oracle.json` = {"env": {...}, "particles": {N: seconds}}
-at the repository root.  Needs only the standard library and numpy; the
-program is imported from `src/` next to this directory.
+writes `BENCH_<label>.json` = {"env": {...}, "<layer>": {...}, ...} at the
+repository root.  Needs only the standard library and numpy; the program is
+imported from `src/` next to this directory, so a copy of this script in
+another checkout times that checkout's code.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ import math
 import os
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -30,7 +40,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dualflow import flux as fx, particles  # noqa: E402
+from dualflow import cli, flux as fx, particles  # noqa: E402
 from dualflow.measure import AtomicMeasure  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5)
@@ -53,11 +63,7 @@ def collapse_seconds(n: int) -> float:
     return best
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", default="particle_oracle",
-                        help="output file name is BENCH_<label>.json (default: %(default)s)")
-    label = parser.parse_args(argv).label
+def particles_layer() -> dict:
     results: dict[str, float | None] = {}
     skip = False
     for n in SIZES:
@@ -65,10 +71,59 @@ def main(argv=None) -> int:
         print(f"particles N={n}: " + ("skipped" if skip else f"{results[str(n)]:.4f} s"),
               flush=True)
         skip = skip or results[str(n)] > SKIP_AFTER_S
+    return results
+
+
+def output_scenario() -> dict:
+    """24 atoms with dyadic masses summing to 1 at seeded positions in [-2, 2]."""
+    rng = np.random.default_rng(24)
+    weights = rng.integers(1 << 19, 3 << 19, 24)
+    weights[-1] += (1 << 25) - weights.sum()
+    return {
+        "flux": {"kind": "piecewise-linear-a",
+                 "nodes": [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]},
+        "initial": {"type": "atoms", "atoms": [[float(x), float(w) / (1 << 25)] for x, w in
+                                               zip(np.sort(rng.uniform(-2.0, 2.0, 24)),
+                                                   weights)]},
+        "grid": {"x_min": -4.0, "x_max": 4.0, "n_cells": 1600},
+        "time": {"t_end": 4.0, "cfl": 0.45, "output_times": [k / 4 for k in range(17)]},
+    }
+
+
+def output_layer() -> dict:
+    """Best of REPEATS wall times of write_field_outputs, and its MB/s."""
+    snapshots = cli.run_pde(cli.parse_scenario(output_scenario()))
+    best = math.inf
+    with tempfile.TemporaryDirectory() as out:
+        for _ in range(REPEATS):
+            start = time.perf_counter()
+            cli.write_field_outputs(out, snapshots)
+            best = min(best, time.perf_counter() - start)
+        size = sum(f.stat().st_size for f in Path(out).iterdir())
+    print(f"output write_field_outputs: {best:.4f} s, {size / 1e6 / best:.1f} MB/s "
+          f"({size} bytes)", flush=True)
+    return {"seconds": best, "mb_per_s": size / 1e6 / best, "bytes": size}
+
+
+LAYERS = {"particles": particles_layer, "output": output_layer}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", default="particle_oracle",
+                        help="output file name is BENCH_<label>.json (default: %(default)s)")
+    parser.add_argument("--layers", default=",".join(LAYERS),
+                        help="comma-separated layers to time (default: %(default)s)")
+    args = parser.parse_args(argv)
+    layers = args.layers.split(",")
+    unknown = set(layers) - set(LAYERS)
+    if unknown:
+        parser.error(f"unknown layer(s) {sorted(unknown)}; known: {list(LAYERS)}")
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "platform": platform.platform(), "cpus": os.cpu_count()}
-    path = ROOT / f"BENCH_{label}.json"
-    path.write_text(json.dumps({"env": env, "particles": results}, indent=1) + "\n")
+    results = {"env": env, **{name: LAYERS[name]() for name in layers}}
+    path = ROOT / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,7 +55,7 @@ class DiagnosticsReport:
 
     def to_json(self) -> str:
         payload = {
-            "checks": [asdict(c) for c in self.checks],
+            "checks": [vars(c) for c in self.checks],   # plain fields (__post_init__)
             "scenario": self.scenario,
         }
         return json.dumps(payload, indent=2, sort_keys=True)

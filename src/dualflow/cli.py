@@ -14,15 +14,14 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
 import sys
 import tempfile
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -370,25 +369,57 @@ def _atomic_open(path: str):
         raise
 
 
-def _cells(column, n: int):
-    """The n csv cells of one column: a numpy array, a list, or a scalar
-    repeated on every row; numbers are formatted as by _fmt."""
-    if isinstance(column, np.ndarray):
-        return map(repr, column.tolist())   # Python floats and ints
-    if isinstance(column, list):
-        return map(_fmt, column)
-    return itertools.repeat(_fmt(column), n)
+def _reprs(a: np.ndarray) -> list[str]:
+    """repr of every entry of a 1-D numeric array, called once per run of
+    identical bit patterns (so -0.0 and 0.0, equal as floats, stay apart)."""
+    if a.ndim != 1 or a.dtype.kind not in "biuf" or a.itemsize > 8:
+        raise ValueError(f"csv column must be a 1-D numeric array, got {a.dtype} "
+                         f"with shape {a.shape}")
+    bits = a.view(f"u{a.itemsize}")
+    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
+    if 2 * (len(starts) + 1) > len(a):   # mostly distinct: runs do not pay
+        return list(map(repr, a.tolist()))
+    starts = np.concatenate(([0], starts))
+    counts = np.diff(starts, append=len(a)).tolist()
+    return list(chain.from_iterable(map(repeat, map(repr, a[starts].tolist()), counts)))
+
+
+def _verbatim(cells: list[str], one_column: bool) -> list[str]:
+    """cells, checked to need no csv quoting: no delimiter, quote or line
+    break, and no empty cell alone on its row (csv writes that as "")."""
+    text = "\0".join(cells)
+    if any(c in text for c in ',"\r\n') or (one_column and "" in cells):
+        raise ValueError(f"csv cell would need quoting: {cells!r}")
+    return cells
 
 
 def _write_csv(path: str, header: list[str], blocks):
-    """Write a CSV; each block is a tuple of columns (see _cells) giving that
-    block's rows, and a block of scalars is one row."""
+    """Write a CSV: the bytes csv.writer gives, with numbers formatted as by
+    _fmt.  Each block is a tuple of columns giving that block's rows: a 1-D
+    numpy array, a list, or a scalar repeated on every row; a block of
+    scalars is one row.  A numpy column equal, bit for bit, to the same
+    column of the previous block reuses that block's strings."""
     with _atomic_open(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(",".join(_verbatim(list(header), len(header) == 1)) + "\r\n")
+        prev: dict[int, tuple[bytes, str, list[str]]] = {}
         for block in blocks:
             n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
-            writer.writerows(zip(*(_cells(c, n) for c in block)))
+            cols, arrays = [], {}
+            for j, c in enumerate(block):
+                if isinstance(c, np.ndarray):
+                    key = (c.tobytes(), c.dtype.str)
+                    hit = prev.get(j)
+                    cells = hit[2] if hit and hit[:2] == key else _reprs(c)
+                    arrays[j] = (*key, cells)
+                elif isinstance(c, list):
+                    cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
+                else:
+                    cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
+                cols.append(cells)
+            prev = arrays
+            rows = "\r\n".join(map(",".join, zip(*cols)))
+            if rows:   # empty only when the block has no rows (see _verbatim)
+                fh.write(rows + "\r\n")
 
 
 def _atom_blocks(snapshots):

@@ -90,8 +90,29 @@ def piecewise_linear(nodes) -> FluxModel:
     )
 
 
+def _real(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FluxError(f"{where} must be a number, got {value!r}")
+    return float(value)
+
+
+def _items(value, where: str):
+    if not isinstance(value, (list, tuple)):
+        raise FluxError(f"{where} must be a list, got {value!r}")
+    return enumerate(value)
+
+
+def _node(pair, where: str) -> tuple[float, float]:
+    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+        raise FluxError(f"{where} must be a [u, a] pair, got {pair!r}")
+    return _real(pair[0], f"{where}[0]"), _real(pair[1], f"{where}[1]")
+
+
 def from_dict(block: dict) -> FluxModel:
-    """Build a model from a scenario flux block (fail-closed on unknown keys)."""
+    """Build a model from a scenario flux block (fail-closed on unknown keys
+    and on wrongly typed entries; each error names its field)."""
+    if not isinstance(block, dict):
+        raise FluxError(f"flux block must be an object, got {block!r}")
     allowed = {"kind", "coeffs", "nodes"}
     unknown = set(block) - allowed
     if unknown:
@@ -104,11 +125,13 @@ def from_dict(block: dict) -> FluxModel:
     if kind == "polynomial":
         if "coeffs" not in block:
             raise FluxError("polynomial flux requires 'coeffs'")
-        return polynomial(block["coeffs"])
+        return polynomial(_real(c, f"coeffs[{i}]")
+                          for i, c in _items(block["coeffs"], "coeffs"))
     if kind == "piecewise-linear-a":
         if "nodes" not in block:
             raise FluxError("piecewise-linear-a flux requires 'nodes'")
-        return piecewise_linear(block["nodes"])
+        return piecewise_linear(_node(p, f"nodes[{i}]")
+                                for i, p in _items(block["nodes"], "nodes"))
     raise FluxError(f"unknown flux kind {kind!r}")
 
 

@@ -287,6 +287,28 @@ class TestFailClosedFields:
         assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith(f"error: {field} must be ")
 
+    @pytest.mark.parametrize("block, field", [
+        ({"kind": "polynomial", "coeffs": 5}, "coeffs"),
+        ({"kind": "piecewise-linear-a", "nodes": 5}, "nodes"),
+        ({"kind": "polynomial", "coeffs": ["a"]}, "coeffs[0]"),
+        ({"kind": "piecewise-linear-a", "nodes": [[0]]}, "nodes[0]"),
+        ({"kind": "piecewise-linear-a", "nodes": [[0, 1], [1, "x"]]}, "nodes[1][1]"),
+        ({"kind": "polynomial", "coeffs": [True, 1]}, "coeffs[0]"),
+    ], ids=["coeffs_int", "nodes_int", "coeff_string", "node_not_a_pair", "node_string",
+            "coeff_bool"])
+    @pytest.mark.parametrize("command", ["validate", "riemann"])
+    def test_wrongly_typed_flux_entry_is_an_error_line(self, tmp_path, capsys, block, field,
+                                                       command):
+        if command == "validate":
+            argv = ["validate", "--scenario", write_scenario(tmp_path, flux=block),
+                    "--out", str(tmp_path / "out")]
+            prefix = "error: flux: "
+        else:
+            argv = ["riemann", "--flux", json.dumps(block), "0", "1"]
+            prefix = "error: "
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err.startswith(f"{prefix}{field} must be ")
+
     @pytest.mark.parametrize("formats", [["xlsx"], ["csv", "parquet"], "csv"])
     def test_unknown_output_format(self, tmp_path, formats):
         path = write_scenario(tmp_path, output={"formats": formats})
@@ -330,6 +352,88 @@ class TestOutputFiles:
                               [(0.25, 1.0, 0, "a+b"), (0.25, -2.5e-300, 1, ""),
                                (0.25, 1 / 3, 2, "c"), (1.0, 2, "", float("nan"))]])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(), n_columns=st.integers(2, 4), n_blocks=st.integers(0, 5))
+    def test_csv_bytes_match_the_csv_module_for_random_blocks(self, tmp_path_factory, data,
+                                                              n_columns, n_blocks):
+        blocks = []
+        n = data.draw(st.integers(0, 40))
+        for _ in range(n_blocks):
+            n = data.draw(st.one_of(st.just(n), st.integers(0, 40)))   # often a repeat
+            prev = blocks[-1] if blocks else (None,) * n_columns
+            blocks.append(tuple(data.draw(csv_column(n, p)) for p in prev))
+        header = [f"c{j}" for j in range(n_columns)]
+        d = tmp_path_factory.mktemp("csv")
+        cli._write_csv(str(d / "fast.csv"), header, blocks)
+        with open(d / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for block in blocks:
+                writer.writerows(reference_rows(block))
+        assert (d / "fast.csv").read_bytes() == (d / "ref.csv").read_bytes()
+
+    def test_a_repeated_column_is_reused_only_when_bits_and_dtype_match(self, tmp_path):
+        x = np.array([0.0, 0.0, 1.5])
+        signed = np.array([-0.0, 0.0, 1.5])
+        zeros = np.repeat([0.0, -0.0, 0.0], 4)   # runs that differ only in sign
+        blocks = [(t, col) for t, col in enumerate([x, x.copy(), signed, signed.view(np.int64),
+                                                    signed.view(np.int64), x, zeros])]
+        cli._write_csv(str(tmp_path / "fast.csv"), ["t", "x"], blocks)
+        expected = "t,x\r\n" + "".join(f"{a},{b}\r\n" for block in blocks
+                                       for a, b in reference_rows(block))
+        assert (tmp_path / "fast.csv").read_bytes() == expected.encode()
+
+    @pytest.mark.parametrize("header, block", [
+        (["t", "s"], (0.5, ["1+2", "3,4"])),
+        (["t", "s"], (0.5, 'a"b')),
+        (["t", "s"], (0.5, ["x\ny"])),
+        (["t", "s\r"], (0.5, 1.0)),
+        (["s"], ([""],)),
+    ], ids=["comma", "quote", "newline", "header_return", "lone_empty_cell"])
+    def test_a_cell_that_needs_quoting_is_refused(self, tmp_path, header, block):
+        with pytest.raises(ValueError, match="quoting"):
+            cli._write_csv(str(tmp_path / "x.csv"), header, [block])
+        assert not (tmp_path / "x.csv").exists()
+
+
+def reference_rows(block):
+    """The rows of one _write_csv block, formatted as the csv.writer-based
+    writer did: numpy entries by repr, list entries and scalars by _fmt."""
+    n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
+    cols = [map(repr, c.tolist()) if isinstance(c, np.ndarray)
+            else map(cli._fmt, c) if isinstance(c, list)
+            else [cli._fmt(c)] * n for c in block]
+    return zip(*cols)
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan"),
+                  0.1 + 0.2, 1 / 3, 1.2345678901234567e-300, 9007199254740993.0]
+_floats = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+_strings = st.text(alphabet="0123456789+", max_size=6)
+
+
+def csv_column(n, prev):
+    """One column of an n-row block; prev is the same column of the previous
+    block, which it may repeat, view as the other dtype, or repeat with the
+    sign of one zero flipped."""
+    runs = st.lists(st.tuples(_floats, st.integers(1, 30)), min_size=1).map(
+        lambda r: np.resize(np.repeat(*map(np.array, zip(*r))), n))   # long runs
+    choices = [st.lists(_floats, min_size=n, max_size=n).map(np.array), runs,
+               st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
+                   lambda v: np.array(v, dtype=np.int64)),
+               st.lists(_floats, min_size=n, max_size=n),
+               st.lists(_strings, min_size=n, max_size=n),
+               _floats, _floats.map(np.float64), st.integers(), _strings]
+    if isinstance(prev, np.ndarray) and len(prev) == n:
+        choices += [st.just(prev), st.just(prev.view(np.int64 if prev.dtype == float
+                                                     else float))]
+        zeros = np.flatnonzero(prev == 0)
+        if prev.dtype == float and len(zeros):
+            signed = prev.copy()
+            signed[zeros[0]] = 0.0 if np.signbit(prev[zeros[0]]) else -0.0
+            choices.append(st.just(signed))
+    return st.one_of(choices)
 
 
 class TestValidateCommand:
