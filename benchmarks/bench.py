@@ -14,13 +14,13 @@ Two layers so far:
   the shape of the `attractive_crosscheck` benchmark workload.  Reported as
   seconds and as MB of CSV written per second.
 
-    python3 benchmarks/bench.py --label particle_oracle
-    python3 benchmarks/bench.py --label output_layer --layers output
+    python3 benchmarks/bench.py --label LABEL
 
-writes `BENCH_<label>.json` = {"env": {...}, "<layer>": {...}, ...} at the
-repository root.  Needs only the standard library and numpy; the program is
-imported from `src/` next to this directory, so a copy of this script in
-another checkout times that checkout's code.
+times every layer and writes `BENCH_LABEL.json` = {"env": {...},
+"particles": {...}, "output": {...}} at the repository root.  Needs only
+the standard library and numpy; the program is imported from `src/` next
+to this directory, so a copy of this script in another checkout times that
+checkout's code.
 """
 
 from __future__ import annotations
@@ -112,17 +112,11 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", default="particle_oracle",
                         help="output file name is BENCH_<label>.json (default: %(default)s)")
-    parser.add_argument("--layers", default=",".join(LAYERS),
-                        help="comma-separated layers to time (default: %(default)s)")
-    args = parser.parse_args(argv)
-    layers = args.layers.split(",")
-    unknown = set(layers) - set(LAYERS)
-    if unknown:
-        parser.error(f"unknown layer(s) {sorted(unknown)}; known: {list(LAYERS)}")
+    label = parser.parse_args(argv).label
     env = {"python": platform.python_version(), "numpy": np.__version__,
            "platform": platform.platform(), "cpus": os.cpu_count()}
-    results = {"env": env, **{name: LAYERS[name]() for name in layers}}
-    path = ROOT / f"BENCH_{args.label}.json"
+    results = {"env": env, **{name: layer() for name, layer in LAYERS.items()}}
+    path = ROOT / f"BENCH_{label}.json"
     path.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {path.name}")
     return 0

@@ -25,7 +25,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from . import analysis, flux as fx, particles, pde
+from . import analysis, flux as fx, jsonfields, particles, pde
 from .measure import (
     AtomicMeasure,
     GridField,
@@ -76,23 +76,15 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
 
 
 def _typed(value, kind: type, where: str):
-    """value itself when it is a JSON object (kind dict) or list (kind list; tuples pass)."""
-    if not isinstance(value, (list, tuple) if kind is list else kind):
-        raise ScenarioError(f"{where} must be {'a list' if kind is list else 'an object'}, "
-                            f"got {value!r}")
-    return value
+    return jsonfields.typed(value, kind, where, ScenarioError)
 
 
 def _number(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    return jsonfields.number(value, where, ScenarioError)
 
 
-def _atom(pair, where: str) -> tuple[float, float]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise ScenarioError(f"{where} must be an [x, m] pair, got {pair!r}")
-    return _number(pair[0], f"{where}[0]"), _number(pair[1], f"{where}[1]")
+def _atom(value, where: str) -> tuple[float, float]:
+    return jsonfields.pair(value, where, "an [x, m] pair", ScenarioError)
 
 
 # initial.type -> (density class, its number fields in constructor order)

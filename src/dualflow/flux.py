@@ -19,6 +19,8 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
+from . import jsonfields
+
 KINDS = (
     "quadratic-attractive",
     "quadratic-repulsive",
@@ -91,21 +93,15 @@ def piecewise_linear(nodes) -> FluxModel:
 
 
 def _real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FluxError(f"{where} must be a number, got {value!r}")
-    return float(value)
+    return jsonfields.number(value, where, FluxError)
+
+
+def _node(value, where: str) -> tuple[float, float]:
+    return jsonfields.pair(value, where, "a [u, a] pair", FluxError)
 
 
 def _items(value, where: str):
-    if not isinstance(value, (list, tuple)):
-        raise FluxError(f"{where} must be a list, got {value!r}")
-    return enumerate(value)
-
-
-def _node(pair, where: str) -> tuple[float, float]:
-    if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-        raise FluxError(f"{where} must be a [u, a] pair, got {pair!r}")
-    return _real(pair[0], f"{where}[0]"), _real(pair[1], f"{where}[1]")
+    return enumerate(jsonfields.typed(value, list, where, FluxError))
 
 
 def from_dict(block: dict) -> FluxModel:

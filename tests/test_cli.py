@@ -279,8 +279,9 @@ class TestFailClosedFields:
         ({"diagnostics": {"checks": 5}}, "diagnostics.checks"),
         ({"diagnostics": {"tolerances": [1]}}, "diagnostics.tolerances"),
         ({"diagnostics": {"tolerances": {"mass": "x"}}}, "diagnostics.tolerances.mass"),
+        ({"diagnostics": {"tolerances": {"mass": 10**400}}}, "diagnostics.tolerances.mass"),
     ], ids=["grid", "flux", "initial", "output_times", "checks", "tolerances_list",
-            "tolerance_string"])
+            "tolerance_string", "tolerance_huge_int"])
     def test_wrongly_typed_container_is_an_error_line(self, tmp_path, capsys, overrides,
                                                        field):
         path = write_scenario(tmp_path, **overrides)
@@ -294,8 +295,10 @@ class TestFailClosedFields:
         ({"kind": "piecewise-linear-a", "nodes": [[0]]}, "nodes[0]"),
         ({"kind": "piecewise-linear-a", "nodes": [[0, 1], [1, "x"]]}, "nodes[1][1]"),
         ({"kind": "polynomial", "coeffs": [True, 1]}, "coeffs[0]"),
+        ({"kind": "polynomial", "coeffs": [1, 10**400]}, "coeffs[1]"),
+        ({"kind": "piecewise-linear-a", "nodes": [[0, 1], [10**400, 0]]}, "nodes[1][0]"),
     ], ids=["coeffs_int", "nodes_int", "coeff_string", "node_not_a_pair", "node_string",
-            "coeff_bool"])
+            "coeff_bool", "coeff_huge_int", "node_huge_int"])
     @pytest.mark.parametrize("command", ["validate", "riemann"])
     def test_wrongly_typed_flux_entry_is_an_error_line(self, tmp_path, capsys, block, field,
                                                        command):
