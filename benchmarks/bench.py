@@ -42,6 +42,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from dualflow import cli, flux as fx, particles  # noqa: E402
 from dualflow.measure import AtomicMeasure  # noqa: E402
+from dualflow.scenario import parse_scenario  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5)
 REPEATS = 3
@@ -92,7 +93,7 @@ def output_scenario() -> dict:
 
 def output_layer() -> dict:
     """Best of REPEATS wall times of write_field_outputs, and its MB/s."""
-    snapshots = cli.run_pde(cli.parse_scenario(output_scenario()))
+    snapshots = cli.run_pde(parse_scenario(output_scenario()))
     best = math.inf
     with tempfile.TemporaryDirectory() as out:
         for _ in range(REPEATS):

@@ -4,7 +4,7 @@ Covers the admissible-speed bracket and Rankine-Hugoniot selection, the
 one-sided Lipschitz (Oleinik) bound, weak residuals of u_t + A(u)_x = 0,
 quantile-based flow reconstruction with the push-forward identity, the
 pressureless momentum extension, and the non-uniqueness demonstration for
-a single Dirac.
+a single Dirac.  CHECKS names the diagnostics a scenario can request.
 """
 
 from __future__ import annotations
@@ -16,8 +16,15 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import flux as fx
-from .measure import AtomicMeasure, GridField, quantile
+from .measure import AtomicMeasure, quantile, wasserstein1
 from .pde import SolverState, momentum_field
+
+N_SPACE, N_TIME = 8, 4   # spatial bumps and time windows of the weak-residual test family
+N_QUANTILES = 64         # mass coordinates of reconstruct_flow for non-atomic data
+MASS_FLOOR_REL = 1e-10   # pressureless_check: lighter cells (share of the mass) have no speed
+MOMENTUM_TOL = 1e-10     # pressureless_check: allowed |total momentum - (A(M) - A(0))|
+RIEMANN_SAMPLES = 2001   # classify_riemann: points on which the envelope of A is taken
+RIEMANN_TOL = 1e-10      # classify_riemann: dip of A below the chord (over max |A|) of a shock
 
 
 class AnalysisError(ValueError):
@@ -70,9 +77,15 @@ def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
     """
     if u_minus == u_plus:
         raise AnalysisError("degenerate state pair (u_minus == u_plus)")
-    a_m = fx.eval_a(model, u_minus)
-    a_p = fx.eval_a(model, u_plus)
-    selected = (fx.eval_A(model, u_plus) - fx.eval_A(model, u_minus)) / (u_plus - u_minus)
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        a_m = fx.eval_a(model, u_minus)
+        a_p = fx.eval_a(model, u_plus)
+        A_m, A_p = fx.eval_A(model, u_minus), fx.eval_A(model, u_plus)
+        width = u_plus - u_minus
+        selected = (A_p - A_m) / width
+    if not all(map(math.isfinite, (a_m, a_p, A_m, A_p, width, selected))):
+        raise AnalysisError(f"a, A or the chord slope of A overflows for the states "
+                            f"({u_minus}, {u_plus})")
     return min(a_m, a_p), max(a_m, a_p), selected
 
 
@@ -117,9 +130,8 @@ def _bump(c, r):
     return phi, dphi
 
 
-def default_test_functions(x_min, x_max, t0, t1, seed: int = 0,
-                           n_space: int = 8, n_time: int = 4):
-    """Deterministic family of separable test functions psi(t) * phi(x).
+def default_test_functions(x_min, x_max, t0, t1, seed: int = 0):
+    """Deterministic family of N_SPACE * N_TIME separable test functions psi(t) * phi(x).
 
     Spatial factors are compactly supported bumps strictly inside the
     domain; time windows include a constant one (boundary-in-time terms
@@ -128,7 +140,7 @@ def default_test_functions(x_min, x_max, t0, t1, seed: int = 0,
     rng = np.random.default_rng(seed)
     span = x_max - x_min
     spatial = []
-    for _ in range(n_space):
+    for _ in range(N_SPACE):
         r = span * rng.uniform(0.1, 0.3)
         c = rng.uniform(x_min + 1.05 * r, x_max - 1.05 * r)
         spatial.append(_bump(c, r))
@@ -136,7 +148,7 @@ def default_test_functions(x_min, x_max, t0, t1, seed: int = 0,
            lambda t: np.zeros_like(np.asarray(t, dtype=float)))
     temporal = [one]
     T = t1 - t0
-    for _ in range(n_time - 1):
+    for _ in range(N_TIME - 1):
         r = T * rng.uniform(0.2, 0.45)
         c = rng.uniform(t0 + 0.05 * T, t1 - 0.05 * T)
         temporal.append(_bump(c, r))
@@ -145,7 +157,7 @@ def default_test_functions(x_min, x_max, t0, t1, seed: int = 0,
 
 
 def weak_residual(snapshots: list[SolverState], model: fx.FluxModel,
-                  tests=None, seed: int = 0) -> float:
+                  seed: int = 0) -> float:
     """Max |weak form of u_t + A(u)_x = 0| over the test family.
 
     Midpoint quadrature in x over the cells, trapezoid in t over the
@@ -158,9 +170,8 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel,
     times = np.array([s.t for s in snapshots])
     centers = f0.centers
     dx = f0.dx
-    if tests is None:
-        tests = default_test_functions(f0.x_min, f0.x_max,
-                                       float(times[0]), float(times[-1]), seed=seed)
+    tests = default_test_functions(f0.x_min, f0.x_max,
+                                   float(times[0]), float(times[-1]), seed=seed)
     # precompute midpoint values of u and A(u) per snapshot
     u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
                       for s in snapshots])
@@ -196,8 +207,7 @@ class FlowTable:
     X: np.ndarray             # X[k, j] = position of mass coordinate q[j] at times[k]
 
 
-def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel,
-                     n_quantiles: int = 64) -> FlowTable:
+def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel) -> FlowTable:
     """Tabulate the transport flow X(t, q) via quantiles of the solution.
 
     Only offered for attractive models (non-increasing a); the general case
@@ -211,8 +221,8 @@ def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel,
         q = cum[:-1] + 0.5 * initial.masses
         w = initial.masses.copy()
     else:
-        q = (np.arange(n_quantiles) + 0.5) * total / n_quantiles
-        w = np.full(n_quantiles, total / n_quantiles)
+        q = (np.arange(N_QUANTILES) + 0.5) * total / N_QUANTILES
+        w = np.full(N_QUANTILES, total / N_QUANTILES)
     times = np.array([s.t for s in snapshots])
     X = np.array([[quantile(s.field, qq) for qq in q] for s in snapshots])
     return FlowTable(times, q, w, X)
@@ -243,9 +253,7 @@ def pushforward_checks(flow: FlowTable, snapshots: list[SolverState],
 # pressureless extension
 
 
-def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel,
-                       mass_floor_rel: float = 1e-10,
-                       momentum_tol: float = 1e-10) -> list[CheckRecord]:
+def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel) -> list[CheckRecord]:
     """Momentum bookkeeping for the q = A(u)_x extension.
 
     (i) total momentum equals A(M) - A(0) at every snapshot;
@@ -255,12 +263,12 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel,
     records = []
     total = snapshots[0].field.total_mass
     expected = fx.eval_A(model, total) - fx.eval_A(model, 0.0)
-    floor = mass_floor_rel * total
+    floor = MASS_FLOOR_REL * total
     for s in snapshots:
         q = momentum_field(s, model)
         err = abs(float(np.sum(q)) - expected)
-        records.append(CheckRecord("momentum_total", s.t, err, momentum_tol,
-                                   momentum_tol, err <= momentum_tol))
+        records.append(CheckRecord("momentum_total", s.t, err, MOMENTUM_TOL,
+                                   MOMENTUM_TOL, err <= MOMENTUM_TOL))
         u = s.field.u_faces
         rho = s.field.cell_masses
         A_scale = 1.0 + float(np.max(np.abs(fx.eval_A(model, u))))
@@ -309,17 +317,16 @@ def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
 # Riemann wave classification (informational; the scheme needs none of it)
 
 
-def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float,
-                     n_samples: int = 2001, tol: float = 1e-10) -> dict:
+def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict:
     """Wave structure for nondecreasing data via the lower convex envelope of A."""
     if u_minus >= u_plus:
-        raise AnalysisError("requires u_minus < u_plus")
+        raise AnalysisError("a Riemann problem requires u_minus < u_plus")
     low, high, selected = admissible_speed_range(model, u_minus, u_plus)
-    us = np.linspace(u_minus, u_plus, n_samples)
+    us = np.linspace(u_minus, u_plus, RIEMANN_SAMPLES)
     As = fx.eval_A(model, us)
     chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
     scale = max(1.0, float(np.max(np.abs(As))))
-    if np.all(As >= chord - tol * scale):
+    if np.all(As >= chord - RIEMANN_TOL * scale):
         wave = "shock"
         segments = [("shock", u_minus, u_plus, selected)]
     else:
@@ -366,3 +373,65 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
                 break
         hull.append(i)
     return hull
+
+
+# ---------------------------------------------------------------------------
+# the diagnostics a scenario can request
+
+
+def _bounded(name: str, values, tol: float) -> list[CheckRecord]:
+    """One record per (t, value) pair, passing when value <= tol."""
+    return [CheckRecord(name, t, v, tol, tol, v <= tol) for t, v in values]
+
+
+def _check_mass(scn, snapshots, pairs, tolerances):
+    total = snapshots[0].field.total_mass
+    return _bounded("mass_conservation",
+                    [(s.t, abs(s.field.u_faces[-1] - total)) for s in snapshots],
+                    float(tolerances.get("mass", 1e-12)))
+
+
+def _check_oleinik(scn, snapshots, pairs, tolerances):
+    tol = float(tolerances.get("oleinik", 5 * scn.dx))
+    return [rec for s in snapshots if s.t > 0
+            for rec in check_oleinik(s, scn.model, tol)]
+
+
+def _check_pressureless(scn, snapshots, pairs, tolerances):
+    return pressureless_check(snapshots, scn.model)
+
+
+def _check_pushforward(scn, snapshots, pairs, tolerances):
+    flow = reconstruct_flow(snapshots, scn.initial, scn.model)
+    span = max(abs(scn.x_min), abs(scn.x_max))
+    funcs = {
+        "x": (lambda x: x, 1.0),
+        "x2": (lambda x: x * x, 2.0 * span),
+        "sin": (np.sin, 1.0),
+    }
+    per_lip = float(tolerances.get("pushforward", 5 * scn.dx))
+    return pushforward_checks(flow, snapshots, funcs, per_lip)
+
+
+def _check_weak_residual(scn, snapshots, pairs, tolerances):
+    return _bounded("weak_residual",
+                    [(snapshots[-1].t, weak_residual(snapshots, scn.model))],
+                    float(tolerances.get("weak_residual", 20 * scn.dx)))
+
+
+def _check_w1_vs_particles(scn, snapshots, pairs, tolerances):
+    return _bounded("w1_pde_vs_particles",
+                    [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
+                    float(tolerances.get("w1_vs_particles", 3 * scn.dx)))
+
+
+# By name: fn(scenario, snapshots, oracle pairs, tolerances) -> list of CheckRecord.
+# ``pairs`` are (snapshot, oracle atoms), given only for w1_vs_particles.
+CHECKS = {
+    "mass": _check_mass,
+    "oleinik": _check_oleinik,
+    "pressureless": _check_pressureless,
+    "pushforward": _check_pushforward,
+    "weak_residual": _check_weak_residual,
+    "w1_vs_particles": _check_w1_vs_particles,
+}

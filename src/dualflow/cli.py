@@ -15,192 +15,30 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 from itertools import chain, repeat
 
 import numpy as np
 
-from . import analysis, flux as fx, jsonfields, particles, pde
+from . import analysis, flux as fx, particles, pde
 from .measure import (
     AtomicMeasure,
     GridField,
     MeasureError,
-    TriangularDensity,
-    UniformDensity,
     extract_atoms,
     sample_to_grid,
     wasserstein1,
 )
-
-DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
-FORMATS = ("csv", "json")
-
-
-class ScenarioError(ValueError):
-    """Malformed scenario file; the message names the offending field."""
-
-
-@dataclass
-class Scenario:
-    model: fx.FluxModel
-    initial: object                    # AtomicMeasure or a density object
-    x_min: float
-    x_max: float
-    n_cells: int
-    t_end: float
-    cfl: float = 0.45
-    output_times: list[float] = field(default_factory=list)
-    checks: tuple[str, ...] = DEFAULT_CHECKS
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    formats: tuple[str, ...] = FORMATS
-    raw: dict = field(default_factory=dict)
-
-    @property
-    def dx(self) -> float:
-        return (self.x_max - self.x_min) / self.n_cells
-
-
-def _require_keys(block: dict, allowed: set, required: set, where: str):
-    unknown = set(block) - allowed
-    if unknown:
-        raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
-    missing = required - set(block)
-    if missing:
-        raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
-
-
-def _typed(value, kind: type, where: str):
-    return jsonfields.typed(value, kind, where, ScenarioError)
-
-
-def _number(value, where: str) -> float:
-    return jsonfields.number(value, where, ScenarioError)
-
-
-def _atom(value, where: str) -> tuple[float, float]:
-    return jsonfields.pair(value, where, "an [x, m] pair", ScenarioError)
-
-
-# initial.type -> (density class, its number fields in constructor order)
-DENSITIES = {"uniform": (UniformDensity, ("x_left", "x_right", "mass")),
-             "triangular": (TriangularDensity, ("x_left", "x_peak", "x_right", "mass"))}
-
-
-def _parse_initial(block: dict):
-    kind = block.get("type")
-    if kind == "atoms":
-        _require_keys(block, {"type", "atoms"}, {"type", "atoms"}, "initial")
-        pairs = block["atoms"]
-        if not isinstance(pairs, (list, tuple)) or not pairs:
-            raise ScenarioError("initial.atoms must be a non-empty list (total mass > 0)")
-        try:
-            return AtomicMeasure.from_pairs(
-                _atom(p, f"initial.atoms[{i}]") for i, p in enumerate(pairs))
-        except MeasureError as exc:
-            raise ScenarioError(f"initial.atoms: {exc}") from exc
-    if kind in DENSITIES:
-        cls, names = DENSITIES[kind]
-        _require_keys(block, {"type", *names}, {"type", *names}, "initial")
-        return cls(*(_number(block[k], f"initial.{k}") for k in names))
-    raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
-
-
-def _reject_constant(name: str):
-    raise ScenarioError(f"scenario contains the non-finite number {name}")
-
-
-def load_scenario(path: str) -> Scenario:
-    try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_constant=_reject_constant)
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario is not valid JSON: {exc}") from exc
-    return parse_scenario(raw)
-
-
-def parse_scenario(raw: dict) -> Scenario:
-    _require_keys(_typed(raw, dict, "scenario"),
-                  {"flux", "initial", "grid", "time", "diagnostics", "output"},
-                  {"flux", "initial", "grid", "time"}, "scenario")
-    try:
-        model = fx.from_dict(_typed(raw["flux"], dict, "flux"))
-    except fx.FluxError as exc:
-        raise ScenarioError(f"flux: {exc}") from exc
-    initial = _parse_initial(_typed(raw["initial"], dict, "initial"))
-
-    grid = _typed(raw["grid"], dict, "grid")
-    _require_keys(grid, {"x_min", "x_max", "n_cells"},
-                  {"x_min", "x_max", "n_cells"}, "grid")
-    x_min = _number(grid["x_min"], "grid.x_min")
-    x_max = _number(grid["x_max"], "grid.x_max")
-    if x_max <= x_min:
-        raise ScenarioError("grid.x_max must exceed grid.x_min")
-    n_cells = grid["n_cells"]
-    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
-        raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
-    tblock = _typed(raw["time"], dict, "time")
-    _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
-    t_end = _number(tblock["t_end"], "time.t_end")
-    if t_end <= 0:
-        raise ScenarioError("time.t_end must be positive")
-    cfl = _number(tblock.get("cfl", 0.45), "time.cfl")
-    if not 0 < cfl <= 1:
-        raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
-    output_times = [_number(t, "time.output_times") for t in
-                    _typed(tblock.get("output_times", []), list, "time.output_times")]
-    if any(t < 0 or t > t_end for t in output_times):
-        raise ScenarioError("time.output_times must lie in [0, t_end]")
-    if output_times != sorted(output_times):
-        raise ScenarioError("time.output_times must be sorted")
-
-    diag = _typed(raw.get("diagnostics", {}), dict, "diagnostics")
-    _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
-    checks = tuple(_typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
-    tolerances = _typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
-    for where, names in (("checks", checks), ("tolerances", tolerances)):
-        for c in names:
-            if not isinstance(c, str) or c not in CHECKS:
-                raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
-    tolerances = {k: _number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
-    out = _typed(raw.get("output", {}), dict, "output")
-    _require_keys(out, {"directory", "formats"}, set(), "output")
-    formats = _typed(out.get("formats", FORMATS), list, "output.formats")
-    for f in formats:
-        if f not in FORMATS:
-            raise ScenarioError(f"output.formats: unknown format {f!r} (known: {list(FORMATS)})")
-    out_dir = out.get("directory", "out")
-    if not isinstance(out_dir, str):
-        raise ScenarioError(f"output.directory must be a string, got {out_dir!r}")
-
-    return Scenario(
-        model=model,
-        initial=initial,
-        x_min=x_min,
-        x_max=x_max,
-        n_cells=n_cells,
-        t_end=t_end,
-        cfl=cfl,
-        output_times=output_times,
-        checks=checks,
-        tolerances=tolerances,
-        out_dir=out_dir,
-        formats=tuple(formats),
-        raw=raw,
-    )
+from .scenario import Scenario, ScenarioError, load_scenario, parse_flux, read_json
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
     try:
         return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
-                              n_cells or scn.n_cells)
+                              scn.n_cells if n_cells is None else n_cells)
     except MeasureError as exc:
         raise ScenarioError(str(exc)) from exc
 
@@ -245,64 +83,6 @@ def pair_with_oracle(scn: Scenario, snapshots, states, events):
             if not any(abs(s.t - e.t) <= 2 * dt_est for e in events)]
 
 
-def _bounded(name: str, values, tol: float) -> list[analysis.CheckRecord]:
-    """One record per (t, value) pair, passing when value <= tol."""
-    return [analysis.CheckRecord(name, t, v, tol, tol, v <= tol) for t, v in values]
-
-
-def _check_mass(scn, snapshots, pairs, tolerances):
-    total = snapshots[0].field.total_mass
-    return _bounded("mass_conservation",
-                    [(s.t, abs(s.field.u_faces[-1] - total)) for s in snapshots],
-                    float(tolerances.get("mass", 1e-12)))
-
-
-def _check_oleinik(scn, snapshots, pairs, tolerances):
-    tol = float(tolerances.get("oleinik", 5 * scn.dx))
-    return [rec for s in snapshots if s.t > 0
-            for rec in analysis.check_oleinik(s, scn.model, tol)]
-
-
-def _check_pressureless(scn, snapshots, pairs, tolerances):
-    return analysis.pressureless_check(snapshots, scn.model)
-
-
-def _check_pushforward(scn, snapshots, pairs, tolerances):
-    flow = analysis.reconstruct_flow(snapshots, scn.initial, scn.model)
-    span = max(abs(scn.x_min), abs(scn.x_max))
-    funcs = {
-        "x": (lambda x: x, 1.0),
-        "x2": (lambda x: x * x, 2.0 * span),
-        "sin": (np.sin, 1.0),
-    }
-    per_lip = float(tolerances.get("pushforward", 5 * scn.dx))
-    return analysis.pushforward_checks(flow, snapshots, funcs, per_lip)
-
-
-def _check_weak_residual(scn, snapshots, pairs, tolerances):
-    return _bounded("weak_residual",
-                    [(snapshots[-1].t, analysis.weak_residual(snapshots, scn.model))],
-                    float(tolerances.get("weak_residual", 20 * scn.dx)))
-
-
-def _check_w1_vs_particles(scn, snapshots, pairs, tolerances):
-    return _bounded("w1_pde_vs_particles",
-                    [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
-                    float(tolerances.get("w1_vs_particles", 3 * scn.dx)))
-
-
-# The diagnostics a scenario can request, by name:
-# fn(scenario, snapshots, oracle pairs, tolerances) -> list of CheckRecord.
-CHECKS = {
-    "mass": _check_mass,
-    "oleinik": _check_oleinik,
-    "pressureless": _check_pressureless,
-    "pushforward": _check_pushforward,
-    "weak_residual": _check_weak_residual,
-    "w1_vs_particles": _check_w1_vs_particles,
-}
-
-
 def run_diagnostics(scn: Scenario, snapshots, oracle=None,
                     write_json: bool = True) -> analysis.DiagnosticsReport:
     """Run the scenario's checks on the PDE snapshots; write diagnostics.json.
@@ -320,7 +100,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
         pairs = pair_with_oracle(scn, snapshots, *oracle)
     report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
-        for rec in CHECKS[name](scn, snapshots, pairs, scn.tolerances):
+        for rec in analysis.CHECKS[name](scn, snapshots, pairs, scn.tolerances):
             report.add(rec)
     if write_json:
         with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
@@ -501,10 +281,19 @@ def _exact_repulsive_dirac(scn: Scenario):
 
 
 def convergence_table(scn: Scenario, resolutions) -> list[dict]:
-    """L1 error of u per resolution, with observed order between rows."""
-    if len(resolutions) < 3:
-        raise ScenarioError("convergence study needs at least 3 resolutions")
-    resolutions = sorted(int(n) for n in resolutions)
+    """L1 error of u per resolution, with observed order between rows.
+
+    ``resolutions``: cell counts, as ints or as the strings of --resolutions;
+    at least 3 of them, distinct and positive.
+    """
+    try:
+        ns = sorted(int(n) for n in resolutions)
+    except ValueError:
+        ns = []
+    if len(ns) < 3 or len(set(ns)) < len(ns) or ns[0] < 1:
+        raise ScenarioError("resolutions must be at least 3 distinct positive integers, "
+                            f"got {','.join(map(str, resolutions))}")
+    resolutions = ns
     attractive = fx.is_attractive(scn.model, scn.initial.total_mass)
     oracle_atoms = None
     exact_u = _exact_repulsive_dirac(scn)
@@ -548,8 +337,7 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
 
 def cmd_convergence(args) -> int:
     scn = load_scenario(args.scenario)
-    resolutions = [int(s) for s in args.resolutions.split(",")]
-    rows = convergence_table(scn, resolutions)
+    rows = convergence_table(scn, args.resolutions.split(","))
     out_dir = args.out or scn.out_dir
     _write_csv(os.path.join(out_dir, "convergence.csv"),
                ["n_cells", "l1_error", "order"],
@@ -563,11 +351,8 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_riemann(args) -> int:
-    model = fx.from_dict(json.loads(args.flux))
-    u_minus, u_plus = args.u_minus, args.u_plus
-    if u_minus >= u_plus:
-        raise ScenarioError("riemann requires u_minus < u_plus")
-    info = analysis.classify_riemann(model, u_minus, u_plus)
+    model = parse_flux(read_json(args.flux, "--flux"))
+    info = analysis.classify_riemann(model, args.u_minus, args.u_plus)
     print(f"admissible speed range: ({info['admissible_low']}, {info['admissible_high']})")
     print(f"selected (Rankine-Hugoniot) speed: {info['selected_speed']}")
     print(f"wave type: {info['wave']}")

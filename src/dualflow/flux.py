@@ -19,8 +19,6 @@ from typing import NamedTuple
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from . import jsonfields
-
 KINDS = (
     "quadratic-attractive",
     "quadratic-repulsive",
@@ -90,45 +88,6 @@ def piecewise_linear(nodes) -> FluxModel:
         "piecewise-linear-a",
         nodes=tuple((float(u), float(a)) for u, a in nodes),
     )
-
-
-def _real(value, where: str) -> float:
-    return jsonfields.number(value, where, FluxError)
-
-
-def _node(value, where: str) -> tuple[float, float]:
-    return jsonfields.pair(value, where, "a [u, a] pair", FluxError)
-
-
-def _items(value, where: str):
-    return enumerate(jsonfields.typed(value, list, where, FluxError))
-
-
-def from_dict(block: dict) -> FluxModel:
-    """Build a model from a scenario flux block (fail-closed on unknown keys
-    and on wrongly typed entries; each error names its field)."""
-    if not isinstance(block, dict):
-        raise FluxError(f"flux block must be an object, got {block!r}")
-    allowed = {"kind", "coeffs", "nodes"}
-    unknown = set(block) - allowed
-    if unknown:
-        raise FluxError(f"unknown flux field(s): {sorted(unknown)}")
-    kind = block.get("kind")
-    if kind == "quadratic-attractive":
-        return quadratic_attractive()
-    if kind == "quadratic-repulsive":
-        return quadratic_repulsive()
-    if kind == "polynomial":
-        if "coeffs" not in block:
-            raise FluxError("polynomial flux requires 'coeffs'")
-        return polynomial(_real(c, f"coeffs[{i}]")
-                          for i, c in _items(block["coeffs"], "coeffs"))
-    if kind == "piecewise-linear-a":
-        if "nodes" not in block:
-            raise FluxError("piecewise-linear-a flux requires 'nodes'")
-        return piecewise_linear(_node(p, f"nodes[{i}]")
-                                for i, p in _items(block["nodes"], "nodes"))
-    raise FluxError(f"unknown flux kind {kind!r}")
 
 
 def _check_finite(u):
@@ -324,9 +283,12 @@ def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
     return float(max_slope_on_intervals(model, min(lo, hi), max(lo, hi)))
 
 
-def is_attractive(model: FluxModel, m_total: float, tol: float = 1e-12) -> bool:
+ATTRACTIVE_TOL = 1e-12   # the largest slope of a that is_attractive calls non-increasing
+
+
+def is_attractive(model: FluxModel, m_total: float) -> bool:
     """True when a is non-increasing on [0, m_total] (concave A)."""
-    return max_slope_of_a(model, 0.0, m_total) <= tol
+    return max_slope_of_a(model, 0.0, m_total) <= ATTRACTIVE_TOL
 
 
 def godunov_flux(model: FluxModel, u_left, u_right):

@@ -14,6 +14,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
+MONOTONE_TOL = 1e-14   # the largest face-to-face decrease of u still taken as nondecreasing
+BOUNDARY_TOL = 1e-12   # the largest |u| at the left face still taken as pinned to 0
+ATOM_WIDTH_CELLS = 5   # extract_atoms: cells in the window whose mass marks a cluster
+
+
 class MeasureError(ValueError):
     """Invalid measure data or incompatible operands."""
 
@@ -130,13 +135,13 @@ class GridField:
     def total_mass(self) -> float:
         return float(self.u_faces[-1])
 
-    def validate(self, tol_mono: float = 1e-14, tol_bc: float = 1e-12):
+    def validate(self):
         u = self.u_faces
         if not np.all(np.isfinite(u)):
             raise MeasureError("non-finite grid field")
-        if np.any(np.diff(u) < -tol_mono):
+        if np.any(np.diff(u) < -MONOTONE_TOL):
             raise MeasureError("u_faces not nondecreasing")
-        if abs(u[0]) > tol_bc:
+        if abs(u[0]) > BOUNDARY_TOL:
             raise MeasureError("left boundary value not pinned to 0")
         return self
 
@@ -204,11 +209,10 @@ def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridFiel
     return GridField(x_min, x_max, n_cells, u).validate()
 
 
-def extract_atoms(field: GridField, mass_threshold: float | None = None,
-                  width_cells: int = 5) -> AtomicMeasure:
+def extract_atoms(field: GridField, mass_threshold: float | None = None) -> AtomicMeasure:
     """Locate Dirac-like mass clusters in a grid field.
 
-    A cell belongs to a cluster when some window of ``width_cells``
+    A cell belongs to a cluster when some window of ATOM_WIDTH_CELLS
     consecutive cells containing it carries at least ``mass_threshold``;
     clusters are maximal runs of such cells, padded with adjacent tail cells
     above a relative floor.  Atom position is the mass-weighted centroid.
@@ -218,7 +222,7 @@ def extract_atoms(field: GridField, mass_threshold: float | None = None,
         mass_threshold = 0.05 * total
     masses = field.cell_masses
     n = masses.size
-    w = min(width_cells, n)
+    w = min(ATOM_WIDTH_CELLS, n)
     window = np.convolve(masses, np.ones(w), mode="valid")  # sums of w cells
     marked = np.zeros(n, dtype=bool)
     for j in np.nonzero(window >= mass_threshold)[0]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import flux as fx
-from .measure import GridField
+from .measure import MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
 
@@ -91,7 +91,7 @@ class _March:
         ext = self.ext
         d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], out=self.work[0, :j1 - j0 + 1])
         d_min = float(d.min())
-        if not d_min >= -1e-14:
+        if not d_min >= -MONOTONE_TOL:
             self.field()   # raises the validation error; ghost jumps are not checked
         self.ordered = d_min >= 0.0
         self.jump = max(float(d.max()), -d_min)
@@ -154,7 +154,7 @@ class _March:
         g = self.grid
         return GridField(g.x_min, g.x_max, g.n_cells, self.ext[1:-1].copy()).validate()
 
-    def step_budget(self, t_end: float, cfl: float, dt_max: float, n_targets: int) -> float:
+    def step_budget(self, t_end: float, cfl: float, n_targets: int) -> float:
         """More steps than any run to t_end takes.
 
         u stays in its initial range (it is checked nondecreasing every
@@ -166,7 +166,7 @@ class _March:
         lo, hi = self._ext_range()
         speed, slope = self.plan.wave_bounds(lo, hi)
         top = speed + slope * (hi - lo)
-        dt_floor = min(cfl * self.grid.dx / top, dt_max) if top > 0.0 else dt_max
+        dt_floor = cfl * self.grid.dx / top if top > 0.0 else np.inf
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
 
 
@@ -181,8 +181,7 @@ def step(state: SolverState, model: fx.FluxModel, dt: float | None = None,
 
 
 def run(initial: GridField, model: fx.FluxModel, t_end: float,
-        cfl: float = 0.45, output_times=None,
-        dt_max: float = np.inf) -> list[SolverState]:
+        cfl: float = 0.45, output_times=None) -> list[SolverState]:
     """March to t_end, landing exactly on each requested output time.
 
     Returns one snapshot per output time (t_end is always included).  A
@@ -204,7 +203,7 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         snapshots.append(SolverState(0.0, initial, cfl, 0))
         targets = targets[1:]
     march = _March(initial, model)
-    budget = march.step_budget(t_end, cfl, dt_max, len(targets))
+    budget = march.step_budget(t_end, cfl, len(targets))
     if budget > MAX_STEPS:
         raise SolverError(f"t_end = {t_end} needs a budget of {budget:.3g} steps, "
                           f"more than MAX_STEPS = {MAX_STEPS}")
@@ -213,7 +212,7 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         while t < target - 1e-15:
             if steps >= budget:
                 raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
-            dt = min(march.dt(cfl, dt_max), target - t)
+            dt = min(march.dt(cfl, np.inf), target - t)
             march.advance(dt)
             t += dt
             steps += 1

@@ -1,0 +1,211 @@
+"""Scenario files: the one reader of their JSON format.
+
+A scenario poses the Cauchy problem: a velocity model a (``flux``), an
+initial measure rho_0 (``initial``), the grid and times it is solved on,
+the diagnostics to run and where to write.  Reading is fail-closed: an
+unknown field, a value of the wrong JSON type or a non-finite number raises
+ScenarioError naming the field, e.g. ``grid.x_min must be a number, got 'a'``.
+"""
+
+from __future__ import annotations
+
+import json
+from dataclasses import dataclass, field
+
+from . import flux as fx
+from .analysis import CHECKS
+from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
+
+DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
+FORMATS = ("csv", "json")
+
+
+class ScenarioError(ValueError):
+    """Malformed scenario file; the message names the offending field."""
+
+
+@dataclass
+class Scenario:
+    model: fx.FluxModel
+    initial: object                    # AtomicMeasure or a density object
+    x_min: float
+    x_max: float
+    n_cells: int
+    t_end: float
+    cfl: float = 0.45
+    output_times: list[float] = field(default_factory=list)
+    checks: tuple[str, ...] = DEFAULT_CHECKS
+    tolerances: dict = field(default_factory=dict)
+    out_dir: str = "out"
+    formats: tuple[str, ...] = FORMATS
+    raw: dict = field(default_factory=dict)
+
+    @property
+    def dx(self) -> float:
+        return (self.x_max - self.x_min) / self.n_cells
+
+
+def read_json(text: str, what: str):
+    """The JSON value of ``text``; NaN and +-Infinity, which JSON lacks, are
+    refused.  ``what`` names the source in errors ("scenario", "--flux")."""
+    def refuse(name):
+        raise ScenarioError(f"{what} contains the non-finite number {name}")
+
+    try:
+        return json.loads(text, parse_constant=refuse)
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{what} is not valid JSON: {exc}") from exc
+
+
+def typed(value, kind: type, where: str):
+    """value itself when it is a JSON object (kind dict) or list (kind list; tuples pass)."""
+    if not isinstance(value, (list, tuple) if kind is list else kind):
+        raise ScenarioError(f"{where} must be {'a list' if kind is list else 'an object'}, "
+                            f"got {value!r}")
+    return value
+
+
+def number(value, where: str) -> float:
+    """value as a float; bools, and integers too large for a float, are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:
+        raise ScenarioError(f"{where} must be a finite number, got an integer too large "
+                            "for a float") from None
+
+
+def pair(value, where: str, what: str) -> tuple[float, float]:
+    """value as a pair of floats; `what` describes it, e.g. 'an [x, m] pair'."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ScenarioError(f"{where} must be {what}, got {value!r}")
+    return number(value[0], f"{where}[0]"), number(value[1], f"{where}[1]")
+
+
+def _require_keys(block: dict, allowed: set, required: set, where: str):
+    unknown = set(block) - allowed
+    if unknown:
+        raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
+    missing = required - set(block)
+    if missing:
+        raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
+
+
+def parse_flux(block) -> fx.FluxModel:
+    """The model of a flux block (fail-closed on unknown keys and on wrongly
+    typed entries; each error names its field).  A model without a finite
+    flux raises flux.FluxError."""
+    typed(block, dict, "flux block")
+    unknown = set(block) - {"kind", "coeffs", "nodes"}
+    if unknown:
+        raise ScenarioError(f"unknown flux field(s): {sorted(unknown)}")
+    kind = block.get("kind")
+    if kind == "quadratic-attractive":
+        return fx.quadratic_attractive()
+    if kind == "quadratic-repulsive":
+        return fx.quadratic_repulsive()
+    if kind == "polynomial":
+        if "coeffs" not in block:
+            raise ScenarioError("polynomial flux requires 'coeffs'")
+        return fx.polynomial(number(c, f"coeffs[{i}]")
+                             for i, c in enumerate(typed(block["coeffs"], list, "coeffs")))
+    if kind == "piecewise-linear-a":
+        if "nodes" not in block:
+            raise ScenarioError("piecewise-linear-a flux requires 'nodes'")
+        return fx.piecewise_linear(pair(p, f"nodes[{i}]", "a [u, a] pair")
+                                   for i, p in enumerate(typed(block["nodes"], list, "nodes")))
+    raise ScenarioError(f"unknown flux kind {kind!r}")
+
+
+# initial.type -> (density class, its number fields in constructor order)
+DENSITIES = {"uniform": (UniformDensity, ("x_left", "x_right", "mass")),
+             "triangular": (TriangularDensity, ("x_left", "x_peak", "x_right", "mass"))}
+
+
+def _parse_initial(block: dict):
+    kind = block.get("type")
+    if kind == "atoms":
+        _require_keys(block, {"type", "atoms"}, {"type", "atoms"}, "initial")
+        pairs = block["atoms"]
+        if not isinstance(pairs, (list, tuple)) or not pairs:
+            raise ScenarioError("initial.atoms must be a non-empty list (total mass > 0)")
+        try:
+            return AtomicMeasure.from_pairs(
+                pair(p, f"initial.atoms[{i}]", "an [x, m] pair") for i, p in enumerate(pairs))
+        except MeasureError as exc:
+            raise ScenarioError(f"initial.atoms: {exc}") from exc
+    if kind in DENSITIES:
+        cls, names = DENSITIES[kind]
+        _require_keys(block, {"type", *names}, {"type", *names}, "initial")
+        return cls(*(number(block[k], f"initial.{k}") for k in names))
+    raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
+
+
+def load_scenario(path: str) -> Scenario:
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    return parse_scenario(read_json(text, "scenario"))
+
+
+def parse_scenario(raw: dict) -> Scenario:
+    _require_keys(typed(raw, dict, "scenario"),
+                  {"flux", "initial", "grid", "time", "diagnostics", "output"},
+                  {"flux", "initial", "grid", "time"}, "scenario")
+    flux_block = typed(raw["flux"], dict, "flux")
+    try:
+        model = parse_flux(flux_block)
+    except (ScenarioError, fx.FluxError) as exc:
+        raise ScenarioError(f"flux: {exc}") from exc
+    initial = _parse_initial(typed(raw["initial"], dict, "initial"))
+
+    grid = typed(raw["grid"], dict, "grid")
+    _require_keys(grid, {"x_min", "x_max", "n_cells"},
+                  {"x_min", "x_max", "n_cells"}, "grid")
+    x_min = number(grid["x_min"], "grid.x_min")
+    x_max = number(grid["x_max"], "grid.x_max")
+    if x_max <= x_min:
+        raise ScenarioError("grid.x_max must exceed grid.x_min")
+    n_cells = grid["n_cells"]
+    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
+        raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
+    tblock = typed(raw["time"], dict, "time")
+    _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
+    t_end = number(tblock["t_end"], "time.t_end")
+    if t_end <= 0:
+        raise ScenarioError("time.t_end must be positive")
+    cfl = number(tblock.get("cfl", 0.45), "time.cfl")
+    if not 0 < cfl <= 1:
+        raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
+    output_times = [number(t, "time.output_times") for t in
+                    typed(tblock.get("output_times", []), list, "time.output_times")]
+    if any(t < 0 or t > t_end for t in output_times):
+        raise ScenarioError("time.output_times must lie in [0, t_end]")
+    if output_times != sorted(output_times):
+        raise ScenarioError("time.output_times must be sorted")
+
+    diag = typed(raw.get("diagnostics", {}), dict, "diagnostics")
+    _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
+    checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
+    tolerances = typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
+    for where, names in (("checks", checks), ("tolerances", tolerances)):
+        for c in names:
+            if not isinstance(c, str) or c not in CHECKS:
+                raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
+    tolerances = {k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
+    out = typed(raw.get("output", {}), dict, "output")
+    _require_keys(out, {"directory", "formats"}, set(), "output")
+    formats = typed(out.get("formats", FORMATS), list, "output.formats")
+    for f in formats:
+        if f not in FORMATS:
+            raise ScenarioError(f"output.formats: unknown format {f!r} (known: {list(FORMATS)})")
+    out_dir = out.get("directory", "out")
+    if not isinstance(out_dir, str):
+        raise ScenarioError(f"output.directory must be a string, got {out_dir!r}")
+
+    return Scenario(model=model, initial=initial, x_min=x_min, x_max=x_max, n_cells=n_cells,
+                    t_end=t_end, cfl=cfl, output_times=output_times, checks=checks,
+                    tolerances=tolerances, out_dir=out_dir, formats=tuple(formats), raw=raw)

@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dualflow import cli, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
+from dualflow.scenario import parse_scenario
 
 
 def scenario_dict(**overrides):
@@ -492,6 +494,14 @@ class TestConvergenceCommand:
         assert cli.main(["convergence", "--scenario", path,
                          "--resolutions", "50,100"]) == 1
 
+    @pytest.mark.parametrize("resolutions", ["0,20,40", "20,20,40", "10,x,40", "-5,20,40"])
+    def test_bad_resolutions_are_an_error_line(self, tmp_path, capsys, resolutions):
+        path = write_scenario(tmp_path)
+        assert cli.main(["convergence", "--scenario", path, f"--resolutions={resolutions}",
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "resolutions" in err
+
 
 class TestRiemannCommand:
     def test_attractive_shock(self, capsys):
@@ -521,6 +531,21 @@ class TestRiemannCommand:
                        '{"kind": "quadratic-attractive"}', "1", "0"])
         assert rc == 1
 
+    @pytest.mark.parametrize("kind, u_plus", [("quadratic-attractive", "1e308"),
+                                              ("quadratic-repulsive", "1e200")])
+    def test_states_where_A_overflows_are_an_error_line(self, capsys, kind, u_plus):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["riemann", "--flux", json.dumps({"kind": kind}), "0", u_plus])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_non_finite_flux_json_rejected(self, capsys):
+        rc = cli.main(["riemann", "--flux", '{"kind":"polynomial","coeffs":[NaN]}', "0", "1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: --flux contains the non-finite number NaN\n"
+
 
 # a(u) non-increasing on [0, 1] for each: the oracle serves all three
 CROSS_MODELS = {
@@ -538,7 +563,7 @@ CROSS_MODELS = {
 def test_engines_agree_in_w1(model, atoms):
     """run --engine both: at every paired output time W1(PDE, oracle) <= 3 dx."""
     total = sum(k for _, k in atoms)
-    scn = cli.parse_scenario(scenario_dict(
+    scn = parse_scenario(scenario_dict(
         flux=CROSS_MODELS[model],
         initial={"type": "atoms", "atoms": [[x, k / total] for x, k in atoms]},
         grid={"x_min": -4.0, "x_max": 4.0, "n_cells": 400},

@@ -169,16 +169,6 @@ def test_models_without_finite_flux_rejected(make):
         make()
 
 
-def test_from_dict_fail_closed():
-    assert fx.from_dict({"kind": "quadratic-attractive"}) == ATTR
-    with pytest.raises(fx.FluxError):
-        fx.from_dict({"kind": "quadratic-attractive", "extra": 1})
-    with pytest.raises(fx.FluxError):
-        fx.from_dict({"kind": "polynomial"})
-    with pytest.raises(fx.FluxError):
-        fx.from_dict({"kind": "tabulated"})
-
-
 def _pwl_A_reference(model, u):
     """The antiderivative formula with all three branches evaluated, then
     shifted by A_raw(0); eval_A must keep its values bit for bit."""

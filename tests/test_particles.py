@@ -13,6 +13,7 @@ from dualflow import cli
 from dualflow import flux as fx
 from dualflow import particles as pt
 from dualflow.measure import AtomicMeasure
+from dualflow.scenario import parse_scenario
 
 ATTR = fx.quadratic_attractive()
 
@@ -143,7 +144,7 @@ class TestAdvanceEdgeCases:
             pt.advance(s, 0.5)
 
     def test_trajectory_csv_shape(self, tmp_path):
-        scn = cli.parse_scenario({
+        scn = parse_scenario({
             "flux": {"kind": "quadratic-attractive"},
             "initial": {"type": "atoms", "atoms": [[-0.25, 0.5], [0.25, 0.5]]},
             "grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 200},

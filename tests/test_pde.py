@@ -296,7 +296,7 @@ class TestStepBudget:
     def test_budget_covers_the_run(self):
         grid = dirac_grid(x_min=-1.0, x_max=3.0, n=400)
         snaps = pde.run(grid, REP, 2.0, cfl=0.9, output_times=[0.5, 1.0])
-        budget = pde._March(grid, REP).step_budget(2.0, 0.9, np.inf, 3)
+        budget = pde._March(grid, REP).step_budget(2.0, 0.9, 3)
         assert snaps[-1].step_count <= budget < 10 * snaps[-1].step_count
 
     def test_budget_above_max_steps_refused_before_stepping(self, monkeypatch):
