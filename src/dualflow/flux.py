@@ -63,9 +63,9 @@ class FluxModel:
                 raise FluxError("polynomial model needs coefficients")
             if not all(map(math.isfinite, self.a_coeffs)):
                 raise FluxError("polynomial coefficients must be finite")
-            try:   # the extremum candidates of A, a and a'
-                stationary_points(self)
-                _range_plan(self)
+            try:   # the extremum tables of A, a and a'
+                for order in range(3):
+                    _extrema(self, order)
             except np.linalg.LinAlgError as exc:
                 raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
                                 f"range: their roots cannot be computed ({exc})") from exc
@@ -114,43 +114,29 @@ def eval_a(model: FluxModel, u):
     return out if out.ndim else float(out)
 
 
-@functools.lru_cache(maxsize=None)
-def _A_coeffs(model: FluxModel) -> np.ndarray:
-    """Coefficients of A for the polynomial kinds: c_k/(k+1) shifted by one."""
-    c = np.asarray(model.a_coeffs)
-    out = np.concatenate(([0.0], c / np.arange(1, len(c) + 1)))
-    out.setflags(write=False)   # shared by every caller
-    return out
-
-
 class _PwlA:
-    """A(u) for the piecewise-linear kind: a table per segment, built once."""
+    """A(u) for the piecewise-linear kind, built once: one row per stretch
+    of the a' table (``_extrema(model, 2)``).  Rows 1..N-1 are the segments
+    between the N nodes, rows 0 and N the constant extensions of a below the
+    first and above the last node."""
 
     def __init__(self, model: FluxModel):
         us, avs = _pwl_arrays(model)
         raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
-        self.nodes = us
-        self.inner_nodes = us[1:-1]
-        # per segment k: u_k, a_k, A_raw(u_k) and half the slope of a
-        self.segments = (us[:-1], avs[:-1], raw[:-1],
-                         0.5 * ((avs[1:] - avs[:-1]) / (us[1:] - us[:-1])))
-        self.edges = (float(us[0]), float(avs[0]), float(raw[0]),
-                      float(us[-1]), float(avs[-1]), float(raw[-1]))
-        self.shift = float(self._raw(np.asarray(0.0), False))
+        # the row of u; the last node stays on the last segment
+        self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
+        # per row: u, a and A_raw where it starts, and half the slope of a; -0.0
+        # on the extensions, where adding the quadratic term then changes no bit
+        half_slope = 0.5 * _extrema(model, 2).vals
+        half_slope[[0, -1]] = -0.0
+        self.rows = (np.r_[us[0], us], np.r_[avs[0], avs], np.r_[raw[0], raw], half_slope)
+        self.shift = 0.0   # then A_raw(0), from a first call: x - 0.0 keeps every bit
+        self.shift = float(self(np.asarray(0.0)))
 
-    def within(self, lo, hi) -> bool:
-        return bool(self.nodes[0] <= lo and hi <= self.nodes[-1])
-
-    def __call__(self, u, within: bool, out=None):
-        """A(u) = A_raw(u) - A_raw(0); ``within``: all u lie in the node range."""
-        out = self._raw(u, within, out)
-        out -= self.shift
-        return out
-
-    def _raw(self, u, within, out=None):
-        # the integral of a from the first node
-        u0, a0, raw0, half_slope = self.segments
-        idx = np.searchsorted(self.inner_nodes, u, side="right")
+    def __call__(self, u, out=None):
+        """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""
+        u0, a0, raw0, half_slope = self.rows
+        idx = np.searchsorted(self.breaks, u, side="right")
         du = u - u0[idx]
         val = a0[idx]
         val *= du
@@ -159,11 +145,7 @@ class _PwlA:
         quad *= du
         quad *= du                # 0.5*slope*du*du
         out = np.add(val, quad, out=out)
-        if not within:   # constant extension of a outside the node range
-            u_first, a_first, raw_first, u_last, a_last, raw_last = self.edges
-            below = raw_first + a_first * (u - u_first)
-            above = raw_last + a_last * (u - u_last)
-            out = np.where(u < u_first, below, np.where(u > u_last, above, out))
+        out -= self.shift
         return out
 
 
@@ -177,10 +159,9 @@ def eval_A(model: FluxModel, u):
     u = np.asarray(u, dtype=float)
     _check_finite(u)
     if model.kind == "piecewise-linear-a":
-        A = _pwl_A(model)
-        out = A(u, u.size == 0 or A.within(u.min(), u.max()))
+        out = _pwl_A(model)(u)
     else:
-        out = P.polyval(u, _A_coeffs(model))
+        out = P.polyval(u, _extrema(model, 0).coeffs)
     return out if out.ndim else float(out)
 
 
@@ -193,51 +174,66 @@ def _real_poly_roots(coeffs):
     return np.sort(r)
 
 
-@functools.lru_cache(maxsize=None)
-def stationary_points(model: FluxModel) -> tuple[float, ...]:
-    """All u where a(u) = 0, i.e. interior extremum candidates of A."""
-    if model.kind == "piecewise-linear-a":
-        us, avs = _pwl_arrays(model)
-        pts = list(us[avs == 0.0])
-        for k in range(len(us) - 1):
-            a0, a1 = avs[k], avs[k + 1]
-            if a0 * a1 < 0:
-                pts.append(us[k] - a0 * (us[k + 1] - us[k]) / (a1 - a0))
-        return tuple(sorted(pts))
-    return tuple(_real_poly_roots(model.a_coeffs))
+class _Extrema(NamedTuple):
+    """Where one derivative of A can reach an extremum inside an interval:
+    on each stretch [left[k], right[k]] (a point when left = right) it
+    takes the value vals[k].  ``coeffs`` holds that derivative's polynomial
+    coefficients for the polynomial kinds, None for the piecewise-linear one."""
+
+    left: np.ndarray
+    right: np.ndarray
+    vals: np.ndarray
+    coeffs: np.ndarray | None
 
 
 @functools.lru_cache(maxsize=None)
-def _range_plan(model: FluxModel):
-    """Where a and a' can attain their extrema inside a query interval.
+def _extrema(model: FluxModel, order: int) -> _Extrema:
+    """The extremum table of A (order 0), a (order 1) or a' (order 2).
 
-    Returns ((a_cand, a_vals), (left, right, da_vals, da)).  a_cand are the
-    interior extremum candidates of a, and a_vals = a(a_cand).  Each
-    [left, right] is a stretch on which a' takes the value da_vals: single
-    points (the roots of a'') for polynomial kinds, where ``da`` holds the
-    coefficients of a' for the interval endpoints; the segments between
-    nodes plus the two constant extensions for the piecewise-linear kind,
-    which needs no endpoint values (``da`` is None).
+    Polynomial kinds: the real roots of the next derivative.  The
+    piecewise-linear kind: the zeros of a, the nodes, and for a' the
+    segments between nodes plus the two constant extensions.
     """
     if model.kind == "piecewise-linear-a":
         us, avs = _pwl_arrays(model)
-        left = np.concatenate(([-np.inf], us))
-        right = np.concatenate((us, [np.inf]))
-        slopes = np.concatenate(([0.0], np.diff(avs) / np.diff(us), [0.0]))
-        return (us, eval_a(model, us)), (left, right, slopes, None)
+        if order == 2:
+            slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
+            return _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None)
+        if order == 1:
+            return _Extrema(us, us, eval_a(model, us), None)
+        k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
+        pts = np.sort(np.r_[us[avs == 0.0],
+                            us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
+        return _Extrema(pts, pts, eval_A(model, pts), None)
     c = np.asarray(model.a_coeffs)
-    da = c[1:] * np.arange(1, len(c)) if len(c) > 1 else np.zeros(1)
-    a_cand = _real_poly_roots(da)
-    da_cand = _real_poly_roots(da[1:] * np.arange(1, len(da)))
-    return (a_cand, eval_a(model, a_cand)), (da_cand, da_cand, P.polyval(da_cand, da), da)
+    derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
+    for _ in range(2):
+        d = derivs[-1]
+        derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
+    for d in derivs:
+        d.setflags(write=False)   # shared by every caller
+    pts = _real_poly_roots(derivs[order + 1])
+    return _Extrema(pts, pts, P.polyval(pts, derivs[order]), derivs[order])
 
 
-def _pick(lo, hi, left, right, vals, fill):
-    """Array [k, ...]: vals[k] where [left[k], right[k]] meets the open
-    interval (lo, hi), else fill."""
-    shape = vals.shape + (1,) * np.ndim(lo)
-    inside = (left.reshape(shape) < hi) & (lo < right.reshape(shape))
-    return np.where(inside, vals.reshape(shape), fill)
+def _meeting(lo, hi, table: _Extrema):
+    """(inside, vals), arrays [k, ...]: whether stretch k meets the open
+    interval (lo, hi), and the value there."""
+    shape = table.vals.shape + (1,) * np.ndim(lo)
+    return ((table.left.reshape(shape) < hi) & (lo < table.right.reshape(shape)),
+            table.vals.reshape(shape))
+
+
+def _span(table: _Extrema, lo, hi, ends):
+    """(min, max) over each [lo, hi] of the derivative with extremum table
+    ``table`` and values ``ends`` = (at lo, at hi).  The candidates are
+    reduced in FluxPlan.fluxes' order, the ends first; a stretch outside
+    (lo, hi) enters as +inf (min) or -inf (max), which changes no bit, not
+    even the sign of a zero."""
+    inside, vals = _meeting(lo, hi, table)
+    lows = np.concatenate((ends, np.where(inside, vals, np.inf)))
+    highs = np.concatenate((ends, np.where(inside, vals, -np.inf)))
+    return _scalar(lows.min(axis=0)), _scalar(highs.max(axis=0))
 
 
 def _scalar(x):
@@ -247,10 +243,7 @@ def _scalar(x):
 def a_range(model: FluxModel, lo, hi):
     """(min, max) of a over each [lo, hi]; the bounds may come in either order."""
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    cand, vals = _range_plan(model)[0]
-    ends = eval_a(model, np.array((lo, hi)))
-    vals = np.concatenate((ends, _pick(lo, hi, cand, cand, vals, ends[0])))
-    return _scalar(vals.min(axis=0)), _scalar(vals.max(axis=0))
+    return _span(_extrema(model, 1), lo, hi, eval_a(model, np.array((lo, hi))))
 
 
 def max_wave_speed(model: FluxModel, lo: float, hi: float) -> float:
@@ -268,14 +261,12 @@ def max_slope_on_intervals(model: FluxModel, lo, hi):
     """
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    left, right, vals, da = _range_plan(model)[1]
-    if da is None:
-        out = _pick(lo, hi, left, right, vals, -np.inf).max(axis=0)
-        return np.where(out > -np.inf, out, 0.0)
-    out = np.maximum(P.polyval(lo, da), P.polyval(hi, da))
-    if vals.size:
-        out = np.maximum(out, _pick(lo, hi, left, right, vals, out).max(axis=0))
-    return out
+    table = _extrema(model, 2)
+    if table.coeffs is not None:
+        return _span(table, lo, hi, P.polyval(np.array((lo, hi)), table.coeffs))[1]
+    inside, vals = _meeting(lo, hi, table)
+    out = np.where(inside, vals, -np.inf).max(axis=0)   # the stretches cover the line
+    return np.where(out > -np.inf, out, 0.0)
 
 
 def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
@@ -303,16 +294,7 @@ def godunov_flux(model: FluxModel, u_left, u_right):
     _check_finite(ur)
     lo = np.minimum(ul, ur)
     hi = np.maximum(ul, ur)
-    A_lo = eval_A(model, lo)
-    A_hi = eval_A(model, hi)
-    fmin = np.minimum(A_lo, A_hi)
-    fmax = np.maximum(A_lo, A_hi)
-    for c in stationary_points(model):
-        inside = (lo < c) & (c < hi)
-        if np.any(inside):
-            Ac = eval_A(model, c)
-            fmin = np.where(inside, np.minimum(fmin, Ac), fmin)
-            fmax = np.where(inside, np.maximum(fmax, Ac), fmax)
+    fmin, fmax = _span(_extrema(model, 0), lo, hi, eval_A(model, np.array((lo, hi))))
     out = np.where(ul <= ur, fmin, fmax)
     return out if out.ndim else float(out)
 
@@ -335,33 +317,31 @@ def _horner(x, coeffs, out):
 class _Stage(NamedTuple):
     """What the face flux needs on data within one range [lo, hi]."""
 
-    stationary: tuple   # (c, A(c)) for the stationary points with lo < c < hi
-    within: bool        # [lo, hi] lies in the piecewise-linear node range
-    corner: tuple | None  # None: the corner-dissipation term is exactly zero
+    stationary: tuple       # (c, A(c)) for the stationary points of A with lo < c < hi
+    corner: tuple | None    # (l, r, v): stretches meeting (lo, hi) where a' = v > 0;
+                            # None: the corner-dissipation term is exactly zero
 
 
 class FluxPlan:
     """A FluxModel compiled once (``flux_plan``) for the PDE time loop.
 
     Holds, as Python floats, the Horner coefficients of A and a' (polynomial
-    kinds) or the per-segment table of A with its A(0) shift (the
-    piecewise-linear kind), the stationary points of A with their values,
-    and the candidate stretches of a'.  Both queries below reproduce the
-    reference functions bit for bit: ``wave_bounds`` is stable_dt's bound,
-    ``fluxes`` is ``numerical_flux`` on consecutive face values.
+    kinds) or the row table of A (the piecewise-linear kind), and from the
+    extremum tables the stationary points of A with their values and the
+    stretches where a' > 0 can be reached.  Both queries below reproduce
+    the reference functions bit for bit: ``wave_bounds`` is stable_dt's
+    bound, ``fluxes`` is ``numerical_flux`` on consecutive face values.
     """
 
     def __init__(self, model: FluxModel):
         self.model = model
-        left, right, vals, da = _range_plan(model)[1]
-        self.slope_cands = left, right, vals
-        self.da = () if da is None else tuple(da.tolist())   # a' for the polynomial kinds
-        if model.kind == "piecewise-linear-a":
-            self.pwl = _pwl_A(model)
-        else:
-            self.pwl = None
-            self.A_coeffs = tuple(_A_coeffs(model).tolist())
-        self.stationary = tuple((float(p), eval_A(model, p)) for p in stationary_points(model))
+        A, _, da = (_extrema(model, order) for order in range(3))
+        self.stationary = tuple(zip(A.left.tolist(), A.vals.tolist()))
+        self.rising = tuple((l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(),
+                                                        da.vals.tolist()) if v > 0.0)
+        self.pwl = _pwl_A(model) if model.kind == "piecewise-linear-a" else None
+        self.A_coeffs = () if A.coeffs is None else tuple(A.coeffs.tolist())
+        self.da = () if da.coeffs is None else tuple(da.coeffs.tolist())
         self.wave_bounds = functools.lru_cache(maxsize=64)(self._wave_bounds)
         self._stage = functools.lru_cache(maxsize=64)(self._make_stage)
 
@@ -374,18 +354,10 @@ class FluxPlan:
         # A point or stretch not meeting (lo, hi) is strictly inside no face
         # interval, so dropping it changes no flux.
         stationary = tuple((c, Ac) for c, Ac in self.stationary if lo < c < hi)
-        left, right, vals = self.slope_cands
-        if self.pwl is not None:
-            within = self.pwl.within(lo, hi)
-            # max(0, slope) only sees the segments of positive slope
-            segs = tuple((l, r, v) for l, r, v in zip(left.tolist(), right.tolist(), vals.tolist())
-                         if v > 0.0 and l < hi and lo < r)
-            return _Stage(stationary, within, ("segments", segs) if segs else None)
-        if len(self.da) == 1:   # constant a' = k: corner term is max(k, 0)*|du|
-            k = self.da[0]
-            return _Stage(stationary, True, ("constant", k) if k > 0.0 else None)
-        cands = tuple((c, v) for c, v in zip(left.tolist(), vals.tolist()) if lo < c < hi)
-        return _Stage(stationary, True, ("polynomial", cands))
+        if self.wave_bounds(lo, hi)[1] == 0.0:   # a' <= 0 on [lo, hi]
+            return _Stage(stationary, None)
+        return _Stage(stationary, tuple((l, r, v) for l, r, v in self.rising
+                                        if l < hi and lo < r))
 
     def fluxes(self, e, out, work, lo: float, hi: float, ordered: bool):
         """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit.
@@ -399,7 +371,7 @@ class FluxPlan:
         if self.pwl is None:
             A = _horner(e, self.A_coeffs, work[0, :m + 1])
         else:
-            A = self.pwl(e, stage.within, out=work[0, :m + 1])
+            A = self.pwl(e, out=work[0, :m + 1])
         if ordered:   # the usual case; skipping min/max/abs saves ~7% of a rarefaction run
             flo, fhi = uL, uR
         else:
@@ -420,20 +392,17 @@ class FluxPlan:
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * |du|
         du = np.subtract(uR, uL, out=work[3, :m])
         absdu = du if ordered else np.abs(du)
-        kind, data = stage.corner
-        if kind == "constant":
-            s = absdu * data
+        if len(self.da) == 1:   # a' is a constant, here > 0
+            s = absdu * self.da[0]
         else:
-            if kind == "polynomial":
+            if self.da:   # a' at the face values
                 D = _horner(e, self.da, work[0, :m + 1])
                 slope = np.maximum(D[:-1], D[1:])
-                for c, v in data:
-                    np.maximum(slope, v, out=slope, where=(c < fhi) & (flo < c))
                 np.maximum(slope, 0.0, out=slope)
             else:
                 slope = np.zeros(m)
-                for l, r, v in data:
-                    np.maximum(slope, v, out=slope, where=(l < fhi) & (flo < r))
+            for l, r, v in stage.corner:
+                np.maximum(slope, v, out=slope, where=(l < fhi) & (flo < r))
             s = np.multiply(slope, absdu, out=slope)
         term = np.multiply(s, 0.5)
         term *= du

@@ -115,13 +115,20 @@ def test_range_queries_bracket_samples(model, intervals):
     hi = np.array([max(p) for p in intervals])
     amin, amax = fx.a_range(model, lo, hi)
     slope = fx.max_slope_on_intervals(model, lo, hi)
+    flux = fx.godunov_flux(model, lo, hi)
     for k, (l, h) in enumerate(zip(lo.tolist(), hi.tolist())):
         # the array call equals the element-by-element 0-d calls exactly
         assert fx.a_range(model, l, h) == (amin[k], amax[k])
         assert fx.max_slope_on_intervals(model, l, h) == slope[k]
-        a = fx.eval_a(model, np.linspace(l, h, 201))
+        assert np.float64(fx.godunov_flux(model, l, h)).view(np.int64) == flux[k].view(np.int64)
+        u = np.linspace(l, h, 201)
+        a = fx.eval_a(model, u)
         assert amin[k] - 1e-12 <= a.min() and a.max() <= amax[k] + 1e-12
         assert np.all(_slope_samples(model, l, h) <= slope[k] + 1e-12)
+        # the min of A over [l, h]: below every sample, and above the smallest
+        # by at most max |a| times half the sample spacing
+        A = fx.eval_A(model, u).min()
+        assert A - 1e-12 - max(-amin[k], amax[k]) * (h - l) / 400 <= flux[k] <= A + 1e-12
 
 
 def test_velocity_continuity_by_sampling():
@@ -198,7 +205,9 @@ def test_pwl_eval_A_keeps_its_values(us, avs, u):
         model = fx.piecewise_linear(zip(sorted(us), avs))
     except fx.FluxError:   # nodes too close for a finite slope of a
         reject()
-    for points in (np.array(u), np.clip(u, min(us), max(us))):
+    # the nodes themselves: an interior node on the segment it starts, the
+    # last node on the last segment
+    for points in (np.array(u), np.clip(u, min(us), max(us)), np.array(sorted(us))):
         ref = _pwl_A_reference(model, points)
         assert np.array_equal(fx.eval_A(model, points).view(np.int64), ref.view(np.int64))
         scalar = np.float64(fx.eval_A(model, float(points[0])))
