@@ -230,7 +230,7 @@ def extract_atoms(field: GridField, mass_threshold: float | None = None) -> Atom
     tail_floor = 1e-9 * total
     centers = field.centers
     xs, ms = [], []
-    j = 0
+    j = end = 0   # end: one past the previous cluster, where a left tail stops
     while j < n:
         if not marked[j]:
             j += 1
@@ -238,7 +238,7 @@ def extract_atoms(field: GridField, mass_threshold: float | None = None) -> Atom
         k = j
         while k + 1 < n and marked[k + 1]:
             k += 1
-        while j > 0 and masses[j - 1] > tail_floor and not marked[j - 1]:
+        while j > end and masses[j - 1] > tail_floor and not marked[j - 1]:
             j -= 1
         while k + 1 < n and masses[k + 1] > tail_floor and not marked[k + 1]:
             k += 1
@@ -247,9 +247,7 @@ def extract_atoms(field: GridField, mass_threshold: float | None = None) -> Atom
         x = float(np.sum(masses[cluster] * centers[cluster]) / m)
         xs.append(x)
         ms.append(m)
-        j = k + 1
-        while j < n and marked[j]:
-            j += 1
+        j = end = k + 1
     if not xs:
         return AtomicMeasure(np.empty(0), np.empty(0))
     return AtomicMeasure.from_pairs(zip(xs, ms))

@@ -113,6 +113,17 @@ class TestExtractAtoms:
         got = ms.extract_atoms(f)
         assert got.n_atoms == 0
 
+    def test_tail_running_into_the_next_cluster_keeps_both(self):
+        # the tail of the atom in cell 10 reaches the cells marked around
+        # cell 25; each cell is counted in exactly one cluster
+        masses = np.zeros(40)
+        masses[[10, 25]] = 0.45
+        masses[11:25] = 0.1 / 14
+        f = ms.GridField(-1.0, 1.0, 40, np.concatenate(([0.0], np.cumsum(masses))))
+        got = ms.extract_atoms(f)
+        assert got.n_atoms == 2
+        assert got.masses.sum() == pytest.approx(f.total_mass, abs=1e-12)
+
     def test_threshold_is_respected(self):
         mu = atoms((0.0, 0.02))
         f = ms.sample_to_grid(mu, -1.0, 1.0, 100)
