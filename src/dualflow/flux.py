@@ -386,6 +386,9 @@ class FluxPlan:
             if fmax is not None:
                 np.maximum(fmax, Ac, out=fmax, where=inside)
         if fmax is not None:
+            # numerical_flux subtracts a corner term that is -0.0 where it
+            # vanishes on these faces (du < 0), making a -0.0 flux 0.0
+            fmax += 0.0
             np.copyto(F, fmax, where=uL > uR)
         if stage.corner is None:
             return F
