@@ -323,8 +323,14 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
         raise AnalysisError("a Riemann problem requires u_minus < u_plus")
     low, high, selected = admissible_speed_range(model, u_minus, u_plus)
     us = np.linspace(u_minus, u_plus, RIEMANN_SAMPLES)
-    As = fx.eval_A(model, us)
-    chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        As = fx.eval_A(model, us)
+        chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
+        # no cross product of the hull exceeds this
+        reach = 2.0 * (us[-1] - us[0]) * (As.max() - As.min())
+    if not (np.isfinite(chord).all() and np.isfinite(reach)):
+        raise AnalysisError(f"the envelope of A overflows for the states "
+                            f"({u_minus}, {u_plus})")
     scale = max(1.0, float(np.max(np.abs(As))))
     if np.all(As >= chord - RIEMANN_TOL * scale):
         wave = "shock"

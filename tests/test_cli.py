@@ -532,7 +532,8 @@ class TestRiemannCommand:
         assert rc == 1
 
     @pytest.mark.parametrize("kind, u_plus", [("quadratic-attractive", "1e308"),
-                                              ("quadratic-repulsive", "1e200")])
+                                              ("quadratic-repulsive", "1e200"),
+                                              ("quadratic-repulsive", "1e154")])
     def test_states_where_A_overflows_are_an_error_line(self, capsys, kind, u_plus):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
