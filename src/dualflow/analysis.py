@@ -390,24 +390,40 @@ def _bounded(name: str, values, tol: float) -> list[CheckRecord]:
     return [CheckRecord(name, t, v, tol, tol, v <= tol) for t, v in values]
 
 
-def _check_mass(scn, snapshots, pairs, tolerances):
+# The default tolerance of each check that takes one, for grid spacing dx.
+# A scenario's "tolerances" may override these and name no other check.
+TOLERANCES = {
+    "mass": lambda dx: 1e-12,
+    "oleinik": lambda dx: 5 * dx,
+    "pushforward": lambda dx: 5 * dx,
+    "weak_residual": lambda dx: 20 * dx,
+    "w1_vs_particles": lambda dx: 3 * dx,
+}
+
+
+def _tolerance(scn, name: str) -> float:
+    """The scenario's tolerance for check ``name``, else its default."""
+    return float(scn.tolerances.get(name, TOLERANCES[name](scn.dx)))
+
+
+def _check_mass(scn, snapshots, pairs):
     total = snapshots[0].field.total_mass
     return _bounded("mass_conservation",
                     [(s.t, abs(s.field.u_faces[-1] - total)) for s in snapshots],
-                    float(tolerances.get("mass", 1e-12)))
+                    _tolerance(scn, "mass"))
 
 
-def _check_oleinik(scn, snapshots, pairs, tolerances):
-    tol = float(tolerances.get("oleinik", 5 * scn.dx))
+def _check_oleinik(scn, snapshots, pairs):
+    tol = _tolerance(scn, "oleinik")
     return [rec for s in snapshots if s.t > 0
             for rec in check_oleinik(s, scn.model, tol)]
 
 
-def _check_pressureless(scn, snapshots, pairs, tolerances):
+def _check_pressureless(scn, snapshots, pairs):
     return pressureless_check(snapshots, scn.model)
 
 
-def _check_pushforward(scn, snapshots, pairs, tolerances):
+def _check_pushforward(scn, snapshots, pairs):
     flow = reconstruct_flow(snapshots, scn.initial, scn.model)
     span = max(abs(scn.x_min), abs(scn.x_max))
     funcs = {
@@ -415,23 +431,22 @@ def _check_pushforward(scn, snapshots, pairs, tolerances):
         "x2": (lambda x: x * x, 2.0 * span),
         "sin": (np.sin, 1.0),
     }
-    per_lip = float(tolerances.get("pushforward", 5 * scn.dx))
-    return pushforward_checks(flow, snapshots, funcs, per_lip)
+    return pushforward_checks(flow, snapshots, funcs, _tolerance(scn, "pushforward"))
 
 
-def _check_weak_residual(scn, snapshots, pairs, tolerances):
+def _check_weak_residual(scn, snapshots, pairs):
     return _bounded("weak_residual",
                     [(snapshots[-1].t, weak_residual(snapshots, scn.model))],
-                    float(tolerances.get("weak_residual", 20 * scn.dx)))
+                    _tolerance(scn, "weak_residual"))
 
 
-def _check_w1_vs_particles(scn, snapshots, pairs, tolerances):
+def _check_w1_vs_particles(scn, snapshots, pairs):
     return _bounded("w1_pde_vs_particles",
                     [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
-                    float(tolerances.get("w1_vs_particles", 3 * scn.dx)))
+                    _tolerance(scn, "w1_vs_particles"))
 
 
-# By name: fn(scenario, snapshots, oracle pairs, tolerances) -> list of CheckRecord.
+# By name: fn(scenario, snapshots, oracle pairs) -> list of CheckRecord.
 # ``pairs`` are (snapshot, oracle atoms), given only for w1_vs_particles.
 CHECKS = {
     "mass": _check_mass,

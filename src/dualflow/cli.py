@@ -100,7 +100,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
         pairs = pair_with_oracle(scn, snapshots, *oracle)
     report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
-        for rec in analysis.CHECKS[name](scn, snapshots, pairs, scn.tolerances):
+        for rec in analysis.CHECKS[name](scn, snapshots, pairs):
             report.add(rec)
     if write_json:
         with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field
 
 from . import flux as fx
-from .analysis import CHECKS
+from .analysis import CHECKS, TOLERANCES
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
@@ -191,10 +191,11 @@ def parse_scenario(raw: dict) -> Scenario:
     _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
     checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
     tolerances = typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
-    for where, names in (("checks", checks), ("tolerances", tolerances)):
+    for where, names, known in (("checks", checks, CHECKS),
+                                ("tolerances", tolerances, TOLERANCES)):
         for c in names:
-            if not isinstance(c, str) or c not in CHECKS:
-                raise ScenarioError(f"diagnostics.{where}: unknown check {c!r}")
+            if not isinstance(c, str) or c not in known:
+                raise ScenarioError(f"diagnostics.{where}: {c!r} is not one of {list(known)}")
     tolerances = {k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
     out = typed(raw.get("output", {}), dict, "output")
     _require_keys(out, {"directory", "formats"}, set(), "output")

@@ -79,6 +79,14 @@ class TestParsing:
         with pytest.raises(cli.ScenarioError, match="mass_typo"):
             cli.load_scenario(path)
 
+    def test_tolerance_of_a_check_without_one_rejected(self, tmp_path, capsys):
+        path = write_scenario(
+            tmp_path, diagnostics={"checks": ["pressureless"],
+                                   "tolerances": {"pressureless": 1e9}})
+        assert cli.main(["validate", "--scenario", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: diagnostics.tolerances") and err.count("\n") == 1
+
     @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
     def test_non_finite_number_rejected(self, tmp_path, constant):
         text = json.dumps(scenario_dict()).replace('"t_end": 1.0',
