@@ -125,26 +125,24 @@ class _PwlA:
         raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
         # the row of u; the last node stays on the last segment
         self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
-        # per row: u, a and A_raw where it starts, and half the slope of a; -0.0
-        # on the extensions, where adding the quadratic term then changes no bit
+        # per row one column, gathered in one call: u, a, A_raw where it starts, half
+        # the slope of a (-0.0 on the extensions, where the quadratic term changes no bit)
         half_slope = 0.5 * _extrema(model, 2).vals
         half_slope[[0, -1]] = -0.0
-        self.rows = (np.r_[us[0], us], np.r_[avs[0], avs], np.r_[raw[0], raw], half_slope)
+        self.table = np.vstack([np.r_[v[0], v] for v in (us, avs, raw)] + [half_slope])
         self.shift = 0.0   # then A_raw(0), from a first call: x - 0.0 keeps every bit
-        self.shift = float(self(np.asarray(0.0)))
+        self.shift = np.array(float(self(np.asarray(0.0))))   # 0-d, as in _horner_coeffs
 
     def __call__(self, u, out=None):
         """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""
-        u0, a0, raw0, half_slope = self.rows
         idx = np.searchsorted(self.breaks, u, side="right")
-        du = u - u0[idx]
-        val = a0[idx]
+        u0, val, raw0, quad = self.table.take(idx, 1)
+        du = u - u0
         val *= du
-        val += raw0[idx]          # raw + a0*du
-        quad = half_slope[idx]
+        val += raw0               # raw + a0*du
         quad *= du
         quad *= du                # 0.5*slope*du*du
-        out = np.add(val, quad, out=out)
+        out = np.add(val, quad, out)
         out -= self.shift
         return out
 
@@ -302,15 +300,32 @@ def godunov_flux(model: FluxModel, u_left, u_right):
 # ---------------------------------------------------------------------------
 # compiled plan for the solver's time loop
 
+def _horner_coeffs(coeffs) -> tuple:
+    """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
+    floats), and None for each add that changes no bit.  For finite y, adding
+    a zero c[k] can change only the sign of a zero y, and the last add, of
+    c[0], makes that sign the same unless c[0] is -0.0."""
+    c0 = coeffs[0]
+    keep = len(coeffs) < 3 or (c0 == 0.0 and math.copysign(1.0, c0) < 0)
+    return tuple(np.array(c) if c or keep or k in (0, len(coeffs) - 1) else None
+                 for k, c in enumerate(coeffs))
+
 
 def _horner(x, coeffs, out):
-    """P.polyval(x, coeffs) into ``out``, in numpy's operation order:
-    c[-1] + x*0, then c[k] + y*x for k = len - 2 .. 0 (len(coeffs) >= 2)."""
-    np.multiply(x, 0.0, out=out)
-    np.add(out, coeffs[-1], out=out)
-    for c in coeffs[-2::-1]:
-        np.multiply(out, x, out=out)
-        np.add(out, c, out=out)
+    """P.polyval(x, c) into ``out``, bit for bit for finite x, where ``coeffs``
+    = _horner_coeffs(c), len(c) >= 2.  numpy starts from c[-1] + x*0, which
+    is c[-1] itself when it is not 0, then takes y*x + c[k], k = len-2 .. 0."""
+    if coeffs[-1]:
+        np.multiply(x, coeffs[-1], out)
+    else:   # +-0.0: x*0 + c[-1] decides the sign of a zero
+        np.multiply(x, 0.0, out)
+        np.add(out, coeffs[-1], out)
+        np.multiply(out, x, out)
+    for c in coeffs[-2:0:-1]:
+        if c is not None:
+            np.add(out, c, out)
+        np.multiply(out, x, out)
+    np.add(out, coeffs[0], out)
     return out
 
 
@@ -325,8 +340,8 @@ class _Stage(NamedTuple):
 class FluxPlan:
     """A FluxModel compiled once (``flux_plan``) for the PDE time loop.
 
-    Holds, as Python floats, the Horner coefficients of A and a' (polynomial
-    kinds) or the row table of A (the piecewise-linear kind), and from the
+    Holds the Horner coefficients of A and a' (polynomial kinds, as 0-d
+    arrays) or the row table of A (the piecewise-linear kind), and from the
     extremum tables the stationary points of A with their values and the
     stretches where a' > 0 can be reached.  Both queries below reproduce
     the reference functions bit for bit: ``wave_bounds`` is stable_dt's
@@ -340,8 +355,8 @@ class FluxPlan:
         self.rising = tuple((l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(),
                                                         da.vals.tolist()) if v > 0.0)
         self.pwl = _pwl_A(model) if model.kind == "piecewise-linear-a" else None
-        self.A_coeffs = () if A.coeffs is None else tuple(A.coeffs.tolist())
-        self.da = () if da.coeffs is None else tuple(da.coeffs.tolist())
+        self.A_coeffs = () if A.coeffs is None else _horner_coeffs(A.coeffs.tolist())
+        self.da = () if da.coeffs is None else _horner_coeffs(da.coeffs.tolist())
         self.wave_bounds = functools.lru_cache(maxsize=64)(self._wave_bounds)
         self._stage = functools.lru_cache(maxsize=64)(self._make_stage)
 
@@ -363,20 +378,20 @@ class FluxPlan:
         """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit.
 
         ``lo`` and ``hi`` bound the values of ``e``; ``ordered`` says e is
-        nondecreasing.  ``work`` is a scratch array of shape (4, >= e.size).
+        nondecreasing.  ``work`` holds four scratch rows of length >= e.size.
         """
         m = e.size - 1
         stage = self._stage(lo, hi)
         uL, uR = e[:-1], e[1:]
         if self.pwl is None:
-            A = _horner(e, self.A_coeffs, work[0, :m + 1])
+            A = _horner(e, self.A_coeffs, work[0][:m + 1])
         else:
-            A = self.pwl(e, out=work[0, :m + 1])
+            A = self.pwl(e, work[0][:m + 1])
         if ordered:   # the usual case; skipping min/max/abs saves ~7% of a rarefaction run
             flo, fhi = uL, uR
         else:
-            flo = np.minimum(uL, uR, out=work[1, :m])
-            fhi = np.maximum(uL, uR, out=work[2, :m])
+            flo = np.minimum(uL, uR, out=work[1][:m])
+            fhi = np.maximum(uL, uR, out=work[2][:m])
         # Godunov: min of A over [uL, uR], max over [uR, uL]
         F = np.minimum(A[:-1], A[1:], out=out)
         fmax = None if ordered else np.maximum(A[:-1], A[1:])
@@ -393,13 +408,13 @@ class FluxPlan:
         if stage.corner is None:
             return F
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * |du|
-        du = np.subtract(uR, uL, out=work[3, :m])
+        du = np.subtract(uR, uL, work[3][:m])
         absdu = du if ordered else np.abs(du)
-        if len(self.da) == 1:   # a' is a constant, here > 0
-            s = absdu * self.da[0]
+        if len(self.da) == 1:   # a' is a constant, here > 0; row 1 (flo) is free again
+            s = np.multiply(absdu, self.da[0], work[1][:m])
         else:
             if self.da:   # a' at the face values
-                D = _horner(e, self.da, work[0, :m + 1])
+                D = _horner(e, self.da, work[0][:m + 1])
                 slope = np.maximum(D[:-1], D[1:])
                 np.maximum(slope, 0.0, out=slope)
             else:
@@ -407,7 +422,7 @@ class FluxPlan:
             for l, r, v in stage.corner:
                 np.maximum(slope, v, out=slope, where=(l < fhi) & (flo < r))
             s = np.multiply(slope, absdu, out=slope)
-        term = np.multiply(s, 0.5)
+        term = np.multiply(s, 0.5, s)
         term *= du
         F -= term
         return F

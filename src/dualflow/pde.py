@@ -12,6 +12,7 @@ momentum density as q_i = A(u_{i+1}) - A(u_i).
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -75,10 +76,12 @@ class _March:
         if not np.all(np.isfinite(u)):
             raise SolverError("NaN/Inf in solver state")
         self.grid = field
+        self.dx = field.dx
         self.plan = fx.flux_plan(model)
         self.ext = np.concatenate(([0.0], u, [field.total_mass]))
         self.pins = (float(u[0]), float(u[-1]))
-        self.work = np.empty((6, u.size + 2))
+        self.pinned = (self.pins, (min(0.0, self.pins[0]), self.pins[1]))   # ranges of ordered u
+        self.work = list(np.empty((6, u.size + 2)))   # rows; row 0 holds the jumps
         self._check(0, u.size)
 
     def _check(self, j0: int, j1: int):
@@ -87,60 +90,55 @@ class _March:
         One pass gives the finiteness and monotonicity checks (a NaN or an
         infinite face makes the smallest jump NaN or -inf), the ordering of
         the faces, the largest jump for the CFL bound and the new window.
+        The new window's first jump is d_j0 or else d_j0+1, the old end (its
+        last d_j1 or d_j1-1); d is searched only when both are zero.
         """
         ext = self.ext
-        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], out=self.work[0, :j1 - j0 + 1])
-        d_min = float(d.min())
+        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.work[0][:j1 - j0 + 1])
+        d_min = float(np.minimum.reduce(d))
         if not d_min >= -MONOTONE_TOL:
             self.field()   # raises the validation error; ghost jumps are not checked
         self.ordered = d_min >= 0.0
-        self.jump = max(float(d.max()), -d_min)
-        if d[0] and d[-1]:
-            self.window = (j0, j1)
-            return
-        nonzero = d != 0.0
-        if not nonzero.any():
-            self.window = None
-            return
-        self.window = (j0 + int(nonzero.argmax()), j1 - int(nonzero[::-1].argmax()))
-
-    def _u_range(self):
-        """(min u, max u): the end faces when u is nondecreasing."""
-        if self.ordered:
-            return float(self.ext[1]), float(self.ext[-2])
-        u = self.ext[1:-1]
-        return float(u.min()), float(u.max())
-
-    def _ext_range(self):
-        """(min, max) over the faces and the ghosts 0 and M."""
-        u_lo, u_hi = self._u_range()
-        return min(0.0, u_lo), max(float(self.ext[-1]), u_hi)
+        # (min u, max u), and the (min, max) over the faces and the ghosts 0 and M = u_n
+        if self.ordered:   # u lies between its pinned end faces
+            self.u_range, self.ext_range = self.pinned
+        else:
+            u = ext[1:-1]
+            lo, hi = float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
+            self.u_range, self.ext_range = (lo, hi), (min(0.0, lo), max(self.pins[1], hi))
+        self.jump = max(float(np.maximum.reduce(d)), -d_min)
+        first = j0 if d[0] else j0 + 1 if d[1] else None
+        last = j1 if d[-1] else j1 - 1 if d[-2] else None
+        if first is None or last is None:
+            nonzero = j0 + d.nonzero()[0]
+            first, last = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (None, None)
+        self.window = None if first is None else (first, last)
 
     def dt(self, cfl: float, dt_max: float) -> float:
         """The CFL step of the current faces, at most dt_max."""
-        speed, slope = self.plan.wave_bounds(*self._u_range())
+        speed, slope = self.plan.wave_bounds(*self.u_range)
         # corner dissipation adds at most max(0, max a') * (largest face jump)
         if slope > 0.0:
             speed += slope * self.jump
         if speed <= 0.0:
             return dt_max
-        return min(cfl * self.grid.dx / speed, dt_max)
+        return min(cfl * self.dx / speed, dt_max)
 
     def advance(self, dt: float):
         """One Godunov step of length dt; boundary faces stay pinned exactly."""
-        if not np.isfinite(dt) or dt <= 0:
+        if not math.isfinite(dt) or dt <= 0:
             raise SolverError("no positive time step available (set dt_max for rest states)")
         if self.window is None:
             return
-        n = self.ext.size - 2   # faces
+        ext, work = self.ext, self.work
+        n = ext.size - 2   # faces
         j0, j1 = max(self.window[0] - 1, 0), min(self.window[1] + 1, n)
-        work = self.work
         m = j1 - j0 + 1
-        F = self.plan.fluxes(self.ext[j0:j1 + 2], work[4, :m], work, *self._ext_range(),
-                             self.ordered)
-        dF = np.subtract(F[1:], F[:-1], out=work[5, :m - 1])
-        dF *= dt / self.grid.dx
-        self.ext[j0 + 1:j1 + 1] -= dF
+        F = self.plan.fluxes(ext[j0:j1 + 2], work[4][:m], work, *self.ext_range, self.ordered)
+        dF = np.subtract(F[1:], F[:-1], work[5][:m - 1])
+        dF *= dt / self.dx
+        faces = ext[j0 + 1:j1 + 1]
+        faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
         if j0 == 0 or j1 == n:
             # Dirichlet pinning; warn when waves reach the edge of the grid.
             first, last = self.pins
@@ -163,10 +161,10 @@ class _March:
         on that range; doubling the count and a few steps more leave room
         for roundoff.
         """
-        lo, hi = self._ext_range()
+        lo, hi = self.ext_range
         speed, slope = self.plan.wave_bounds(lo, hi)
         top = speed + slope * (hi - lo)
-        dt_floor = cfl * self.grid.dx / top if top > 0.0 else np.inf
+        dt_floor = cfl * self.dx / top if top > 0.0 else np.inf
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, reject, settings, strategies as st
@@ -212,3 +214,20 @@ def test_pwl_eval_A_keeps_its_values(us, avs, u):
         assert np.array_equal(fx.eval_A(model, points).view(np.int64), ref.view(np.int64))
         scalar = np.float64(fx.eval_A(model, float(points[0])))
         assert scalar.view(np.int64) == ref[0].view(np.int64)
+
+
+# x = +-0.0, subnormals, +-1e300 and values whose powers overflow to inf
+HORNER_X = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300,
+                     1.7e308, 1e160, -1e160, 0.3, -2.0])
+
+
+@pytest.mark.parametrize("length", [2, 3, 4])
+def test_horner_equals_polyval_bit_for_bit(length):
+    # leading coefficients 0.0, -0.0, 5e-324 and 1e300, and zeros of either sign
+    # inside, whose adds _horner_coeffs leaves out unless c[0] is -0.0
+    values = [0.0, -0.0, 5e-324, 1e300, -1.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in itertools.product(values, repeat=length):
+            ref = P.polyval(HORNER_X, np.array(c))
+            got = fx._horner(HORNER_X, fx._horner_coeffs(c), np.empty(HORNER_X.size))
+            assert np.array_equal(got.view(np.int64), ref.view(np.int64)), c

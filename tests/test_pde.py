@@ -1,6 +1,8 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, event, given, reject, settings, strategies as st
 
 from dualflow import cli, flux as fx
 from dualflow import measure as ms
@@ -262,6 +264,45 @@ def public_step(model, cfl):
     return step_fn
 
 
+def atoms_grid(xs, ws):
+    """Atoms at xs with masses ws / sum(ws) on 120 cells of [-3, 3]."""
+    mu = ms.AtomicMeasure.from_pairs((x, w / sum(ws)) for x, w in zip(xs, ws))
+    return ms.sample_to_grid(mu, -3.0, 3.0, 120)
+
+
+def atoms(max_size=4):
+    """1..max_size atoms (positions, weights) in (-3, 3), some near the grid ends."""
+    return st.integers(1, max_size).flatmap(lambda k: st.tuples(
+        st.lists(st.floats(-2.95, 2.95), min_size=k, max_size=k, unique=True),
+        st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+
+
+def checked_run(grid, model, t_end, cfl, output_times, paths):
+    """pde.run, checking after every advance that the window holds the first
+    and last non-zero jump of the faces and ghosts (None when there is none).
+    Counts in ``paths`` the steps whose new window ends were read next to the
+    old ones ("read"), those where d was searched ("search"), and those whose
+    stretch touched a grid end ("grid end")."""
+    advance = pde._March.advance
+
+    def checked(march, dt):
+        n = march.ext.size - 2
+        window = march.window
+        advance(march, dt)
+        d = np.diff(march.ext)
+        nonzero = np.flatnonzero(d)
+        assert march.window == ((nonzero[0], nonzero[-1]) if nonzero.size else None)
+        if window is not None:
+            j0, j1 = max(window[0] - 1, 0), min(window[1] + 1, n)
+            paths["read" if (d[j0] or d[j0 + 1]) and (d[j1] or d[j1 - 1]) else "search"] += 1
+            paths["grid end"] += j0 == 0 or j1 == n
+
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # waves at the grid ends
+        mp.setattr(pde._March, "advance", checked)
+        return pde.run(grid, model, t_end, cfl, output_times)
+
+
 class TestRunMatchesReference:
     @pytest.mark.parametrize("name", ["single_dirac_attractive.json", "two_atoms_attractive.json",
                                       "three_atoms_attractive.json", "single_dirac_repulsive.json"])
@@ -285,6 +326,44 @@ class TestRunMatchesReference:
             ref = reference_run(grid, model, 0.5, 0.45, [0.25], step_fn)
             for s, (_, u) in zip(snaps, ref):
                 assert np.array_equal(bits(s.field.u_faces), bits(u))
+
+    @pytest.mark.parametrize("kind", fx.KINDS)
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_random_runs_bit_identical_and_windows_exact(self, kind, data):
+        model = data.draw(KIND_MODELS[kind])
+        grid = atoms_grid(*data.draw(atoms()))
+        # at cfl 1 faces can land exactly on a neighbour's value (a constant
+        # a = 1 moves u by one cell per step), so old end jumps become zero
+        cfl = data.draw(st.sampled_from([0.45, 1.0]))
+        assume(pde._March(grid, model).step_budget(0.5, cfl, 2) < 4000)   # short runs
+        paths = dict.fromkeys(("read", "search", "grid end"), 0)
+        try:
+            snaps = checked_run(grid, model, 0.5, cfl, [0.25], paths)
+        except pde.SolverError as exc:
+            # a piecewise-linear a rising steeply next to u = 0 or M: u leaves
+            # [0, M] by roundoff (within MONOTONE_TOL), a' > 0 there cuts dt, and
+            # the step budget, taken on [0, M], runs out
+            if model.kind != "piecewise-linear-a" or "budget" not in str(exc):
+                raise
+            reject()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            ref = reference_run(grid, model, 0.5, cfl, [0.25], flux_step(model))
+        assert [s.t for s in snaps] == [t for t, _ in ref]
+        for s, (_, u) in zip(snaps, ref):
+            assert np.array_equal(bits(s.field.u_faces), bits(u))
+        for path, count in paths.items():
+            if count:
+                event(f"window: {path}")
+
+    def test_window_search_and_grid_ends_are_reached(self):
+        # a(u) = 1 at cfl 1 moves u one cell per step exactly: the left end jump
+        # of the window becomes zero every step, and the right one reaches the grid end
+        paths = dict.fromkeys(("read", "search", "grid end"), 0)
+        checked_run(atoms_grid([-0.5, 2.5], [1.0, 1.0]), fx.polynomial([1.0]), 1.0, 1.0, [],
+                    paths)
+        assert min(paths.values()) > 0, paths
 
 
 class TestStepBudget:
@@ -340,3 +419,19 @@ def test_l1_contraction(model, xs, ys):
         new = np.sum(np.abs(a.field.u_faces - b.field.u_faces))
         assert new <= dist * (1 + 1e-12) + 1e-15
         dist = new
+
+
+@settings(max_examples=40, deadline=None)
+@given(model=CONTRACTIVE, data=atoms())
+def test_snapshots_keep_mass_order_and_bounds(model, data):
+    # property test 3: exact mass and left pin, monotone u within [0, M]
+    grid = atoms_grid(*data)
+    mass = grid.total_mass
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)   # waves at the grid ends
+        snaps = pde.run(grid, model, 1.0, output_times=[0.0, 0.25, 0.5, 0.75])
+    for snap in snaps:
+        u = snap.field.u_faces
+        assert snap.field.total_mass == mass and u[0] == 0.0
+        assert np.diff(u).min() >= -ms.MONOTONE_TOL
+        assert u.min() >= -ms.MONOTONE_TOL and u.max() <= mass + ms.MONOTONE_TOL
