@@ -1,6 +1,6 @@
-"""Layer benchmark: best-of-3 wall time per case, written to BENCH_<label>.json.
+"""Layer benchmark: best wall time of several repeats per case, written to BENCH_<label>.json.
 
-Two layers so far:
+Three layers so far:
 
 - particles: the collapse of N equal-mass atoms at seeded uniform positions
   on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5, timed over
@@ -13,13 +13,23 @@ Two layers so far:
   seeded atoms under an attractive piecewise-linear a(u) on 1 600 cells,
   the shape of the `attractive_crosscheck` benchmark workload.  Reported as
   seconds and as MB of CSV written per second.
+- pde_step: microseconds per PDE step (one `_March.dt` and one
+  `_March.advance`) on n = 6 400 cells, for quadratic-repulsive a(u) = u
+  and for the piecewise-linear a of the output layer, each on a ramp of u
+  from 0 to 1 over 8, 800 and 3 200 cells (a window of that many faces).
+  Every step starts from the same ramp, so the window keeps its width;
+  best of 30 sums of 200 timed steps, divided by 200, the six cases taking
+  turns.  Thirty rounds, not three, and taking turns: on a shared 2-core
+  host the mean of 200 steps moves between about 16 and 40 us in stretches
+  of 10 ms to seconds, so the repeats of one case must be spread out.
 
     python3 benchmarks/bench.py --label LABEL
 
 times every layer and writes `BENCH_LABEL.json` = {"env": {...},
-"particles": {...}, "output": {...}} at the repository root.  Needs only
-the standard library and numpy; the program is imported from `src/` next
-to this directory, so a copy of this script in another checkout times that
+"particles": {...}, "output": {...}, "pde_step": {...}} at the repository
+root.  The particles and output layers take the best of 3.  Needs only the
+standard library and numpy; the program is imported from `src/` next to
+this directory, so a copy of this script in another checkout times that
 checkout's code.
 """
 
@@ -40,13 +50,18 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dualflow import cli, flux as fx, particles  # noqa: E402
-from dualflow.measure import AtomicMeasure  # noqa: E402
+from dualflow import cli, flux as fx, particles, pde  # noqa: E402
+from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
 from dualflow.scenario import parse_scenario  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5)
 REPEATS = 3
 SKIP_AFTER_S = 2.0
+PWL_NODES = [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]   # attractive_crosscheck's a
+STEP_CELLS = 6400
+STEP_WIDTHS = (8, 800, 3200)
+STEP_COUNT = 200
+STEP_REPEATS = 30
 
 
 def collapse_seconds(n: int) -> float:
@@ -81,8 +96,7 @@ def output_scenario() -> dict:
     weights = rng.integers(1 << 19, 3 << 19, 24)
     weights[-1] += (1 << 25) - weights.sum()
     return {
-        "flux": {"kind": "piecewise-linear-a",
-                 "nodes": [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]},
+        "flux": {"kind": "piecewise-linear-a", "nodes": PWL_NODES},
         "initial": {"type": "atoms", "atoms": [[float(x), float(w) / (1 << 25)] for x, w in
                                                zip(np.sort(rng.uniform(-2.0, 2.0, 24)),
                                                    weights)]},
@@ -106,7 +120,43 @@ def output_layer() -> dict:
     return {"seconds": best, "mb_per_s": size / 1e6 / best, "bytes": size}
 
 
-LAYERS = {"particles": particles_layer, "output": output_layer}
+def ramp_march(model: fx.FluxModel, width: int):
+    """A _March on a ramp of u from 0 to 1 over ``width`` of STEP_CELLS cells."""
+    k = np.arange(STEP_CELLS + 1) - (STEP_CELLS - width) // 2
+    return pde._March(GridField(-1.0, 1.0, STEP_CELLS, np.clip(k / width, 0.0, 1.0)), model)
+
+
+def step_seconds(march, start_ext, start_state) -> float:
+    """The time of STEP_COUNT dt + advance pairs, each from the start state."""
+    total = 0.0
+    for _ in range(STEP_COUNT):
+        np.copyto(march.ext, start_ext)
+        vars(march).update(start_state)
+        start = time.perf_counter()
+        march.advance(march.dt(0.45, math.inf))
+        total += time.perf_counter() - start
+    return total
+
+
+def pde_step_layer() -> dict:
+    """Microseconds per step: best of STEP_REPEATS rounds that time each case once."""
+    cases = {}
+    for model in (fx.quadratic_repulsive(), fx.piecewise_linear(PWL_NODES)):
+        for width in STEP_WIDTHS:
+            march = ramp_march(model, width)
+            cases[model.kind, width] = (march, march.ext.copy(), dict(vars(march)))
+    best = dict.fromkeys(cases, math.inf)
+    for _ in range(STEP_REPEATS):
+        for key, case in cases.items():
+            best[key] = min(best[key], step_seconds(*case))
+    results: dict[str, dict[str, float]] = {}
+    for (kind, width), seconds in best.items():
+        results.setdefault(kind, {})[str(width)] = us = seconds / STEP_COUNT * 1e6
+        print(f"pde_step {kind} window={width}: {us:.1f} us/step", flush=True)
+    return results
+
+
+LAYERS = {"particles": particles_layer, "output": output_layer, "pde_step": pde_step_layer}
 
 
 def main(argv=None) -> int:
