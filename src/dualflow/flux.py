@@ -300,13 +300,14 @@ def godunov_flux(model: FluxModel, u_left, u_right):
 # ---------------------------------------------------------------------------
 # compiled plan for the solver's time loop
 
+
 def _horner_coeffs(coeffs) -> tuple:
     """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
     floats), and None for each add that changes no bit.  For finite y, adding
     a zero c[k] can change only the sign of a zero y, and the last add, of
     c[0], makes that sign the same unless c[0] is -0.0."""
     c0 = coeffs[0]
-    keep = len(coeffs) < 3 or (c0 == 0.0 and math.copysign(1.0, c0) < 0)
+    keep = c0 == 0.0 and math.copysign(1.0, c0) < 0
     return tuple(np.array(c) if c or keep or k in (0, len(coeffs) - 1) else None
                  for k, c in enumerate(coeffs))
 
