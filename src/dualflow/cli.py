@@ -89,7 +89,8 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
 
     w1_vs_particles compares against the sticky-particle oracle: ``oracle``
     is run_particles' result, computed here when the caller has none.  A
-    scenario the oracle cannot serve is an error, never a skipped check.
+    scenario the oracle cannot serve, or whose every snapshot pair_with_oracle
+    skips, is an error, never a skipped or empty check.
     """
     pairs = None
     if "w1_vs_particles" in scn.checks:
@@ -98,6 +99,9 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
         except (ScenarioError, particles.OracleError) as exc:
             raise ScenarioError(f"w1_vs_particles: {exc}") from exc
         pairs = pair_with_oracle(scn, snapshots, *oracle)
+        if not pairs:
+            raise ScenarioError("w1_vs_particles: every output time lies within 2 dt of "
+                                "a merge, so no snapshot can be compared with the oracle")
     report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
         for rec in analysis.CHECKS[name](scn, snapshots, pairs):

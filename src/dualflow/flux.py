@@ -330,89 +330,54 @@ def _horner(x, coeffs, out):
     return out
 
 
-class _Stage(NamedTuple):
-    """What the face flux needs on data within one range [lo, hi]."""
-
-    stationary: tuple       # (c, A(c)) for the stationary points of A with lo < c < hi
-    corner: tuple | None    # (l, r, v): stretches meeting (lo, hi) where a' = v > 0;
-                            # None: the corner-dissipation term is exactly zero
-
-
 class FluxPlan:
-    """A FluxModel compiled once (``flux_plan``) for the PDE time loop.
+    """A FluxModel compiled for the PDE time loop on nondecreasing faces
+    within [lo, hi].
 
     Holds the Horner coefficients of A and a' (polynomial kinds, as 0-d
     arrays) or the row table of A (the piecewise-linear kind), and from the
     extremum tables the stationary points of A with their values and the
-    stretches where a' > 0 can be reached.  Both queries below reproduce
-    the reference functions bit for bit: ``wave_bounds`` is stable_dt's
-    bound, ``fluxes`` is ``numerical_flux`` on consecutive face values.
+    stretches where a' > 0 can be reached, both kept only where they meet
+    (lo, hi).  ``fluxes`` reproduces ``numerical_flux`` on consecutive face
+    values bit for bit.  Faces out of order go to the reference itself.
     """
 
-    def __init__(self, model: FluxModel):
-        self.model = model
+    def __init__(self, model: FluxModel, lo: float, hi: float):
         A, _, da = (_extrema(model, order) for order in range(3))
-        self.stationary = tuple(zip(A.left.tolist(), A.vals.tolist()))
-        self.rising = tuple((l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(),
-                                                        da.vals.tolist()) if v > 0.0)
+        # A point or stretch not meeting (lo, hi) is strictly inside no face
+        # interval, so dropping it changes no flux.
+        self.stationary = tuple((c, Ac) for c, Ac in zip(A.left.tolist(), A.vals.tolist())
+                                if lo < c < hi)
+        # None: a' <= 0 on [lo, hi], so the corner-dissipation term is exactly zero
+        self.corner = None if max_slope_of_a(model, lo, hi) <= 0.0 else tuple(
+            (l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(), da.vals.tolist())
+            if v > 0.0 and l < hi and lo < r)
         self.pwl = _pwl_A(model) if model.kind == "piecewise-linear-a" else None
         self.A_coeffs = () if A.coeffs is None else _horner_coeffs(A.coeffs.tolist())
         self.da = () if da.coeffs is None else _horner_coeffs(da.coeffs.tolist())
-        self.wave_bounds = functools.lru_cache(maxsize=64)(self._wave_bounds)
-        self._stage = functools.lru_cache(maxsize=64)(self._make_stage)
 
-    def _wave_bounds(self, lo: float, hi: float):
-        """(max |a|, max(0, max a')) over [lo, hi]: stable_dt's two range queries."""
-        return (max_wave_speed(self.model, lo, hi),
-                max(0.0, max_slope_of_a(self.model, lo, hi)))
+    def fluxes(self, e, out, work):
+        """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit, for
+        nondecreasing ``e`` within the plan's [lo, hi].
 
-    def _make_stage(self, lo: float, hi: float) -> _Stage:
-        # A point or stretch not meeting (lo, hi) is strictly inside no face
-        # interval, so dropping it changes no flux.
-        stationary = tuple((c, Ac) for c, Ac in self.stationary if lo < c < hi)
-        if self.wave_bounds(lo, hi)[1] == 0.0:   # a' <= 0 on [lo, hi]
-            return _Stage(stationary, None)
-        return _Stage(stationary, tuple((l, r, v) for l, r, v in self.rising
-                                        if l < hi and lo < r))
-
-    def fluxes(self, e, out, work, lo: float, hi: float, ordered: bool):
-        """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit.
-
-        ``lo`` and ``hi`` bound the values of ``e``; ``ordered`` says e is
-        nondecreasing.  ``work`` holds four scratch rows of length >= e.size.
+        ``work`` holds three scratch rows of length >= e.size.
         """
         m = e.size - 1
-        stage = self._stage(lo, hi)
         uL, uR = e[:-1], e[1:]
         if self.pwl is None:
             A = _horner(e, self.A_coeffs, work[0][:m + 1])
         else:
             A = self.pwl(e, work[0][:m + 1])
-        if ordered:   # the usual case; skipping min/max/abs saves ~7% of a rarefaction run
-            flo, fhi = uL, uR
-        else:
-            flo = np.minimum(uL, uR, out=work[1][:m])
-            fhi = np.maximum(uL, uR, out=work[2][:m])
-        # Godunov: min of A over [uL, uR], max over [uR, uL]
+        # Godunov on uL <= uR: the min of A over [uL, uR]
         F = np.minimum(A[:-1], A[1:], out=out)
-        fmax = None if ordered else np.maximum(A[:-1], A[1:])
-        for c, Ac in stage.stationary:
-            inside = (flo < c) & (c < fhi)
-            np.minimum(F, Ac, out=F, where=inside)
-            if fmax is not None:
-                np.maximum(fmax, Ac, out=fmax, where=inside)
-        if fmax is not None:
-            # numerical_flux subtracts a corner term that is -0.0 where it
-            # vanishes on these faces (du < 0), making a -0.0 flux 0.0
-            fmax += 0.0
-            np.copyto(F, fmax, where=uL > uR)
-        if stage.corner is None:
+        for c, Ac in self.stationary:
+            np.minimum(F, Ac, out=F, where=(uL < c) & (c < uR))
+        if self.corner is None:
             return F
-        # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * |du|
-        du = np.subtract(uR, uL, work[3][:m])
-        absdu = du if ordered else np.abs(du)
-        if len(self.da) == 1:   # a' is a constant, here > 0; row 1 (flo) is free again
-            s = np.multiply(absdu, self.da[0], work[1][:m])
+        # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * du
+        du = np.subtract(uR, uL, work[2][:m])
+        if len(self.da) == 1:   # a' is a constant, here > 0
+            s = np.multiply(du, self.da[0], work[1][:m])
         else:
             if self.da:   # a' at the face values
                 D = _horner(e, self.da, work[0][:m + 1])
@@ -420,16 +385,10 @@ class FluxPlan:
                 np.maximum(slope, 0.0, out=slope)
             else:
                 slope = np.zeros(m)
-            for l, r, v in stage.corner:
-                np.maximum(slope, v, out=slope, where=(l < fhi) & (flo < r))
-            s = np.multiply(slope, absdu, out=slope)
+            for l, r, v in self.corner:
+                np.maximum(slope, v, out=slope, where=(l < uR) & (uL < r))
+            s = np.multiply(slope, du, out=slope)
         term = np.multiply(s, 0.5, s)
         term *= du
         F -= term
         return F
-
-
-@functools.lru_cache(maxsize=None)
-def flux_plan(model: FluxModel) -> FluxPlan:
-    """The model's compiled plan, built once per model."""
-    return FluxPlan(model)

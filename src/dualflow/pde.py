@@ -61,6 +61,11 @@ def stable_dt(field: GridField, model: fx.FluxModel, cfl: float,
     return _March(field, model).dt(cfl, dt_max)
 
 
+def _wave_bounds(model: fx.FluxModel, lo: float, hi: float):
+    """(max |a|, max(0, max a')) over [lo, hi]: the two range queries of the CFL step."""
+    return fx.max_wave_speed(model, lo, hi), max(0.0, fx.max_slope_of_a(model, lo, hi))
+
+
 class _March:
     """The faces of one run between Dirichlet ghosts, advanced in place.
 
@@ -69,6 +74,12 @@ class _March:
     F(c, c) - F(c, c) = 0 exactly.  The jumps are non-zero only for j in
     ``self.window`` (None when u is constant), which grows by at most one
     jump per side per step, so each step updates that stretch alone.
+
+    While the faces are nondecreasing, u lies between its pinned end faces
+    and ``ext`` within [min(0, u_0), M]: the flux plan is built once for that
+    range, and the wave bound of the CFL step once for the pinned faces.  A
+    step whose faces dipped by roundoff (within MONOTONE_TOL) takes the
+    reference ``numerical_flux`` and the wave bound of its own [min u, max u].
     """
 
     def __init__(self, field: GridField, model: fx.FluxModel):
@@ -77,11 +88,12 @@ class _March:
             raise SolverError("NaN/Inf in solver state")
         self.grid = field
         self.dx = field.dx
-        self.plan = fx.flux_plan(model)
+        self.model = model
         self.ext = np.concatenate(([0.0], u, [field.total_mass]))
         self.pins = (float(u[0]), float(u[-1]))
-        self.pinned = (self.pins, (min(0.0, self.pins[0]), self.pins[1]))   # ranges of ordered u
-        self.work = list(np.empty((6, u.size + 2)))   # rows; row 0 holds the jumps
+        self.plan = fx.FluxPlan(model, min(0.0, self.pins[0]), self.pins[1])
+        self.bounds = _wave_bounds(model, *self.pins)
+        self.work = list(np.empty((5, u.size + 2)))   # rows; row 0 holds the jumps
         self._check(0, u.size)
 
     def _check(self, j0: int, j1: int):
@@ -99,13 +111,6 @@ class _March:
         if not d_min >= -MONOTONE_TOL:
             self.field()   # raises the validation error; ghost jumps are not checked
         self.ordered = d_min >= 0.0
-        # (min u, max u), and the (min, max) over the faces and the ghosts 0 and M = u_n
-        if self.ordered:   # u lies between its pinned end faces
-            self.u_range, self.ext_range = self.pinned
-        else:
-            u = ext[1:-1]
-            lo, hi = float(np.minimum.reduce(u)), float(np.maximum.reduce(u))
-            self.u_range, self.ext_range = (lo, hi), (min(0.0, lo), max(self.pins[1], hi))
         self.jump = max(float(np.maximum.reduce(d)), -d_min)
         first = j0 if d[0] else j0 + 1 if d[1] else None
         last = j1 if d[-1] else j1 - 1 if d[-2] else None
@@ -116,7 +121,12 @@ class _March:
 
     def dt(self, cfl: float, dt_max: float) -> float:
         """The CFL step of the current faces, at most dt_max."""
-        speed, slope = self.plan.wave_bounds(*self.u_range)
+        if self.ordered:
+            speed, slope = self.bounds
+        else:
+            u = self.ext[1:-1]
+            speed, slope = _wave_bounds(self.model, float(np.minimum.reduce(u)),
+                                        float(np.maximum.reduce(u)))
         # corner dissipation adds at most max(0, max a') * (largest face jump)
         if slope > 0.0:
             speed += slope * self.jump
@@ -134,8 +144,12 @@ class _March:
         n = ext.size - 2   # faces
         j0, j1 = max(self.window[0] - 1, 0), min(self.window[1] + 1, n)
         m = j1 - j0 + 1
-        F = self.plan.fluxes(ext[j0:j1 + 2], work[4][:m], work, *self.ext_range, self.ordered)
-        dF = np.subtract(F[1:], F[:-1], work[5][:m - 1])
+        e = ext[j0:j1 + 2]
+        if self.ordered:
+            F = self.plan.fluxes(e, work[3][:m], work)
+        else:
+            F = numerical_flux(self.model, e[:-1], e[1:])
+        dF = np.subtract(F[1:], F[:-1], work[4][:m - 1])
         dF *= dt / self.dx
         faces = ext[j0 + 1:j1 + 1]
         faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
@@ -155,14 +169,14 @@ class _March:
     def step_budget(self, t_end: float, cfl: float, n_targets: int) -> float:
         """More steps than any run to t_end takes.
 
-        u stays in its initial range (it is checked nondecreasing every
-        step between pinned end faces), so every step but the last before
-        an output time is at least the CFL step of the largest speed bound
-        on that range; doubling the count and a few steps more leave room
-        for roundoff.
+        ext stays in [min(0, u_0), M] but for roundoff, which _check admits
+        down to a jump of -MONOTONE_TOL, so the bound is taken on that range
+        widened by MONOTONE_TOL on each side.  Every step but the last before
+        an output time is at least the CFL step of that bound; doubling the
+        count and a few steps more leave room for roundoff.
         """
-        lo, hi = self.ext_range
-        speed, slope = self.plan.wave_bounds(lo, hi)
+        lo, hi = min(0.0, self.pins[0]) - MONOTONE_TOL, self.pins[1] + MONOTONE_TOL
+        speed, slope = _wave_bounds(self.model, lo, hi)
         top = speed + slope * (hi - lo)
         dt_floor = cfl * self.dx / top if top > 0.0 else np.inf
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0

@@ -483,6 +483,19 @@ class TestValidateCommand:
         assert cli.main([command, "--scenario", path, "--out", out]) == 1
         assert "w1_vs_particles" in capsys.readouterr().err
 
+    def test_w1_with_every_snapshot_at_a_merge(self, tmp_path, capsys):
+        # the two atoms meet at t = 1.0, the only output time: pair_with_oracle
+        # skips it, and a check with no records must not pass
+        scn = json.loads(open(cli.bundled_scenario("two_atoms_attractive.json")).read())
+        scn["time"] = {"t_end": 1.0}
+        scn["diagnostics"]["checks"] = ["w1_vs_particles"]
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn))
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--scenario", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: w1_vs_particles:")
+        assert not (out / "diagnostics.json").exists()
+
 
 class TestConvergenceCommand:
     def test_table_and_csv(self, tmp_path, capsys):
