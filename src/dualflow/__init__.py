@@ -23,7 +23,6 @@ from .measure import (
     GridField,
     MeasureError,
     extract_atoms,
-    primitive_of_atomic,
     quantile,
     sample_to_grid,
     wasserstein1,

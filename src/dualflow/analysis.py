@@ -130,14 +130,14 @@ def _bump(c, r):
     return phi, dphi
 
 
-def default_test_functions(x_min, x_max, t0, t1, seed: int = 0):
+def default_test_functions(x_min, x_max, t0, t1):
     """Deterministic family of N_SPACE * N_TIME separable test functions psi(t) * phi(x).
 
     Spatial factors are compactly supported bumps strictly inside the
     domain; time windows include a constant one (boundary-in-time terms
     carry the information) and smooth bumps.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     span = x_max - x_min
     spatial = []
     for _ in range(N_SPACE):
@@ -156,8 +156,7 @@ def default_test_functions(x_min, x_max, t0, t1, seed: int = 0):
             for phi, dphi in spatial for psi, dpsi in temporal]
 
 
-def weak_residual(snapshots: list[SolverState], model: fx.FluxModel,
-                  seed: int = 0) -> float:
+def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
     """Max |weak form of u_t + A(u)_x = 0| over the test family.
 
     Midpoint quadrature in x over the cells, trapezoid in t over the
@@ -170,8 +169,7 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel,
     times = np.array([s.t for s in snapshots])
     centers = f0.centers
     dx = f0.dx
-    tests = default_test_functions(f0.x_min, f0.x_max,
-                                   float(times[0]), float(times[-1]), seed=seed)
+    tests = default_test_functions(f0.x_min, f0.x_max, float(times[0]), float(times[-1]))
     # precompute midpoint values of u and A(u) per snapshot
     u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
                       for s in snapshots])
@@ -333,31 +331,22 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
                             f"({u_minus}, {u_plus})")
     scale = max(1.0, float(np.max(np.abs(As))))
     if np.all(As >= chord - RIEMANN_TOL * scale):
-        wave = "shock"
-        segments = [("shock", u_minus, u_plus, selected)]
+        hull = [0, us.size - 1]
     else:
         hull = _lower_hull_indices(us, As)
-        segments = []
-        on_graph = np.diff(hull) == 1
-        if np.all(on_graph):
-            wave = "rarefaction"
-            segments = [("rarefaction", u_minus, u_plus, None)]
+    # an edge between neighbouring samples follows the graph of A (rarefaction),
+    # a longer one is a chord of A (shock); consecutive graph edges merge
+    segments = []
+    for i, j in zip(hull, hull[1:]):
+        ua, ub = float(us[i]), float(us[j])
+        if j - i > 1:
+            s = (fx.eval_A(model, ub) - fx.eval_A(model, ua)) / (ub - ua)
+            segments.append(("shock", ua, ub, s))
+        elif segments and segments[-1][0] == "rarefaction":
+            segments[-1] = ("rarefaction", segments[-1][1], ub, None)
         else:
-            wave = "composite"
-            i = 0
-            while i < len(hull) - 1:
-                if hull[i + 1] - hull[i] == 1:
-                    j = i
-                    while j < len(hull) - 1 and hull[j + 1] - hull[j] == 1:
-                        j += 1
-                    segments.append(("rarefaction", float(us[hull[i]]),
-                                     float(us[hull[j]]), None))
-                    i = j
-                else:
-                    ua, ub = float(us[hull[i]]), float(us[hull[i + 1]])
-                    s = (fx.eval_A(model, ub) - fx.eval_A(model, ua)) / (ub - ua)
-                    segments.append(("shock", ua, ub, s))
-                    i += 1
+            segments.append(("rarefaction", ua, ub, None))
+    wave = segments[0][0] if len(segments) == 1 else "composite"
     return {
         "wave": wave,
         "segments": segments,

@@ -9,7 +9,7 @@ to that face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,6 +17,7 @@ import numpy as np
 MONOTONE_TOL = 1e-14   # the largest face-to-face decrease of u still taken as nondecreasing
 BOUNDARY_TOL = 1e-12   # the largest |u| at the left face still taken as pinned to 0
 ATOM_WIDTH_CELLS = 5   # extract_atoms: cells in the window whose mass marks a cluster
+ATOM_MASS_SHARE = 0.05  # extract_atoms: share of the total mass such a window must carry
 
 
 class MeasureError(ValueError):
@@ -71,26 +72,6 @@ class AtomicMeasure:
     @property
     def cumulative(self) -> np.ndarray:
         return np.cumsum(self.masses)
-
-
-@dataclass(frozen=True)
-class StepFunction:
-    """Right-continuous step function: levels[k] on [breakpoints[k-1], breakpoints[k])."""
-
-    breakpoints: np.ndarray
-    levels: np.ndarray  # len(breakpoints) + 1
-
-    def __call__(self, x):
-        idx = np.searchsorted(self.breakpoints, np.asarray(x, dtype=float), side="right")
-        out = self.levels[idx]
-        return out if out.ndim else float(out)
-
-
-def primitive_of_atomic(mu: AtomicMeasure) -> StepFunction:
-    """u = H * rho for atomic rho: jump m_i at x_i, zero to the left."""
-    if mu.n_atoms == 0:
-        raise MeasureError("primitive of an empty measure (total mass must be > 0)")
-    return StepFunction(mu.positions.copy(), np.concatenate(([0.0], mu.cumulative)))
 
 
 @dataclass(frozen=True)
@@ -209,23 +190,22 @@ def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridFiel
     return GridField(x_min, x_max, n_cells, u).validate()
 
 
-def extract_atoms(field: GridField, mass_threshold: float | None = None) -> AtomicMeasure:
+def extract_atoms(field: GridField) -> AtomicMeasure:
     """Locate Dirac-like mass clusters in a grid field.
 
     A cell belongs to a cluster when some window of ATOM_WIDTH_CELLS
-    consecutive cells containing it carries at least ``mass_threshold``;
-    clusters are maximal runs of such cells, padded with adjacent tail cells
-    above a relative floor.  Atom position is the mass-weighted centroid.
+    consecutive cells containing it carries at least ATOM_MASS_SHARE of the
+    total mass; clusters are maximal runs of such cells, padded with
+    adjacent tail cells above a relative floor.  Atom position is the
+    mass-weighted centroid.
     """
     total = field.total_mass
-    if mass_threshold is None:
-        mass_threshold = 0.05 * total
     masses = field.cell_masses
     n = masses.size
     w = min(ATOM_WIDTH_CELLS, n)
     window = np.convolve(masses, np.ones(w), mode="valid")  # sums of w cells
     marked = np.zeros(n, dtype=bool)
-    for j in np.nonzero(window >= mass_threshold)[0]:
+    for j in np.nonzero(window >= ATOM_MASS_SHARE * total)[0]:
         marked[j:j + w] = True
     tail_floor = 1e-9 * total
     centers = field.centers

@@ -5,7 +5,8 @@ pointwise, so the textbook Godunov update is applied to them directly:
 
     u_i^{n+1} = u_i^n - (dt/dx) * (F(u_i, u_{i+1}) - F(u_{i-1}, u_i))
 
-with Dirichlet ghost states 0 on the left and the total mass on the right.
+with Dirichlet ghost states equal to the pinned end faces: 0 on the left
+and the total mass on the right.
 The density is recovered as cell masses rho_i = u_{i+1} - u_i and the
 momentum density as q_i = A(u_{i+1}) - A(u_i).
 """
@@ -22,6 +23,7 @@ from . import flux as fx
 from .measure import MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
+CFL = 0.45          # the Courant number of a run, and of a scenario, that sets none
 
 
 class SolverError(RuntimeError):
@@ -32,7 +34,7 @@ class SolverError(RuntimeError):
 class SolverState:
     t: float
     field: GridField
-    cfl: float = 0.45
+    cfl: float = CFL
     step_count: int = 0
 
 
@@ -55,10 +57,9 @@ def numerical_flux(model: fx.FluxModel, u_left, u_right):
     return F - 0.5 * s * du
 
 
-def stable_dt(field: GridField, model: fx.FluxModel, cfl: float,
-              dt_max: float = np.inf) -> float:
-    """CFL time step from the exact wave-speed bound on [min u, max u]."""
-    return _March(field, model).dt(cfl, dt_max)
+def stable_dt(field: GridField, model: fx.FluxModel, cfl: float) -> float:
+    """CFL time step from the exact wave-speed bound on [min u, max u]; inf at rest."""
+    return _March(field, model).dt(cfl)
 
 
 def _wave_bounds(model: fx.FluxModel, lo: float, hi: float):
@@ -69,17 +70,20 @@ def _wave_bounds(model: fx.FluxModel, lo: float, hi: float):
 class _March:
     """The faces of one run between Dirichlet ghosts, advanced in place.
 
-    ``ext`` = [0, u_0, ..., u_n, M].  Only faces next to a non-zero jump
-    d_j = ext[j+1] - ext[j] can change in a step: elsewhere the update is
-    F(c, c) - F(c, c) = 0 exactly.  The jumps are non-zero only for j in
-    ``self.window`` (None when u is constant), which grows by at most one
-    jump per side per step, so each step updates that stretch alone.
+    ``ext`` = [u_0, u_0, ..., u_n, u_n]: the ghosts repeat the pinned end
+    faces (u_0 = 0 within BOUNDARY_TOL, u_n = M), so the left ghost enters
+    only face 0's update, which the pin discards.  Only faces next to a
+    non-zero jump d_j = ext[j+1] - ext[j] can change in a step: elsewhere
+    the update is F(c, c) - F(c, c) = 0 exactly.  The jumps are non-zero
+    only for j in ``self.window`` (None when u is constant), which grows by
+    at most one jump per side per step, so each step updates that stretch
+    alone.
 
-    While the faces are nondecreasing, u lies between its pinned end faces
-    and ``ext`` within [min(0, u_0), M]: the flux plan is built once for that
-    range, and the wave bound of the CFL step once for the pinned faces.  A
-    step whose faces dipped by roundoff (within MONOTONE_TOL) takes the
-    reference ``numerical_flux`` and the wave bound of its own [min u, max u].
+    While the faces are nondecreasing, ``ext`` lies between its ghosts: the
+    flux plan and the wave bound of the CFL step are built once for
+    [ext[0], ext[-1]].  A step whose faces dipped by roundoff (within
+    MONOTONE_TOL) takes the reference ``numerical_flux`` and the wave bound
+    of its own [min u, max u].
     """
 
     def __init__(self, field: GridField, model: fx.FluxModel):
@@ -89,10 +93,10 @@ class _March:
         self.grid = field
         self.dx = field.dx
         self.model = model
-        self.ext = np.concatenate(([0.0], u, [field.total_mass]))
-        self.pins = (float(u[0]), float(u[-1]))
-        self.plan = fx.FluxPlan(model, min(0.0, self.pins[0]), self.pins[1])
-        self.bounds = _wave_bounds(model, *self.pins)
+        self.ext = np.concatenate((u[:1], u, u[-1:]))
+        lo, hi = float(u[0]), float(u[-1])
+        self.plan = fx.FluxPlan(model, lo, hi)
+        self.bounds = _wave_bounds(model, lo, hi)
         self.work = list(np.empty((5, u.size + 2)))   # rows; row 0 holds the jumps
         self._check(0, u.size)
 
@@ -109,7 +113,7 @@ class _March:
         d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.work[0][:j1 - j0 + 1])
         d_min = float(np.minimum.reduce(d))
         if not d_min >= -MONOTONE_TOL:
-            self.field()   # raises the validation error; ghost jumps are not checked
+            self.field()   # raises the validation error
         self.ordered = d_min >= 0.0
         self.jump = max(float(np.maximum.reduce(d)), -d_min)
         first = j0 if d[0] else j0 + 1 if d[1] else None
@@ -119,8 +123,8 @@ class _March:
             first, last = (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else (None, None)
         self.window = None if first is None else (first, last)
 
-    def dt(self, cfl: float, dt_max: float) -> float:
-        """The CFL step of the current faces, at most dt_max."""
+    def dt(self, cfl: float) -> float:
+        """The CFL step of the current faces; inf when no wave moves."""
         if self.ordered:
             speed, slope = self.bounds
         else:
@@ -130,14 +134,12 @@ class _March:
         # corner dissipation adds at most max(0, max a') * (largest face jump)
         if slope > 0.0:
             speed += slope * self.jump
-        if speed <= 0.0:
-            return dt_max
-        return min(cfl * self.dx / speed, dt_max)
+        return cfl * self.dx / speed if speed > 0.0 else np.inf
 
     def advance(self, dt: float):
         """One Godunov step of length dt; boundary faces stay pinned exactly."""
         if not math.isfinite(dt) or dt <= 0:
-            raise SolverError("no positive time step available (set dt_max for rest states)")
+            raise SolverError("no positive time step available (pass dt for rest states)")
         if self.window is None:
             return
         ext, work = self.ext, self.work
@@ -154,12 +156,11 @@ class _March:
         faces = ext[j0 + 1:j1 + 1]
         faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
         if j0 == 0 or j1 == n:
-            # Dirichlet pinning; warn when waves reach the edge of the grid.
-            first, last = self.pins
-            if abs(self.ext[1] - first) > 1e-12 or abs(self.ext[n] - last) > 1e-12:
+            # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
+            if abs(ext[1] - ext[0]) > 1e-12 or abs(ext[n] - ext[-1]) > 1e-12:
                 warnings.warn("wave reached the grid boundary; domain too small",
                               RuntimeWarning, stacklevel=3)
-            self.ext[1], self.ext[n] = first, last
+            ext[1], ext[n] = ext[0], ext[-1]
         self._check(j0, j1)
 
     def field(self) -> GridField:
@@ -169,31 +170,30 @@ class _March:
     def step_budget(self, t_end: float, cfl: float, n_targets: int) -> float:
         """More steps than any run to t_end takes.
 
-        ext stays in [min(0, u_0), M] but for roundoff, which _check admits
+        ext stays between its ghosts but for roundoff, which _check admits
         down to a jump of -MONOTONE_TOL, so the bound is taken on that range
         widened by MONOTONE_TOL on each side.  Every step but the last before
         an output time is at least the CFL step of that bound; doubling the
         count and a few steps more leave room for roundoff.
         """
-        lo, hi = min(0.0, self.pins[0]) - MONOTONE_TOL, self.pins[1] + MONOTONE_TOL
+        lo, hi = float(self.ext[0]) - MONOTONE_TOL, float(self.ext[-1]) + MONOTONE_TOL
         speed, slope = _wave_bounds(self.model, lo, hi)
         top = speed + slope * (hi - lo)
         dt_floor = cfl * self.dx / top if top > 0.0 else np.inf
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
 
 
-def step(state: SolverState, model: fx.FluxModel, dt: float | None = None,
-         dt_max: float = np.inf) -> SolverState:
+def step(state: SolverState, model: fx.FluxModel, dt: float | None = None) -> SolverState:
     """Advance one Godunov step; boundary faces stay pinned exactly."""
     march = _March(state.field, model)
     if dt is None:
-        dt = march.dt(state.cfl, dt_max)
+        dt = march.dt(state.cfl)
     march.advance(dt)
     return SolverState(state.t + dt, march.field(), state.cfl, state.step_count + 1)
 
 
 def run(initial: GridField, model: fx.FluxModel, t_end: float,
-        cfl: float = 0.45, output_times=None) -> list[SolverState]:
+        cfl: float = CFL, output_times=None) -> list[SolverState]:
     """March to t_end, landing exactly on each requested output time.
 
     Returns one snapshot per output time (t_end is always included).  A
@@ -224,7 +224,7 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         while t < target - 1e-15:
             if steps >= budget:
                 raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
-            dt = min(march.dt(cfl, np.inf), target - t)
+            dt = min(march.dt(cfl), target - t)
             march.advance(dt)
             t += dt
             steps += 1

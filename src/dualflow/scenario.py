@@ -10,11 +10,13 @@ ScenarioError naming the field, e.g. ``grid.x_min must be a number, got 'a'``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 
 from . import flux as fx
 from .analysis import CHECKS, TOLERANCES
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
+from .pde import CFL
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
@@ -32,13 +34,13 @@ class Scenario:
     x_max: float
     n_cells: int
     t_end: float
-    cfl: float = 0.45
-    output_times: list[float] = field(default_factory=list)
-    checks: tuple[str, ...] = DEFAULT_CHECKS
-    tolerances: dict = field(default_factory=dict)
-    out_dir: str = "out"
-    formats: tuple[str, ...] = FORMATS
-    raw: dict = field(default_factory=dict)
+    cfl: float
+    output_times: list[float]
+    checks: tuple[str, ...]
+    tolerances: dict
+    out_dir: str
+    formats: tuple[str, ...]
+    raw: dict
 
     @property
     def dx(self) -> float:
@@ -167,8 +169,9 @@ def parse_scenario(raw: dict) -> Scenario:
                   {"x_min", "x_max", "n_cells"}, "grid")
     x_min = number(grid["x_min"], "grid.x_min")
     x_max = number(grid["x_max"], "grid.x_max")
-    if x_max <= x_min:
-        raise ScenarioError("grid.x_max must exceed grid.x_min")
+    if not 0.0 < x_max - x_min < math.inf:
+        raise ScenarioError(f"grid.x_max - grid.x_min must be positive and finite, "
+                            f"got {x_max - x_min!r}")
     n_cells = grid["n_cells"]
     if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
         raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
@@ -177,7 +180,7 @@ def parse_scenario(raw: dict) -> Scenario:
     t_end = number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
         raise ScenarioError("time.t_end must be positive")
-    cfl = number(tblock.get("cfl", 0.45), "time.cfl")
+    cfl = number(tblock.get("cfl", CFL), "time.cfl")
     if not 0 < cfl <= 1:
         raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
     output_times = [number(t, "time.output_times") for t in

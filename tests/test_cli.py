@@ -260,6 +260,15 @@ class TestFailClosedFields:
     def test_cfl_one_accepted(self, tmp_path):
         assert cli.load_scenario(write_scenario(tmp_path, time={"t_end": 1.0, "cfl": 1})).cfl == 1.0
 
+    @pytest.mark.parametrize("x_min, x_max", [(1.0, 1.0), (2.0, -3.0), (-1e308, 1e308)],
+                             ids=["empty", "reversed", "overflowing"])
+    def test_grid_extent_must_be_positive_and_finite(self, tmp_path, capsys, x_min, x_max):
+        path = write_scenario(tmp_path, grid={"x_min": x_min, "x_max": x_max, "n_cells": 200})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # refused before numpy overflows
+            assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("error: grid.x_max - grid.x_min must be ")
+
     @pytest.mark.parametrize("overrides, field", [
         ({"initial": {"type": "uniform", "x_left": "a", "x_right": 1.0, "mass": 1.0}},
          "initial.x_left"),

@@ -34,19 +34,6 @@ class TestAtomicMeasure:
         assert mu.total_mass == 0.0
 
 
-class TestPrimitive:
-    def test_right_continuous_cdf(self):
-        u = ms.primitive_of_atomic(atoms((0.0, 1.0)))
-        assert u(-0.5) == 0.0
-        assert u(0.0) == 1.0  # jump value taken at the atom itself
-        assert u(0.5) == 1.0
-
-    def test_two_atoms(self):
-        u = ms.primitive_of_atomic(atoms((-1.0, 0.5), (1.0, 0.5)))
-        np.testing.assert_allclose(u(np.array([-2.0, -1.0, 0.0, 1.0, 2.0])),
-                                   [0.0, 0.5, 0.5, 1.0, 1.0])
-
-
 class TestGridField:
     def test_geometry(self):
         f = ms.GridField(-1.0, 1.0, 4, np.array([0.0, 0.0, 1.0, 1.0, 1.0]))
@@ -125,10 +112,14 @@ class TestExtractAtoms:
         assert got.masses.sum() == pytest.approx(f.total_mass, abs=1e-12)
 
     def test_threshold_is_respected(self):
-        mu = atoms((0.0, 0.02))
-        f = ms.sample_to_grid(mu, -1.0, 1.0, 100)
-        assert ms.extract_atoms(f, mass_threshold=0.5).n_atoms == 0
-        assert ms.extract_atoms(f, mass_threshold=0.01).n_atoms == 1
+        # an atom below ATOM_MASS_SHARE of the total mass is not extracted,
+        # one above it is
+        for share, found in ((0.8, 1), (1.2, 2)):
+            m = share * ms.ATOM_MASS_SHARE
+            f = ms.sample_to_grid(atoms((-0.5, m), (0.5, 1.0 - m)), -1.0, 1.0, 100)
+            got = ms.extract_atoms(f)
+            assert got.n_atoms == found
+            assert got.positions[-1] == pytest.approx(0.5, abs=f.dx)
 
 
 class TestWasserstein:

@@ -29,12 +29,16 @@ class TestStableDt:
         assert dt1 > 0
         assert dt2 == pytest.approx(2 * dt1)
 
-    def test_rest_state_needs_dt_max(self):
-        # constant-velocity model with a = 0: no waves, dt unbounded
+    def test_rest_state_has_infinite_dt(self):
+        # constant-velocity model with a = 0: no waves, dt unbounded; run
+        # caps each step by the next output time, so it still reaches t_end
         still = fx.polynomial([0.0])
         f = dirac_grid()
         assert pde.stable_dt(f, still, 0.45) == np.inf
-        assert pde.stable_dt(f, still, 0.45, dt_max=0.25) == 0.25
+        snaps = pde.run(f, still, 2.0, output_times=[0.5])
+        assert [s.t for s in snaps] == [0.5, 2.0]
+        assert [s.step_count for s in snaps] == [1, 2]
+        assert np.array_equal(snaps[-1].field.u_faces, f.u_faces)
 
     @one_model_per_kind
     def test_equals_the_whole_grid_scan(self, model):
@@ -361,6 +365,21 @@ class TestRunMatchesReference:
         assert [s.t for s in snaps] == [t for t, _ in ref]
         for s, (_, u) in zip(snaps, ref):
             assert np.array_equal(bits(s.field.u_faces), bits(u))
+
+    def test_left_face_below_zero_keeps_the_flux_plan(self, monkeypatch):
+        # validate admits |u_0| <= BOUNDARY_TOL; the ghosts repeat the end
+        # faces, so u_0 < 0 leaves the faces ordered and no step takes the
+        # reference flux, while the run still equals one with the ghost at 0
+        grid = ms.sample_to_grid(ms.AtomicMeasure.from_pairs([(0.0, 1.0)]), -3.0, 3.0, 1600)
+        u = grid.u_faces.copy()
+        u[0] = -1e-13
+        grid = ms.GridField(grid.x_min, grid.x_max, grid.n_cells, u).validate()
+        monkeypatch.setattr(pde, "numerical_flux", lambda *args: pytest.fail("unordered step"))
+        snaps = pde.run(grid, REP, 0.5)
+        monkeypatch.undo()
+        ref = reference_run(grid, REP, 0.5, 0.45, [], flux_step(REP))
+        assert [s.t for s in snaps] == [t for t, _ in ref]
+        assert np.array_equal(bits(snaps[-1].field.u_faces), bits(ref[-1][1]))
 
     def test_window_search_and_grid_ends_are_reached(self):
         # a(u) = 1 at cfl 1 moves u one cell per step exactly: the left end jump
