@@ -32,7 +32,7 @@ from .measure import (
     sample_to_grid,
     wasserstein1,
 )
-from .scenario import Scenario, ScenarioError, load_scenario, parse_flux, read_json
+from .scenario import MAX_CELLS, Scenario, ScenarioError, load_scenario, parse_flux, read_json
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
@@ -288,15 +288,15 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
     """L1 error of u per resolution, with observed order between rows.
 
     ``resolutions``: cell counts, as ints or as the strings of --resolutions;
-    at least 3 of them, distinct and positive.
+    at least 3 of them, distinct, positive and at most MAX_CELLS.
     """
     try:
         ns = sorted(int(n) for n in resolutions)
     except ValueError:
         ns = []
-    if len(ns) < 3 or len(set(ns)) < len(ns) or ns[0] < 1:
-        raise ScenarioError("resolutions must be at least 3 distinct positive integers, "
-                            f"got {','.join(map(str, resolutions))}")
+    if len(ns) < 3 or len(set(ns)) < len(ns) or ns[0] < 1 or ns[-1] > MAX_CELLS:
+        raise ScenarioError("--resolutions must be at least 3 distinct positive integers "
+                            f"at most {MAX_CELLS}, got {','.join(map(str, resolutions))}")
     resolutions = ns
     attractive = fx.is_attractive(scn.model, scn.initial.total_mass)
     oracle_atoms = None

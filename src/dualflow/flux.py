@@ -11,13 +11,11 @@ A model is the pair (a, A) with the normalization A(0) = 0.  Built-in kinds:
 
 from __future__ import annotations
 
-import functools
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 KINDS = (
     "quadratic-attractive",
@@ -43,6 +41,8 @@ class FluxModel:
     kind: str
     a_coeffs: tuple[float, ...] = ()
     nodes: tuple[tuple[float, float], ...] = ()
+    # _extrema's tables by order, per instance: equal models can differ in the sign of a zero
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -90,28 +90,27 @@ def piecewise_linear(nodes) -> FluxModel:
     )
 
 
-def _check_finite(u):
+def _finite(u):
+    """u as a float array; FluxError unless every entry is finite."""
+    u = np.asarray(u, dtype=float)
     if not np.isfinite(u).all():
         raise FluxError("non-finite argument to flux evaluation")
+    return u
 
 
-@functools.lru_cache(maxsize=None)
-def _pwl_arrays(model: FluxModel):
-    us = np.array([u for u, _ in model.nodes])
-    avs = np.array([a for _, a in model.nodes])
-    return us, avs
+def _value(at, u):
+    """An extremum table's evaluator ``at`` on the float array u; a float for 0-d u."""
+    return _scalar(at(u, np.empty(u.shape)))
 
 
 def eval_a(model: FluxModel, u):
     """Evaluate the velocity a(u).  Accepts scalars or arrays."""
-    u = np.asarray(u, dtype=float)
-    _check_finite(u)
-    if model.kind == "piecewise-linear-a":
-        us, avs = _pwl_arrays(model)
-        out = np.interp(u, us, avs)
-    else:
-        out = P.polyval(u, np.asarray(model.a_coeffs))
-    return out if out.ndim else float(out)
+    return _value(_extrema(model, 1).at, _finite(u))
+
+
+def eval_A(model: FluxModel, u):
+    """Evaluate the antiderivative A(u) with A(0) = 0."""
+    return _value(_extrema(model, 0).at, _finite(u))
 
 
 class _PwlA:
@@ -121,7 +120,7 @@ class _PwlA:
     first and above the last node."""
 
     def __init__(self, model: FluxModel):
-        us, avs = _pwl_arrays(model)
+        us, avs = map(np.array, zip(*model.nodes))
         raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
         # the row of u; the last node stays on the last segment
         self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
@@ -147,20 +146,42 @@ class _PwlA:
         return out
 
 
-@functools.lru_cache(maxsize=None)
-def _pwl_A(model: FluxModel) -> _PwlA:
-    return _PwlA(model)
+def _horner_coeffs(coeffs) -> _Horner:
+    """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
+    floats), and None for each add that changes no bit.  For finite y, adding
+    a zero c[k] can change only the sign of a zero y, and the last add, of
+    c[0], makes that sign the same unless c[0] is -0.0."""
+    c0 = coeffs[0]
+    keep = c0 == 0.0 and math.copysign(1.0, c0) < 0
+    return _Horner(np.array(c) if c or keep or k in (0, len(coeffs) - 1) else None
+                   for k, c in enumerate(coeffs))
 
 
-def eval_A(model: FluxModel, u):
-    """Evaluate the antiderivative A(u) with A(0) = 0."""
-    u = np.asarray(u, dtype=float)
-    _check_finite(u)
-    if model.kind == "piecewise-linear-a":
-        out = _pwl_A(model)(u)
-    else:
-        out = P.polyval(u, _extrema(model, 0).coeffs)
-    return out if out.ndim else float(out)
+class _Horner(tuple):
+    """What _horner_coeffs returns; called as (x, out), it is _horner."""
+
+    def __call__(self, x, out):
+        return _horner(x, self, out)
+
+
+def _horner(x, coeffs, out):
+    """numpy's polyval(x, c) into ``out``, bit for bit for finite x, where
+    ``coeffs`` = _horner_coeffs(c).  numpy starts from c[-1] + x*0, which is
+    c[-1] itself when it is not 0, then takes y*x + c[k], k = len-2 .. 0."""
+    if coeffs[-1] and len(coeffs) > 1:
+        np.multiply(x, coeffs[-1], out)
+    else:   # +-0.0 decides the sign of a zero; for a lone c[0] this is the value
+        np.multiply(x, 0.0, out)
+        np.add(out, coeffs[-1], out)
+        if len(coeffs) == 1:
+            return out
+        np.multiply(out, x, out)
+    for c in coeffs[-2:0:-1]:
+        if c is not None:
+            np.add(out, c, out)
+        np.multiply(out, x, out)
+    np.add(out, coeffs[0], out)
+    return out
 
 
 def _real_poly_roots(coeffs):
@@ -175,43 +196,53 @@ def _real_poly_roots(coeffs):
 class _Extrema(NamedTuple):
     """Where one derivative of A can reach an extremum inside an interval:
     on each stretch [left[k], right[k]] (a point when left = right) it
-    takes the value vals[k].  ``coeffs`` holds that derivative's polynomial
-    coefficients for the polynomial kinds, None for the piecewise-linear one."""
+    takes the value vals[k].  ``at(x, out)`` evaluates that derivative on a
+    float array x, into ``out`` (an array of x's shape) where it can; it is
+    None for a' of the piecewise-linear kind, which has no value at a node."""
 
     left: np.ndarray
     right: np.ndarray
     vals: np.ndarray
-    coeffs: np.ndarray | None
+    at: Callable | None
 
 
-@functools.lru_cache(maxsize=None)
 def _extrema(model: FluxModel, order: int) -> _Extrema:
-    """The extremum table of A (order 0), a (order 1) or a' (order 2).
+    """The extremum table of A (order 0), a (order 1) or a' (order 2), and
+    the one evaluator of that derivative that every caller uses.
 
-    Polynomial kinds: the real roots of the next derivative.  The
-    piecewise-linear kind: the zeros of a, the nodes, and for a' the
-    segments between nodes plus the two constant extensions.
+    Polynomial kinds: the real roots of the next derivative, and _horner
+    over the derivative's coefficients.  The piecewise-linear kind: the
+    zeros of a with _PwlA, the nodes with np.interp on them, and for a' the
+    segments between nodes plus the two constant extensions.  Built once
+    per model instance.
     """
+    tables = model._tables
+    if order not in tables:
+        tables[order] = _new_extrema(model, order)
+    return tables[order]
+
+
+def _new_extrema(model: FluxModel, order: int) -> _Extrema:
     if model.kind == "piecewise-linear-a":
-        us, avs = _pwl_arrays(model)
+        us, avs = map(np.array, zip(*model.nodes))
         if order == 2:
             slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
             return _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None)
         if order == 1:
-            return _Extrema(us, us, eval_a(model, us), None)
-        k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
-        pts = np.sort(np.r_[us[avs == 0.0],
-                            us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
-        return _Extrema(pts, pts, eval_A(model, pts), None)
-    c = np.asarray(model.a_coeffs)
-    derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
-    for _ in range(2):
-        d = derivs[-1]
-        derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
-    for d in derivs:
-        d.setflags(write=False)   # shared by every caller
-    pts = _real_poly_roots(derivs[order + 1])
-    return _Extrema(pts, pts, P.polyval(pts, derivs[order]), derivs[order])
+            pts, at = us, lambda u, out: np.interp(u, us, avs)
+        else:
+            k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
+            pts = np.sort(np.r_[us[avs == 0.0],
+                                us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
+            at = _PwlA(model)
+    else:
+        c = np.asarray(model.a_coeffs)
+        derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
+        for _ in range(2):
+            d = derivs[-1]
+            derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
+        pts, at = _real_poly_roots(derivs[order + 1]), _horner_coeffs(derivs[order].tolist())
+    return _Extrema(pts, pts, _value(at, pts), at)
 
 
 def _meeting(lo, hi, table: _Extrema):
@@ -260,8 +291,8 @@ def max_slope_on_intervals(model: FluxModel, lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     table = _extrema(model, 2)
-    if table.coeffs is not None:
-        return _span(table, lo, hi, P.polyval(np.array((lo, hi)), table.coeffs))[1]
+    if table.at is not None:
+        return _span(table, lo, hi, _value(table.at, np.array((lo, hi))))[1]
     inside, vals = _meeting(lo, hi, table)
     out = np.where(inside, vals, -np.inf).max(axis=0)   # the stretches cover the line
     return np.where(out > -np.inf, out, 0.0)
@@ -286,60 +317,26 @@ def godunov_flux(model: FluxModel, u_left, u_right):
     min of A over [u_left, u_right] for u_left <= u_right, max over
     [u_right, u_left] otherwise.  Vectorized over both arguments.
     """
-    ul = np.asarray(u_left, dtype=float)
-    ur = np.asarray(u_right, dtype=float)
-    _check_finite(ul)
-    _check_finite(ur)
+    ul, ur = _finite(u_left), _finite(u_right)
     lo = np.minimum(ul, ur)
     hi = np.maximum(ul, ur)
     fmin, fmax = _span(_extrema(model, 0), lo, hi, eval_A(model, np.array((lo, hi))))
-    out = np.where(ul <= ur, fmin, fmax)
-    return out if out.ndim else float(out)
+    return _scalar(np.where(ul <= ur, fmin, fmax))
 
 
 # ---------------------------------------------------------------------------
 # compiled plan for the solver's time loop
 
 
-def _horner_coeffs(coeffs) -> tuple:
-    """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
-    floats), and None for each add that changes no bit.  For finite y, adding
-    a zero c[k] can change only the sign of a zero y, and the last add, of
-    c[0], makes that sign the same unless c[0] is -0.0."""
-    c0 = coeffs[0]
-    keep = c0 == 0.0 and math.copysign(1.0, c0) < 0
-    return tuple(np.array(c) if c or keep or k in (0, len(coeffs) - 1) else None
-                 for k, c in enumerate(coeffs))
-
-
-def _horner(x, coeffs, out):
-    """P.polyval(x, c) into ``out``, bit for bit for finite x, where ``coeffs``
-    = _horner_coeffs(c), len(c) >= 2.  numpy starts from c[-1] + x*0, which
-    is c[-1] itself when it is not 0, then takes y*x + c[k], k = len-2 .. 0."""
-    if coeffs[-1]:
-        np.multiply(x, coeffs[-1], out)
-    else:   # +-0.0: x*0 + c[-1] decides the sign of a zero
-        np.multiply(x, 0.0, out)
-        np.add(out, coeffs[-1], out)
-        np.multiply(out, x, out)
-    for c in coeffs[-2:0:-1]:
-        if c is not None:
-            np.add(out, c, out)
-        np.multiply(out, x, out)
-    np.add(out, coeffs[0], out)
-    return out
-
-
 class FluxPlan:
     """A FluxModel compiled for the PDE time loop on nondecreasing faces
     within [lo, hi].
 
-    Holds the Horner coefficients of A and a' (polynomial kinds, as 0-d
-    arrays) or the row table of A (the piecewise-linear kind), and from the
-    extremum tables the stationary points of A with their values and the
-    stretches where a' > 0 can be reached, both kept only where they meet
-    (lo, hi).  ``fluxes`` reproduces ``numerical_flux`` on consecutive face
-    values bit for bit.  Faces out of order go to the reference itself.
+    Holds from the extremum tables the evaluators of A and a', the
+    stationary points of A with their values and the stretches where a' > 0
+    can be reached, the last two kept only where they meet (lo, hi).
+    ``fluxes`` reproduces ``numerical_flux`` on consecutive face values bit
+    for bit.  Faces out of order go to the reference itself.
     """
 
     def __init__(self, model: FluxModel, lo: float, hi: float):
@@ -352,9 +349,7 @@ class FluxPlan:
         self.corner = None if max_slope_of_a(model, lo, hi) <= 0.0 else tuple(
             (l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(), da.vals.tolist())
             if v > 0.0 and l < hi and lo < r)
-        self.pwl = _pwl_A(model) if model.kind == "piecewise-linear-a" else None
-        self.A_coeffs = () if A.coeffs is None else _horner_coeffs(A.coeffs.tolist())
-        self.da = () if da.coeffs is None else _horner_coeffs(da.coeffs.tolist())
+        self.A, self.da = A.at, da.at
 
     def fluxes(self, e, out, work):
         """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit, for
@@ -364,10 +359,7 @@ class FluxPlan:
         """
         m = e.size - 1
         uL, uR = e[:-1], e[1:]
-        if self.pwl is None:
-            A = _horner(e, self.A_coeffs, work[0][:m + 1])
-        else:
-            A = self.pwl(e, work[0][:m + 1])
+        A = self.A(e, work[0][:m + 1])
         # Godunov on uL <= uR: the min of A over [uL, uR]
         F = np.minimum(A[:-1], A[1:], out=out)
         for c, Ac in self.stationary:
@@ -376,15 +368,15 @@ class FluxPlan:
             return F
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * du
         du = np.subtract(uR, uL, work[2][:m])
-        if len(self.da) == 1:   # a' is a constant, here > 0
+        if self.da is not None and len(self.da) == 1:   # a' is a constant, here > 0
             s = np.multiply(du, self.da[0], work[1][:m])
         else:
-            if self.da:   # a' at the face values
-                D = _horner(e, self.da, work[0][:m + 1])
+            if self.da is None:   # a' has no value at a node: the stretches alone
+                slope = np.zeros(m)
+            else:   # a' at the face values
+                D = self.da(e, work[0][:m + 1])
                 slope = np.maximum(D[:-1], D[1:])
                 np.maximum(slope, 0.0, out=slope)
-            else:
-                slope = np.zeros(m)
             for l, r, v in self.corner:
                 np.maximum(slope, v, out=slope, where=(l < uR) & (uL < r))
             s = np.multiply(slope, du, out=slope)

@@ -179,9 +179,7 @@ def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridFiel
             raise MeasureError("cannot grid an empty measure")
         if source.positions[0] <= x_min or source.positions[-1] >= x_max:
             raise MeasureError("atom on or outside the grid boundary")
-        cum = np.concatenate(([0.0], source.cumulative))
-        idx = np.searchsorted(source.positions, faces, side="right")
-        u = cum[idx]
+        u = _cdf(source, faces, "right")
     else:
         lo, hi = source.support
         if lo <= x_min or hi >= x_max:

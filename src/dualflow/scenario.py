@@ -20,6 +20,7 @@ from .pde import CFL
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
+MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
 
 
 class ScenarioError(ValueError):
@@ -169,12 +170,19 @@ def parse_scenario(raw: dict) -> Scenario:
                   {"x_min", "x_max", "n_cells"}, "grid")
     x_min = number(grid["x_min"], "grid.x_min")
     x_max = number(grid["x_max"], "grid.x_max")
+    n_cells = grid["n_cells"]
+    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or not 1 <= n_cells <= MAX_CELLS:
+        raise ScenarioError(f"grid.n_cells must be a positive integer at most {MAX_CELLS}, "
+                            f"got {n_cells!r}")
     if not 0.0 < x_max - x_min < math.inf:
         raise ScenarioError(f"grid.x_max - grid.x_min must be positive and finite, "
                             f"got {x_max - x_min!r}")
-    n_cells = grid["n_cells"]
-    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or n_cells < 1:
-        raise ScenarioError(f"grid.n_cells must be a positive integer, got {n_cells!r}")
+    # each face x_min + dx*k is off by at most 1.5 ulps of the largest |x|, so a dx of
+    # 4 of them keeps the faces increasing
+    if (x_max - x_min) / n_cells < 4 * math.ulp(max(abs(x_min), abs(x_max))):
+        raise ScenarioError(f"grid.x_max - grid.x_min must be at least 4 ulps of "
+                            f"max(|grid.x_min|, |grid.x_max|) per cell, got {x_max - x_min!r} "
+                            f"for grid.n_cells = {n_cells}")
     tblock = typed(raw["time"], dict, "time")
     _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
     t_end = number(tblock["t_end"], "time.t_end")

@@ -1,26 +1,33 @@
-"""Smoke test of benchmarks/bench.py: its layers run on small cases.
+"""Smoke tests of the scripts in benchmarks/: bench.py's layers run on
+small cases, and identity.py's --compare on synthetic records.
 
-The layer functions are called directly, never ``main``, so no
-BENCH_*.json is written.
+The layer functions are called directly, never bench.py's ``main``, so no
+BENCH_*.json is written; identity.py's 18 commands are never run.
 """
 
 import importlib.util
+import json
 import math
 import sys
 from pathlib import Path
 
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "benchmarks" / "bench.py"
+BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
+
+
+def load(monkeypatch, name):
+    monkeypatch.setattr(sys, "path", list(sys.path))   # bench.py prepends src/
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave benchmarks/ as it is
+    spec = importlib.util.spec_from_file_location(f"{name}_script", BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def bench(monkeypatch):
-    monkeypatch.setattr(sys, "path", list(sys.path))   # the script prepends src/
-    spec = importlib.util.spec_from_file_location("bench_script", BENCH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load(monkeypatch, "bench")
 
 
 def test_pde_step_layer(bench, monkeypatch):
@@ -41,3 +48,30 @@ def test_particles_layer(bench, monkeypatch):
     results = bench.particles_layer()
     assert set(results) == {"10", "40"}
     assert all(0.0 < s < math.inf for s in results.values())
+
+
+RECORD = {"run_a": {"exit": 0, "stdout": "s1", "files": {"f.csv": "h1", "g.json": "h2"}},
+          "run_b": {"exit": 2, "stdout": "s2", "files": {}}}
+
+
+@pytest.mark.parametrize("change, listed", [
+    (None, None),
+    (lambda r: r["run_a"]["files"].update({"f.csv": "h9"}), "run_a/f.csv: differs"),
+    (lambda r: r.pop("run_b"), "run_b: only in A"),
+    (lambda r: r["run_b"].update(exit=1), "run_b: exit differs (2 -> 1)"),
+], ids=["equal", "file-hash", "missing-command", "exit-code"])
+def test_identity_compare(monkeypatch, tmp_path, capsys, change, listed):
+    identity = load(monkeypatch, "identity")
+    changed = json.loads(json.dumps(RECORD))
+    if change:
+        change(changed)
+    paths = []
+    for name, record in (("a.json", RECORD), ("b.json", changed)):
+        paths.append(str(tmp_path / name))
+        Path(paths[-1]).write_text(json.dumps(record))
+    code = identity.main(["--compare", *paths])
+    out = capsys.readouterr().out
+    if listed is None:
+        assert code == 0 and out == "identical: 2 commands, 2 files\n"
+    else:
+        assert code == 1 and out.splitlines() == [listed]

@@ -2,12 +2,16 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dualflow
 from dualflow import cli, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
 from dualflow.scenario import parse_scenario
@@ -243,8 +247,19 @@ class TestRunCommand:
             assert a == b, fname
 
 
+def test_cli_imports_no_numpy_polynomial():
+    """_horner is the one polynomial evaluator; numpy.polynomial is only the
+    tests' reference, and this test process has imported it already."""
+    path = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (dualflow, np))
+    code = ("import sys, dualflow.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['numpy', 'polynomial']))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"
+
+
 class TestFailClosedFields:
-    @pytest.mark.parametrize("n_cells", [200.7, True, 0, -5, "200"])
+    @pytest.mark.parametrize("n_cells", [200.7, True, 0, -5, "200", 10**7 + 1, 10**12])
     def test_n_cells_must_be_a_positive_integer(self, tmp_path, n_cells):
         path = write_scenario(tmp_path, grid={"x_min": -3.0, "x_max": 1.0,
                                               "n_cells": n_cells})
@@ -260,8 +275,9 @@ class TestFailClosedFields:
     def test_cfl_one_accepted(self, tmp_path):
         assert cli.load_scenario(write_scenario(tmp_path, time={"t_end": 1.0, "cfl": 1})).cfl == 1.0
 
-    @pytest.mark.parametrize("x_min, x_max", [(1.0, 1.0), (2.0, -3.0), (-1e308, 1e308)],
-                             ids=["empty", "reversed", "overflowing"])
+    @pytest.mark.parametrize("x_min, x_max", [(1.0, 1.0), (2.0, -3.0), (-1e308, 1e308),
+                                              (1e15, 1e15 + 4)],
+                             ids=["empty", "reversed", "overflowing", "faces-not-distinct"])
     def test_grid_extent_must_be_positive_and_finite(self, tmp_path, capsys, x_min, x_max):
         path = write_scenario(tmp_path, grid={"x_min": x_min, "x_max": x_max, "n_cells": 200})
         with warnings.catch_warnings():
@@ -524,7 +540,8 @@ class TestConvergenceCommand:
         assert cli.main(["convergence", "--scenario", path,
                          "--resolutions", "50,100"]) == 1
 
-    @pytest.mark.parametrize("resolutions", ["0,20,40", "20,20,40", "10,x,40", "-5,20,40"])
+    @pytest.mark.parametrize("resolutions", ["0,20,40", "20,20,40", "10,x,40", "-5,20,40",
+                                             "100,200,1000000000000"])
     def test_bad_resolutions_are_an_error_line(self, tmp_path, capsys, resolutions):
         path = write_scenario(tmp_path)
         assert cli.main(["convergence", "--scenario", path, f"--resolutions={resolutions}",

@@ -2,7 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings, strategies as st
+from hypothesis import example, given, reject, settings, strategies as st
 from numpy.polynomial import polynomial as P
 from scipy.integrate import quad
 
@@ -221,7 +221,7 @@ HORNER_X = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e30
                      1.7e308, 1e160, -1e160, 0.3, -2.0])
 
 
-@pytest.mark.parametrize("length", [2, 3, 4])
+@pytest.mark.parametrize("length", [1, 2, 3, 4])
 def test_horner_equals_polyval_bit_for_bit(length):
     # leading coefficients 0.0, -0.0, 5e-324 and 1e300, and zeros of either sign
     # inside, whose adds _horner_coeffs leaves out unless c[0] is -0.0
@@ -231,3 +231,26 @@ def test_horner_equals_polyval_bit_for_bit(length):
             ref = P.polyval(HORNER_X, np.array(c))
             got = fx._horner(HORNER_X, fx._horner_coeffs(c), np.empty(HORNER_X.size))
             assert np.array_equal(got.view(np.int64), ref.view(np.int64)), c
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+@settings(max_examples=100, deadline=None)
+@given(coeffs=st.lists(st.sampled_from([0.0, -0.0]) | st.floats(-4.0, 4.0),
+                       min_size=1, max_size=5),
+       u=st.lists(st.floats(-3.0, 3.0), min_size=6, max_size=6))
+@example(coeffs=[-0.0], u=[-0.0] * 6)   # then a model equal to it, with the other zero
+@example(coeffs=[0.0], u=[-0.0] * 6)
+def test_polynomial_eval_equals_polyval_bit_for_bit(coeffs, u):
+    # eval_a and eval_A run _horner; numpy's polyval, on a and on its integral
+    # from 0, stays the reference
+    try:
+        model = fx.polynomial(coeffs)
+    except fx.FluxError:   # roots out of range
+        reject()
+    for x in (u[0], np.array(u), np.array(u).reshape(2, 3)):
+        for got, c in ((fx.eval_a(model, x), coeffs), (fx.eval_A(model, x), P.polyint(coeffs))):
+            ref = P.polyval(x, np.array(c))
+            assert np.shape(got) == np.shape(ref) and np.array_equal(bits(got), bits(ref))
