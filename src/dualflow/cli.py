@@ -24,23 +24,13 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import analysis, flux as fx, particles, pde
-from .measure import (
-    AtomicMeasure,
-    GridField,
-    MeasureError,
-    extract_atoms,
-    sample_to_grid,
-    wasserstein1,
-)
-from .scenario import MAX_CELLS, Scenario, ScenarioError, load_scenario, parse_flux, read_json
+from .measure import AtomicMeasure, GridField, extract_atoms, sample_to_grid, wasserstein1
+from .scenario import Scenario, ScenarioError, check_grid, load_scenario, parse_flux, read_json
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
-    try:
-        return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
-                              scn.n_cells if n_cells is None else n_cells)
-    except MeasureError as exc:
-        raise ScenarioError(str(exc)) from exc
+    return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
+                          scn.n_cells if n_cells is None else n_cells)
 
 
 def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
@@ -209,7 +199,7 @@ def write_field_outputs(out_dir: str, snapshots):
                ((s.t, s.field.faces, s.field.u_faces) for s in snapshots))
     _write_csv(os.path.join(out_dir, "fields_cells.csv"),
                ["t", "x_center", "rho_cell_mass", "rho_density"],
-               ((s.t, s.field.centers, s.field.cell_masses, s.field.cell_masses / s.field.dx)
+               ((s.t, s.field.centers, (m := s.field.cell_masses), m / s.field.dx)
                 for s in snapshots))
     _write_csv(os.path.join(out_dir, "atoms_extracted.csv"),
                ["t", "atom_id", "x", "m"], _atom_blocks(snapshots))
@@ -288,15 +278,17 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
     """L1 error of u per resolution, with observed order between rows.
 
     ``resolutions``: cell counts, as ints or as the strings of --resolutions;
-    at least 3 of them, distinct, positive and at most MAX_CELLS.
+    at least 3 of them, distinct, each a grid the scenario's parser admits.
     """
     try:
         ns = sorted(int(n) for n in resolutions)
     except ValueError:
         ns = []
-    if len(ns) < 3 or len(set(ns)) < len(ns) or ns[0] < 1 or ns[-1] > MAX_CELLS:
-        raise ScenarioError("--resolutions must be at least 3 distinct positive integers "
-                            f"at most {MAX_CELLS}, got {','.join(map(str, resolutions))}")
+    if len(ns) < 3 or len(set(ns)) < len(ns):
+        raise ScenarioError("--resolutions must be at least 3 distinct integers, "
+                            f"got {','.join(map(str, resolutions))}")
+    for n in ns:
+        check_grid(scn.x_min, scn.x_max, n, "--resolutions")
     resolutions = ns
     attractive = fx.is_attractive(scn.model, scn.initial.total_mass)
     oracle_atoms = None
@@ -418,8 +410,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, fx.FluxError, MeasureError, particles.OracleError,
-            analysis.AnalysisError, pde.SolverError, ValueError) as exc:
+    except (ValueError, pde.SolverError) as exc:   # every other error here is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -291,11 +291,11 @@ def max_slope_on_intervals(model: FluxModel, lo, hi):
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     table = _extrema(model, 2)
-    if table.at is not None:
-        return _span(table, lo, hi, _value(table.at, np.array((lo, hi))))[1]
-    inside, vals = _meeting(lo, hi, table)
-    out = np.where(inside, vals, -np.inf).max(axis=0)   # the stretches cover the line
-    return np.where(out > -np.inf, out, 0.0)
+    # a' with no evaluator gives no end values: its stretches alone, which cover
+    # the line and leave -inf only at a lone node
+    ends = np.empty((0, *lo.shape)) if table.at is None else _value(table.at, np.array((lo, hi)))
+    top = _span(table, lo, hi, ends)[1]
+    return _scalar(np.where(top == -np.inf, 0.0, top))
 
 
 def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
@@ -330,7 +330,8 @@ def godunov_flux(model: FluxModel, u_left, u_right):
 
 class FluxPlan:
     """A FluxModel compiled for the PDE time loop on nondecreasing faces
-    within [lo, hi].
+    within [lo, hi], with the range's wave bound ``speed`` = max |a| and
+    ``slope`` = max(0, max a') for its CFL step ``dt``.
 
     Holds from the extremum tables the evaluators of A and a', the
     stationary points of A with their values and the stretches where a' > 0
@@ -341,15 +342,23 @@ class FluxPlan:
 
     def __init__(self, model: FluxModel, lo: float, hi: float):
         A, _, da = (_extrema(model, order) for order in range(3))
+        self.speed = max_wave_speed(model, lo, hi)
+        self.slope = max(0.0, max_slope_of_a(model, lo, hi))
         # A point or stretch not meeting (lo, hi) is strictly inside no face
         # interval, so dropping it changes no flux.
-        self.stationary = tuple((c, Ac) for c, Ac in zip(A.left.tolist(), A.vals.tolist())
-                                if lo < c < hi)
+        inside = _meeting(lo, hi, A)[0]
+        self.stationary = tuple(zip(A.left[inside].tolist(), A.vals[inside].tolist()))
         # None: a' <= 0 on [lo, hi], so the corner-dissipation term is exactly zero
-        self.corner = None if max_slope_of_a(model, lo, hi) <= 0.0 else tuple(
-            (l, r, v) for l, r, v in zip(da.left.tolist(), da.right.tolist(), da.vals.tolist())
-            if v > 0.0 and l < hi and lo < r)
+        inside = _meeting(lo, hi, da)[0] & (da.vals > 0.0)
+        self.corner = None if self.slope <= 0.0 else tuple(
+            zip(da.left[inside].tolist(), da.right[inside].tolist(), da.vals[inside].tolist()))
         self.A, self.da = A.at, da.at
+
+    def dt(self, cfl: float, dx: float, jump: float) -> float:
+        """The CFL step of faces in [lo, hi] whose largest jump is ``jump``; inf
+        when no wave moves.  Corner dissipation adds at most slope * jump."""
+        speed = self.speed + self.slope * jump if self.slope > 0.0 else self.speed
+        return cfl * dx / speed if speed > 0.0 else math.inf
 
     def fluxes(self, e, out, work):
         """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit, for

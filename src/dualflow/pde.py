@@ -62,11 +62,6 @@ def stable_dt(field: GridField, model: fx.FluxModel, cfl: float) -> float:
     return _March(field, model).dt(cfl)
 
 
-def _wave_bounds(model: fx.FluxModel, lo: float, hi: float):
-    """(max |a|, max(0, max a')) over [lo, hi]: the two range queries of the CFL step."""
-    return fx.max_wave_speed(model, lo, hi), max(0.0, fx.max_slope_of_a(model, lo, hi))
-
-
 class _March:
     """The faces of one run between Dirichlet ghosts, advanced in place.
 
@@ -80,10 +75,10 @@ class _March:
     alone.
 
     While the faces are nondecreasing, ``ext`` lies between its ghosts: the
-    flux plan and the wave bound of the CFL step are built once for
+    flux plan, with the wave bound of the CFL step, is built once for
     [ext[0], ext[-1]].  A step whose faces dipped by roundoff (within
-    MONOTONE_TOL) takes the reference ``numerical_flux`` and the wave bound
-    of its own [min u, max u].
+    MONOTONE_TOL) takes the reference ``numerical_flux`` and the CFL step
+    of a plan of its own [min u, max u].
     """
 
     def __init__(self, field: GridField, model: fx.FluxModel):
@@ -94,9 +89,7 @@ class _March:
         self.dx = field.dx
         self.model = model
         self.ext = np.concatenate((u[:1], u, u[-1:]))
-        lo, hi = float(u[0]), float(u[-1])
-        self.plan = fx.FluxPlan(model, lo, hi)
-        self.bounds = _wave_bounds(model, lo, hi)
+        self.plan = fx.FluxPlan(model, float(u[0]), float(u[-1]))
         self.work = list(np.empty((5, u.size + 2)))   # rows; row 0 holds the jumps
         self._check(0, u.size)
 
@@ -125,16 +118,10 @@ class _March:
 
     def dt(self, cfl: float) -> float:
         """The CFL step of the current faces; inf when no wave moves."""
-        if self.ordered:
-            speed, slope = self.bounds
-        else:
-            u = self.ext[1:-1]
-            speed, slope = _wave_bounds(self.model, float(np.minimum.reduce(u)),
-                                        float(np.maximum.reduce(u)))
-        # corner dissipation adds at most max(0, max a') * (largest face jump)
-        if slope > 0.0:
-            speed += slope * self.jump
-        return cfl * self.dx / speed if speed > 0.0 else np.inf
+        u = self.ext[1:-1]
+        plan = self.plan if self.ordered else fx.FluxPlan(
+            self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
+        return plan.dt(cfl, self.dx, self.jump)
 
     def advance(self, dt: float):
         """One Godunov step of length dt; boundary faces stay pinned exactly."""
@@ -177,9 +164,7 @@ class _March:
         count and a few steps more leave room for roundoff.
         """
         lo, hi = float(self.ext[0]) - MONOTONE_TOL, float(self.ext[-1]) + MONOTONE_TOL
-        speed, slope = _wave_bounds(self.model, lo, hi)
-        top = speed + slope * (hi - lo)
-        dt_floor = cfl * self.dx / top if top > 0.0 else np.inf
+        dt_floor = fx.FluxPlan(self.model, lo, hi).dt(cfl, self.dx, hi - lo)
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
 
 

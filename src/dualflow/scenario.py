@@ -145,6 +145,25 @@ def _parse_initial(block: dict):
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
 
 
+def check_grid(x_min: float, x_max: float, n_cells, where: str):
+    """Refuse n_cells cells on [x_min, x_max] unless n_cells is a positive
+    integer at most MAX_CELLS, the extent is positive and finite and the
+    faces increase; ``where`` names the field of n_cells (``grid.n_cells``,
+    ``--resolutions``)."""
+    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or not 1 <= n_cells <= MAX_CELLS:
+        raise ScenarioError(f"{where} must be a positive integer at most {MAX_CELLS}, "
+                            f"got {n_cells!r}")
+    if not 0.0 < x_max - x_min < math.inf:
+        raise ScenarioError(f"grid.x_max - grid.x_min must be positive and finite, "
+                            f"got {x_max - x_min!r}")
+    # each face x_min + dx*k is off by at most 1.5 ulps of the largest |x|, so a dx of
+    # 4 of them keeps the faces increasing
+    if (x_max - x_min) / n_cells < 4 * math.ulp(max(abs(x_min), abs(x_max))):
+        raise ScenarioError(f"grid.x_max - grid.x_min must be at least 4 ulps of "
+                            f"max(|grid.x_min|, |grid.x_max|) per cell, got {x_max - x_min!r} "
+                            f"for {where} = {n_cells}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -171,18 +190,7 @@ def parse_scenario(raw: dict) -> Scenario:
     x_min = number(grid["x_min"], "grid.x_min")
     x_max = number(grid["x_max"], "grid.x_max")
     n_cells = grid["n_cells"]
-    if isinstance(n_cells, bool) or not isinstance(n_cells, int) or not 1 <= n_cells <= MAX_CELLS:
-        raise ScenarioError(f"grid.n_cells must be a positive integer at most {MAX_CELLS}, "
-                            f"got {n_cells!r}")
-    if not 0.0 < x_max - x_min < math.inf:
-        raise ScenarioError(f"grid.x_max - grid.x_min must be positive and finite, "
-                            f"got {x_max - x_min!r}")
-    # each face x_min + dx*k is off by at most 1.5 ulps of the largest |x|, so a dx of
-    # 4 of them keeps the faces increasing
-    if (x_max - x_min) / n_cells < 4 * math.ulp(max(abs(x_min), abs(x_max))):
-        raise ScenarioError(f"grid.x_max - grid.x_min must be at least 4 ulps of "
-                            f"max(|grid.x_min|, |grid.x_max|) per cell, got {x_max - x_min!r} "
-                            f"for grid.n_cells = {n_cells}")
+    check_grid(x_min, x_max, n_cells, "grid.n_cells")
     tblock = typed(raw["time"], dict, "time")
     _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
     t_end = number(tblock["t_end"], "time.t_end")

@@ -285,6 +285,12 @@ class TestFailClosedFields:
             assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.startswith("error: grid.x_max - grid.x_min must be ")
 
+    def test_atom_outside_the_grid_is_one_error_line(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, initial={"type": "atoms", "atoms": [[5.0, 1.0]]})
+        assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "error: atom on or outside the grid boundary"]
+
     @pytest.mark.parametrize("overrides, field", [
         ({"initial": {"type": "uniform", "x_left": "a", "x_right": 1.0, "mass": 1.0}},
          "initial.x_left"),
@@ -548,6 +554,18 @@ class TestConvergenceCommand:
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "resolutions" in err
+
+    def test_resolutions_take_the_parsers_grid_test(self, tmp_path, capsys):
+        # 200 cells on [1e15, 1e15 + 400] are 16 ulps of 1e15 wide, which the
+        # parser admits; 2 000 would be 1.6, too few to keep the faces increasing
+        path = write_scenario(tmp_path, initial={"type": "atoms", "atoms": [[1e15 + 200, 1.0]]},
+                              grid={"x_min": 1e15, "x_max": 1e15 + 400, "n_cells": 200})
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--scenario", path, "--resolutions", "100,200,2000",
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "--resolutions" in err[0]
+        assert not out.exists()
 
 
 class TestRiemannCommand:

@@ -214,6 +214,48 @@ class TestFluxPlan:
             got = fx.FluxPlan(model, lo, hi).fluxes(e, np.empty(m), np.empty((3, e.size)))
             assert np.array_equal(bits(got), ref)
 
+    @pytest.mark.parametrize("kind", fx.KINDS)
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_wave_bound_equals_the_range_queries(self, kind, data):
+        model = data.draw(KIND_MODELS[kind])
+        lo, hi = sorted(data.draw(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))))
+        plan = fx.FluxPlan(model, lo, hi)
+        assert bits(plan.speed) == bits(fx.max_wave_speed(model, lo, hi))
+        assert bits(plan.slope) == bits(max(0.0, fx.max_slope_of_a(model, lo, hi)))
+
+    @one_model_per_kind
+    def test_one_slope_query_per_run_plan(self, model, monkeypatch):
+        # the plan queries max a' once; the CFL step of ordered faces reads it
+        calls = []
+        max_slope_of_a = fx.max_slope_of_a
+        monkeypatch.setattr(fx, "max_slope_of_a",
+                            lambda *args: calls.append(1) or max_slope_of_a(*args))
+        march = pde._March(dirac_grid(), model)
+        march.dt(0.45)
+        assert march.ordered and len(calls) == 1
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pwl_slope_equals_the_stretch_formula(self, data):
+        # a' of the piecewise-linear kind: the largest slope of the stretches
+        # (segments and constant extensions) meeting (lo, hi); 0 at a lone node
+        model = data.draw(pwl_models())
+        us, avs = map(np.array, zip(*model.nodes))
+        left, right = np.r_[-np.inf, us], np.r_[us, np.inf]
+        slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
+        points = st.one_of(st.floats(-0.5, 1.5), st.sampled_from(us.tolist()),
+                           st.sampled_from((0.5 * (us[:-1] + us[1:])).tolist()))
+        pairs = data.draw(st.lists(st.tuples(points, points), min_size=1, max_size=8))
+        lo, hi = np.array([min(p) for p in pairs]), np.array([max(p) for p in pairs])
+        inside = (left[:, None] < hi) & (lo < right[:, None])
+        top = np.where(inside, slopes[:, None], -np.inf).max(axis=0)
+        ref = np.where(top > -np.inf, top, 0.0)
+        assert np.array_equal(bits(fx.max_slope_on_intervals(model, lo, hi)), bits(ref))
+        for l, h, r in zip(lo.tolist(), hi.tolist(), ref):
+            got = fx.max_slope_on_intervals(model, l, h)
+            assert type(got) is float and bits(got) == bits(r)
+
 
 def reference_dt(field, model, cfl):
     """stable_dt from whole-grid scans: the wave-speed bound on [min u, max u],
@@ -401,6 +443,26 @@ class TestStepBudget:
         snaps = pde.run(grid, REP, 2.0, cfl=0.9, output_times=[0.5, 1.0])
         budget = pde._March(grid, REP).step_budget(2.0, 0.9, 3)
         assert snaps[-1].step_count <= budget < 10 * snaps[-1].step_count
+
+    @pytest.mark.parametrize("kind", fx.KINDS)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_budget_equals_the_wave_bound_formula(self, kind, data):
+        model = data.draw(KIND_MODELS[kind])
+        grid = atoms_grid(*data.draw(atoms()))
+        cfl = data.draw(st.sampled_from([0.45, 1.0]))
+        t_end = data.draw(st.floats(0.01, 100.0))
+        n_targets = data.draw(st.integers(1, 5))
+        # the CFL step of [u_0, M] widened by MONOTONE_TOL, whose largest jump is its width
+        u = grid.u_faces
+        lo, hi = float(u[0]) - ms.MONOTONE_TOL, float(u[-1]) + ms.MONOTONE_TOL
+        speed = fx.max_wave_speed(model, lo, hi)
+        slope = max(0.0, fx.max_slope_of_a(model, lo, hi))
+        top = speed + slope * (hi - lo)
+        dt_floor = cfl * grid.dx / top if top > 0.0 else np.inf
+        ref = 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
+        budget = pde._March(grid, model).step_budget(t_end, cfl, n_targets)
+        assert bits(budget) == bits(ref)
 
     def test_budget_admits_roundoff_outside_the_range(self):
         # a rises steeply just below u = 0: faces that dip below 0 by roundoff
