@@ -1,6 +1,6 @@
 """Layer benchmark: best wall time of several repeats per case, written to BENCH_<label>.json.
 
-Three layers so far:
+Four layers so far:
 
 - particles: the collapse of N equal-mass atoms at seeded uniform positions
   on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5, timed over
@@ -22,15 +22,22 @@ Three layers so far:
   turns.  Thirty rounds, not three, and taking turns: on a shared 2-core
   host the mean of 200 steps moves between about 16 and 40 us in stretches
   of 10 ms to seconds, so the repeats of one case must be spread out.
+- checks: milliseconds per call of each `analysis.CHECKS` entry on the PDE
+  snapshots of two scenarios: the output layer's (the shape of
+  `attractive_crosscheck`) and a triangular density under a(u) = u - u^2
+  on 3 200 cells with 41 output times (the shape of `diagnostics_validate`).
+  Best of 15 rounds that call each check once; null where the scenario
+  cannot have the check (pushforward needs a non-increasing a,
+  w1_vs_particles atoms).
 
     python3 benchmarks/bench.py --label LABEL
 
 times every layer and writes `BENCH_LABEL.json` = {"env": {...},
-"particles": {...}, "output": {...}, "pde_step": {...}} at the repository
-root.  The particles and output layers take the best of 3.  Needs only the
-standard library and numpy; the program is imported from `src/` next to
-this directory, so a copy of this script in another checkout times that
-checkout's code.
+"particles": {...}, "output": {...}, "pde_step": {...}, "checks": {...}}
+at the repository root.  The particles and output layers take the best of
+3.  Needs only the standard library and numpy; the program is imported
+from `src/` next to this directory, so a copy of this script in another
+checkout times that checkout's code.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dualflow import cli, flux as fx, particles, pde  # noqa: E402
+from dualflow import analysis, cli, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
 from dualflow.scenario import parse_scenario  # noqa: E402
 
@@ -62,6 +69,7 @@ STEP_CELLS = 6400
 STEP_WIDTHS = (8, 800, 3200)
 STEP_COUNT = 200
 STEP_REPEATS = 30
+CHECK_REPEATS = 15
 
 
 def collapse_seconds(n: int) -> float:
@@ -156,7 +164,51 @@ def pde_step_layer() -> dict:
     return results
 
 
-LAYERS = {"particles": particles_layer, "output": output_layer, "pde_step": pde_step_layer}
+def validate_scenario() -> dict:
+    """A triangular density under a(u) = u - u^2: diagnostics_validate's shape, unshifted."""
+    return {
+        "flux": {"kind": "polynomial", "coeffs": [0.0, 1.0, -1.0]},
+        "initial": {"type": "triangular", "x_left": -1.0, "x_peak": -0.2, "x_right": 1.0,
+                    "mass": 1.0},
+        "grid": {"x_min": -4.0, "x_max": 4.0, "n_cells": 3200},
+        "time": {"t_end": 2.0, "cfl": 0.45, "output_times": [k / 20 for k in range(41)]},
+    }
+
+
+CHECK_SCENARIOS = {"attractive_crosscheck": output_scenario,
+                   "diagnostics_validate": validate_scenario}
+
+
+def checks_layer() -> dict:
+    """Milliseconds per call of each check: best of CHECK_REPEATS rounds per scenario."""
+    results: dict[str, dict[str, float | None]] = {}
+    for label, make in CHECK_SCENARIOS.items():
+        scn = parse_scenario(make())
+        snapshots = cli.run_pde(scn)
+        pairs = None
+        if isinstance(scn.initial, AtomicMeasure):
+            pairs = cli.pair_with_oracle(scn, snapshots, *cli.run_particles(scn))
+        best = {name: math.inf for name in analysis.CHECKS
+                if pairs is not None or name != "w1_vs_particles"}
+        for _ in range(CHECK_REPEATS):
+            for name in list(best):
+                start = time.perf_counter()
+                try:
+                    analysis.CHECKS[name](scn, snapshots, pairs)
+                except analysis.AnalysisError:   # pushforward on a non-attractive a
+                    del best[name]
+                    continue
+                best[name] = min(best[name], time.perf_counter() - start)
+        results[label] = {name: best[name] * 1e3 if name in best else None
+                          for name in analysis.CHECKS}
+        for name, ms in results[label].items():
+            print(f"checks {label} {name}: " + ("n/a" if ms is None else f"{ms:.2f} ms"),
+                  flush=True)
+    return results
+
+
+LAYERS = {"particles": particles_layer, "output": output_layer, "pde_step": pde_step_layer,
+          "checks": checks_layer}
 
 
 def main(argv=None) -> int:

@@ -115,82 +115,51 @@ def check_oleinik(state: SolverState, model: fx.FluxModel, tol: float) -> list[C
 # weak residual
 
 
-def _bump(c, r):
-    """C^1 bump (1 - s^2)^2 on |x - c| < r, with its derivative."""
-    def phi(x):
-        s = (np.asarray(x, dtype=float) - c) / r
-        w = np.clip(1.0 - s * s, 0.0, None)
-        return w * w
-
-    def dphi(x):
-        s = (np.asarray(x, dtype=float) - c) / r
-        w = np.clip(1.0 - s * s, 0.0, None)
-        return -4.0 * s * w / r
-
-    return phi, dphi
-
-
-def default_test_functions(x_min, x_max, t0, t1):
-    """Deterministic family of N_SPACE * N_TIME separable test functions psi(t) * phi(x).
-
-    Spatial factors are compactly supported bumps strictly inside the
-    domain; time windows include a constant one (boundary-in-time terms
-    carry the information) and smooth bumps.
-    """
-    rng = np.random.default_rng(0)
-    span = x_max - x_min
-    spatial = []
-    for _ in range(N_SPACE):
-        r = span * rng.uniform(0.1, 0.3)
-        c = rng.uniform(x_min + 1.05 * r, x_max - 1.05 * r)
-        spatial.append(_bump(c, r))
-    one = (lambda t: np.ones_like(np.asarray(t, dtype=float)),
-           lambda t: np.zeros_like(np.asarray(t, dtype=float)))
-    temporal = [one]
-    T = t1 - t0
-    for _ in range(N_TIME - 1):
-        r = T * rng.uniform(0.2, 0.45)
-        c = rng.uniform(t0 + 0.05 * T, t1 - 0.05 * T)
-        temporal.append(_bump(c, r))
-    return [(phi, dphi, psi, dpsi)
-            for phi, dphi in spatial for psi, dpsi in temporal]
+def _bump(c, r, x):
+    """The C^1 bump (1 - s^2)^2 on |x - c| < r, s = (x - c) / r, and its derivative, at x."""
+    s = (x - c) / r
+    w = np.clip(1.0 - s * s, 0.0, None)
+    return w * w, -4.0 * s * w / r
 
 
 def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
-    """Max |weak form of u_t + A(u)_x = 0| over the test family.
+    """Max |weak form of u_t + A(u)_x = 0| over the test functions psi(t) * phi(x).
 
-    Midpoint quadrature in x over the cells, trapezoid in t over the
-    snapshot times; time-boundary terms are included so windows need not
-    vanish at t0/t1.
+    N_SPACE bumps phi strictly inside the domain times N_TIME windows psi: a
+    constant one (boundary-in-time terms carry the information) and smooth
+    bumps, all drawn from default_rng(0).  Midpoint quadrature in x over the
+    cells, trapezoid in t over the snapshot times, with the time-boundary
+    terms, so windows need not vanish at t0/t1.
     """
     if len(snapshots) < 2:
         raise AnalysisError("weak residual needs at least two snapshots")
     f0 = snapshots[0].field
     times = np.array([s.t for s in snapshots])
-    centers = f0.centers
-    dx = f0.dx
-    tests = default_test_functions(f0.x_min, f0.x_max, float(times[0]), float(times[-1]))
-    # precompute midpoint values of u and A(u) per snapshot
+    centers, dx = f0.centers, f0.dx
     u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
                       for s in snapshots])
     A_mid = fx.eval_A(model, u_mid)
-
-    worst = 0.0
-    for phi, dphi, psi, dpsi in tests:
-        pv = phi(centers)
-        if abs(pv[0]) > 0 or abs(pv[-1]) > 0:
+    rng = np.random.default_rng(0)
+    integrals = []   # (int u phi dx, int A(u) phi' dx) per snapshot, for each bump phi
+    for _ in range(N_SPACE):
+        r = (f0.x_max - f0.x_min) * rng.uniform(0.1, 0.3)
+        c = rng.uniform(f0.x_min + 1.05 * r, f0.x_max - 1.05 * r)
+        phi, dphi = _bump(c, r, centers)
+        if phi[0] or phi[-1]:
             raise AnalysisError("test function support touches the domain boundary")
-        dpv = dphi(centers)
-        psiv = psi(times)
-        dpsiv = dpsi(times)
-        # spatial integrals per snapshot
-        space_u = u_mid @ pv * dx          # int u phi dx
-        space_Adp = A_mid @ dpv * dx       # int A(u) phi' dx
-        integrand = space_u * dpsiv + space_Adp * psiv
-        interior = float(np.trapezoid(integrand, times))
-        boundary = float(space_u[-1] * psiv[-1] - space_u[0] * psiv[0])
-        worst = max(worst, abs(interior - boundary))
-    return worst
+        # one matvec per bump: a matmul over all of them would sum in another order
+        integrals.append((u_mid @ phi * dx, A_mid @ dphi * dx))
+    t0, T = times[0], times[-1] - times[0]
+    windows = [(np.ones_like(times), np.zeros_like(times))]
+    for _ in range(N_TIME - 1):
+        r = T * rng.uniform(0.2, 0.45)
+        c = rng.uniform(t0 + 0.05 * T, times[-1] - 0.05 * T)
+        windows.append(_bump(c, r, times))
+    space_u, space_Adp = (np.array(v)[:, None] for v in zip(*integrals))
+    psi, dpsi = map(np.array, zip(*windows))
+    interior = np.trapezoid(space_u * dpsi + space_Adp * psi, times)
+    boundary = space_u[..., -1] * psi[:, -1] - space_u[..., 0] * psi[:, 0]
+    return max(0.0, *np.abs(interior - boundary).ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +191,7 @@ def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel)
         q = (np.arange(N_QUANTILES) + 0.5) * total / N_QUANTILES
         w = np.full(N_QUANTILES, total / N_QUANTILES)
     times = np.array([s.t for s in snapshots])
-    X = np.array([[quantile(s.field, qq) for qq in q] for s in snapshots])
+    X = np.array([quantile(s.field, q) for s in snapshots])
     return FlowTable(times, q, w, X)
 
 
@@ -235,12 +204,11 @@ def pushforward_checks(flow: FlowTable, snapshots: list[SolverState],
     """
     records = []
     for k, s in enumerate(snapshots):
-        f = s.field
-        direct = {name: float(np.sum(f.cell_masses * phi(f.centers)))
-                  for name, (phi, _) in test_funcs.items()}
+        masses, centers = s.field.cell_masses, s.field.centers
         for name, (phi, lip) in test_funcs.items():
+            direct = float(np.sum(masses * phi(centers)))
             pushed = float(np.sum(flow.weights * phi(flow.X[k])))
-            err = abs(direct[name] - pushed)
+            err = abs(direct - pushed)
             tol = tol_per_lip * lip
             records.append(CheckRecord(f"pushforward_{name}", s.t, err, tol, tol,
                                        err <= tol))

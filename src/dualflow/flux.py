@@ -217,8 +217,9 @@ def _extrema(model: FluxModel, order: int) -> _Extrema:
     per model instance.
     """
     tables = model._tables
-    if order not in tables:
-        tables[order] = _new_extrema(model, order)
+    if order not in tables:   # a far root may overflow; the table then holds eval's +-inf there
+        with np.errstate(over="ignore", divide="ignore"):
+            tables[order] = _new_extrema(model, order)
     return tables[order]
 
 

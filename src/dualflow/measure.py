@@ -267,17 +267,21 @@ def wasserstein1(mu, nu) -> float:
     return float(np.sum(np.where(same, trap, cross)))
 
 
-def quantile(obj, q: float) -> float:
-    """Generalized inverse of the primitive: inf{x : U(x) >= q}, 0 < q < mass."""
+def quantile(obj, q):
+    """Generalized inverse of the primitive: inf{x : U(x) >= q}, 0 < q < mass,
+    for one level q (a float) or for each level of an array q (an array)."""
+    levels = np.asarray(q, dtype=float)
     total = obj.total_mass
-    if not (0.0 < q < total):
-        raise MeasureError(f"quantile level {q} outside (0, {total})")
+    outside = ~((0.0 < levels) & (levels < total))
+    if outside.any():
+        raise MeasureError(f"quantile level {levels[outside][0]} outside (0, {total})")
     if isinstance(obj, AtomicMeasure):
-        i = int(np.searchsorted(obj.cumulative, q, side="left"))
-        return float(obj.positions[i])
-    u = obj.u_faces
-    i = int(np.searchsorted(u, q, side="left"))
-    if u[i] == q or u[i] == u[i - 1]:
-        return float(obj.faces[i])
-    x0 = obj.faces[i - 1]
-    return float(x0 + obj.dx * (q - u[i - 1]) / (u[i] - u[i - 1]))
+        x = obj.positions[np.searchsorted(obj.cumulative, levels, side="left")]
+    else:
+        u, faces = obj.u_faces, obj.faces
+        i = np.searchsorted(u, levels, side="left")
+        lo, hi = u[i - 1], u[i]
+        flat = (hi == levels) | (hi == lo)   # on a face or a flat stretch: that face
+        x = np.where(flat, faces[i],
+                     faces[i - 1] + obj.dx * (levels - lo) / np.where(flat, 1.0, hi - lo))
+    return x if levels.ndim else float(x)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualflow import analysis as an
 from dualflow import flux as fx
@@ -84,6 +85,94 @@ class TestWeakResidual:
         _, snaps = dirac_snapshots()
         with pytest.raises(an.AnalysisError):
             an.weak_residual(snaps[:1], ATTR)
+
+
+def _closure_bump(c, r):
+    def phi(x):
+        s = (np.asarray(x, dtype=float) - c) / r
+        w = np.clip(1.0 - s * s, 0.0, None)
+        return w * w
+
+    def dphi(x):
+        s = (np.asarray(x, dtype=float) - c) / r
+        w = np.clip(1.0 - s * s, 0.0, None)
+        return -4.0 * s * w / r
+
+    return phi, dphi
+
+
+def _weak_residual_reference(snapshots, model):
+    """The weak residual as 32 (phi, phi', psi, psi') closures, each taken
+    in turn; weak_residual must keep its value bit for bit."""
+    f0 = snapshots[0].field
+    times = np.array([s.t for s in snapshots])
+    t0, t1 = float(times[0]), float(times[-1])
+    rng = np.random.default_rng(0)
+    span = f0.x_max - f0.x_min
+    spatial = []
+    for _ in range(8):
+        r = span * rng.uniform(0.1, 0.3)
+        c = rng.uniform(f0.x_min + 1.05 * r, f0.x_max - 1.05 * r)
+        spatial.append(_closure_bump(c, r))
+    temporal = [(lambda t: np.ones_like(np.asarray(t, dtype=float)),
+                 lambda t: np.zeros_like(np.asarray(t, dtype=float)))]
+    T = t1 - t0
+    for _ in range(3):
+        r = T * rng.uniform(0.2, 0.45)
+        c = rng.uniform(t0 + 0.05 * T, t1 - 0.05 * T)
+        temporal.append(_closure_bump(c, r))
+    u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
+                      for s in snapshots])
+    A_mid = fx.eval_A(model, u_mid)
+    worst = 0.0
+    for phi, dphi in spatial:
+        for psi, dpsi in temporal:
+            pv = phi(f0.centers)
+            if abs(pv[0]) > 0 or abs(pv[-1]) > 0:
+                raise an.AnalysisError("test function support touches the domain boundary")
+            space_u = u_mid @ pv * f0.dx
+            space_Adp = A_mid @ dphi(f0.centers) * f0.dx
+            psiv, dpsiv = psi(times), dpsi(times)
+            interior = float(np.trapezoid(space_u * dpsiv + space_Adp * psiv, times))
+            boundary = float(space_u[-1] * psiv[-1] - space_u[0] * psiv[0])
+            worst = max(worst, abs(interior - boundary))
+    return worst
+
+
+# one model per flux kind
+KIND_MODELS = [ATTR, REP, fx.polynomial([0.0, 1.0, -1.0]),
+               fx.piecewise_linear([[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]])]
+ATOM_DATA = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 0.3)),
+                     min_size=1, max_size=4).map(ms.AtomicMeasure.from_pairs)
+DENSITY_DATA = (st.tuples(st.floats(-1.0, -0.1), st.floats(0.1, 1.0), st.floats(0.2, 1.2))
+                .flatmap(lambda b: st.sampled_from([
+                    ms.UniformDensity(*b), ms.TriangularDensity(b[0], 0.0, b[1], b[2])])))
+
+
+class TestWeakResidualFamily:
+    @settings(max_examples=60, deadline=None)
+    @given(model=st.sampled_from(KIND_MODELS), data=ATOM_DATA | DENSITY_DATA,
+           n=st.integers(20, 160), t_end=st.floats(0.05, 0.5),
+           n_times=st.integers(2, 7))
+    def test_equals_the_closure_family_bit_for_bit(self, model, data, n, t_end, n_times):
+        f = ms.sample_to_grid(data, -5.0, 5.0, n)
+        snaps = pde.run(f, model, t_end,
+                        output_times=list(np.linspace(0.0, t_end, n_times)))
+        try:
+            ref = _weak_residual_reference(snaps, model)
+        except an.AnalysisError as exc:   # a coarse grid: a bump reaches the first cell
+            with pytest.raises(an.AnalysisError, match=str(exc)):
+                an.weak_residual(snaps, model)
+            return
+        got = an.weak_residual(snaps, model)
+        assert type(got) is float
+        assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+
+    def test_support_touching_the_boundary_rejected(self):
+        # on 20 cells of [-3, 1] the first cell centre lies inside a bump
+        _, snaps = dirac_snapshots(n=20)
+        with pytest.raises(an.AnalysisError, match="touches the domain boundary"):
+            an.weak_residual(snaps, ATTR)
 
 
 class TestFlowPushforward:

@@ -50,6 +50,27 @@ def test_particles_layer(bench, monkeypatch):
     assert all(0.0 < s < math.inf for s in results.values())
 
 
+def test_checks_layer(bench, monkeypatch):
+    def coarse(make):
+        def scenario():
+            raw = make()
+            raw["grid"]["n_cells"] = 200
+            return raw
+        return scenario
+
+    monkeypatch.setattr(bench, "CHECK_REPEATS", 1)
+    monkeypatch.setattr(bench, "CHECK_SCENARIOS",
+                        {k: coarse(make) for k, make in bench.CHECK_SCENARIOS.items()})
+    results = bench.checks_layer()
+    assert set(results) == {"attractive_crosscheck", "diagnostics_validate"}
+    for label, per_check in results.items():
+        assert list(per_check) == list(bench.analysis.CHECKS)
+        # the density under a(u) = u - u^2 has neither a flow nor an oracle
+        missing = {"pushforward", "w1_vs_particles"} if label == "diagnostics_validate" else set()
+        assert {name for name, ms in per_check.items() if ms is None} == missing
+        assert all(0.0 < ms < math.inf for ms in per_check.values() if ms is not None)
+
+
 RECORD = {"run_a": {"exit": 0, "stdout": "s1", "files": {"f.csv": "h1", "g.json": "h2"}},
           "run_b": {"exit": 2, "stdout": "s2", "files": {}}}
 

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -176,6 +177,16 @@ def test_max_slope_pwl_segments_and_extensions():
 def test_models_without_finite_flux_rejected(make):
     with pytest.raises(fx.FluxError):
         make()
+
+
+def test_far_roots_build_without_warnings():
+    # a tiny top coefficient puts a root of a' near -5e299, where a overflows;
+    # a subnormal one makes np.roots overflow before the model is refused
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert fx.a_range(fx.polynomial([0.0, 1.0, 1e-300]), 0.0, 1.0) == (0.0, 1.0)
+        with pytest.raises(fx.FluxError):
+            fx.polynomial([1.0, 2.2e-309])
 
 
 def _pwl_A_reference(model, u):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualflow import measure as ms
 
@@ -180,3 +181,65 @@ class TestQuantile:
             ms.quantile(mu, 0.0)
         with pytest.raises(ms.MeasureError):
             ms.quantile(mu, 1.5)
+
+
+def _quantile_reference(obj, q):
+    """One level at a time, by the formula quantile keeps for every level."""
+    if isinstance(obj, ms.AtomicMeasure):
+        return float(obj.positions[int(np.searchsorted(obj.cumulative, q, side="left"))])
+    u = obj.u_faces
+    i = int(np.searchsorted(u, q, side="left"))
+    if u[i] == q or u[i] == u[i - 1]:
+        return float(obj.faces[i])
+    return float(obj.faces[i - 1] + obj.dx * (q - u[i - 1]) / (u[i] - u[i - 1]))
+
+
+# cell masses with flat stretches (zeros) between them, on a random extent
+GRIDS = st.builds(
+    lambda masses, x_min, width: ms.GridField(x_min, x_min + width, len(masses),
+                                              np.concatenate(([0.0], np.cumsum(masses)))),
+    st.lists(st.sampled_from([0.0]) | st.floats(1e-3, 1.0), min_size=1, max_size=30)
+    .filter(any), st.floats(-5.0, 5.0), st.floats(0.5, 10.0))
+ATOMS = st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(1e-3, 1.0)),
+                 min_size=1, max_size=10).map(ms.AtomicMeasure.from_pairs)
+
+
+class TestArrayQuantile:
+    @settings(max_examples=100, deadline=None)
+    @given(obj=GRIDS | ATOMS, shares=st.lists(st.floats(0.0, 1.0), max_size=10),
+           seed=st.integers(0, 2**32 - 1))
+    def test_array_equals_each_level_bit_for_bit(self, obj, shares, seed):
+        total = obj.total_mass
+        # drawn levels, seeded ones whose digits are not as round, and the
+        # face values or atom boundaries of the CDF, which include every flat
+        # stretch of a grid's u
+        steps = obj.cumulative if isinstance(obj, ms.AtomicMeasure) else obj.u_faces
+        seeded = np.random.default_rng(seed).uniform(0.0, 1.0, 10)
+        levels = np.concatenate((total * np.array(shares), total * seeded, steps))
+        levels = levels[(0.0 < levels) & (levels < total)]
+        got = ms.quantile(obj, levels)
+        each = [ms.quantile(obj, q) for q in levels]
+        ref = [_quantile_reference(obj, q) for q in levels]
+        assert got.shape == levels.shape
+        assert all(type(x) is float for x in each)
+        assert np.array_equal(got.view(np.int64), np.array(each).view(np.int64))
+        assert np.array_equal(got.view(np.int64), np.array(ref).view(np.int64))
+
+    def test_face_and_flat_levels(self):
+        # u = 0, 0.25, 0.25, 1 on faces -1, 0, 1, 2: 0.25 is a face value
+        # and the level of the flat stretch [0, 1]
+        f = ms.GridField(-1.0, 2.0, 3, np.array([0.0, 0.25, 0.25, 1.0]))
+        np.testing.assert_array_equal(ms.quantile(f, np.array([0.125, 0.25, 0.625])),
+                                      [-0.5, 0.0, 1.5])
+
+    def test_scalar_level_gives_a_float(self):
+        f = ms.sample_to_grid(ms.UniformDensity(-0.5, 0.5, 1.0), -1.0, 1.0, 8)
+        for obj in (f, atoms((0.0, 1.0))):
+            assert type(ms.quantile(obj, 0.5)) is float
+            assert type(ms.quantile(obj, np.float64(0.5))) is float
+
+    @pytest.mark.parametrize("bad", [0.0, 1.5, -0.25, float("nan")])
+    def test_level_outside_named(self, bad):
+        for obj in (atoms((0.0, 1.0)), ms.sample_to_grid(atoms((0.0, 1.0)), -1.0, 1.0, 4)):
+            with pytest.raises(ms.MeasureError, match=f"level {bad} outside"):
+                ms.quantile(obj, np.array([0.25, bad, 0.75]))
