@@ -41,8 +41,8 @@ class FluxModel:
     kind: str
     a_coeffs: tuple[float, ...] = ()
     nodes: tuple[tuple[float, float], ...] = ()
-    # _extrema's tables by order, per instance: equal models can differ in the sign of a zero
-    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # the extremum tables of A, a and a', per instance: equal models can differ in a zero's sign
+    _tables: tuple[_Extrema, _Extrema, _Extrema] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -63,12 +63,12 @@ class FluxModel:
                 raise FluxError("polynomial model needs coefficients")
             if not all(map(math.isfinite, self.a_coeffs)):
                 raise FluxError("polynomial coefficients must be finite")
-            try:   # the extremum tables of A, a and a'
-                for order in range(3):
-                    _extrema(self, order)
-            except np.linalg.LinAlgError as exc:
-                raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
-                                f"range: their roots cannot be computed ({exc})") from exc
+        try:   # a far root may overflow; the table then holds eval's +-inf there
+            with np.errstate(over="ignore", divide="ignore"):
+                object.__setattr__(self, "_tables", _new_tables(self))
+        except np.linalg.LinAlgError as exc:
+            raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
+                            f"range: their roots cannot be computed ({exc})") from exc
 
 
 def quadratic_attractive() -> FluxModel:
@@ -105,28 +105,26 @@ def _value(at, u):
 
 def eval_a(model: FluxModel, u):
     """Evaluate the velocity a(u).  Accepts scalars or arrays."""
-    return _value(_extrema(model, 1).at, _finite(u))
+    return _value(model._tables[1].at, _finite(u))
 
 
 def eval_A(model: FluxModel, u):
     """Evaluate the antiderivative A(u) with A(0) = 0."""
-    return _value(_extrema(model, 0).at, _finite(u))
+    return _value(model._tables[0].at, _finite(u))
 
 
 class _PwlA:
-    """A(u) for the piecewise-linear kind, built once: one row per stretch
-    of the a' table (``_extrema(model, 2)``).  Rows 1..N-1 are the segments
-    between the N nodes, rows 0 and N the constant extensions of a below the
-    first and above the last node."""
+    """A(u) for the piecewise-linear kind, a = avs at the N nodes us: one row
+    per stretch of the a' table, of values ``slopes``.  Rows 1..N-1 are the
+    segments between nodes, rows 0 and N the constant extensions of a."""
 
-    def __init__(self, model: FluxModel):
-        us, avs = map(np.array, zip(*model.nodes))
+    def __init__(self, us, avs, slopes):
         raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
         # the row of u; the last node stays on the last segment
         self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
         # per row one column, gathered in one call: u, a, A_raw where it starts, half
         # the slope of a (-0.0 on the extensions, where the quadratic term changes no bit)
-        half_slope = 0.5 * _extrema(model, 2).vals
+        half_slope = 0.5 * slopes
         half_slope[[0, -1]] = -0.0
         self.table = np.vstack([np.r_[v[0], v] for v in (us, avs, raw)] + [half_slope])
         self.shift = 0.0   # then A_raw(0), from a first call: x - 0.0 keeps every bit
@@ -206,43 +204,35 @@ class _Extrema(NamedTuple):
     at: Callable | None
 
 
-def _extrema(model: FluxModel, order: int) -> _Extrema:
-    """The extremum table of A (order 0), a (order 1) or a' (order 2), and
-    the one evaluator of that derivative that every caller uses.
+def _new_tables(model: FluxModel) -> tuple[_Extrema, _Extrema, _Extrema]:
+    """The extremum tables of A, a and a', each with the one evaluator of
+    its derivative that every caller uses.
 
     Polynomial kinds: the real roots of the next derivative, and _horner
     over the derivative's coefficients.  The piecewise-linear kind: the
     zeros of a with _PwlA, the nodes with np.interp on them, and for a' the
-    segments between nodes plus the two constant extensions.  Built once
-    per model instance.
+    segments between nodes plus the two constant extensions.
     """
-    tables = model._tables
-    if order not in tables:   # a far root may overflow; the table then holds eval's +-inf there
-        with np.errstate(over="ignore", divide="ignore"):
-            tables[order] = _new_extrema(model, order)
-    return tables[order]
-
-
-def _new_extrema(model: FluxModel, order: int) -> _Extrema:
     if model.kind == "piecewise-linear-a":
         us, avs = map(np.array, zip(*model.nodes))
-        if order == 2:
-            slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
-            return _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None)
-        if order == 1:
-            pts, at = us, lambda u, out: np.interp(u, us, avs)
-        else:
-            k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
-            pts = np.sort(np.r_[us[avs == 0.0],
-                                us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
-            at = _PwlA(model)
-    else:
-        c = np.asarray(model.a_coeffs)
-        derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
-        for _ in range(2):
-            d = derivs[-1]
-            derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
-        pts, at = _real_poly_roots(derivs[order + 1]), _horner_coeffs(derivs[order].tolist())
+        slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
+        k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
+        zeros = np.sort(np.r_[us[avs == 0.0],
+                              us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
+        return (_table(zeros, _PwlA(us, avs, slopes)),
+                _table(us, lambda u, out: np.interp(u, us, avs)),
+                _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None))
+    c = np.asarray(model.a_coeffs)
+    derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
+    for _ in range(2):
+        d = derivs[-1]
+        derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
+    return tuple(_table(_real_poly_roots(derivs[k + 1]), _horner_coeffs(derivs[k].tolist()))
+                 for k in range(3))
+
+
+def _table(pts, at) -> _Extrema:
+    """The table of the derivative evaluated by ``at``, extremal at the points pts."""
     return _Extrema(pts, pts, _value(at, pts), at)
 
 
@@ -273,7 +263,7 @@ def _scalar(x):
 def a_range(model: FluxModel, lo, hi):
     """(min, max) of a over each [lo, hi]; the bounds may come in either order."""
     lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
-    return _span(_extrema(model, 1), lo, hi, eval_a(model, np.array((lo, hi))))
+    return _span(model._tables[1], lo, hi, eval_a(model, np.array((lo, hi))))
 
 
 def max_wave_speed(model: FluxModel, lo: float, hi: float) -> float:
@@ -289,9 +279,8 @@ def max_slope_on_intervals(model: FluxModel, lo, hi):
     lone node of the piecewise-linear kind (lo_i = hi_i = a node) a' is
     taken as 0.
     """
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    table = _extrema(model, 2)
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    table = model._tables[2]
     # a' with no evaluator gives no end values: its stretches alone, which cover
     # the line and leave -inf only at a lone node
     ends = np.empty((0, *lo.shape)) if table.at is None else _value(table.at, np.array((lo, hi)))
@@ -319,9 +308,8 @@ def godunov_flux(model: FluxModel, u_left, u_right):
     [u_right, u_left] otherwise.  Vectorized over both arguments.
     """
     ul, ur = _finite(u_left), _finite(u_right)
-    lo = np.minimum(ul, ur)
-    hi = np.maximum(ul, ur)
-    fmin, fmax = _span(_extrema(model, 0), lo, hi, eval_A(model, np.array((lo, hi))))
+    lo, hi = np.minimum(ul, ur), np.maximum(ul, ur)
+    fmin, fmax = _span(model._tables[0], lo, hi, eval_A(model, np.array((lo, hi))))
     return _scalar(np.where(ul <= ur, fmin, fmax))
 
 
@@ -342,9 +330,10 @@ class FluxPlan:
     """
 
     def __init__(self, model: FluxModel, lo: float, hi: float):
-        A, _, da = (_extrema(model, order) for order in range(3))
-        self.speed = max_wave_speed(model, lo, hi)
-        self.slope = max(0.0, max_slope_of_a(model, lo, hi))
+        A, _, da = model._tables
+        with np.errstate(over="ignore"):   # a bound that overflows is inf: no step is stable
+            self.speed = max_wave_speed(model, lo, hi)
+            self.slope = max(0.0, max_slope_of_a(model, lo, hi))
         # A point or stretch not meeting (lo, hi) is strictly inside no face
         # interval, so dropping it changes no flux.
         inside = _meeting(lo, hi, A)[0]

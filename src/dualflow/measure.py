@@ -281,7 +281,7 @@ def quantile(obj, q):
         u, faces = obj.u_faces, obj.faces
         i = np.searchsorted(u, levels, side="left")
         lo, hi = u[i - 1], u[i]
-        flat = (hi == levels) | (hi == lo)   # on a face or a flat stretch: that face
+        flat = (hi == levels) | (hi == lo) | (i == 0)   # on a face, flat or below u[0]: that face
         x = np.where(flat, faces[i],
                      faces[i - 1] + obj.dx * (levels - lo) / np.where(flat, 1.0, hi - lo))
     return x if levels.ndim else float(x)

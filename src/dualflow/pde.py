@@ -160,12 +160,13 @@ class _March:
         ext stays between its ghosts but for roundoff, which _check admits
         down to a jump of -MONOTONE_TOL, so the bound is taken on that range
         widened by MONOTONE_TOL on each side.  Every step but the last before
-        an output time is at least the CFL step of that bound; doubling the
-        count and a few steps more leave room for roundoff.
+        an output time is at least the CFL step of that bound (none, and an
+        inf budget, if it overflows); doubling the count and a few steps more
+        leave room for roundoff.
         """
         lo, hi = float(self.ext[0]) - MONOTONE_TOL, float(self.ext[-1]) + MONOTONE_TOL
         dt_floor = fx.FluxPlan(self.model, lo, hi).dt(cfl, self.dx, hi - lo)
-        return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
+        return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else math.inf)) + 8.0
 
 
 def step(state: SolverState, model: fx.FluxModel, dt: float | None = None) -> SolverState:

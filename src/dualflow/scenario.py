@@ -95,30 +95,26 @@ def _require_keys(block: dict, allowed: set, required: set, where: str):
         raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
 
 
+# flux.kind -> the fields it reads besides "kind"
+FLUX_FIELDS = {"quadratic-attractive": (), "quadratic-repulsive": (),
+               "polynomial": ("coeffs",), "piecewise-linear-a": ("nodes",)}
+
+
 def parse_flux(block) -> fx.FluxModel:
-    """The model of a flux block (fail-closed on unknown keys and on wrongly
-    typed entries; each error names its field).  A model without a finite
-    flux raises flux.FluxError."""
-    typed(block, dict, "flux block")
-    unknown = set(block) - {"kind", "coeffs", "nodes"}
-    if unknown:
-        raise ScenarioError(f"unknown flux field(s): {sorted(unknown)}")
-    kind = block.get("kind")
-    if kind == "quadratic-attractive":
-        return fx.quadratic_attractive()
-    if kind == "quadratic-repulsive":
-        return fx.quadratic_repulsive()
+    """The model of a flux block, whose kind admits only its own fields; each
+    error names its field.  A model without a finite flux raises flux.FluxError."""
+    kind = typed(block, dict, "flux block").get("kind")
+    if kind not in fx.KINDS:   # not FLUX_FIELDS: a tuple takes unhashable kinds too
+        raise ScenarioError(f"unknown flux kind {kind!r}")
+    fields = {"kind", *FLUX_FIELDS[kind]}
+    _require_keys(block, fields, fields, f"a {kind} flux")
     if kind == "polynomial":
-        if "coeffs" not in block:
-            raise ScenarioError("polynomial flux requires 'coeffs'")
         return fx.polynomial(number(c, f"coeffs[{i}]")
                              for i, c in enumerate(typed(block["coeffs"], list, "coeffs")))
     if kind == "piecewise-linear-a":
-        if "nodes" not in block:
-            raise ScenarioError("piecewise-linear-a flux requires 'nodes'")
         return fx.piecewise_linear(pair(p, f"nodes[{i}]", "a [u, a] pair")
                                    for i, p in enumerate(typed(block["nodes"], list, "nodes")))
-    raise ScenarioError(f"unknown flux kind {kind!r}")
+    return fx.quadratic_attractive() if kind == "quadratic-attractive" else fx.quadratic_repulsive()
 
 
 # initial.type -> (density class, its number fields in constructor order)

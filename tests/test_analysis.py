@@ -150,6 +150,9 @@ DENSITY_DATA = (st.tuples(st.floats(-1.0, -0.1), st.floats(0.1, 1.0), st.floats(
 
 
 class TestWeakResidualFamily:
+    def test_draws_are_the_first_of_default_rng_0(self):
+        assert an.WEAK_DRAWS == tuple(np.random.default_rng(0).random(22).tolist())
+
     @settings(max_examples=60, deadline=None)
     @given(model=st.sampled_from(KIND_MODELS), data=ATOM_DATA | DENSITY_DATA,
            n=st.integers(20, 160), t_end=st.floats(0.05, 0.5),

@@ -228,6 +228,23 @@ class TestRunCommand:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "t_end" in err
 
+    @pytest.mark.parametrize("coeffs", [[0.0, 1e308], [1e308, 1e308]], ids=["a", "a-and-A"])
+    @pytest.mark.parametrize("command", [["validate"], ["run", "--engine", "pde"]],
+                             ids=["validate", "run"])
+    def test_overflowing_wave_bound_refused_before_stepping(self, tmp_path, capsys,
+                                                            coeffs, command):
+        # max |a| overflows to inf: no CFL step exists, so the budget is inf
+        path = write_scenario(tmp_path, flux={"kind": "polynomial", "coeffs": coeffs},
+                              initial={"type": "atoms", "atoms": [[0.0, 1.0]]},
+                              grid={"x_min": -1.0, "x_max": 1.0, "n_cells": 10},
+                              time={"t_end": 1.0})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main([*command, "--scenario", path, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.count("error:") == 1 and err.startswith("error: ") and "MAX_STEPS" in err
+
     def test_exhausted_step_budget_is_an_error_line(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(pde._March, "step_budget", lambda *args: 5)
         path = write_scenario(tmp_path)
@@ -256,6 +273,27 @@ def test_cli_imports_no_numpy_polynomial():
     out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
                          env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+WEAK_RESIDUAL_MODULES = """
+import sys
+from dualflow import cli
+rc = cli.main(["validate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
+print(rc, sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+"""
+
+
+def test_weak_residual_imports_no_numpy_random(tmp_path):
+    """weak_residual's draws are a fixed table, so validate needs no numpy.random."""
+    # a tolerance wide enough for 3 snapshots, so that validate exits 0
+    path = write_scenario(tmp_path, diagnostics={"checks": ["mass", "weak_residual"],
+                                                 "tolerances": {"weak_residual": 2.0}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        str(Path(m.__file__).parents[1]) for m in (dualflow, np)))
+    out = subprocess.run([sys.executable, "-S", "-c", WEAK_RESIDUAL_MODULES, path,
+                          str(tmp_path / "out")], check=True, env=env,
+                         capture_output=True, text=True)
+    assert out.stdout.splitlines()[-1] == "0 []"
 
 
 class TestFailClosedFields:

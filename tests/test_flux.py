@@ -18,6 +18,20 @@ PWL = fx.piecewise_linear([(0.0, 1.0), (0.5, -1.0), (2.0, -1.0)])
 ALL_MODELS = [ATTR, REP, LIN, CUBIC, PWL]
 
 
+def test_tables_built_at_construction():
+    models = [fx.quadratic_attractive(), fx.quadratic_repulsive(),
+              fx.polynomial([0.75, -3.0, 3.0]),
+              fx.piecewise_linear([(0.0, 1.0), (0.5, -1.0), (2.0, -1.0)])]
+    assert tuple(m.kind for m in models) == fx.KINDS
+    for model in models:
+        tables = model._tables   # of A, a and a', before any evaluation
+        assert type(tables) is tuple and len(tables) == 3
+        assert all(isinstance(t, fx._Extrema) for t in tables)
+        fx.godunov_flux(model, 0.0, 1.0)
+        fx.max_slope_of_a(model, 0.0, 1.0)
+        assert model._tables is tables
+
+
 def test_eval_a_examples():
     assert fx.eval_a(ATTR, 1.0) == -1.0
     assert fx.eval_a(ATTR, 0.0) == 0.0

@@ -189,7 +189,7 @@ def _quantile_reference(obj, q):
         return float(obj.positions[int(np.searchsorted(obj.cumulative, q, side="left"))])
     u = obj.u_faces
     i = int(np.searchsorted(u, q, side="left"))
-    if u[i] == q or u[i] == u[i - 1]:
+    if i == 0 or u[i] == q or u[i] == u[i - 1]:
         return float(obj.faces[i])
     return float(obj.faces[i - 1] + obj.dx * (q - u[i - 1]) / (u[i] - u[i - 1]))
 
@@ -231,6 +231,13 @@ class TestArrayQuantile:
         f = ms.GridField(-1.0, 2.0, 3, np.array([0.0, 0.25, 0.25, 1.0]))
         np.testing.assert_array_equal(ms.quantile(f, np.array([0.125, 0.25, 0.625])),
                                       [-0.5, 0.0, 1.5])
+
+    def test_level_below_the_first_face_value(self):
+        # u[0] = 1e-13 > 0: a lower level lies at the first face, not beyond the last
+        f = ms.GridField(-1.0, 1.0, 4, np.array([1e-13, 0.25, 0.5, 0.75, 1.0])).validate()
+        assert ms.quantile(f, 5e-14) == -1.0
+        np.testing.assert_array_equal(ms.quantile(f, np.array([5e-14, 0.25, 0.5])),
+                                      [-1.0, -0.5, 0.0])
 
     def test_scalar_level_gives_a_float(self):
         f = ms.sample_to_grid(ms.UniformDensity(-0.5, 0.5, 1.0), -1.0, 1.0, 8)

@@ -460,7 +460,7 @@ class TestStepBudget:
         slope = max(0.0, fx.max_slope_of_a(model, lo, hi))
         top = speed + slope * (hi - lo)
         dt_floor = cfl * grid.dx / top if top > 0.0 else np.inf
-        ref = 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else 0.0)) + 8.0
+        ref = 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else np.inf)) + 8.0
         budget = pde._March(grid, model).step_budget(t_end, cfl, n_targets)
         assert bits(budget) == bits(ref)
 

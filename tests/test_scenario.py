@@ -9,17 +9,28 @@ import pytest
 
 import dualflow
 from dualflow import flux as fx
-from dualflow.scenario import ScenarioError, parse_flux
+from dualflow.scenario import FLUX_FIELDS, ScenarioError, parse_flux
 
 
 def test_flux_block_fail_closed():
     assert parse_flux({"kind": "quadratic-attractive"}) == fx.quadratic_attractive()
     with pytest.raises(ScenarioError):
         parse_flux({"kind": "quadratic-attractive", "extra": 1})
-    with pytest.raises(ScenarioError):
+    with pytest.raises(ScenarioError, match="coeffs"):
         parse_flux({"kind": "polynomial"})
     with pytest.raises(ScenarioError):
         parse_flux({"kind": "tabulated"})
+    # a field of another kind is not read, so it is refused by name
+    with pytest.raises(ScenarioError, match="coeffs"):
+        parse_flux({"kind": "quadratic-repulsive", "coeffs": [0, 2]})
+    with pytest.raises(ScenarioError, match="nodes"):
+        parse_flux({"kind": "polynomial", "coeffs": [0.0, 1.0], "nodes": [[0, 1], [1, 0]]})
+    with pytest.raises(ScenarioError, match="unknown flux kind"):
+        parse_flux({"kind": ["polynomial"]})
+
+
+def test_flux_fields_cover_every_kind():
+    assert tuple(FLUX_FIELDS) == fx.KINDS
 
 
 LOAD_BUNDLED = """
