@@ -127,20 +127,23 @@ class _PwlA:
         half_slope = 0.5 * slopes
         half_slope[[0, -1]] = -0.0
         self.table = np.vstack([np.r_[v[0], v] for v in (us, avs, raw)] + [half_slope])
-        self.shift = 0.0   # then A_raw(0), from a first call: x - 0.0 keeps every bit
-        self.shift = np.array(float(self(np.asarray(0.0))))   # 0-d, as in _horner_coeffs
+        # then A_raw(0), from a first call; None for +0.0: x - (+0.0) is x, even for -0.0
+        self.shift = None
+        shift = float(self(np.asarray(0.0)))
+        if shift or math.copysign(1.0, shift) < 0:
+            self.shift = np.array(shift)   # 0-d, as in _horner_coeffs
 
     def __call__(self, u, out=None):
         """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""
-        idx = np.searchsorted(self.breaks, u, side="right")
-        u0, val, raw0, quad = self.table.take(idx, 1)
-        du = u - u0
+        u0, val, raw0, quad = self.table.take(self.breaks.searchsorted(u, side="right"), 1)
+        du = np.subtract(u, u0, out=u0 if u0.ndim else None)   # a 0-d u gathers scalars
         val *= du
         val += raw0               # raw + a0*du
         quad *= du
         quad *= du                # 0.5*slope*du*du
         out = np.add(val, quad, out)
-        out -= self.shift
+        if self.shift is not None:
+            out -= self.shift
         return out
 
 
@@ -326,7 +329,9 @@ class FluxPlan:
     stationary points of A with their values and the stretches where a' > 0
     can be reached, the last two kept only where they meet (lo, hi).
     ``fluxes`` reproduces ``numerical_flux`` on consecutive face values bit
-    for bit.  Faces out of order go to the reference itself.
+    for bit, and uses their order: a stationary point lies strictly inside
+    one face interval at most, found with one searchsorted.  Faces out of
+    order go to the reference itself.
     """
 
     def __init__(self, model: FluxModel, lo: float, hi: float):
@@ -357,14 +362,18 @@ class FluxPlan:
         ``work`` holds three scratch rows of length >= e.size.
         """
         m = e.size - 1
-        uL, uR = e[:-1], e[1:]
         A = self.A(e, work[0][:m + 1])
         # Godunov on uL <= uR: the min of A over [uL, uR]
         F = np.minimum(A[:-1], A[1:], out=out)
+        # sorted faces: a stationary point c can be inside (uL, uR) of the face
+        # k alone, where e[k] < c <= e[k + 1]
         for c, Ac in self.stationary:
-            np.minimum(F, Ac, out=F, where=(uL < c) & (c < uR))
+            k = e.searchsorted(c) - 1
+            if 0 <= k < m and c < e[k + 1]:
+                F[k] = np.minimum(F[k], Ac)
         if self.corner is None:
             return F
+        uL, uR = e[:-1], e[1:]
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * du
         du = np.subtract(uR, uL, work[2][:m])
         if self.da is not None and len(self.da) == 1:   # a' is a constant, here > 0

@@ -202,30 +202,21 @@ def extract_atoms(field: GridField) -> AtomicMeasure:
     n = masses.size
     w = min(ATOM_WIDTH_CELLS, n)
     window = np.convolve(masses, np.ones(w), mode="valid")  # sums of w cells
-    marked = np.zeros(n, dtype=bool)
-    for j in np.nonzero(window >= ATOM_MASS_SHARE * total)[0]:
-        marked[j:j + w] = True
-    tail_floor = 1e-9 * total
+    # cell i is marked when one of the windows j = i-w+1 .. i is heavy
+    marked = np.convolve(window >= ATOM_MASS_SHARE * total, np.ones(w, dtype=int)) > 0
+    starts, stops = np.flatnonzero(np.diff(marked, prepend=False, append=False)).reshape(-1, 2).T
+    # the marked runs [starts, stops) grow tails over the cells above a floor: on the
+    # left up to a light cell (at or below the floor) or the previous cluster, on the
+    # right up to a light cell or the next run; -1 and n stand for the grid's ends
+    light = np.concatenate(([-1], np.flatnonzero(masses <= 1e-9 * total), [n]))
+    right = np.minimum(light[light.searchsorted(stops)], np.append(starts[1:], n))
+    left = np.maximum(light[light.searchsorted(starts) - 1] + 1, np.append(0, right[:-1]))
     centers = field.centers
     xs, ms = [], []
-    j = end = 0   # end: one past the previous cluster, where a left tail stops
-    while j < n:
-        if not marked[j]:
-            j += 1
-            continue
-        k = j
-        while k + 1 < n and marked[k + 1]:
-            k += 1
-        while j > end and masses[j - 1] > tail_floor and not marked[j - 1]:
-            j -= 1
-        while k + 1 < n and masses[k + 1] > tail_floor and not marked[k + 1]:
-            k += 1
-        cluster = slice(j, k + 1)
-        m = float(np.sum(masses[cluster]))
-        x = float(np.sum(masses[cluster] * centers[cluster]) / m)
-        xs.append(x)
+    for j, k in zip(left.tolist(), right.tolist()):
+        m = float(np.sum(masses[j:k]))
+        xs.append(float(np.sum(masses[j:k] * centers[j:k]) / m))
         ms.append(m)
-        j = end = k + 1
     if not xs:
         return AtomicMeasure(np.empty(0), np.empty(0))
     return AtomicMeasure.from_pairs(zip(xs, ms))
@@ -245,6 +236,15 @@ def _cdf(obj, x: np.ndarray, side: str) -> np.ndarray:
     return np.interp(x, obj.faces, obj.u_faces, left=0.0, right=obj.total_mass)
 
 
+def _union(x, y) -> np.ndarray:
+    """np.union1d(x, y) bit for bit, without the numpy.ma import of its np.unique."""
+    u = np.concatenate((x, y))
+    u.sort()
+    keep = np.ones(u.shape, dtype=bool)
+    np.not_equal(u[1:], u[:-1], out=keep[1:])
+    return u[keep]
+
+
 def wasserstein1(mu, nu) -> float:
     """W1 distance = integral of |U_mu - U_nu| over the line.
 
@@ -253,7 +253,7 @@ def wasserstein1(mu, nu) -> float:
     """
     if abs(mu.total_mass - nu.total_mass) > 1e-10:
         raise MeasureError("wasserstein1 requires equal total masses")
-    breaks = np.union1d(_cdf_breaks(mu), _cdf_breaks(nu))
+    breaks = _union(_cdf_breaks(mu), _cdf_breaks(nu))
     if breaks.size < 2:
         return 0.0
     a, b = breaks[:-1], breaks[1:]

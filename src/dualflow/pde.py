@@ -118,9 +118,10 @@ class _March:
 
     def dt(self, cfl: float) -> float:
         """The CFL step of the current faces; inf when no wave moves."""
+        if self.ordered:
+            return self.plan.dt(cfl, self.dx, self.jump)
         u = self.ext[1:-1]
-        plan = self.plan if self.ordered else fx.FluxPlan(
-            self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
+        plan = fx.FluxPlan(self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
         return plan.dt(cfl, self.dx, self.jump)
 
     def advance(self, dt: float):

@@ -264,35 +264,36 @@ class TestRunCommand:
             assert a == b, fname
 
 
-def test_cli_imports_no_numpy_polynomial():
-    """_horner is the one polynomial evaluator; numpy.polynomial is only the
-    tests' reference, and this test process has imported it already."""
-    path = os.pathsep.join(str(Path(m.__file__).parents[1]) for m in (dualflow, np))
-    code = ("import sys, dualflow.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['numpy', 'polynomial']))")
-    out = subprocess.run([sys.executable, "-S", "-c", code], check=True,
-                         env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True)
-    assert out.stdout.strip() == "[]"
-
-
-WEAK_RESIDUAL_MODULES = """
+IMPORTED = """
 import sys
 from dualflow import cli
-rc = cli.main(["validate", "--scenario", sys.argv[1], "--out", sys.argv[2]])
-print(rc, sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"]))
+prefix, argv = sys.argv[1].split("."), sys.argv[2:]
+rc = cli.main(argv) if argv else 0
+print(rc, sorted(m for m in sys.modules if m.split(".")[:len(prefix)] == prefix))
 """
 
 
-def test_weak_residual_imports_no_numpy_random(tmp_path):
-    """weak_residual's draws are a fixed table, so validate needs no numpy.random."""
-    # a tolerance wide enough for 3 snapshots, so that validate exits 0
-    path = write_scenario(tmp_path, diagnostics={"checks": ["mass", "weak_residual"],
-                                                 "tolerances": {"weak_residual": 2.0}})
+@pytest.mark.parametrize("package, command, diagnostics", [
+    # _horner is the one polynomial evaluator; numpy.polynomial is only the tests' reference
+    ("numpy.polynomial", None, None),
+    # weak_residual's draws are a fixed table; its tolerance is wide enough for
+    # 3 snapshots, so that validate exits 0
+    ("numpy.random", ["validate"], {"checks": ["mass", "weak_residual"],
+                                    "tolerances": {"weak_residual": 2.0}}),
+    # wasserstein1 merges its breaks without np.union1d, whose np.unique imports numpy.ma
+    ("numpy.ma", ["run", "--engine", "both"], {"checks": ["mass", "w1_vs_particles"],
+                                               "tolerances": {}}),
+], ids=["cli-import", "validate", "run-both"])
+def test_command_imports_no(tmp_path, package, command, diagnostics):
+    """A fresh process that runs ``command`` imports nothing of ``package``;
+    this test process may have imported it already."""
+    argv = [] if command is None else [*command, "--scenario",
+                                       write_scenario(tmp_path, diagnostics=diagnostics),
+                                       "--out", str(tmp_path / "out")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         str(Path(m.__file__).parents[1]) for m in (dualflow, np)))
-    out = subprocess.run([sys.executable, "-S", "-c", WEAK_RESIDUAL_MODULES, path,
-                          str(tmp_path / "out")], check=True, env=env,
-                         capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-S", "-c", IMPORTED, package, *argv], check=True,
+                         env=env, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "0 []"
 
 

@@ -224,6 +224,8 @@ def _pwl_A_reference(model, u):
 
 
 @settings(max_examples=60, deadline=None)
+# A_raw(0) = -0.0, whose subtraction turns A's -0.0 into +0.0
+@example(us=[-1.0, 0.0, 1.0], avs=[-0.0, -0.0, -1.0, 0.0, 0.0, 0.0], u=[0.0, -0.5])
 @given(us=st.lists(st.floats(-1.0, 2.0), min_size=2, max_size=6, unique=True),
        avs=st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
        u=st.lists(st.floats(-1.5, 2.5), min_size=1, max_size=30))

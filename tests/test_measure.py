@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from dualflow import flux as fx
 from dualflow import measure as ms
+from dualflow import pde
 
 
 def atoms(*pairs):
@@ -121,6 +123,76 @@ class TestExtractAtoms:
             got = ms.extract_atoms(f)
             assert got.n_atoms == found
             assert got.positions[-1] == pytest.approx(0.5, abs=f.dx)
+
+
+def extract_atoms_reference(field):
+    """extract_atoms as a scan over the cells, the reference of its array search."""
+    total = field.total_mass
+    masses = field.cell_masses
+    n = masses.size
+    w = min(ms.ATOM_WIDTH_CELLS, n)
+    window = np.convolve(masses, np.ones(w), mode="valid")
+    marked = np.zeros(n, dtype=bool)
+    for j in np.nonzero(window >= ms.ATOM_MASS_SHARE * total)[0]:
+        marked[j:j + w] = True
+    tail_floor = 1e-9 * total
+    centers = field.centers
+    xs, mass = [], []
+    j = end = 0   # end: one past the previous cluster, where a left tail stops
+    while j < n:
+        if not marked[j]:
+            j += 1
+            continue
+        k = j
+        while k + 1 < n and marked[k + 1]:
+            k += 1
+        while j > end and masses[j - 1] > tail_floor and not marked[j - 1]:
+            j -= 1
+        while k + 1 < n and masses[k + 1] > tail_floor and not marked[k + 1]:
+            k += 1
+        cluster = slice(j, k + 1)
+        m = float(np.sum(masses[cluster]))
+        xs.append(float(np.sum(masses[cluster] * centers[cluster]) / m))
+        mass.append(m)
+        j = end = k + 1
+    if not xs:
+        return ms.AtomicMeasure(np.empty(0), np.empty(0))
+    return ms.AtomicMeasure.from_pairs(zip(xs, mass))
+
+
+def assert_same_atoms(got, ref):
+    for a, b in ((got.positions, ref.positions), (got.masses, ref.masses)):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestExtractAtomsEqualsTheScan:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_on_pde_snapshots(self, seed):
+        # seeded atoms merging under the attractive piecewise-linear a
+        rng = np.random.default_rng(seed)
+        mu = ms.AtomicMeasure(np.sort(rng.uniform(-1.5, 1.5, 12)), np.full(12, 1.0 / 12))
+        model = fx.piecewise_linear([(0.0, 1.0), (0.3, 0.2), (0.7, -0.1), (1.0, -1.0)])
+        for snap in pde.run(ms.sample_to_grid(mu, -3.0, 3.0, 400), model, 1.0,
+                            output_times=[0.0, 0.1, 0.3, 0.6]):
+            assert_same_atoms(ms.extract_atoms(snap.field), extract_atoms_reference(snap.field))
+
+    @settings(max_examples=300, deadline=None)
+    @given(masses=st.lists(st.sampled_from([0.0, 1e-10]) | st.floats(0.0, 2e-9)
+                           | st.floats(0.0, 1.0), min_size=1, max_size=40))
+    def test_on_drawn_cell_masses(self, masses):
+        # zero, tail-floor-sized and heavy cells, so that runs and tails meet
+        assume(sum(masses) > 0.0)
+        f = ms.GridField(-1.0, 1.0, len(masses), np.concatenate(([0.0], np.cumsum(masses))))
+        assert_same_atoms(ms.extract_atoms(f), extract_atoms_reference(f))
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]) | st.floats(-2.0, 2.0)),
+       y=st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.5]) | st.floats(-2.0, 2.0)))
+def test_union_equals_union1d(x, y):
+    # repeats and zeros of both signs: which of equal values is kept shows in the bits
+    x, y = np.sort(x), np.sort(y)
+    assert np.array_equal(ms._union(x, y).view(np.int64), np.union1d(x, y).view(np.int64))
 
 
 class TestWasserstein:

@@ -206,11 +206,17 @@ class TestFluxPlan:
     @given(data=st.data())
     def test_kernel_equals_numerical_flux(self, kind, data):
         model = data.draw(KIND_MODELS[kind])
-        faces = data.draw(st.lists(st.floats(-0.1, 1.5), min_size=2, max_size=40))
+        # faces on the extremum points of A, a and a' (the nodes of the
+        # piecewise-linear kind among them), and repeated face values
+        edges = [u for table in model._tables for u in table.left.tolist() if -1.0 <= u <= 2.0]
+        repeats = data.draw(st.lists(st.floats(-0.1, 1.5), min_size=1, max_size=4))
+        faces = data.draw(st.lists(st.floats(-0.1, 1.5) | st.sampled_from(edges + repeats),
+                                   min_size=2, max_size=40))
         e = np.sort(np.array(faces)) + 0.0   # monotone, no negative zero
         ref = bits(pde.numerical_flux(model, e[:-1], e[1:]))
         m = e.size - 1
-        for lo, hi in ((float(e[0]), float(e[-1])), (-1.0, 2.0)):
+        wider = (data.draw(st.floats(-1.0, float(e[0]))), data.draw(st.floats(float(e[-1]), 2.0)))
+        for lo, hi in ((float(e[0]), float(e[-1])), wider, (-1.0, 2.0)):
             got = fx.FluxPlan(model, lo, hi).fluxes(e, np.empty(m), np.empty((3, e.size)))
             assert np.array_equal(bits(got), ref)
 
