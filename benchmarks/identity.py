@@ -1,4 +1,4 @@
-"""Byte-identity record: the SHA-256 of everything 18 dualflow commands write.
+"""Byte-identity record: the SHA-256 of everything 19 dualflow commands write.
 
     python3 benchmarks/identity.py OUT.json
     python3 benchmarks/identity.py --compare A.json B.json
@@ -10,6 +10,8 @@ directory:
 - `convergence --resolutions 100,200,400` on `single_dirac_repulsive` and
   `two_atoms_attractive`,
 - each workload of `bench/workloads.py` at seeds 1 and 7, with its own argv,
+- `convergence --resolutions 100,200,400` on the seed-1 `diagnostics_validate`
+  scenario, whose density data have no exact reference (self-convergence),
 
 and writes OUT.json = {command: {"exit": code, "stdout": sha256,
 "files": {name: sha256}}}.  The program is run from `src/` next to this
@@ -64,6 +66,9 @@ def commands(work: Path):
             path = work / f"{name}_{seed}.json"
             workloads.write_scenario(str(path), name, seed)
             yield f"{name}_seed{seed}", [*workload.argv, "--scenario", str(path)]
+    yield ("convergence_diagnostics_validate_seed1",
+           ["convergence", "--scenario", str(work / "diagnostics_validate_1.json"),
+            "--resolutions", "100,200,400"])
 
 
 def record() -> dict:

@@ -3,7 +3,7 @@
 Subcommands:
     run          evolve a scenario with the PDE engine, the aggregate engine,
                  or both, writing CSV snapshots and a diagnostics JSON
-    convergence  L1-error table of u against an exact oracle over resolutions
+    convergence  exact L1 error of u against one reference, over resolutions
     riemann      admissible speed range, selected speed and wave structure
     validate     run all configured diagnostics; exit 0 iff everything passes
 
@@ -262,23 +262,33 @@ def cmd_run(args) -> int:
     return 0 if report.all_pass else 2
 
 
-def _exact_repulsive_dirac(scn: Scenario):
-    # closed-form rarefaction primitive for a single Dirac, a(u) = u
-    if (scn.model.kind == "quadratic-repulsive"
-            and isinstance(scn.initial, AtomicMeasure)
-            and scn.initial.n_atoms == 1):
-        x0 = float(scn.initial.positions[0])
-        m = scn.initial.total_mass
-        t = scn.t_end
-        return lambda x: np.clip((np.asarray(x) - x0) / t, 0.0, m)
-    return None
+def _reference(scn: Scenario, finest: GridField):
+    """The u_ref that every convergence row is measured against.
+
+    Attractive atomic data: the oracle's atoms at t_end.  One atom under
+    a(u) = u: its fan, the one-cell field whose primitive is
+    clip((x - x0) / t, 0, M) (the atom itself when the fan is narrower than
+    an ulp of x0).  Anything else: ``finest``, the finest grid.
+    """
+    mu = scn.initial
+    if isinstance(mu, AtomicMeasure):
+        if fx.is_attractive(scn.model, mu.total_mass):
+            return particles.advance(particles.AggregateSystem.create(mu, scn.model),
+                                     scn.t_end)[0].atoms
+        if scn.model.kind == "quadratic-repulsive" and mu.n_atoms == 1:
+            x0, m = float(mu.positions[0]), mu.total_mass
+            x1 = x0 + m * scn.t_end
+            return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
+    return finest
 
 
 def convergence_table(scn: Scenario, resolutions) -> list[dict]:
-    """L1 error of u per resolution, with observed order between rows.
+    """Exact W1 = L1 error of u per resolution, with observed order between rows.
 
     ``resolutions``: cell counts, as ints or as the strings of --resolutions;
     at least 3 of them, distinct, each a grid the scenario's parser admits.
+    The error is wasserstein1 against _reference; a row measured against
+    itself (the finest grid) is NaN, with no order.
     """
     try:
         ns = sorted(int(n) for n in resolutions)
@@ -289,45 +299,15 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
                             f"got {','.join(map(str, resolutions))}")
     for n in ns:
         check_grid(scn.x_min, scn.x_max, n, "--resolutions")
-    resolutions = ns
-    attractive = fx.is_attractive(scn.model, scn.initial.total_mass)
-    oracle_atoms = None
-    exact_u = _exact_repulsive_dirac(scn)
-    if attractive and isinstance(scn.initial, AtomicMeasure):
-        system = particles.AggregateSystem.create(scn.initial, scn.model)
-        final, _ = particles.advance(system, scn.t_end)
-        oracle_atoms = final.atoms
-
-    fields = {}
-    for n in resolutions:
-        snaps = run_pde(scn, n_cells=n)
-        fields[n] = snaps[-1].field
-
-    errors = {}
-    finest = fields[resolutions[-1]]
-    for n in resolutions:
-        f = fields[n]
-        if oracle_atoms is not None:
-            errors[n] = wasserstein1(f, oracle_atoms)
-        elif exact_u is not None:
-            xs = f.faces
-            errors[n] = float(np.trapezoid(np.abs(f.u_faces - exact_u(xs)), xs))
-        else:
-            if n == resolutions[-1]:
-                errors[n] = float("nan")
-                continue
-            u_ref = np.interp(f.faces, finest.faces, finest.u_faces)
-            errors[n] = float(np.trapezoid(np.abs(f.u_faces - u_ref), f.faces))
-
+    fields = [run_pde(scn, n_cells=n)[-1].field for n in ns]
+    reference = _reference(scn, fields[-1])
     rows = []
-    prev = None
-    for n in resolutions:
-        e = errors[n]
+    for i, (n, f) in enumerate(zip(ns, fields)):
+        e = math.nan if f is reference else wasserstein1(f, reference)
         order = None
-        if prev is not None and e > 0 and errors[prev] > 0:
-            order = math.log2(errors[prev] / e) / math.log2(n / prev)
+        if i and e > 0 and rows[-1]["l1_error"] > 0:
+            order = math.log2(rows[-1]["l1_error"] / e) / math.log2(n / ns[i - 1])
         rows.append({"n_cells": n, "l1_error": e, "order": order})
-        prev = n
     return rows
 
 

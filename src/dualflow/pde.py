@@ -23,6 +23,7 @@ from . import flux as fx
 from .measure import MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
+MAX_CELL_STEPS = 10**10   # the largest n_cells x step budget pde.run accepts
 CFL = 0.45          # the Courant number of a run, and of a scenario, that sets none
 
 
@@ -184,9 +185,10 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
     """March to t_end, landing exactly on each requested output time.
 
     Returns one snapshot per output time (t_end is always included).  A
-    run whose step budget (``_March.step_budget``) exceeds MAX_STEPS is
-    refused before its first step, and one that needs more steps than its
-    budget raises SolverError instead of running on.
+    run whose step budget (``_March.step_budget``) exceeds MAX_STEPS, or
+    whose n_cells x budget exceeds MAX_CELL_STEPS, is refused before its
+    first step, and one that needs more steps than its budget raises
+    SolverError instead of running on.
     """
     if not (0 < t_end < np.inf):
         raise ValueError("t_end must be positive and finite")
@@ -206,6 +208,10 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
     if budget > MAX_STEPS:
         raise SolverError(f"t_end = {t_end} needs a budget of {budget:.3g} steps, "
                           f"more than MAX_STEPS = {MAX_STEPS}")
+    if initial.n_cells * budget > MAX_CELL_STEPS:
+        raise SolverError(f"t_end = {t_end} on {initial.n_cells} cells needs a budget of "
+                          f"{initial.n_cells * budget:.3g} cell steps, "
+                          f"more than MAX_CELL_STEPS = {MAX_CELL_STEPS}")
     t, steps = 0.0, 0
     for target in targets:
         while t < target - 1e-15:

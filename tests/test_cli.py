@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -605,6 +606,70 @@ class TestConvergenceCommand:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ") and "--resolutions" in err[0]
         assert not out.exists()
+
+    def test_resolutions_over_the_cell_step_cap_are_an_error_line(self, tmp_path, capsys):
+        # 2e5 cells of 2e-5 give a budget of about 2.2e5 steps to t_end = 1,
+        # within MAX_STEPS, but 4.4e10 cell steps, over MAX_CELL_STEPS
+        path = write_scenario(tmp_path)
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--scenario", path,
+                         "--resolutions", "200000,400000,800000", "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and "MAX_CELL_STEPS" in err[0]
+        assert not out.exists()
+
+    def test_fan_narrower_than_an_ulp(self, tmp_path):
+        # x0 + M t == x0: the reference is the atom itself, and each row is
+        # the exact W1 of u_h's one-cell ramp against its step, about dx / 2
+        path = write_scenario(tmp_path, flux={"kind": "quadratic-repulsive"},
+                              initial={"type": "atoms", "atoms": [[1e15, 1.0]]},
+                              grid={"x_min": 1e15 - 400, "x_max": 1e15 + 400, "n_cells": 200},
+                              time={"t_end": 0.01})
+        out = tmp_path / "out"
+        assert cli.main(["convergence", "--scenario", path, "--resolutions", "100,200,400",
+                         "--out", str(out)]) == 0
+        rows = read_csv(out / "convergence.csv")[1:]
+        for n, err, _ in rows:
+            assert 0 < float(err) < 0.51 * 800 / int(n)
+
+    @pytest.mark.parametrize("t_end", [1.0, 0.01], ids=["wide-fan", "fan-inside-a-cell"])
+    def test_repulsive_dirac_rows_are_exact(self, t_end):
+        scn = parse_scenario(scenario_dict(
+            flux={"kind": "quadratic-repulsive"}, grid={"x_min": -1.0, "x_max": 3.0, "n_cells": 100},
+            time={"t_end": t_end}))
+        rows = cli.convergence_table(scn, [100, 200, 400])
+        for row in rows:
+            field = cli.run_pde(scn, row["n_cells"])[-1].field
+            sub = 64 * field.n_cells   # midpoints of 64 sub-cells per cell
+            x = field.x_min + (np.arange(sub) + 0.5) * (field.x_max - field.x_min) / sub
+            exact = np.clip(x / t_end, 0.0, 1.0)
+            gap = np.abs(np.interp(x, field.faces, field.u_faces) - exact)
+            quad = np.mean(gap) * (field.x_max - field.x_min)
+            assert abs(row["l1_error"] - quad) <= 0.01 * field.dx
+
+    def test_self_convergence_rows_are_w1_to_the_finest_grid(self):
+        scn = parse_scenario(scenario_dict(
+            flux={"kind": "polynomial", "coeffs": [0.0, 1.0, -1.0]},
+            initial={"type": "triangular", "x_left": -1.0, "x_peak": -0.2, "x_right": 1.0,
+                     "mass": 1.0},
+            grid={"x_min": -4.0, "x_max": 4.0, "n_cells": 100}, time={"t_end": 2.0}))
+        rows = cli.convergence_table(scn, [100, 200, 400])
+        finest = cli.run_pde(scn, 400)[-1].field
+        for row in rows[:-1]:
+            field = cli.run_pde(scn, row["n_cells"])[-1].field
+            assert row["l1_error"] == wasserstein1(field, finest) > 0
+        assert rows[1]["order"] is not None
+        assert math.isnan(rows[-1]["l1_error"]) and rows[-1]["order"] is None
+
+    @pytest.mark.parametrize("name", ["single_dirac_attractive", "single_dirac_repulsive",
+                                      "three_atoms_attractive", "two_atoms_attractive"])
+    def test_w1_rate_on_bundled_scenarios(self, name):
+        # a monotone scheme converges at O(dx) here (Kuznetsov 1976); the
+        # coarsest grid resolves every gap between atoms
+        scn = cli.load_scenario(cli.bundled_scenario(f"{name}.json"))
+        rows = cli.convergence_table(scn, [400, 800, 1600, 3200])
+        orders = [r["order"] for r in rows[1:]]
+        assert all(o is not None and o >= 0.8 for o in orders), orders
 
 
 class TestRiemannCommand:
