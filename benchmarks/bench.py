@@ -7,7 +7,11 @@ Four layers so far:
   `particles.advance` to t = inf (every one of the N - 1 merges).  Once a
   size takes longer than SKIP_AFTER_S, larger sizes (ten times as many
   atoms, so at least ten times as long) are recorded as null, so the script
-  also finishes against the earlier O(N^2) engine.
+  also finishes against the earlier O(N^2) engine.  One more case,
+  "2048_chained", advances the 2 048-atom system through the output times of
+  the `particle_collapse` workload, one `advance` call each, as
+  `cli.run_particles` does: every call after the first starts from merged
+  aggregates and builds its own heap, which the t = inf collapse does once.
 - output: `cli.write_field_outputs` (fields_faces.csv, fields_cells.csv and
   atoms_extracted.csv) for the 17 PDE snapshots of one fixed scenario: 24
   seeded atoms under an attractive piecewise-linear a(u) on 1 600 cells,
@@ -62,6 +66,8 @@ from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
 from dualflow.scenario import parse_scenario  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5)
+CHAIN_ATOMS = 2048
+CHAIN_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)   # particle_collapse's output times
 REPEATS = 3
 SKIP_AFTER_S = 2.0
 PWL_NODES = [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]   # attractive_crosscheck's a
@@ -72,17 +78,23 @@ STEP_REPEATS = 30
 CHECK_REPEATS = 15
 
 
-def collapse_seconds(n: int) -> float:
-    """Best of REPEATS wall times for n seeded equal-mass atoms to collapse."""
+def collapse_seconds(n: int, times=(math.inf,)) -> float:
+    """Best of REPEATS wall times for n seeded equal-mass atoms advanced
+    through ``times``, one `advance` call each; every merge is counted."""
     x = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, n))
     system = particles.AggregateSystem.create(AtomicMeasure(x, np.full(n, 1.0 / n)),
                                               fx.quadratic_attractive())
     best = math.inf
     for _ in range(REPEATS):
+        final, merged = system, 0
         start = time.perf_counter()
-        final, events = particles.advance(system, math.inf)
+        for t in times:
+            final, events = particles.advance(final, t)
+            merged += sum(len(e.indices) - 1 for e in events)
         best = min(best, time.perf_counter() - start)
-        if final.atoms.n_atoms != 1 or sum(len(e.indices) - 1 for e in events) != n - 1:
+        if merged != n - final.atoms.n_atoms:
+            raise SystemExit(f"N = {n}: the merges do not account for the lost atoms")
+        if times[-1] == math.inf and final.atoms.n_atoms != 1:
             raise SystemExit(f"N = {n}: the atoms did not collapse in N - 1 merges")
     return best
 
@@ -95,6 +107,9 @@ def particles_layer() -> dict:
         print(f"particles N={n}: " + ("skipped" if skip else f"{results[str(n)]:.4f} s"),
               flush=True)
         skip = skip or results[str(n)] > SKIP_AFTER_S
+    key = f"{CHAIN_ATOMS}_chained"
+    results[key] = collapse_seconds(CHAIN_ATOMS, CHAIN_TIMES)
+    print(f"particles {key}: {results[key]:.4f} s", flush=True)
     return results
 
 

@@ -12,14 +12,15 @@ the PDE path and is refused here.
 `advance` is a kinetic event loop (Basch, Guibas & Hershberger 1999): each
 aggregate is a trajectory x0 + v (t - t0) in a linked list, and a heap holds
 the times at which neighbours come within EVENT_TOL and collide, so a merge
-touches only its two outer gaps: O(log N) work per merge.
+touches only its two outer gaps: O(log N) heap work per merge.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,14 +29,14 @@ from .measure import AtomicMeasure, MeasureError
 
 EVENT_TOL = 1e-12
 MAX_EVENTS = 10**6
+LINKED, REMOVED = -2, -1   # stamps of slots, besides versions
 
 
 class OracleError(ValueError):
     """Oracle used outside its validity domain (non-attractive flux, caps)."""
 
 
-@dataclass(frozen=True, slots=True)
-class MergeEvent:
+class MergeEvent(NamedTuple):
     t: float
     indices: tuple[int, ...]  # indices into the pre-merge atom list
     x: float
@@ -103,42 +104,41 @@ def advance(system: AggregateSystem, t_target: float):
     aggregate at its centre of mass, recorded as one MergeEvent.
     """
     t = system.time
-    if t_target < t - EVENT_TOL:
-        raise ValueError("t_target must not precede the current time")
+    if not t_target >= t - EVENT_TOL:   # NaN fails this too
+        raise ValueError(f"t_target must not precede the current time, got {t_target!r}")
     x, m, n = system.atoms.positions, system.atoms.masses, system.atoms.n_atoms
     # Aggregates are named by the slot of their leftmost incoming atom, so
     # slot order is list order.  Slot s covers incoming atoms s .. hi[s] - 1.
     A = fx.eval_A(system.model, np.concatenate(([0.0], np.cumsum(m)))).tolist()
     x0, t0, v, mass = x.tolist(), [t] * n, system.v.tolist(), m.tolist()
-    hi = list(range(1, n + 1))
-    nxt, prv = list(range(1, n + 1)), list(range(-1, n - 1))
-    nxt[-1] = -1
-    # stamp[s] versions the gap right of slot s (heap entries carry it);
-    # -1 once s is merged away
-    stamp = [0] * n
-    fenwick = [i & -i for i in range(n + 1)]  # live-slot counts, for ranks
+    hi, nxt, prv = list(range(1, n + 1)), [*range(1, n), -1], list(range(-1, n - 1))
+    # stamp[s]: the version of the gap right of slot s in the heap, LINKED while
+    # that gap merges at this instant, REMOVED once s merged into its left one
+    stamp, version = [0] * n, 0
+    # merged-away slots, for ranks; also counted per block of 2**shift slots,
+    # about sqrt(8 n): a byte count is cheaper than a sum of ints
+    shift = (n.bit_length() + 3) // 2
+    dead, dead_in_block = bytearray(n), [0] * ((n >> shift) + 1)
 
-    def gap_entry(s: int):
-        """Heap entry (t_reach, t_hit, s, stamp) of the gap right of live slot s
-        at time t: t_hit is when the neighbours collide (inf if they do not
-        close), t_reach <= t_hit when their gap has closed to EVENT_TOL; None
-        when neither ever happens."""
-        r = nxt[s]
-        gap = (x0[r] + v[r] * (t - t0[r])) - (x0[s] + v[s] * (t - t0[s]))
-        rate = v[s] - v[r]
-        if rate > 0:
-            return t + max(gap - EVENT_TOL, 0.0) / rate, t + gap / rate, s, stamp[s]
-        return (t, math.inf, s, stamp[s]) if gap <= EVENT_TOL else None
-
-    heap = [e for e in map(gap_entry, range(n - 1)) if e]
-    heapq.heapify(heap)
+    # A gap's entry is (t_reach, t_hit, s, version): t_hit is when the
+    # neighbours collide (inf if they do not close), t_reach <= t_hit when
+    # their gap has closed to EVENT_TOL; a gap where neither happens has none.
+    # Every aggregate starts at time t, so the first heap is one array pass,
+    # without the gaps that cannot link by t_target (never popped here).
+    gap, rate = x[1:] - x[:-1], system.v[:-1] - system.v[1:]
+    c = (rate > 0).nonzero()[0]   # the closing gaps
+    t_reach = t + np.maximum(gap[c] - EVENT_TOL, 0.0) / rate[c]
+    c, t_reach = c[due := t_reach <= t_target + EVENT_TOL], t_reach[due]
+    heap = list(zip(t_reach.tolist(), (t + gap[c] / rate[c]).tolist(), c.tolist(), [0] * c.size))
+    heap += [(t, math.inf, s, 0) for s in ((rate <= 0) & (gap <= EVENT_TOL)).nonzero()[0].tolist()]
+    heapify(heap)
 
     events: list[MergeEvent] = []
     while True:
         # pop every live gap that may link at the next instant, min(t_hit, t_target)
-        popped, t_ev, bound = [], math.inf, t_target + EVENT_TOL
+        popped, linked, t_ev, bound = [], [], math.inf, t_target + EVENT_TOL
         while heap and heap[0][0] <= bound:
-            entry = heapq.heappop(heap)
+            entry = heappop(heap)
             if stamp[entry[2]] == entry[3]:
                 popped.append(entry)
                 if entry[1] < t_ev:
@@ -146,64 +146,64 @@ def advance(system: AggregateSystem, t_target: float):
                     bound = min(t_ev, t_target) + EVENT_TOL
         if t_ev == math.inf == t_target:
             break
-        if t_ev <= t_target:
-            t = t_ev
-            hit = t + EVENT_TOL
-        else:
-            t, hit = t_target, -math.inf
-        linked = set()
+        t, hit = (t_ev, t_ev + EVENT_TOL) if t_ev <= t_target else (t_target, -math.inf)
         for entry in popped:
             if entry[0] <= t or entry[1] <= hit:
-                linked.add(entry[2])
+                linked.append(entry[2])
+                stamp[entry[2]] = LINKED
             else:
-                heapq.heappush(heap, entry)
-        # maximal runs of linked gaps, left to right, as lists of slots
-        runs: list[list[int]] = []
-        for s in sorted(linked):
-            if runs and runs[-1][-1] == s:
-                runs[-1].append(nxt[s])
-            else:
-                runs.append([s, nxt[s]])
-        # Each run's MergeEvent.indices are ranks among the aggregates alive
-        # before this instant: the live slots left of it, plus those this
-        # instant's earlier runs (all further left) have already removed.
-        touched, removed = set(), 0
-        for run in runs:
-            l, r = run[0], run[-1]
-            i, rank = l, removed
-            while i:
-                rank += fenwick[i]
-                i &= i - 1
-            mg = mx = 0.0
-            for a in run:
-                mg += mass[a]
-                mx += mass[a] * (x0[a] + v[a] * (t - t0[a]))
-            events.append(MergeEvent(t, tuple(range(rank, rank + len(run))), mx / mg, mg))
+                heappush(heap, entry)
+        linked.sort()
+        # Each maximal run of linked gaps, left to right, merges into its
+        # leftmost slot l.  Its MergeEvent.indices are ranks among the
+        # aggregates alive before this instant: the q live slots left of l,
+        # plus those this instant's earlier runs (all further left) removed.
+        removed = 0
+        for l in linked:
+            if stamp[l] == REMOVED:   # inside a run that began further left
+                continue
+            q = l - sum(dead_in_block[:l >> shift]) - dead.count(1, l >> shift << shift, l)
+            first, r, mg, mx = q + removed, l, 0.0, 0.0
+            while True:   # add slot r; go on while the gap right of it is linked
+                mg += mass[r]
+                mx += mass[r] * (x0[r] + v[r] * (t - t0[r]))
+                if stamp[r] != LINKED:
+                    break
+                stamp[r] = REMOVED
+                r = nxt[r]
+                removed += 1
+                dead[r] = 1
+                dead_in_block[r >> shift] += 1
+            stamp[r] = REMOVED
             x0[l], t0[l], mass[l], hi[l] = mx / mg, t, mg, hi[r]
             v[l] = (A[hi[l]] - A[l]) / mg
-            for a in run[1:]:
-                stamp[a] = -1
-                i = a + 1
-                while i <= n:
-                    fenwick[i] -= 1
-                    i += i & -i
-            removed += len(run) - 1
-            nxt[l] = nxt[r]
-            if nxt[l] >= 0:
-                prv[nxt[l]] = l
-            touched.add(l)
-            if prv[l] >= 0:
-                touched.add(prv[l])
-        for s in touched:
-            stamp[s] += 1
-            if nxt[s] >= 0 and (entry := gap_entry(s)):
-                heapq.heappush(heap, entry)
+            events.append(MergeEvent(t, tuple(range(first, q + removed + 1)), x0[l], mg))
+            nxt[l] = r = nxt[r]
+            if r >= 0:
+                prv[r] = l
+            for s in (prv[l], l):   # new entries for the two gaps the merge changed
+                if s < 0:
+                    continue
+                stamp[s] = version = version + 1
+                r = nxt[s]
+                if r < 0:
+                    continue
+                gap = (x0[r] + v[r] * (t - t0[r])) - (x0[s] + v[s] * (t - t0[s]))
+                rate = v[s] - v[r]   # the first heap's entry, for one gap
+                if rate > 0:
+                    heappush(heap, (t + (gap - EVENT_TOL if gap > EVENT_TOL else 0.0) / rate,
+                                    t + gap / rate, s, version))
+                elif gap <= EVENT_TOL:
+                    heappush(heap, (t, math.inf, s, version))
+        if len(heap) > 2 * (n - len(events)):   # stale entries outnumber live ones
+            heap = [e for e in heap if stamp[e[2]] == e[3]]
+            heapify(heap)
         if len(events) > MAX_EVENTS:
-            raise OracleError("event cap exceeded (10^6 merge events)")
+            raise OracleError(f"event cap exceeded ({MAX_EVENTS} merge events)")
         if t == t_target:
             break
 
-    live = np.flatnonzero(np.array(stamp) >= 0)
+    live = np.frombuffer(dead, dtype=np.uint8) == 0
     v_live = np.array(v)[live]
     atoms = AtomicMeasure(np.array(x0)[live] + v_live * (t - np.array(t0)[live]),
                           np.array(mass)[live])

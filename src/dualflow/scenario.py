@@ -79,11 +79,19 @@ def number(value, where: str) -> float:
                             "for a float") from None
 
 
-def pair(value, where: str, what: str) -> tuple[float, float]:
-    """value as a pair of floats; `what` describes it, e.g. 'an [x, m] pair'."""
-    if not isinstance(value, (list, tuple)) or len(value) != 2:
-        raise ScenarioError(f"{where} must be {what}, got {value!r}")
-    return number(value[0], f"{where}[0]"), number(value[1], f"{where}[1]")
+def pairs(values, where: str, what: str) -> list[tuple[float, float]]:
+    """Each item of the list ``values``, named ``where``, as a pair of floats;
+    `what` describes one, e.g. 'an [x, m] pair'.  An error names the item, as in
+    ``initial.atoms[3][1] must be a number``: its field path is built only then."""
+    out = []
+    for i, value in enumerate(values):
+        try:
+            if not isinstance(value, (list, tuple)) or len(value) != 2:
+                raise ScenarioError(f" must be {what}, got {value!r}")
+            out.append((number(value[0], "[0]"), number(value[1], "[1]")))
+        except ScenarioError as exc:
+            raise ScenarioError(f"{where}[{i}]{exc}") from None
+    return out
 
 
 def _require_keys(block: dict, allowed: set, required: set, where: str):
@@ -112,8 +120,8 @@ def parse_flux(block) -> fx.FluxModel:
         return fx.polynomial(number(c, f"coeffs[{i}]")
                              for i, c in enumerate(typed(block["coeffs"], list, "coeffs")))
     if kind == "piecewise-linear-a":
-        return fx.piecewise_linear(pair(p, f"nodes[{i}]", "a [u, a] pair")
-                                   for i, p in enumerate(typed(block["nodes"], list, "nodes")))
+        return fx.piecewise_linear(pairs(typed(block["nodes"], list, "nodes"), "nodes",
+                                         "a [u, a] pair"))
     return fx.quadratic_attractive() if kind == "quadratic-attractive" else fx.quadratic_repulsive()
 
 
@@ -126,12 +134,11 @@ def _parse_initial(block: dict):
     kind = block.get("type")
     if kind == "atoms":
         _require_keys(block, {"type", "atoms"}, {"type", "atoms"}, "initial")
-        pairs = block["atoms"]
-        if not isinstance(pairs, (list, tuple)) or not pairs:
+        atoms = block["atoms"]
+        if not isinstance(atoms, (list, tuple)) or not atoms:
             raise ScenarioError("initial.atoms must be a non-empty list (total mass > 0)")
         try:
-            return AtomicMeasure.from_pairs(
-                pair(p, f"initial.atoms[{i}]", "an [x, m] pair") for i, p in enumerate(pairs))
+            return AtomicMeasure.from_pairs(pairs(atoms, "initial.atoms", "an [x, m] pair"))
         except MeasureError as exc:
             raise ScenarioError(f"initial.atoms: {exc}") from exc
     if kind in DENSITIES:

@@ -45,8 +45,9 @@ def test_pde_step_layer(bench, monkeypatch):
 def test_particles_layer(bench, monkeypatch):
     monkeypatch.setattr(bench, "SIZES", (10, 40))
     monkeypatch.setattr(bench, "REPEATS", 1)
+    monkeypatch.setattr(bench, "CHAIN_ATOMS", 64)
     results = bench.particles_layer()
-    assert set(results) == {"10", "40"}
+    assert set(results) == {"10", "40", "64_chained"}
     assert all(0.0 < s < math.inf for s in results.values())
 
 

@@ -341,12 +341,15 @@ class TestFailClosedFields:
         ({"initial": {"type": "atoms", "atoms": [[0.0, True]]}}, "initial.atoms[0][1]"),
         ({"initial": {"type": "atoms", "atoms": [[0.0, "x"]]}}, "initial.atoms[0][1]"),
         ({"initial": {"type": "atoms", "atoms": [[0.0]]}}, "initial.atoms[0]"),
+        ({"initial": {"type": "atoms", "atoms": [[k / 4096, 1 / 2048 if k != 1500 else "m"]
+                                                 for k in range(2048)]}},
+         "initial.atoms[1500][1]"),
         ({"output": {"directory": 5}}, "output.directory"),
         ({"output": {"directory": None}}, "output.directory"),
         ({"output": {"directory": ["out"]}}, "output.directory"),
     ], ids=["x_left_string", "x_peak_null", "mass_bool", "atom_mass_bool",
-            "atom_mass_string", "atom_not_a_pair", "directory_int", "directory_null",
-            "directory_list"])
+            "atom_mass_string", "atom_not_a_pair", "atom_1500_of_2048", "directory_int",
+            "directory_null", "directory_list"])
     def test_bad_initial_or_output_field_named(self, tmp_path, overrides, field):
         path = write_scenario(tmp_path, **overrides)
         with pytest.raises(cli.ScenarioError, match=re.escape(field)):

@@ -143,6 +143,18 @@ class TestAdvanceEdgeCases:
         with pytest.raises(ValueError):
             pt.advance(s, 0.5)
 
+    def test_nan_time_rejected(self):
+        # NaN compares false both ways, so it must be refused before the loop
+        s = system([(-0.25, 0.5), (0.25, 0.5)])
+        with pytest.raises(ValueError, match="nan"):
+            pt.advance(s, math.nan)
+
+    def test_event_cap_names_the_cap(self, monkeypatch):
+        monkeypatch.setattr(pt, "MAX_EVENTS", 3)
+        s = system([(float(x), 1 / 8) for x in [0.0, 1.0, 3.0, 6.0, 10.0, 15.0, 21.0, 28.0]])
+        with pytest.raises(pt.OracleError, match=r"event cap exceeded \(3 merge events\)"):
+            pt.advance(s, math.inf)
+
     def test_trajectory_csv_shape(self, tmp_path):
         scn = parse_scenario({
             "flux": {"kind": "quadratic-attractive"},
@@ -326,6 +338,14 @@ def test_seeded_sweep_matches_reference():
     for seed in range(500):
         pairs, model, times = random_configuration(np.random.default_rng(seed))
         assert_matches_reference(pairs, model, times)
+
+
+def test_large_collapse_chained_matches_reference():
+    # particle_collapse's shape: each call after the first starts from merged
+    # aggregates and builds its heap from them
+    xs = np.sort(np.random.default_rng(2048).uniform(-1.0, 1.0, 2048))
+    assert_matches_reference([(x, 1 / 2048) for x in xs.tolist()], ATTR,
+                             [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
 
 
 @settings(max_examples=60, deadline=None)
