@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,8 +39,10 @@ class AnalysisError(ValueError):
     """Diagnostic requested outside its validity domain."""
 
 
-@dataclass(frozen=True)
-class CheckRecord:
+class CheckRecord(NamedTuple):
+    """One check's outcome; its builder passes Python floats and a bool, not the
+    numpy scalars of array reductions, so a report serializes as plain JSON."""
+
     name: str
     t: float
     value: float
@@ -48,18 +50,13 @@ class CheckRecord:
     tol: float
     passed: bool
 
-    def __post_init__(self):
-        # numpy scalars sneak in from array reductions; keep records
-        # plain so they serialize to JSON without a custom encoder
-        for f in ("t", "value", "bound", "tol"):
-            object.__setattr__(self, f, float(getattr(self, f)))
-        object.__setattr__(self, "passed", bool(self.passed))
 
-
-@dataclass
 class DiagnosticsReport:
-    scenario: dict = field(default_factory=dict)
-    checks: list[CheckRecord] = field(default_factory=list)
+    """The check records of one diagnostics run, with the scenario they ran on."""
+
+    def __init__(self, scenario: dict | None = None):
+        self.scenario = {} if scenario is None else scenario
+        self.checks: list[CheckRecord] = []
 
     def add(self, record: CheckRecord):
         self.checks.append(record)
@@ -69,11 +66,8 @@ class DiagnosticsReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "checks": [vars(c) for c in self.checks],   # plain fields (__post_init__)
-            "scenario": self.scenario,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
+        return json.dumps({"checks": [c._asdict() for c in self.checks],
+                           "scenario": self.scenario}, indent=2, sort_keys=True)
 
 
 def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
@@ -106,16 +100,14 @@ def check_oleinik(state: SolverState, model: fx.FluxModel, tol: float) -> list[C
     """
     if state.t <= 0:
         raise AnalysisError("Oleinik bound 1/t is undefined at t = 0")
-    f = state.field
+    f, t, tol = state.field, float(state.t), float(tol)
     au = fx.eval_a(model, f.u_faces)
     lhs = float(np.max(np.diff(au)) / f.dx)
-    bound = 1.0 / state.t
-    records = [CheckRecord("oleinik_osl", state.t, lhs, bound, tol,
-                           lhs <= bound + tol)]
+    bound = 1.0 / t
+    records = [CheckRecord("oleinik_osl", t, lhs, bound, tol, lhs <= bound + tol)]
     if model.kind == "quadratic-repulsive":
         dens = float(np.max(f.cell_masses) / f.dx)
-        records.append(CheckRecord("oleinik_density", state.t, dens, bound, tol,
-                                   dens <= bound + tol))
+        records.append(CheckRecord("oleinik_density", t, dens, bound, tol, dens <= bound + tol))
     return records
 
 
@@ -178,8 +170,7 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
 # flow reconstruction / push-forward
 
 
-@dataclass(frozen=True)
-class FlowTable:
+class FlowTable(NamedTuple):
     times: np.ndarray
     q: np.ndarray             # mass coordinates
     weights: np.ndarray       # quadrature weights summing to the total mass
@@ -221,8 +212,8 @@ def pushforward_checks(flow: FlowTable, snapshots: list[SolverState],
             direct = float(np.sum(masses * phi(centers)))
             pushed = float(np.sum(flow.weights * phi(flow.X[k])))
             err = abs(direct - pushed)
-            tol = tol_per_lip * lip
-            records.append(CheckRecord(f"pushforward_{name}", s.t, err, tol, tol,
+            tol = float(tol_per_lip * lip)
+            records.append(CheckRecord(f"pushforward_{name}", float(s.t), err, tol, tol,
                                        err <= tol))
     return records
 
@@ -247,7 +238,7 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel) -> lis
         A = fx.eval_A(model, u)
         q = np.diff(A)   # the momentum q_i = A(u_{i+1}) - A(u_i), as momentum_field
         err = abs(float(np.sum(q)) - expected)
-        records.append(CheckRecord("momentum_total", s.t, err, MOMENTUM_TOL,
+        records.append(CheckRecord("momentum_total", float(s.t), err, MOMENTUM_TOL,
                                    MOMENTUM_TOL, err <= MOMENTUM_TOL))
         rho = s.field.cell_masses
         A_scale = 1.0 + float(np.max(np.abs(A)))
@@ -260,7 +251,7 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel) -> lis
                  + 16 * np.finfo(float).eps * A_scale / rho[i])
         within = (amin - slack <= speed) & (speed <= amax + slack)
         bad = int(np.count_nonzero(~within))
-        records.append(CheckRecord("momentum_bracket", s.t, float(bad),
+        records.append(CheckRecord("momentum_bracket", float(s.t), float(bad),
                                    0.0, 0.0, bad == 0))
     return records
 
@@ -357,7 +348,7 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
 
 def _bounded(name: str, values, tol: float) -> list[CheckRecord]:
     """One record per (t, value) pair, passing when value <= tol."""
-    return [CheckRecord(name, t, v, tol, tol, v <= tol) for t, v in values]
+    return [CheckRecord(name, float(t), float(v), tol, tol, bool(v <= tol)) for t, v in values]
 
 
 # The default tolerance of each check that takes one, for grid spacing dx.

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import math
 import os
 import sys
@@ -24,13 +23,18 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import analysis, flux as fx, particles, pde
-from .measure import AtomicMeasure, GridField, extract_atoms, sample_to_grid, wasserstein1
+from .measure import (AtomicMeasure, GridField, MeasureError, extract_atoms, sample_to_grid,
+                      wasserstein1)
 from .scenario import Scenario, ScenarioError, check_grid, load_scenario, parse_flux, read_json
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
-    return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
-                          scn.n_cells if n_cells is None else n_cells)
+    try:
+        return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
+                              scn.n_cells if n_cells is None else n_cells)
+    except MeasureError as exc:   # the initial data do not fit inside the grid
+        raise ScenarioError(f"initial: {exc} (grid.x_min = {scn.x_min!r}, "
+                            f"grid.x_max = {scn.x_max!r})") from exc
 
 
 def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
@@ -212,8 +216,9 @@ def write_particle_outputs(out_dir: str, states, events):
                  np.asarray(st.v, dtype=float)) for st in states))
     _write_csv(os.path.join(out_dir, "events.csv"),
                ["t_event", "ids_merged", "x", "m"],
-               [([e.t for e in events], ["+".join(str(i) for i in e.indices) for e in events],
-                 [e.x for e in events], [e.m for e in events])])
+               [(np.array([e.t for e in events]),
+                 ["+".join(str(i) for i in e.indices) for e in events],
+                 np.array([e.x for e in events]), np.array([e.m for e in events]))])
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
@@ -237,7 +242,7 @@ def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
 def cmd_run(args) -> int:
     scn = load_scenario(args.scenario)
     if args.out:
-        scn.out_dir = args.out
+        scn = scn._replace(out_dir=args.out)
     want_csv = "csv" in scn.formats
     oracle = None
     if args.engine in ("particles", "both"):
@@ -247,7 +252,7 @@ def cmd_run(args) -> int:
     if args.engine == "particles":
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
-        scn = dataclasses.replace(scn, checks=scn.checks + ("w1_vs_particles",))
+        scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
 
     snapshots = run_pde(scn)
     if want_csv:
@@ -343,7 +348,7 @@ def cmd_riemann(args) -> int:
 def cmd_validate(args) -> int:
     scn = load_scenario(args.scenario)
     if args.out:
-        scn.out_dir = args.out
+        scn = scn._replace(out_dir=args.out)
     report = run_diagnostics(scn, run_pde(scn))
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"

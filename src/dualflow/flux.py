@@ -12,7 +12,6 @@ A model is the pair (a, A) with the normalization A(0) = 0.  Built-in kinds:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -29,46 +28,56 @@ class FluxError(ValueError):
     """Bad flux model definition or non-finite evaluation input."""
 
 
-@dataclass(frozen=True)
 class FluxModel:
     """Velocity a and antiderivative A, both evaluable in closed form.
 
     ``a_coeffs`` holds polynomial coefficients c_0..c_n (a(u) = sum c_k u^k)
     for polynomial-type kinds; ``nodes`` holds ((u_0, a_0), ...) for the
-    piecewise-linear kind.  A(0) = 0 always.
+    piecewise-linear kind.  A(0) = 0 always.  Models are equal, and hash
+    alike, when (kind, a_coeffs, nodes) are.
     """
 
-    kind: str
-    a_coeffs: tuple[float, ...] = ()
-    nodes: tuple[tuple[float, float], ...] = ()
-    # the extremum tables of A, a and a', per instance: equal models can differ in a zero's sign
-    _tables: tuple[_Extrema, _Extrema, _Extrema] = field(init=False, repr=False, compare=False)
+    __slots__ = ("kind", "a_coeffs", "nodes", "_tables")
 
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise FluxError(f"unknown flux kind {self.kind!r}")
-        if self.kind == "piecewise-linear-a":
-            if len(self.nodes) < 2:
+    def __init__(self, kind: str, a_coeffs: tuple[float, ...] = (),
+                 nodes: tuple[tuple[float, float], ...] = ()):
+        if kind not in KINDS:
+            raise FluxError(f"unknown flux kind {kind!r}")
+        if kind == "piecewise-linear-a":
+            if len(nodes) < 2:
                 raise FluxError("piecewise-linear-a needs at least 2 nodes")
-            us = [u for u, _ in self.nodes]
+            us = [u for u, _ in nodes]
             if any(u2 <= u1 for u1, u2 in zip(us, us[1:])):
                 raise FluxError("piecewise-linear-a nodes must have increasing u")
-            slopes = [(a2 - a1) / (u2 - u1)
-                      for (u1, a1), (u2, a2) in zip(self.nodes, self.nodes[1:])]
+            slopes = [(a2 - a1) / (u2 - u1) for (u1, a1), (u2, a2) in zip(nodes, nodes[1:])]
             if not all(map(math.isfinite, [*us, *slopes])):
                 raise FluxError("piecewise-linear-a nodes must be finite, with a "
                                 "finite slope of a between them")
-        elif self.kind == "polynomial":
-            if not self.a_coeffs:
+        elif kind == "polynomial":
+            if not a_coeffs:
                 raise FluxError("polynomial model needs coefficients")
-            if not all(map(math.isfinite, self.a_coeffs)):
+            if not all(map(math.isfinite, a_coeffs)):
                 raise FluxError("polynomial coefficients must be finite")
+        self.kind, self.a_coeffs, self.nodes = kind, a_coeffs, nodes
+        # the extremum tables of A, a and a', per instance: equal models can differ in a zero's sign
         try:   # a far root may overflow; the table then holds eval's +-inf there
             with np.errstate(over="ignore", divide="ignore"):
-                object.__setattr__(self, "_tables", _new_tables(self))
+                self._tables = _new_tables(self)
         except np.linalg.LinAlgError as exc:
-            raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
+            raise FluxError(f"polynomial coefficients {list(a_coeffs)} out of "
                             f"range: their roots cannot be computed ({exc})") from exc
+
+    def _key(self):
+        return self.kind, self.a_coeffs, self.nodes
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "FluxModel(kind=%r, a_coeffs=%r, nodes=%r)" % self._key()
 
 
 def quadratic_attractive() -> FluxModel:

@@ -9,8 +9,6 @@ to that face.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
@@ -24,16 +22,14 @@ class MeasureError(ValueError):
     """Invalid measure data or incompatible operands."""
 
 
-@dataclass(frozen=True)
 class AtomicMeasure:
     """Finite sum of point masses m_i * delta_{x_i}, positions strictly increasing."""
 
-    positions: np.ndarray
-    masses: np.ndarray
+    __slots__ = ("positions", "masses")
 
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.positions, dtype=float))
-        m = np.atleast_1d(np.asarray(self.masses, dtype=float))
+    def __init__(self, positions, masses):
+        x = np.atleast_1d(np.asarray(positions, dtype=float))
+        m = np.atleast_1d(np.asarray(masses, dtype=float))
         if x.shape != m.shape:
             raise MeasureError("positions and masses must have equal length")
         if x.size and (not np.all(np.isfinite(x)) or not np.all(np.isfinite(m))):
@@ -44,16 +40,13 @@ class AtomicMeasure:
             raise MeasureError("atom positions must be strictly increasing")
         x.setflags(write=False)
         m.setflags(write=False)
-        object.__setattr__(self, "positions", x)
-        object.__setattr__(self, "masses", m)
+        self.positions, self.masses = x, m
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
-        """Build from (x, m) pairs; atoms at identical positions are coalesced."""
-        pairs = sorted((float(x), float(m)) for x, m in pairs)
-        xs: list[float] = []
-        ms: list[float] = []
-        for x, m in pairs:
+        """Build from (x, m) pairs of numbers; atoms at identical positions are coalesced."""
+        xs, ms = [], []
+        for x, m in sorted(pairs):
             if xs and x == xs[-1]:
                 ms[-1] += m
             else:
@@ -74,7 +67,6 @@ class AtomicMeasure:
         return np.cumsum(self.masses)
 
 
-@dataclass(frozen=True)
 class GridField:
     """Uniform grid holding u at the n_cells+1 cell interfaces.
 
@@ -82,19 +74,16 @@ class GridField:
     the face differences.
     """
 
-    x_min: float
-    x_max: float
-    n_cells: int
-    u_faces: np.ndarray
+    __slots__ = ("x_min", "x_max", "n_cells", "u_faces")
 
-    def __post_init__(self):
-        if self.n_cells < 1 or self.x_max <= self.x_min:
+    def __init__(self, x_min: float, x_max: float, n_cells: int, u_faces):
+        if n_cells < 1 or x_max <= x_min:
             raise MeasureError("invalid grid extent")
-        u = np.asarray(self.u_faces, dtype=float)
-        if u.shape != (self.n_cells + 1,):
+        u = np.asarray(u_faces, dtype=float)
+        if u.shape != (n_cells + 1,):
             raise MeasureError("u_faces must have n_cells + 1 entries")
         u.setflags(write=False)
-        object.__setattr__(self, "u_faces", u)
+        self.x_min, self.x_max, self.n_cells, self.u_faces = x_min, x_max, n_cells, u
 
     @property
     def dx(self) -> float:
@@ -217,9 +206,8 @@ def extract_atoms(field: GridField) -> AtomicMeasure:
         m = float(np.sum(masses[j:k]))
         xs.append(float(np.sum(masses[j:k] * centers[j:k]) / m))
         ms.append(m)
-    if not xs:
-        return AtomicMeasure(np.empty(0), np.empty(0))
-    return AtomicMeasure.from_pairs(zip(xs, ms))
+    # disjoint runs in grid order: the centroids increase strictly
+    return AtomicMeasure(np.array(xs), np.array(ms))
 
 
 def _cdf_breaks(obj) -> np.ndarray:

@@ -18,7 +18,6 @@ touches only its two outer gaps: O(log N) heap work per merge.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
@@ -54,16 +53,15 @@ def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
     return np.diff(fx.eval_A(model, cum)) / atoms.masses
 
 
-@dataclass(frozen=True)
 class AggregateSystem:
-    time: float
-    atoms: AtomicMeasure
-    model: fx.FluxModel
-    v: np.ndarray = field(default=None, repr=False)
+    """Aggregates ``atoms`` at ``time``; speeds ``v`` default to velocities(atoms, model)."""
 
-    def __post_init__(self):
-        if self.v is None:
-            object.__setattr__(self, "v", velocities(self.atoms, self.model))
+    __slots__ = ("time", "atoms", "model", "v")
+
+    def __init__(self, time: float, atoms: AtomicMeasure, model: fx.FluxModel,
+                 v: np.ndarray | None = None):
+        self.time, self.atoms, self.model = time, atoms, model
+        self.v = velocities(atoms, model) if v is None else v
 
     @classmethod
     def create(cls, atoms: AtomicMeasure, model: fx.FluxModel,

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,8 +31,7 @@ class SolverError(RuntimeError):
     """Fatal numerical failure (NaN state, invalid configuration)."""
 
 
-@dataclass(frozen=True)
-class SolverState:
+class SolverState(NamedTuple):
     t: float
     field: GridField
     cfl: float = CFL

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import flux as fx
 from .analysis import CHECKS, TOLERANCES
@@ -27,8 +27,7 @@ class ScenarioError(ValueError):
     """Malformed scenario file; the message names the offending field."""
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     model: fx.FluxModel
     initial: object                    # AtomicMeasure or a density object
     x_min: float
@@ -69,14 +68,18 @@ def typed(value, kind: type, where: str):
 
 
 def number(value, where: str) -> float:
-    """value as a float; bools, and integers too large for a float, are refused."""
+    """value as a finite float; bools, integers too large for a float and the
+    infinity that JSON parses a number such as 1e400 to are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"{where} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError:
         raise ScenarioError(f"{where} must be a finite number, got an integer too large "
                             "for a float") from None
+    if not math.isfinite(x):
+        raise ScenarioError(f"{where} must be a finite number, got {x!r}")
+    return x
 
 
 def pairs(values, where: str, what: str) -> list[tuple[float, float]]:
@@ -144,7 +147,10 @@ def _parse_initial(block: dict):
     if kind in DENSITIES:
         cls, names = DENSITIES[kind]
         _require_keys(block, {"type", *names}, {"type", *names}, "initial")
-        return cls(*(number(block[k], f"initial.{k}") for k in names))
+        try:
+            return cls(*(number(block[k], f"initial.{k}") for k in names))
+        except MeasureError as exc:
+            raise ScenarioError(f"initial: {exc}") from exc
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import math
@@ -13,9 +14,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import cli, particles, pde
+from dualflow import analysis, cli, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
 from dualflow.scenario import parse_scenario
+
+
+BIG = 123456.789   # stands in a scenario for 1e400, which json.dumps cannot write
 
 
 def scenario_dict(**overrides):
@@ -329,7 +333,42 @@ class TestFailClosedFields:
         path = write_scenario(tmp_path, initial={"type": "atoms", "atoms": [[5.0, 1.0]]})
         assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [
-            "error: atom on or outside the grid boundary"]
+            "error: initial: atom on or outside the grid boundary "
+            "(grid.x_min = -3.0, grid.x_max = 1.0)"]
+
+    @pytest.mark.parametrize("initial, message", [
+        ({"type": "uniform", "x_left": 0.5, "x_right": -0.5, "mass": 1.0},
+         "initial: invalid uniform density block"),
+        ({"type": "uniform", "x_left": -0.5, "x_right": 0.5, "mass": 0},
+         "initial: invalid uniform density block"),
+        ({"type": "triangular", "x_left": -0.5, "x_peak": 0.7, "x_right": 0.5, "mass": 1.0},
+         "initial: invalid triangular density block"),
+        ({"type": "uniform", "x_left": -3.0, "x_right": 0.5, "mass": 1.0},
+         "initial: density support touches the grid boundary "
+         "(grid.x_min = -3.0, grid.x_max = 1.0)"),
+    ], ids=["uniform_reversed", "uniform_massless", "triangular_peak_outside",
+            "support_on_the_boundary"])
+    def test_bad_density_block_names_its_fields(self, tmp_path, capsys, initial, message):
+        path = write_scenario(tmp_path, initial=initial)
+        assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"time": {"t_end": BIG}}, "time.t_end"),
+        ({"diagnostics": {"tolerances": {"mass": BIG}}}, "diagnostics.tolerances.mass"),
+        ({"initial": {"type": "uniform", "x_left": BIG, "x_right": 0.5, "mass": 1.0}},
+         "initial.x_left"),
+        ({"initial": {"type": "atoms", "atoms": [[0.0, 0.5], [0.5, BIG]]}},
+         "initial.atoms[1][1]"),
+    ], ids=["t_end", "tolerance", "x_left", "atom_mass"])
+    def test_number_that_overflows_to_infinity_is_an_error_line(self, tmp_path, capsys,
+                                                                overrides, field):
+        """JSON reads 1e400 as inf, which no field admits."""
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scenario_dict(**overrides)).replace(str(BIG), "1e400"))
+        assert cli.main(["validate", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {field} must be a finite number, got inf"]
 
     @pytest.mark.parametrize("overrides, field", [
         ({"initial": {"type": "uniform", "x_left": "a", "x_right": 1.0, "mass": 1.0}},
@@ -523,7 +562,57 @@ def csv_column(n, prev):
     return st.one_of(choices)
 
 
+SOURCES = sorted(Path(dualflow.__file__).parent.glob("*.py"))
+
+
+@pytest.mark.parametrize("source", SOURCES, ids=[p.name for p in SOURCES])
+def test_value_types_need_no_dataclasses(source):
+    """No module imports dataclasses or writes a field through object.__setattr__."""
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else []
+            names += [alias.name for alias in node.names]
+            assert "dataclasses" not in names, f"line {node.lineno}"
+        if isinstance(node, ast.Attribute) and node.attr == "__setattr__":
+            assert not (isinstance(node.value, ast.Name) and node.value.id == "object"), \
+                f"line {node.lineno}"
+
+
+@pytest.mark.parametrize("command", ["run", "validate"])
+def test_out_leaves_the_loaded_scenario_unchanged(tmp_path, monkeypatch, command):
+    scn = cli.load_scenario(write_scenario(tmp_path))
+    monkeypatch.setattr(cli, "load_scenario", lambda path: scn)
+    out = tmp_path / "elsewhere"
+    assert cli.main([command, "--scenario", "scn.json", "--out", str(out)]) == 0
+    assert (out / "diagnostics.json").is_file()
+    assert scn.out_dir == "out" and scn.checks == ("mass", "oleinik", "pressureless")
+
+
 class TestValidateCommand:
+    @pytest.mark.parametrize("overrides, names", [
+        ({"diagnostics": {"checks": list(analysis.CHECKS),
+                          "tolerances": {"weak_residual": 2.0}}},
+         {"mass_conservation", "oleinik_osl", "momentum_total", "momentum_bracket",
+          "pushforward_x", "pushforward_x2", "pushforward_sin", "weak_residual",
+          "w1_pde_vs_particles"}),
+        ({"flux": {"kind": "quadratic-repulsive"},
+          "grid": {"x_min": -1.0, "x_max": 3.0, "n_cells": 200},
+          "diagnostics": {"checks": ["mass", "oleinik", "pressureless", "weak_residual"],
+                          "tolerances": {"weak_residual": 2.0}}},
+         {"mass_conservation", "oleinik_osl", "oleinik_density", "momentum_total",
+          "momentum_bracket", "weak_residual"}),
+    ], ids=["attractive-every-check", "repulsive"])
+    def test_records_hold_python_floats_and_bools(self, tmp_path, overrides, names):
+        path = write_scenario(tmp_path, **overrides)
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--scenario", path, "--out", str(out)]) == 0
+        scn = cli.load_scenario(path)
+        report = cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
+        assert {c.name for c in report.checks} == names
+        for c in report.checks:
+            assert list(map(type, c)) == [str, float, float, float, float, bool], c
+        assert report.to_json() + "\n" == (out / "diagnostics.json").read_text()
+
     def test_passes_and_prints_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
         out = str(tmp_path / "out")

@@ -32,6 +32,16 @@ def test_tables_built_at_construction():
         assert model._tables is tables
 
 
+def test_equal_models_compare_and_hash_alike_but_keep_their_own_tables():
+    plus, minus = fx.polynomial([0.0, 1.0]), fx.polynomial([-0.0, 1.0])
+    assert plus == minus and hash(plus) == hash(minus) and {plus: 1}[minus] == 1
+    assert fx.polynomial([0, 1]) == plus != fx.quadratic_repulsive() and plus != "polynomial"
+    assert repr(plus) == "FluxModel(kind='polynomial', a_coeffs=(0.0, 1.0), nodes=())"
+    # each evaluates with the sign of zero it was given: a(-0.0) = -0.0 + -0.0 only for minus
+    assert plus._tables is not minus._tables
+    assert not np.signbit(fx.eval_a(plus, -0.0)) and np.signbit(fx.eval_a(minus, -0.0))
+
+
 def test_eval_a_examples():
     assert fx.eval_a(ATTR, 1.0) == -1.0
     assert fx.eval_a(ATTR, 0.0) == 0.0
