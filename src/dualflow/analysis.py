@@ -94,9 +94,9 @@ def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
 def check_oleinik(state: SolverState, model: fx.FluxModel, tol: float) -> list[CheckRecord]:
     """One-sided Lipschitz bound on a(u): face differences of a(u) vs 1/t.
 
-    For the convex quadratic model (a(u) = u) the same bound applies to the
-    cell density itself; with a(u) = -u the density bound is vacuous at
-    shocks, so it is checked only in the repulsive case.
+    For a(u) = u, of whatever kind, the same bound applies to the cell
+    density itself; with a(u) = -u the density bound is vacuous at shocks,
+    so it is checked only when a(u) = u.
     """
     if state.t <= 0:
         raise AnalysisError("Oleinik bound 1/t is undefined at t = 0")
@@ -105,7 +105,7 @@ def check_oleinik(state: SolverState, model: fx.FluxModel, tol: float) -> list[C
     lhs = float(np.max(np.diff(au)) / f.dx)
     bound = 1.0 / t
     records = [CheckRecord("oleinik_osl", t, lhs, bound, tol, lhs <= bound + tol)]
-    if model.kind == "quadratic-repulsive":
+    if fx.is_identity_a(model):
         dens = float(np.max(f.cell_masses) / f.dx)
         records.append(CheckRecord("oleinik_density", t, dens, bound, tol, dens <= bound + tol))
     return records

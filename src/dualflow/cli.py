@@ -23,18 +23,13 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import analysis, flux as fx, particles, pde
-from .measure import (AtomicMeasure, GridField, MeasureError, extract_atoms, sample_to_grid,
-                      wasserstein1)
+from .measure import AtomicMeasure, GridField, extract_atoms, sample_to_grid, wasserstein1
 from .scenario import Scenario, ScenarioError, check_grid, load_scenario, parse_flux, read_json
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
-    try:
-        return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
-                              scn.n_cells if n_cells is None else n_cells)
-    except MeasureError as exc:   # the initial data do not fit inside the grid
-        raise ScenarioError(f"initial: {exc} (grid.x_min = {scn.x_min!r}, "
-                            f"grid.x_max = {scn.x_max!r})") from exc
+    return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
+                          scn.n_cells if n_cells is None else n_cells)
 
 
 def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
@@ -111,7 +106,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
+    if isinstance(x, float):
         return repr(float(x))
     return str(x)
 
@@ -212,8 +207,8 @@ def write_field_outputs(out_dir: str, snapshots):
 def write_particle_outputs(out_dir: str, states, events):
     _write_csv(os.path.join(out_dir, "trajectory.csv"),
                ["t", "atom_id", "x", "m", "v"],
-               ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses,
-                 np.asarray(st.v, dtype=float)) for st in states))
+               ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
+                for st in states))
     _write_csv(os.path.join(out_dir, "events.csv"),
                ["t_event", "ids_merged", "x", "m"],
                [(np.array([e.t for e in events]),
@@ -239,26 +234,28 @@ def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
 # subcommands
 
 
-def cmd_run(args) -> int:
+def load_args_scenario(args) -> Scenario:
+    """The scenario of --scenario, writing to --out when that is given."""
     scn = load_scenario(args.scenario)
-    if args.out:
-        scn = scn._replace(out_dir=args.out)
-    want_csv = "csv" in scn.formats
-    oracle = None
-    if args.engine in ("particles", "both"):
-        oracle = run_particles(scn)
-        if want_csv:
-            write_particle_outputs(scn.out_dir, *oracle)
+    return scn._replace(out_dir=args.out) if args.out else scn
+
+
+def cmd_run(args) -> int:
+    scn = load_args_scenario(args)
+    oracle = None if args.engine == "pde" else run_particles(scn)
     if args.engine == "particles":
+        if "csv" in scn.formats:
+            write_particle_outputs(scn.out_dir, *oracle)
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-
     snapshots = run_pde(scn)
-    if want_csv:
-        write_field_outputs(scn.out_dir, snapshots)
+    # every engine and check has run before the first file is written: exit 1 writes none
     report = run_diagnostics(scn, snapshots, oracle, write_json="json" in scn.formats)
-    if want_csv:
+    if "csv" in scn.formats:
+        if oracle:
+            write_particle_outputs(scn.out_dir, *oracle)
+        write_field_outputs(scn.out_dir, snapshots)
         write_summary_csv(scn.out_dir, scn, snapshots, report)
     for c in report.checks:
         if not c.passed:
@@ -280,7 +277,7 @@ def _reference(scn: Scenario, finest: GridField):
         if fx.is_attractive(scn.model, mu.total_mass):
             return particles.advance(particles.AggregateSystem.create(mu, scn.model),
                                      scn.t_end)[0].atoms
-        if scn.model.kind == "quadratic-repulsive" and mu.n_atoms == 1:
+        if fx.is_identity_a(scn.model) and mu.n_atoms == 1:
             x0, m = float(mu.positions[0]), mu.total_mass
             x1 = x0 + m * scn.t_end
             return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
@@ -317,10 +314,9 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
 
 
 def cmd_convergence(args) -> int:
-    scn = load_scenario(args.scenario)
+    scn = load_args_scenario(args)
     rows = convergence_table(scn, args.resolutions.split(","))
-    out_dir = args.out or scn.out_dir
-    _write_csv(os.path.join(out_dir, "convergence.csv"),
+    _write_csv(os.path.join(scn.out_dir, "convergence.csv"),
                ["n_cells", "l1_error", "order"],
                [(r["n_cells"], r["l1_error"],
                  "" if r["order"] is None else r["order"]) for r in rows])
@@ -346,9 +342,7 @@ def cmd_riemann(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    scn = load_scenario(args.scenario)
-    if args.out:
-        scn = scn._replace(out_dir=args.out)
+    scn = load_args_scenario(args)
     report = run_diagnostics(scn, run_pde(scn))
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
@@ -361,19 +355,18 @@ def build_parser() -> argparse.ArgumentParser:
                                      description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    scn_opts = argparse.ArgumentParser(add_help=False)   # read by load_args_scenario
+    scn_opts.add_argument("--scenario", required=True)
+    scn_opts.add_argument("--out", default=None)
 
-    p_run = sub.add_parser("run", help="run a scenario")
-    p_run.add_argument("--scenario", required=True)
+    p_run = sub.add_parser("run", parents=[scn_opts], help="run a scenario")
     p_run.add_argument("--engine", choices=("pde", "particles", "both"),
                        default="pde")
-    p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
 
-    p_conv = sub.add_parser("convergence", help="grid-refinement study")
-    p_conv.add_argument("--scenario", required=True)
+    p_conv = sub.add_parser("convergence", parents=[scn_opts], help="grid-refinement study")
     p_conv.add_argument("--resolutions", required=True,
                         help="comma-separated cell counts, e.g. 100,200,400")
-    p_conv.add_argument("--out", default=None)
     p_conv.set_defaults(func=cmd_convergence)
 
     p_rie = sub.add_parser("riemann", help="classify a Riemann problem")
@@ -383,9 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rie.add_argument("u_plus", type=float)
     p_rie.set_defaults(func=cmd_riemann)
 
-    p_val = sub.add_parser("validate", help="run diagnostics; exit 0 iff all pass")
-    p_val.add_argument("--scenario", required=True)
-    p_val.add_argument("--out", default=None)
+    p_val = sub.add_parser("validate", parents=[scn_opts],
+                           help="run diagnostics; exit 0 iff all pass")
     p_val.set_defaults(func=cmd_validate)
     return parser
 

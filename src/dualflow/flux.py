@@ -313,6 +313,11 @@ def is_attractive(model: FluxModel, m_total: float) -> bool:
     return max_slope_of_a(model, 0.0, m_total) <= ATTRACTIVE_TOL
 
 
+def is_identity_a(model: FluxModel) -> bool:
+    """True when a(u) = u, whatever kind spells it: coefficients (0, 1), then zeros."""
+    return model.a_coeffs[:2] == (0.0, 1.0) and not any(model.a_coeffs[2:])
+
+
 def godunov_flux(model: FluxModel, u_left, u_right):
     """Exact Godunov interface flux for u_t + A(u)_x = 0.
 

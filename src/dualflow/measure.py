@@ -28,8 +28,8 @@ class AtomicMeasure:
     __slots__ = ("positions", "masses")
 
     def __init__(self, positions, masses):
-        x = np.atleast_1d(np.asarray(positions, dtype=float))
-        m = np.atleast_1d(np.asarray(masses, dtype=float))
+        x = np.atleast_1d(np.array(positions, dtype=float))   # copies: the caller's arrays
+        m = np.atleast_1d(np.array(masses, dtype=float))      # stay writable
         if x.shape != m.shape:
             raise MeasureError("positions and masses must have equal length")
         if x.size and (not np.all(np.isfinite(x)) or not np.all(np.isfinite(m))):
@@ -52,7 +52,7 @@ class AtomicMeasure:
             else:
                 xs.append(x)
                 ms.append(m)
-        return cls(np.array(xs), np.array(ms))
+        return cls(xs, ms)
 
     @property
     def n_atoms(self) -> int:
@@ -79,7 +79,7 @@ class GridField:
     def __init__(self, x_min: float, x_max: float, n_cells: int, u_faces):
         if n_cells < 1 or x_max <= x_min:
             raise MeasureError("invalid grid extent")
-        u = np.asarray(u_faces, dtype=float)
+        u = np.array(u_faces, dtype=float)   # a copy: the caller's array stays writable
         if u.shape != (n_cells + 1,):
             raise MeasureError("u_faces must have n_cells + 1 entries")
         u.setflags(write=False)
@@ -123,15 +123,12 @@ class UniformDensity:
         if x_right <= x_left or mass <= 0:
             raise MeasureError("invalid uniform density block")
         self.x_left, self.x_right, self.total_mass = x_left, x_right, mass
+        self.support = x_left, x_right
 
     def cdf(self, x):
         t = np.clip((np.asarray(x, dtype=float) - self.x_left)
                     / (self.x_right - self.x_left), 0.0, 1.0)
         return self.total_mass * t
-
-    @property
-    def support(self):
-        return self.x_left, self.x_right
 
 
 class TriangularDensity:
@@ -141,7 +138,7 @@ class TriangularDensity:
         if not (x_left < x_peak < x_right) or mass <= 0:
             raise MeasureError("invalid triangular density block")
         self.x_left, self.x_peak, self.x_right = x_left, x_peak, x_right
-        self.total_mass = mass
+        self.total_mass, self.support = mass, (x_left, x_right)
 
     def cdf(self, x):
         a, c, b, m = self.x_left, self.x_peak, self.x_right, self.total_mass
@@ -151,29 +148,29 @@ class TriangularDensity:
         out = np.where(x < c, left, right)
         return m * np.clip(out, 0.0, 1.0)
 
-    @property
-    def support(self):
-        return self.x_left, self.x_right
 
-
-def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridField:
-    """Project a measure onto a grid: u at each face = mass on (-inf, face].
-
-    Atomic input is reproduced exactly cell by cell.  The source support must
-    lie strictly inside (x_min, x_max) so the Dirichlet ghost values hold.
-    """
-    faces = x_min + (x_max - x_min) / n_cells * np.arange(n_cells + 1)
+def check_inside(source, x_min: float, x_max: float):
+    """Refuse a measure whose support does not lie strictly inside (x_min, x_max),
+    where the Dirichlet ghost values of a grid on [x_min, x_max] would not hold."""
     if isinstance(source, AtomicMeasure):
         if source.n_atoms == 0:
             raise MeasureError("cannot grid an empty measure")
         if source.positions[0] <= x_min or source.positions[-1] >= x_max:
             raise MeasureError("atom on or outside the grid boundary")
-        u = _cdf(source, faces, "right")
-    else:
-        lo, hi = source.support
-        if lo <= x_min or hi >= x_max:
-            raise MeasureError("density support touches the grid boundary")
-        u = np.asarray(source.cdf(faces), dtype=float)
+    elif source.support[0] <= x_min or source.support[1] >= x_max:
+        raise MeasureError("density support touches the grid boundary")
+
+
+def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridField:
+    """Project a measure onto a grid: u at each face = mass on (-inf, face].
+
+    Atomic input is reproduced exactly cell by cell.  The source must pass
+    check_inside.
+    """
+    check_inside(source, x_min, x_max)
+    faces = x_min + (x_max - x_min) / n_cells * np.arange(n_cells + 1)
+    u = (_cdf(source, faces, "right") if isinstance(source, AtomicMeasure)
+         else source.cdf(faces))
     return GridField(x_min, x_max, n_cells, u).validate()
 
 
@@ -207,7 +204,7 @@ def extract_atoms(field: GridField) -> AtomicMeasure:
         xs.append(float(np.sum(masses[j:k] * centers[j:k]) / m))
         ms.append(m)
     # disjoint runs in grid order: the centroids increase strictly
-    return AtomicMeasure(np.array(xs), np.array(ms))
+    return AtomicMeasure(xs, ms)
 
 
 def _cdf_breaks(obj) -> np.ndarray:

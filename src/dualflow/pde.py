@@ -153,7 +153,7 @@ class _March:
 
     def field(self) -> GridField:
         g = self.grid
-        return GridField(g.x_min, g.x_max, g.n_cells, self.ext[1:-1].copy()).validate()
+        return GridField(g.x_min, g.x_max, g.n_cells, self.ext[1:-1]).validate()   # copies
 
     def step_budget(self, t_end: float, cfl: float, n_targets: int) -> float:
         """More steps than any run to t_end takes.

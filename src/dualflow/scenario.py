@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from . import flux as fx
 from .analysis import CHECKS, TOLERANCES
-from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
+from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity, check_inside
 from .pde import CFL
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
@@ -97,13 +97,14 @@ def pairs(values, where: str, what: str) -> list[tuple[float, float]]:
     return out
 
 
-def _require_keys(block: dict, allowed: set, required: set, where: str):
-    unknown = set(block) - allowed
+def _require_keys(block, where: str, required, optional=()) -> dict:
+    unknown = set(typed(block, dict, where)).difference(required, optional)
     if unknown:
         raise ScenarioError(f"unknown field(s) in {where}: {sorted(unknown)}")
-    missing = required - set(block)
+    missing = set(required).difference(block)
     if missing:
         raise ScenarioError(f"missing field(s) in {where}: {sorted(missing)}")
+    return block
 
 
 # flux.kind -> the fields it reads besides "kind"
@@ -111,21 +112,24 @@ FLUX_FIELDS = {"quadratic-attractive": (), "quadratic-repulsive": (),
                "polynomial": ("coeffs",), "piecewise-linear-a": ("nodes",)}
 
 
-def parse_flux(block) -> fx.FluxModel:
-    """The model of a flux block, whose kind admits only its own fields; each
-    error names its field.  A model without a finite flux raises flux.FluxError."""
-    kind = typed(block, dict, "flux block").get("kind")
-    if kind not in fx.KINDS:   # not FLUX_FIELDS: a tuple takes unhashable kinds too
-        raise ScenarioError(f"unknown flux kind {kind!r}")
-    fields = {"kind", *FLUX_FIELDS[kind]}
-    _require_keys(block, fields, fields, f"a {kind} flux")
-    if kind == "polynomial":
-        return fx.polynomial(number(c, f"coeffs[{i}]")
-                             for i, c in enumerate(typed(block["coeffs"], list, "coeffs")))
-    if kind == "piecewise-linear-a":
-        return fx.piecewise_linear(pairs(typed(block["nodes"], list, "nodes"), "nodes",
-                                         "a [u, a] pair"))
-    return fx.quadratic_attractive() if kind == "quadratic-attractive" else fx.quadratic_repulsive()
+def parse_flux(block, where: str = "") -> fx.FluxModel:
+    """The model of a flux block, whose kind admits only its own fields.  Each error is a
+    ScenarioError naming its field, under ``where``, the block's name in a scenario."""
+    kind = typed(block, dict, where or "flux block").get("kind")
+    try:
+        if kind not in fx.KINDS:   # not FLUX_FIELDS: a tuple takes unhashable kinds too
+            raise ScenarioError(f"unknown flux kind {kind!r}")
+        _require_keys(block, f"a {kind} flux", {"kind", *FLUX_FIELDS[kind]})
+        if kind == "polynomial":
+            return fx.polynomial(number(c, f"coeffs[{i}]")
+                                 for i, c in enumerate(typed(block["coeffs"], list, "coeffs")))
+        if kind == "piecewise-linear-a":
+            return fx.piecewise_linear(pairs(typed(block["nodes"], list, "nodes"), "nodes",
+                                             "a [u, a] pair"))
+        return (fx.quadratic_attractive() if kind == "quadratic-attractive"
+                else fx.quadratic_repulsive())
+    except (ScenarioError, fx.FluxError) as exc:
+        raise ScenarioError(f"{where}: {exc}" if where else str(exc)) from exc
 
 
 # initial.type -> (density class, its number fields in constructor order)
@@ -136,8 +140,7 @@ DENSITIES = {"uniform": (UniformDensity, ("x_left", "x_right", "mass")),
 def _parse_initial(block: dict):
     kind = block.get("type")
     if kind == "atoms":
-        _require_keys(block, {"type", "atoms"}, {"type", "atoms"}, "initial")
-        atoms = block["atoms"]
+        atoms = _require_keys(block, "initial", {"type", "atoms"})["atoms"]
         if not isinstance(atoms, (list, tuple)) or not atoms:
             raise ScenarioError("initial.atoms must be a non-empty list (total mass > 0)")
         try:
@@ -146,7 +149,7 @@ def _parse_initial(block: dict):
             raise ScenarioError(f"initial.atoms: {exc}") from exc
     if kind in DENSITIES:
         cls, names = DENSITIES[kind]
-        _require_keys(block, {"type", *names}, {"type", *names}, "initial")
+        _require_keys(block, "initial", {"type", *names})
         try:
             return cls(*(number(block[k], f"initial.{k}") for k in names))
         except MeasureError as exc:
@@ -183,25 +186,16 @@ def load_scenario(path: str) -> Scenario:
 
 
 def parse_scenario(raw: dict) -> Scenario:
-    _require_keys(typed(raw, dict, "scenario"),
-                  {"flux", "initial", "grid", "time", "diagnostics", "output"},
-                  {"flux", "initial", "grid", "time"}, "scenario")
-    flux_block = typed(raw["flux"], dict, "flux")
-    try:
-        model = parse_flux(flux_block)
-    except (ScenarioError, fx.FluxError) as exc:
-        raise ScenarioError(f"flux: {exc}") from exc
+    _require_keys(raw, "scenario", {"flux", "initial", "grid", "time"}, {"diagnostics", "output"})
+    model = parse_flux(raw["flux"], "flux")
     initial = _parse_initial(typed(raw["initial"], dict, "initial"))
 
-    grid = typed(raw["grid"], dict, "grid")
-    _require_keys(grid, {"x_min", "x_max", "n_cells"},
-                  {"x_min", "x_max", "n_cells"}, "grid")
+    grid = _require_keys(raw["grid"], "grid", {"x_min", "x_max", "n_cells"})
     x_min = number(grid["x_min"], "grid.x_min")
     x_max = number(grid["x_max"], "grid.x_max")
     n_cells = grid["n_cells"]
     check_grid(x_min, x_max, n_cells, "grid.n_cells")
-    tblock = typed(raw["time"], dict, "time")
-    _require_keys(tblock, {"t_end", "cfl", "output_times"}, {"t_end"}, "time")
+    tblock = _require_keys(raw["time"], "time", {"t_end"}, {"cfl", "output_times"})
     t_end = number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
         raise ScenarioError("time.t_end must be positive")
@@ -215,8 +209,7 @@ def parse_scenario(raw: dict) -> Scenario:
     if output_times != sorted(output_times):
         raise ScenarioError("time.output_times must be sorted")
 
-    diag = typed(raw.get("diagnostics", {}), dict, "diagnostics")
-    _require_keys(diag, {"checks", "tolerances"}, set(), "diagnostics")
+    diag = _require_keys(raw.get("diagnostics", {}), "diagnostics", (), {"checks", "tolerances"})
     checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
     tolerances = typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
     for where, names, known in (("checks", checks, CHECKS),
@@ -225,8 +218,7 @@ def parse_scenario(raw: dict) -> Scenario:
             if not isinstance(c, str) or c not in known:
                 raise ScenarioError(f"diagnostics.{where}: {c!r} is not one of {list(known)}")
     tolerances = {k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
-    out = typed(raw.get("output", {}), dict, "output")
-    _require_keys(out, {"directory", "formats"}, set(), "output")
+    out = _require_keys(raw.get("output", {}), "output", (), {"directory", "formats"})
     formats = typed(out.get("formats", FORMATS), list, "output.formats")
     for f in formats:
         if f not in FORMATS:
@@ -234,6 +226,11 @@ def parse_scenario(raw: dict) -> Scenario:
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ScenarioError(f"output.directory must be a string, got {out_dir!r}")
+    try:
+        check_inside(initial, x_min, x_max)
+    except MeasureError as exc:   # the initial data do not fit inside the grid
+        raise ScenarioError(f"initial: {exc} (grid.x_min = {x_min!r}, "
+                            f"grid.x_max = {x_max!r})") from exc
 
     return Scenario(model=model, initial=initial, x_min=x_min, x_max=x_max, n_cells=n_cells,
                     t_end=t_end, cfl=cfl, output_times=output_times, checks=checks,

@@ -197,6 +197,26 @@ class TestRunCommand:
         names = {c["name"] for c in report["checks"]}
         assert "w1_pde_vs_particles" in names
 
+    @pytest.mark.parametrize("engine, overrides, message", [
+        ("pde", {"flux": {"kind": "quadratic-repulsive"},
+                 "diagnostics": {"checks": ["mass", "pushforward"]}},
+         "flow reconstruction requires a non-increasing velocity a"),
+        ("pde", {"time": {"t_end": 1.0}, "diagnostics": {"checks": ["mass", "weak_residual"]}},
+         "weak residual needs at least two snapshots"),
+        ("both", {"time": {"t_end": 1.0}, "diagnostics": {"checks": ["mass", "weak_residual"]}},
+         "weak residual needs at least two snapshots"),
+        ("both", {"initial": {"type": "atoms", "atoms": [[0.0, 1.0], [5.0, 1.0]]}},
+         "initial: atom on or outside the grid boundary (grid.x_min = -3.0, grid.x_max = 3.0)"),
+    ], ids=["pushforward-repulsive", "weak-residual-one-snapshot",
+            "weak-residual-one-snapshot-both", "atom-outside-the-grid"])
+    def test_refused_run_writes_no_file(self, tmp_path, capsys, engine, overrides, message):
+        path = write_scenario(tmp_path, **{"grid": {"x_min": -3.0, "x_max": 3.0, "n_cells": 200},
+                                           **overrides})
+        out = tmp_path / "out"
+        assert cli.main(["run", "--engine", engine, "--scenario", path, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+        assert not out.exists()
+
     def test_particles_refuse_repulsive(self, tmp_path, capsys):
         path = write_scenario(tmp_path, flux={"kind": "quadratic-repulsive"},
                               grid={"x_min": -1.0, "x_max": 3.0,
@@ -335,6 +355,22 @@ class TestFailClosedFields:
         assert capsys.readouterr().err.splitlines() == [
             "error: initial: atom on or outside the grid boundary "
             "(grid.x_min = -3.0, grid.x_max = 1.0)"]
+
+    @pytest.mark.parametrize("initial", [
+        {"type": "atoms", "atoms": [[-0.5, 0.5], [1.0, 0.5]]},
+        {"type": "triangular", "x_left": -4.0, "x_peak": 0.0, "x_right": 0.5, "mass": 1.0},
+    ], ids=["atom-on-the-right-face", "density-past-the-left-face"])
+    def test_initial_data_off_the_grid_are_refused_at_load(self, tmp_path, capsys, initial):
+        with pytest.raises(cli.ScenarioError, match=r"^initial: .* boundary \(grid\.x_min = "
+                                                    r"-3\.0, grid\.x_max = 1\.0\)$"):
+            parse_scenario(scenario_dict(initial=initial))
+        if initial["type"] == "atoms":   # the particle engine, which grids nothing, never runs
+            path = write_scenario(tmp_path, initial=initial)
+            out = tmp_path / "out"
+            assert cli.main(["run", "--engine", "particles", "--scenario", path,
+                             "--out", str(out)]) == 1
+            assert capsys.readouterr().err.startswith("error: initial: atom on or outside")
+            assert not out.exists()
 
     @pytest.mark.parametrize("initial, message", [
         ({"type": "uniform", "x_left": 0.5, "x_right": -0.5, "mass": 1.0},
@@ -642,9 +678,10 @@ class TestValidateCommand:
         path = write_scenario(
             tmp_path, diagnostics={"checks": ["mass", "w1_vs_particles"],
                                    "tolerances": {}}, **overrides)
-        out = str(tmp_path / "out")
-        assert cli.main([command, "--scenario", path, "--out", out]) == 1
+        out = tmp_path / "out"
+        assert cli.main([command, "--scenario", path, "--out", str(out)]) == 1
         assert "w1_vs_particles" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_w1_with_every_snapshot_at_a_merge(self, tmp_path, capsys):
         # the two atoms meet at t = 1.0, the only output time: pair_with_oracle
@@ -762,6 +799,22 @@ class TestConvergenceCommand:
         rows = cli.convergence_table(scn, [400, 800, 1600, 3200])
         orders = [r["order"] for r in rows[1:]]
         assert all(o is not None and o >= 0.8 for o in orders), orders
+
+
+@pytest.mark.parametrize("coeffs", [[0, 1], [0.0, 1.0, 0.0]], ids=["linear", "trailing-zero"])
+def test_a_equal_to_u_is_recognised_by_value(coeffs):
+    """a(u) = u spelled as a polynomial gets quadratic-repulsive's density
+    check and exact convergence reference: the same records and rows, bit for bit."""
+    scns = [parse_scenario(scenario_dict(flux=flux,
+                                         grid={"x_min": -1.0, "x_max": 3.0, "n_cells": 200}))
+            for flux in ({"kind": "quadratic-repulsive"}, {"kind": "polynomial", "coeffs": coeffs})]
+    checks = [cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False).checks
+              for scn in scns]
+    assert "oleinik_density" in {c.name for c in checks[0]}
+    assert repr(checks[1]) == repr(checks[0])
+    rows = [cli.convergence_table(scn, [100, 200, 400]) for scn in scns]
+    assert repr(rows[1]) == repr(rows[0])
+    assert not math.isnan(rows[0][-1]["l1_error"])   # the exact fan, not the finest grid
 
 
 class TestRiemannCommand:

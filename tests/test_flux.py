@@ -291,3 +291,15 @@ def test_polynomial_eval_equals_polyval_bit_for_bit(coeffs, u):
         for got, c in ((fx.eval_a(model, x), coeffs), (fx.eval_A(model, x), P.polyint(coeffs))):
             ref = P.polyval(x, np.array(c))
             assert np.shape(got) == np.shape(ref) and np.array_equal(bits(got), bits(ref))
+
+
+@pytest.mark.parametrize("model, expected", [
+    (fx.quadratic_repulsive(), True), (fx.polynomial([0, 1]), True),
+    (fx.polynomial([-0.0, 1.0, 0.0, 0.0]), True), (fx.quadratic_attractive(), False),
+    (fx.polynomial([0, 1, 1e-300]), False), (fx.polynomial([1e-300, 1]), False),
+    (fx.polynomial([0, 2]), False), (fx.polynomial([0]), False),
+    # a = u on [0, 1] only: constant outside the nodes
+    (fx.piecewise_linear([(0.0, 0.0), (1.0, 1.0)]), False),
+])
+def test_identity_a_is_recognised_by_value(model, expected):
+    assert fx.is_identity_a(model) is expected

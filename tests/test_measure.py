@@ -36,6 +36,13 @@ class TestAtomicMeasure:
         assert mu.n_atoms == 0
         assert mu.total_mass == 0.0
 
+    def test_copies_the_callers_arrays(self):
+        x, m = np.array([0.0, 1.0]), np.array([0.5, 0.5])
+        mu = ms.AtomicMeasure(x, m)
+        x[0], m[0] = -1.0, 2.0   # the caller's arrays stay writable
+        assert mu.positions.tolist() == [0.0, 1.0] and mu.masses.tolist() == [0.5, 0.5]
+        assert not mu.positions.flags.writeable and not mu.masses.flags.writeable
+
 
 class TestGridField:
     def test_geometry(self):
@@ -45,6 +52,12 @@ class TestGridField:
         np.testing.assert_allclose(f.centers, [-0.75, -0.25, 0.25, 0.75])
         np.testing.assert_allclose(f.cell_masses, [0.0, 1.0, 0.0, 0.0])
         assert f.total_mass == 1.0
+
+    def test_copies_the_callers_array(self):
+        u = np.array([0.0, 1.0])
+        f = ms.GridField(0.0, 1.0, 1, u)
+        u[0] = -1.0   # the caller's array stays writable
+        assert f.u_faces.tolist() == [0.0, 1.0] and not f.u_faces.flags.writeable
 
     def test_validate(self):
         f = ms.GridField(-1.0, 1.0, 2, np.array([0.0, 2.0, 1.0]))
@@ -87,6 +100,14 @@ class TestSampleToGrid:
     def test_support_touching_boundary_rejected(self):
         with pytest.raises(ms.MeasureError):
             ms.sample_to_grid(ms.UniformDensity(-1.0, 0.5, 1.0), -1.0, 1.0, 4)
+
+    def test_check_inside_is_strict_on_both_ends(self):
+        ms.check_inside(atoms((-0.5, 1.0), (0.99, 1.0)), -1.0, 1.0)
+        ms.check_inside(ms.TriangularDensity(-0.99, 0.0, 0.5, 1.0), -1.0, 1.0)
+        for source in (atoms((1.0, 1.0)), atoms((-2.0, 1.0), (0.0, 1.0)),
+                       ms.UniformDensity(0.0, 1.0, 1.0), ms.TriangularDensity(-1.5, 0.0, 0.5, 1.0)):
+            with pytest.raises(ms.MeasureError, match="boundary"):
+                ms.check_inside(source, -1.0, 1.0)
 
 
 class TestExtractAtoms:
