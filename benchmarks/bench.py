@@ -30,9 +30,9 @@ Four layers so far:
   snapshots of two scenarios: the output layer's (the shape of
   `attractive_crosscheck`) and a triangular density under a(u) = u - u^2
   on 3 200 cells with 41 output times (the shape of `diagnostics_validate`).
-  Best of 15 rounds that call each check once; null where the scenario
-  cannot have the check (pushforward needs a non-increasing a,
-  w1_vs_particles atoms).
+  Best of 15 rounds that call each check's runner once; null where the
+  check's precondition refuses the scenario (pushforward needs a
+  non-increasing a, w1_vs_particles atoms).
 
     python3 benchmarks/bench.py --label LABEL
 
@@ -200,19 +200,15 @@ def checks_layer() -> dict:
     for label, make in CHECK_SCENARIOS.items():
         scn = parse_scenario(make())
         snapshots = cli.run_pde(scn)
+        best = {name: math.inf for name, check in analysis.CHECKS.items()
+                if not (check.precondition and check.precondition(scn))}
         pairs = None
-        if isinstance(scn.initial, AtomicMeasure):
+        if "w1_vs_particles" in best:
             pairs = cli.pair_with_oracle(scn, snapshots, *cli.run_particles(scn))
-        best = {name: math.inf for name in analysis.CHECKS
-                if pairs is not None or name != "w1_vs_particles"}
         for _ in range(CHECK_REPEATS):
-            for name in list(best):
+            for name in best:
                 start = time.perf_counter()
-                try:
-                    analysis.CHECKS[name](scn, snapshots, pairs)
-                except analysis.AnalysisError:   # pushforward on a non-attractive a
-                    del best[name]
-                    continue
+                analysis.CHECKS[name].run(scn, snapshots, pairs)
                 best[name] = min(best[name], time.perf_counter() - start)
         results[label] = {name: best[name] * 1e3 if name in best else None
                           for name in analysis.CHECKS}

@@ -7,27 +7,11 @@ diagnostics layer (Oleinik bound, push-forward identity, weak residuals,
 pressureless momentum extension, non-uniqueness selection).
 """
 
-from .flux import (
-    FluxError,
-    FluxModel,
-    eval_A,
-    eval_a,
-    godunov_flux,
-    piecewise_linear,
-    polynomial,
-    quadratic_attractive,
-    quadratic_repulsive,
-)
-from .measure import (
-    AtomicMeasure,
-    GridField,
-    MeasureError,
-    extract_atoms,
-    quantile,
-    sample_to_grid,
-    wasserstein1,
-)
+from .flux import (FluxError, FluxModel, eval_A, eval_a, godunov_flux, piecewise_linear,
+                   polynomial, quadratic_attractive, quadratic_repulsive)
+from .measure import (AtomicMeasure, GridField, MeasureError, extract_atoms, quantile,
+                      sample_to_grid, wasserstein1)
 from .particles import AggregateSystem, MergeEvent, OracleError, advance, collapse_time, next_event, velocities
-from .pde import SolverState, momentum_field, run, step
+from .pde import SolverState, run, step
 
 __version__ = "0.1.0"

@@ -4,14 +4,15 @@ Covers the admissible-speed bracket and Rankine-Hugoniot selection, the
 one-sided Lipschitz (Oleinik) bound, weak residuals of u_t + A(u)_x = 0,
 quantile-based flow reconstruction with the push-forward identity, the
 pressureless momentum extension, and the non-uniqueness demonstration for
-a single Dirac.  CHECKS names the diagnostics a scenario can request.
+a single Dirac.  CHECKS is the table of the diagnostics a scenario can
+request: each one's runner, default tolerance and precondition.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -122,14 +123,33 @@ def _bump(c, r, x):
     return w * w, -4.0 * s * w / r
 
 
+def _uniform(lo, hi, draw):   # Generator.uniform's arithmetic
+    return lo + (hi - lo) * draw
+
+
+def _space_bumps(x_min: float, x_max: float, n_cells: int) -> list[tuple[float, float]]:
+    """(centre, radius) of weak_residual's N_SPACE spatial bumps on n_cells cells of
+    [x_min, x_max], placed by the first 2 N_SPACE WEAK_DRAWS.  A bump that reaches
+    the first or last cell centre, where every test function must vanish, raises."""
+    span = x_max - x_min
+    ends = x_min + span / n_cells * np.array([0.5, n_cells - 0.5])   # as GridField.centers
+    bumps, draws = [], iter(WEAK_DRAWS)
+    for _ in range(N_SPACE):
+        r = span * _uniform(0.1, 0.3, next(draws))
+        bumps.append((_uniform(x_min + 1.05 * r, x_max - 1.05 * r, next(draws)), r))
+        if _bump(*bumps[-1], ends)[0].any():
+            raise AnalysisError("test function support touches the domain boundary")
+    return bumps
+
+
 def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
     """Max |weak form of u_t + A(u)_x = 0| over the test functions psi(t) * phi(x).
 
-    N_SPACE bumps phi strictly inside the domain times N_TIME windows psi: a
-    constant one (boundary-in-time terms carry the information) and smooth
-    bumps, placed by WEAK_DRAWS.  Midpoint quadrature in x over the cells,
-    trapezoid in t over the snapshot times, with the time-boundary terms, so
-    windows need not vanish at t0/t1.
+    N_SPACE bumps phi strictly inside the domain (_space_bumps) times N_TIME
+    windows psi: a constant one (boundary-in-time terms carry the information)
+    and smooth bumps, placed by the last WEAK_DRAWS.  Midpoint quadrature in x
+    over the cells, trapezoid in t over the snapshot times, with the
+    time-boundary terms, so windows need not vanish at t0/t1.
     """
     if len(snapshots) < 2:
         raise AnalysisError("weak residual needs at least two snapshots")
@@ -139,25 +159,17 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
     u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
                       for s in snapshots])
     A_mid = fx.eval_A(model, u_mid)
-    draws = iter(WEAK_DRAWS)
-
-    def uniform(lo, hi):   # Generator.uniform's arithmetic
-        return lo + (hi - lo) * next(draws)
-
     integrals = []   # (int u phi dx, int A(u) phi' dx) per snapshot, for each bump phi
-    for _ in range(N_SPACE):
-        r = (f0.x_max - f0.x_min) * uniform(0.1, 0.3)
-        c = uniform(f0.x_min + 1.05 * r, f0.x_max - 1.05 * r)
+    for c, r in _space_bumps(f0.x_min, f0.x_max, f0.n_cells):
         phi, dphi = _bump(c, r, centers)
-        if phi[0] or phi[-1]:
-            raise AnalysisError("test function support touches the domain boundary")
         # one matvec per bump: a matmul over all of them would sum in another order
         integrals.append((u_mid @ phi * dx, A_mid @ dphi * dx))
     t0, T = times[0], times[-1] - times[0]
     windows = [(np.ones_like(times), np.zeros_like(times))]
+    draws = iter(WEAK_DRAWS[2 * N_SPACE:])
     for _ in range(N_TIME - 1):
-        r = T * uniform(0.2, 0.45)
-        c = uniform(t0 + 0.05 * T, times[-1] - 0.05 * T)
+        r = T * _uniform(0.2, 0.45, next(draws))
+        c = _uniform(t0 + 0.05 * T, times[-1] - 0.05 * T, next(draws))
         windows.append(_bump(c, r, times))
     space_u, space_Adp = (np.array(v)[:, None] for v in zip(*integrals))
     psi, dpsi = map(np.array, zip(*windows))
@@ -236,7 +248,7 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel) -> lis
     for s in snapshots:
         u = s.field.u_faces
         A = fx.eval_A(model, u)
-        q = np.diff(A)   # the momentum q_i = A(u_{i+1}) - A(u_i), as momentum_field
+        q = np.diff(A)   # the momentum q_i = A(u_{i+1}) - A(u_i) of each cell
         err = abs(float(np.sum(q)) - expected)
         records.append(CheckRecord("momentum_total", float(s.t), err, MOMENTUM_TOL,
                                    MOMENTUM_TOL, err <= MOMENTUM_TOL))
@@ -351,33 +363,16 @@ def _bounded(name: str, values, tol: float) -> list[CheckRecord]:
     return [CheckRecord(name, float(t), float(v), tol, tol, bool(v <= tol)) for t, v in values]
 
 
-# The default tolerance of each check that takes one, for grid spacing dx.
-# A scenario's "tolerances" may override these and name no other check.
-TOLERANCES = {
-    "mass": lambda dx: 1e-12,
-    "oleinik": lambda dx: 5 * dx,
-    "pushforward": lambda dx: 5 * dx,
-    "weak_residual": lambda dx: 20 * dx,
-    "w1_vs_particles": lambda dx: 3 * dx,
-}
-
-
-def _tolerance(scn, name: str) -> float:
-    """The scenario's tolerance for check ``name``, else its default."""
-    return float(scn.tolerances.get(name, TOLERANCES[name](scn.dx)))
-
-
 def _check_mass(scn, snapshots, pairs):
     total = snapshots[0].field.total_mass
     return _bounded("mass_conservation",
                     [(s.t, abs(s.field.u_faces[-1] - total)) for s in snapshots],
-                    _tolerance(scn, "mass"))
+                    scn.tolerances["mass"])
 
 
 def _check_oleinik(scn, snapshots, pairs):
-    tol = _tolerance(scn, "oleinik")
     return [rec for s in snapshots if s.t > 0
-            for rec in check_oleinik(s, scn.model, tol)]
+            for rec in check_oleinik(s, scn.model, scn.tolerances["oleinik"])]
 
 
 def _check_pressureless(scn, snapshots, pairs):
@@ -387,33 +382,56 @@ def _check_pressureless(scn, snapshots, pairs):
 def _check_pushforward(scn, snapshots, pairs):
     flow = reconstruct_flow(snapshots, scn.initial, scn.model)
     span = max(abs(scn.x_min), abs(scn.x_max))
-    funcs = {
-        "x": (lambda x: x, 1.0),
-        "x2": (lambda x: x * x, 2.0 * span),
-        "sin": (np.sin, 1.0),
-    }
-    return pushforward_checks(flow, snapshots, funcs, _tolerance(scn, "pushforward"))
+    funcs = {"x": (lambda x: x, 1.0), "x2": (lambda x: x * x, 2.0 * span), "sin": (np.sin, 1.0)}
+    return pushforward_checks(flow, snapshots, funcs, scn.tolerances["pushforward"])
 
 
 def _check_weak_residual(scn, snapshots, pairs):
-    return _bounded("weak_residual",
-                    [(snapshots[-1].t, weak_residual(snapshots, scn.model))],
-                    _tolerance(scn, "weak_residual"))
+    return _bounded("weak_residual", [(snapshots[-1].t, weak_residual(snapshots, scn.model))],
+                    scn.tolerances["weak_residual"])
 
 
 def _check_w1_vs_particles(scn, snapshots, pairs):
     return _bounded("w1_pde_vs_particles",
                     [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
-                    _tolerance(scn, "w1_vs_particles"))
+                    scn.tolerances["w1_vs_particles"])
 
 
-# By name: fn(scenario, snapshots, oracle pairs) -> list of CheckRecord.
-# ``pairs`` are (snapshot, oracle atoms), given only for w1_vs_particles.
+def _nonincreasing_a(scn):
+    if not fx.is_attractive(scn.model, scn.initial.total_mass):
+        return "needs a velocity a non-increasing on [0, total mass], and flux is not"
+
+
+def _weak_residual_precondition(scn):
+    if len(set(scn.output_times) | {scn.t_end}) < 2:
+        return "needs two or more distinct snapshot times in time.output_times and time.t_end"
+    try:
+        _space_bumps(scn.x_min, scn.x_max, scn.n_cells)
+    except AnalysisError:
+        return (f"needs a finer grid than grid.n_cells = {scn.n_cells}: a test function "
+                f"reaches the first or last cell centre")
+
+
+def _oracle_precondition(scn):
+    if not isinstance(scn.initial, AtomicMeasure):
+        return "needs atomic initial data (initial.type \"atoms\")"
+    return _nonincreasing_a(scn)
+
+
+class Check(NamedTuple):   # one entry of CHECKS
+    run: Callable                   # fn(scenario, snapshots, oracle pairs) -> list of CheckRecord
+    tolerance: Callable | None      # fn(dx) -> the default tolerance; None: it takes none
+    precondition: Callable | None   # fn(scenario) -> a refusal naming the field, or None
+
+
+# By name.  ``pairs`` are (snapshot, oracle atoms), given only for w1_vs_particles.
+# A scenario's "tolerances" may override the defaults, and parse_scenario refuses a
+# check whose precondition refuses the scenario.
 CHECKS = {
-    "mass": _check_mass,
-    "oleinik": _check_oleinik,
-    "pressureless": _check_pressureless,
-    "pushforward": _check_pushforward,
-    "weak_residual": _check_weak_residual,
-    "w1_vs_particles": _check_w1_vs_particles,
+    "mass": Check(_check_mass, lambda dx: 1e-12, None),
+    "oleinik": Check(_check_oleinik, lambda dx: 5 * dx, None),
+    "pressureless": Check(_check_pressureless, None, None),
+    "pushforward": Check(_check_pushforward, lambda dx: 5 * dx, _nonincreasing_a),
+    "weak_residual": Check(_check_weak_residual, lambda dx: 20 * dx, _weak_residual_precondition),
+    "w1_vs_particles": Check(_check_w1_vs_particles, lambda dx: 3 * dx, _oracle_precondition),
 }

@@ -40,8 +40,6 @@ def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
 
 def run_particles(scn: Scenario):
     """Oracle states at each output time (t_end included) and the merge events."""
-    if not isinstance(scn.initial, AtomicMeasure):
-        raise ScenarioError("particle engine requires atomic initial data")
     current = particles.AggregateSystem.create(scn.initial, scn.model)
     states = []
     events: list[particles.MergeEvent] = []
@@ -78,22 +76,18 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
 
     w1_vs_particles compares against the sticky-particle oracle: ``oracle``
     is run_particles' result, computed here when the caller has none.  A
-    scenario the oracle cannot serve, or whose every snapshot pair_with_oracle
-    skips, is an error, never a skipped or empty check.
+    scenario whose every snapshot pair_with_oracle skips is an error, never
+    an empty check; parse_scenario refuses one the oracle cannot serve.
     """
     pairs = None
     if "w1_vs_particles" in scn.checks:
-        try:
-            oracle = oracle or run_particles(scn)
-        except (ScenarioError, particles.OracleError) as exc:
-            raise ScenarioError(f"w1_vs_particles: {exc}") from exc
-        pairs = pair_with_oracle(scn, snapshots, *oracle)
+        pairs = pair_with_oracle(scn, snapshots, *(oracle or run_particles(scn)))
         if not pairs:
             raise ScenarioError("w1_vs_particles: every output time lies within 2 dt of "
                                 "a merge, so no snapshot can be compared with the oracle")
     report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
-        for rec in analysis.CHECKS[name](scn, snapshots, pairs):
+        for rec in analysis.CHECKS[name].run(scn, snapshots, pairs):
             report.add(rec)
     if write_json:
         with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
@@ -242,6 +236,9 @@ def load_args_scenario(args) -> Scenario:
 
 def cmd_run(args) -> int:
     scn = load_args_scenario(args)
+    # the oracle serves exactly the scenarios that w1_vs_particles can check
+    if args.engine != "pde" and (refusal := analysis.CHECKS["w1_vs_particles"].precondition(scn)):
+        raise ScenarioError(f"--engine {args.engine} {refusal}")
     oracle = None if args.engine == "pde" else run_particles(scn)
     if args.engine == "particles":
         if "csv" in scn.formats:
@@ -267,20 +264,20 @@ def cmd_run(args) -> int:
 def _reference(scn: Scenario, finest: GridField):
     """The u_ref that every convergence row is measured against.
 
-    Attractive atomic data: the oracle's atoms at t_end.  One atom under
+    Data the oracle serves (w1_vs_particles' precondition, which asks for
+    atoms and a non-increasing a): its atoms at t_end.  One atom under
     a(u) = u: its fan, the one-cell field whose primitive is
     clip((x - x0) / t, 0, M) (the atom itself when the fan is narrower than
     an ulp of x0).  Anything else: ``finest``, the finest grid.
     """
     mu = scn.initial
-    if isinstance(mu, AtomicMeasure):
-        if fx.is_attractive(scn.model, mu.total_mass):
-            return particles.advance(particles.AggregateSystem.create(mu, scn.model),
-                                     scn.t_end)[0].atoms
-        if fx.is_identity_a(scn.model) and mu.n_atoms == 1:
-            x0, m = float(mu.positions[0]), mu.total_mass
-            x1 = x0 + m * scn.t_end
-            return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
+    if not analysis.CHECKS["w1_vs_particles"].precondition(scn):
+        return particles.advance(particles.AggregateSystem.create(mu, scn.model),
+                                 scn.t_end)[0].atoms
+    if isinstance(mu, AtomicMeasure) and mu.n_atoms == 1 and fx.is_identity_a(scn.model):
+        x0, m = float(mu.positions[0]), mu.total_mass
+        x1 = x0 + m * scn.t_end
+        return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
     return finest
 
 

@@ -7,8 +7,7 @@ pointwise, so the textbook Godunov update is applied to them directly:
 
 with Dirichlet ghost states equal to the pinned end faces: 0 on the left
 and the total mass on the right.
-The density is recovered as cell masses rho_i = u_{i+1} - u_i and the
-momentum density as q_i = A(u_{i+1}) - A(u_i).
+The density is recovered as cell masses rho_i = u_{i+1} - u_i.
 """
 
 from __future__ import annotations
@@ -222,9 +221,3 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
             steps += 1
         snapshots.append(SolverState(target, march.field(), cfl, steps))  # t absorbs roundoff
     return snapshots
-
-
-def momentum_field(state: SolverState, model: fx.FluxModel) -> np.ndarray:
-    """Per-cell momentum q_i = A(u_{i+1}) - A(u_i); sums to A(M) - A(0)."""
-    A = fx.eval_A(model, state.field.u_faces)
-    return np.diff(A)

@@ -14,7 +14,7 @@ import math
 from typing import NamedTuple
 
 from . import flux as fx
-from .analysis import CHECKS, TOLERANCES
+from .analysis import CHECKS
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity, check_inside
 from .pde import CFL
 
@@ -37,7 +37,7 @@ class Scenario(NamedTuple):
     cfl: float
     output_times: list[float]
     checks: tuple[str, ...]
-    tolerances: dict
+    tolerances: dict                   # of every check that takes one, defaults filled in
     out_dir: str
     formats: tuple[str, ...]
     raw: dict
@@ -212,12 +212,15 @@ def parse_scenario(raw: dict) -> Scenario:
     diag = _require_keys(raw.get("diagnostics", {}), "diagnostics", (), {"checks", "tolerances"})
     checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
     tolerances = typed(diag.get("tolerances", {}), dict, "diagnostics.tolerances")
+    defaults = {name: c.tolerance for name, c in CHECKS.items() if c.tolerance}
     for where, names, known in (("checks", checks, CHECKS),
-                                ("tolerances", tolerances, TOLERANCES)):
+                                ("tolerances", tolerances, defaults)):
         for c in names:
             if not isinstance(c, str) or c not in known:
                 raise ScenarioError(f"diagnostics.{where}: {c!r} is not one of {list(known)}")
-    tolerances = {k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
+    # every tolerance a check can take, the scenario's own or the default for this grid
+    tolerances = {k: v((x_max - x_min) / n_cells) for k, v in defaults.items()} | {
+        k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
     out = _require_keys(raw.get("output", {}), "output", (), {"directory", "formats"})
     formats = typed(out.get("formats", FORMATS), list, "output.formats")
     for f in formats:
@@ -232,6 +235,10 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError(f"initial: {exc} (grid.x_min = {x_min!r}, "
                             f"grid.x_max = {x_max!r})") from exc
 
-    return Scenario(model=model, initial=initial, x_min=x_min, x_max=x_max, n_cells=n_cells,
-                    t_end=t_end, cfl=cfl, output_times=output_times, checks=checks,
-                    tolerances=tolerances, out_dir=out_dir, formats=tuple(formats), raw=raw)
+    scn = Scenario(model=model, initial=initial, x_min=x_min, x_max=x_max, n_cells=n_cells,
+                   t_end=t_end, cfl=cfl, output_times=output_times, checks=checks,
+                   tolerances=tolerances, out_dir=out_dir, formats=tuple(formats), raw=raw)
+    for name in checks:   # a check the scenario can never run is refused before any engine
+        if refusal := CHECKS[name].precondition and CHECKS[name].precondition(scn):
+            raise ScenarioError(f"diagnostics.checks: {name} {refusal}")
+    return scn

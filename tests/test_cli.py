@@ -200,11 +200,14 @@ class TestRunCommand:
     @pytest.mark.parametrize("engine, overrides, message", [
         ("pde", {"flux": {"kind": "quadratic-repulsive"},
                  "diagnostics": {"checks": ["mass", "pushforward"]}},
-         "flow reconstruction requires a non-increasing velocity a"),
+         "diagnostics.checks: pushforward needs a velocity a non-increasing on [0, total mass], "
+         "and flux is not"),
         ("pde", {"time": {"t_end": 1.0}, "diagnostics": {"checks": ["mass", "weak_residual"]}},
-         "weak residual needs at least two snapshots"),
+         "diagnostics.checks: weak_residual needs two or more distinct snapshot times in "
+         "time.output_times and time.t_end"),
         ("both", {"time": {"t_end": 1.0}, "diagnostics": {"checks": ["mass", "weak_residual"]}},
-         "weak residual needs at least two snapshots"),
+         "diagnostics.checks: weak_residual needs two or more distinct snapshot times in "
+         "time.output_times and time.t_end"),
         ("both", {"initial": {"type": "atoms", "atoms": [[0.0, 1.0], [5.0, 1.0]]}},
          "initial: atom on or outside the grid boundary (grid.x_min = -3.0, grid.x_max = 3.0)"),
     ], ids=["pushforward-repulsive", "weak-residual-one-snapshot",
