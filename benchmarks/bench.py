@@ -26,7 +26,7 @@ Four layers so far:
   turns.  Thirty rounds, not three, and taking turns: on a shared 2-core
   host the mean of 200 steps moves between about 16 and 40 us in stretches
   of 10 ms to seconds, so the repeats of one case must be spread out.
-- checks: milliseconds per call of each `analysis.CHECKS` entry on the PDE
+- checks: milliseconds per call of each `scenario.CHECKS` entry on the PDE
   snapshots of two scenarios: the output layer's (the shape of
   `attractive_crosscheck`) and a triangular density under a(u) = u - u^2
   on 3 200 cells with 41 output times (the shape of `diagnostics_validate`).
@@ -61,9 +61,9 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from dualflow import analysis, cli, flux as fx, particles, pde  # noqa: E402
+from dualflow import cli, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
-from dualflow.scenario import parse_scenario  # noqa: E402
+from dualflow.scenario import CHECKS, parse_scenario  # noqa: E402
 
 SIZES = (10**3, 10**4, 10**5)
 CHAIN_ATOMS = 2048
@@ -200,7 +200,7 @@ def checks_layer() -> dict:
     for label, make in CHECK_SCENARIOS.items():
         scn = parse_scenario(make())
         snapshots = cli.run_pde(scn)
-        best = {name: math.inf for name, check in analysis.CHECKS.items()
+        best = {name: math.inf for name, check in CHECKS.items()
                 if not (check.precondition and check.precondition(scn))}
         pairs = None
         if "w1_vs_particles" in best:
@@ -208,10 +208,10 @@ def checks_layer() -> dict:
         for _ in range(CHECK_REPEATS):
             for name in best:
                 start = time.perf_counter()
-                analysis.CHECKS[name].run(scn, snapshots, pairs)
+                CHECKS[name].run(scn, snapshots, pairs)
                 best[name] = min(best[name], time.perf_counter() - start)
         results[label] = {name: best[name] * 1e3 if name in best else None
-                          for name in analysis.CHECKS}
+                          for name in CHECKS}
         for name, ms in results[label].items():
             print(f"checks {label} {name}: " + ("n/a" if ms is None else f"{ms:.2f} ms"),
                   flush=True)

@@ -4,21 +4,20 @@ Covers the admissible-speed bracket and Rankine-Hugoniot selection, the
 one-sided Lipschitz (Oleinik) bound, weak residuals of u_t + A(u)_x = 0,
 quantile-based flow reconstruction with the push-forward identity, the
 pressureless momentum extension, and the non-uniqueness demonstration for
-a single Dirac.  CHECKS is the table of the diagnostics a scenario can
-request: each one's runner, default tolerance and precondition.
+a single Dirac.  The _check_* functions are the runners that
+scenario.CHECKS, the table of the diagnostics a scenario can request, names.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from . import flux as fx
 from .measure import AtomicMeasure, quantile, wasserstein1
-from .pde import SolverState
 
 N_SPACE, N_TIME = 8, 4   # spatial bumps and time windows of the weak-residual test family
 N_QUANTILES = 64         # mass coordinates of reconstruct_flow for non-atomic data
@@ -355,7 +354,7 @@ def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# the diagnostics a scenario can request
+# the runners of scenario.CHECKS: fn(scenario, snapshots, oracle pairs) -> records
 
 
 def _bounded(name: str, values, tol: float) -> list[CheckRecord]:
@@ -395,43 +394,3 @@ def _check_w1_vs_particles(scn, snapshots, pairs):
     return _bounded("w1_pde_vs_particles",
                     [(s.t, wasserstein1(s.field, atoms)) for s, atoms in pairs],
                     scn.tolerances["w1_vs_particles"])
-
-
-def _nonincreasing_a(scn):
-    if not fx.is_attractive(scn.model, scn.initial.total_mass):
-        return "needs a velocity a non-increasing on [0, total mass], and flux is not"
-
-
-def _weak_residual_precondition(scn):
-    if len(set(scn.output_times) | {scn.t_end}) < 2:
-        return "needs two or more distinct snapshot times in time.output_times and time.t_end"
-    try:
-        _space_bumps(scn.x_min, scn.x_max, scn.n_cells)
-    except AnalysisError:
-        return (f"needs a finer grid than grid.n_cells = {scn.n_cells}: a test function "
-                f"reaches the first or last cell centre")
-
-
-def _oracle_precondition(scn):
-    if not isinstance(scn.initial, AtomicMeasure):
-        return "needs atomic initial data (initial.type \"atoms\")"
-    return _nonincreasing_a(scn)
-
-
-class Check(NamedTuple):   # one entry of CHECKS
-    run: Callable                   # fn(scenario, snapshots, oracle pairs) -> list of CheckRecord
-    tolerance: Callable | None      # fn(dx) -> the default tolerance; None: it takes none
-    precondition: Callable | None   # fn(scenario) -> a refusal naming the field, or None
-
-
-# By name.  ``pairs`` are (snapshot, oracle atoms), given only for w1_vs_particles.
-# A scenario's "tolerances" may override the defaults, and parse_scenario refuses a
-# check whose precondition refuses the scenario.
-CHECKS = {
-    "mass": Check(_check_mass, lambda dx: 1e-12, None),
-    "oleinik": Check(_check_oleinik, lambda dx: 5 * dx, None),
-    "pressureless": Check(_check_pressureless, None, None),
-    "pushforward": Check(_check_pushforward, lambda dx: 5 * dx, _nonincreasing_a),
-    "weak_residual": Check(_check_weak_residual, lambda dx: 20 * dx, _weak_residual_precondition),
-    "w1_vs_particles": Check(_check_w1_vs_particles, lambda dx: 3 * dx, _oracle_precondition),
-}

@@ -22,9 +22,10 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from . import analysis, flux as fx, particles, pde
+from . import flux as fx   # pde, particles and analysis: imported by the functions that run them
 from .measure import AtomicMeasure, GridField, extract_atoms, sample_to_grid, wasserstein1
-from .scenario import Scenario, ScenarioError, check_grid, load_scenario, parse_flux, read_json
+from .scenario import (CHECKS, Scenario, ScenarioError, check_grid, load_scenario, parse_flux,
+                       read_json)
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
@@ -32,17 +33,17 @@ def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
                           scn.n_cells if n_cells is None else n_cells)
 
 
-def run_pde(scn: Scenario, n_cells: int | None = None) -> list[pde.SolverState]:
-    grid = initial_grid(scn, n_cells)
-    return pde.run(grid, scn.model, scn.t_end, cfl=scn.cfl,
+def run_pde(scn: Scenario, n_cells: int | None = None) -> list:   # of pde.SolverState
+    from . import pde
+    return pde.run(initial_grid(scn, n_cells), scn.model, scn.t_end, cfl=scn.cfl,
                    output_times=scn.output_times)
 
 
 def run_particles(scn: Scenario):
     """Oracle states at each output time (t_end included) and the merge events."""
+    from . import particles
     current = particles.AggregateSystem.create(scn.initial, scn.model)
-    states = []
-    events: list[particles.MergeEvent] = []
+    states, events = [], []
     for t in sorted(set(scn.output_times) | {scn.t_end}):
         current, ev = particles.advance(current, t)
         states.append(current)
@@ -53,7 +54,6 @@ def run_particles(scn: Scenario):
 def bundled_scenario(name: str) -> str:
     """Path of a scenario file shipped with the package."""
     from importlib import resources
-
     return str(resources.files("dualflow").joinpath("scenarios", name))
 
 
@@ -65,13 +65,14 @@ def pair_with_oracle(scn: Scenario, snapshots, states, events):
     few cells, so the W1 comparison is meaningless right at an oracle merge
     instant.
     """
+    from . import pde
     dt_est = pde.stable_dt(initial_grid(scn), scn.model, scn.cfl)
     return [(s, state.atoms) for s, state in zip(snapshots, states, strict=True)
             if not any(abs(s.t - e.t) <= 2 * dt_est for e in events)]
 
 
 def run_diagnostics(scn: Scenario, snapshots, oracle=None,
-                    write_json: bool = True) -> analysis.DiagnosticsReport:
+                    write_json: bool = True):
     """Run the scenario's checks on the PDE snapshots; write diagnostics.json.
 
     w1_vs_particles compares against the sticky-particle oracle: ``oracle``
@@ -79,6 +80,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
     scenario whose every snapshot pair_with_oracle skips is an error, never
     an empty check; parse_scenario refuses one the oracle cannot serve.
     """
+    from . import analysis
     pairs = None
     if "w1_vs_particles" in scn.checks:
         pairs = pair_with_oracle(scn, snapshots, *(oracle or run_particles(scn)))
@@ -87,7 +89,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
                                 "a merge, so no snapshot can be compared with the oracle")
     report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
     for name in scn.checks:
-        for rec in analysis.CHECKS[name].run(scn, snapshots, pairs):
+        for rec in CHECKS[name].run(scn, snapshots, pairs):
             report.add(rec)
     if write_json:
         with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
@@ -100,9 +102,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(float(x))
-    return str(x)
+    return repr(float(x)) if isinstance(x, float) else str(x)
 
 
 @contextlib.contextmanager
@@ -211,6 +211,7 @@ def write_particle_outputs(out_dir: str, states, events):
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
+    from . import analysis
     residual = next((c.value for c in report.checks if c.name == "weak_residual"),
                     "")
     rows = []
@@ -237,7 +238,7 @@ def load_args_scenario(args) -> Scenario:
 def cmd_run(args) -> int:
     scn = load_args_scenario(args)
     # the oracle serves exactly the scenarios that w1_vs_particles can check
-    if args.engine != "pde" and (refusal := analysis.CHECKS["w1_vs_particles"].precondition(scn)):
+    if args.engine != "pde" and (refusal := CHECKS["w1_vs_particles"].precondition(scn)):
         raise ScenarioError(f"--engine {args.engine} {refusal}")
     oracle = None if args.engine == "pde" else run_particles(scn)
     if args.engine == "particles":
@@ -271,9 +272,8 @@ def _reference(scn: Scenario, finest: GridField):
     an ulp of x0).  Anything else: ``finest``, the finest grid.
     """
     mu = scn.initial
-    if not analysis.CHECKS["w1_vs_particles"].precondition(scn):
-        return particles.advance(particles.AggregateSystem.create(mu, scn.model),
-                                 scn.t_end)[0].atoms
+    if not CHECKS["w1_vs_particles"].precondition(scn):   # one advance, from t = 0 to t_end
+        return run_particles(scn._replace(output_times=[]))[0][-1].atoms
     if isinstance(mu, AtomicMeasure) and mu.n_atoms == 1 and fx.is_identity_a(scn.model):
         x0, m = float(mu.positions[0]), mu.total_mass
         x1 = x0 + m * scn.t_end
@@ -325,6 +325,7 @@ def cmd_convergence(args) -> int:
 
 
 def cmd_riemann(args) -> int:
+    from . import analysis
     model = parse_flux(read_json(args.flux, "--flux"))
     info = analysis.classify_riemann(model, args.u_minus, args.u_plus)
     print(f"admissible speed range: ({info['admissible_low']}, {info['admissible_high']})")
@@ -384,7 +385,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, pde.SolverError) as exc:   # every other error here is a ValueError
+    except ValueError as exc:   # every error of a bad input here, pde.SolverError too
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

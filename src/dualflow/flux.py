@@ -16,6 +16,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+CFL = 0.45   # the Courant number of a run, and of a scenario, that sets none (FluxPlan.dt)
 KINDS = (
     "quadratic-attractive",
     "quadratic-repulsive",

@@ -44,6 +44,8 @@ class MergeEvent(NamedTuple):
 
 def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
     """Aggregate speeds from the antiderivative increments over mass blocks."""
+    if not isinstance(atoms, AtomicMeasure):
+        raise OracleError(f"aggregate dynamics needs an AtomicMeasure, got {type(atoms).__name__}")
     if atoms.n_atoms == 0:
         raise MeasureError("no atoms")
     if not fx.is_attractive(model, atoms.total_mass):

@@ -23,17 +23,16 @@ from .measure import MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
 MAX_CELL_STEPS = 10**10   # the largest n_cells x step budget pde.run accepts
-CFL = 0.45          # the Courant number of a run, and of a scenario, that sets none
 
 
-class SolverError(RuntimeError):
+class SolverError(RuntimeError, ValueError):   # ValueError too, so cli.main needs no pde
     """Fatal numerical failure (NaN state, invalid configuration)."""
 
 
 class SolverState(NamedTuple):
     t: float
     field: GridField
-    cfl: float = CFL
+    cfl: float = fx.CFL
     step_count: int = 0
 
 
@@ -179,7 +178,7 @@ def step(state: SolverState, model: fx.FluxModel, dt: float | None = None) -> So
 
 
 def run(initial: GridField, model: fx.FluxModel, t_end: float,
-        cfl: float = CFL, output_times=None) -> list[SolverState]:
+        cfl: float = fx.CFL, output_times=None) -> list[SolverState]:
     """March to t_end, landing exactly on each requested output time.
 
     Returns one snapshot per output time (t_end is always included).  A

@@ -11,12 +11,10 @@ from __future__ import annotations
 
 import json
 import math
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import flux as fx
-from .analysis import CHECKS
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity, check_inside
-from .pde import CFL
 
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
@@ -45,6 +43,51 @@ class Scenario(NamedTuple):
     @property
     def dx(self) -> float:
         return (self.x_max - self.x_min) / self.n_cells
+
+
+def _nonincreasing_a(scn):
+    if not fx.is_attractive(scn.model, scn.initial.total_mass):
+        return "needs a velocity a non-increasing on [0, total mass], and flux is not"
+
+
+def _residual_precondition(scn):
+    if len(set(scn.output_times) | {scn.t_end}) < 2:
+        return "needs two or more distinct snapshot times in time.output_times and time.t_end"
+    from . import analysis   # only for a scenario that lists weak_residual, which needs it anyway
+    try:
+        analysis._space_bumps(scn.x_min, scn.x_max, scn.n_cells)
+    except analysis.AnalysisError:
+        return (f"needs a finer grid than grid.n_cells = {scn.n_cells}: a test function "
+                f"reaches the first or last cell centre")
+
+
+def _oracle_precondition(scn):
+    if not isinstance(scn.initial, AtomicMeasure):
+        return "needs atomic initial data (initial.type \"atoms\")"
+    return _nonincreasing_a(scn)
+
+
+class Check(NamedTuple):   # one entry of CHECKS
+    runner: str                     # its fn(scenario, snapshots, oracle pairs) in analysis
+    tolerance: Callable | None      # fn(dx) -> the default tolerance; None: it takes none
+    precondition: Callable | None   # fn(scenario) -> a refusal naming the field, or None
+
+    def run(self, scn: Scenario, snapshots, pairs) -> list:   # of analysis.CheckRecord
+        from . import analysis   # loaded when a check first runs, not by importing scenario
+        return getattr(analysis, self.runner)(scn, snapshots, pairs)
+
+
+# The diagnostics a scenario can request, by name.  ``pairs`` are (snapshot, oracle
+# atoms), given only for w1_vs_particles.  A scenario's "tolerances" may override the
+# defaults, and parse_scenario refuses a check whose precondition refuses the scenario.
+CHECKS = {
+    "mass": Check("_check_mass", lambda dx: 1e-12, None),
+    "oleinik": Check("_check_oleinik", lambda dx: 5 * dx, None),
+    "pressureless": Check("_check_pressureless", None, None),
+    "pushforward": Check("_check_pushforward", lambda dx: 5 * dx, _nonincreasing_a),
+    "weak_residual": Check("_check_weak_residual", lambda dx: 20 * dx, _residual_precondition),
+    "w1_vs_particles": Check("_check_w1_vs_particles", lambda dx: 3 * dx, _oracle_precondition),
+}
 
 
 def read_json(text: str, what: str):
@@ -199,7 +242,7 @@ def parse_scenario(raw: dict) -> Scenario:
     t_end = number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
         raise ScenarioError("time.t_end must be positive")
-    cfl = number(tblock.get("cfl", CFL), "time.cfl")
+    cfl = number(tblock.get("cfl", fx.CFL), "time.cfl")
     if not 0 < cfl <= 1:
         raise ScenarioError(f"time.cfl must lie in (0, 1], got {cfl!r}")
     output_times = [number(t, "time.output_times") for t in

@@ -65,7 +65,7 @@ def test_checks_layer(bench, monkeypatch):
     results = bench.checks_layer()
     assert set(results) == {"attractive_crosscheck", "diagnostics_validate"}
     for label, per_check in results.items():
-        assert list(per_check) == list(bench.analysis.CHECKS)
+        assert list(per_check) == list(bench.CHECKS)
         # the density under a(u) = u - u^2 has neither a flow nor an oracle
         missing = {"pushforward", "w1_vs_particles"} if label == "diagnostics_validate" else set()
         assert {name for name, ms in per_check.items() if ms is None} == missing

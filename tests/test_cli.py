@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import analysis, cli, particles, pde
+from dualflow import cli, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
-from dualflow.scenario import parse_scenario
+from dualflow.scenario import CHECKS, parse_scenario
 
 
 BIG = 123456.789   # stands in a scenario for 1e400, which json.dumps cannot write
@@ -629,7 +629,7 @@ def test_out_leaves_the_loaded_scenario_unchanged(tmp_path, monkeypatch, command
 
 class TestValidateCommand:
     @pytest.mark.parametrize("overrides, names", [
-        ({"diagnostics": {"checks": list(analysis.CHECKS),
+        ({"diagnostics": {"checks": list(CHECKS),
                           "tolerances": {"weak_residual": 2.0}}},
          {"mass_conservation", "oleinik_osl", "momentum_total", "momentum_bracket",
           "pushforward_x", "pushforward_x2", "pushforward_sin", "weak_residual",

@@ -1,0 +1,125 @@
+"""Each command loads only the modules it runs.
+
+``import dualflow`` loads no submodule; its names load their module on first
+use.  ``cli`` imports the PDE engine, the particle oracle and the diagnostics
+inside the functions that run them, and ``scenario`` reads the check table
+without ``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
+interpreter, since this test process has imported every module already.
+"""
+
+import ast
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dualflow
+from dualflow import analysis
+from dualflow.scenario import CHECKS
+
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    str(Path(m.__file__).parents[1]) for m in (dualflow, np)))
+# the names dualflow/__init__ bound by eager imports, each with its module
+OLD_EXPORTS = {
+    "flux": ["FluxError", "FluxModel", "eval_A", "eval_a", "godunov_flux", "piecewise_linear",
+             "polynomial", "quadratic_attractive", "quadratic_repulsive"],
+    "measure": ["AtomicMeasure", "GridField", "MeasureError", "extract_atoms", "quantile",
+                "sample_to_grid", "wasserstein1"],
+    "particles": ["AggregateSystem", "MergeEvent", "OracleError", "advance", "collapse_time",
+                  "next_event", "velocities"],
+    "pde": ["SolverState", "run", "step"],
+}
+LOADED = """
+import sys
+exec(sys.argv[1])
+print(sorted(m[9:] for m in sys.modules if m.startswith("dualflow.")))
+"""
+
+
+def fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-S", "-c", code, *argv], env=ENV,
+                          capture_output=True, text=True)
+
+
+def submodules_after(code: str) -> list[str]:
+    """The dualflow submodules a fresh interpreter holds after running ``code``."""
+    out = fresh(LOADED, code)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+def test_import_dualflow_loads_no_submodule():
+    assert submodules_after("import dualflow") == []
+
+
+def test_cli_import_loads_no_engine_and_no_check():
+    assert submodules_after("import dualflow.cli") == ["cli", "flux", "measure", "scenario"]
+
+
+def scenario_file(tmp_path, **overrides) -> str:
+    raw = {"flux": {"kind": "quadratic-attractive"},
+           "initial": {"type": "atoms", "atoms": [[-0.5, 0.5], [0.5, 0.5]]},
+           "grid": {"x_min": -2.0, "x_max": 2.0, "n_cells": 100},
+           "time": {"t_end": 1.0, "output_times": [0.0, 0.5, 1.0]}, **overrides}
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (["run", "--engine", "particles"], ["cli", "flux", "measure", "particles", "scenario"]),
+    (["run", "--engine", "pde"], ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["validate"], ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"],
+     ["analysis", "cli", "flux", "measure", "scenario"]),
+], ids=["run-particles", "run-pde", "validate", "riemann"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+    if argv[0] != "riemann":
+        argv = [*argv, "--scenario", scenario_file(tmp_path), "--out", str(tmp_path / "out")]
+    code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
+    assert submodules_after(code) == loaded
+
+
+def test_validate_loads_the_oracle_for_w1_vs_particles(tmp_path):
+    argv = ["validate", "--scenario", scenario_file(tmp_path, diagnostics={
+        "checks": ["mass", "w1_vs_particles"]}), "--out", str(tmp_path / "out")]
+    code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
+    assert "particles" in submodules_after(code)
+
+
+def test_every_old_export_resolves_lazily():
+    code = f"""
+import sys, dualflow
+for module, names in {OLD_EXPORTS!r}.items():
+    assert "dualflow." + module not in sys.modules, module
+    owner = getattr(dualflow, module)
+    assert owner is sys.modules["dualflow." + module], module
+    for name in names:
+        exec(f"from dualflow import {{name}} as imported")
+        assert imported is getattr(dualflow, name) is getattr(owner, name), name
+assert dualflow.__version__ == "0.1.0"
+assert not hasattr(dualflow, "no_such_name")
+print("ok")
+"""
+    out = fresh(code)
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
+
+
+def test_every_check_names_a_runner_in_analysis():
+    assert CHECKS
+    for name, check in CHECKS.items():
+        assert callable(getattr(analysis, check.runner, None)), (name, check.runner)
+
+
+def test_solver_error_is_one_error_line_in_a_fresh_process(tmp_path):
+    # a t_end whose step budget exceeds pde.MAX_STEPS: pde.run raises SolverError
+    path = scenario_file(tmp_path, time={"t_end": 1e300})
+    out = fresh("import sys; from dualflow import cli; sys.exit(cli.main(sys.argv[1:]))",
+                "validate", "--scenario", path, "--out", str(tmp_path / "out"))
+    assert out.returncode == 1 and out.stdout == ""
+    [line] = out.stderr.splitlines()
+    assert line.startswith("error: t_end = 1e+300 needs a budget of ") and "MAX_STEPS" in line

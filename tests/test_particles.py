@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dualflow import cli
 from dualflow import flux as fx
 from dualflow import particles as pt
-from dualflow.measure import AtomicMeasure
+from dualflow.measure import AtomicMeasure, TriangularDensity, UniformDensity
 from dualflow.scenario import parse_scenario
 
 ATTR = fx.quadratic_attractive()
@@ -48,6 +48,15 @@ class TestVelocities:
     def test_repulsive_refused(self):
         with pytest.raises(pt.OracleError):
             system([(0.0, 1.0)], model=fx.quadratic_repulsive())
+
+    @pytest.mark.parametrize("density", [UniformDensity(-0.5, 0.5, 1.0),
+                                         TriangularDensity(-0.5, 0.0, 0.5, 1.0)],
+                             ids=["uniform", "triangular"])
+    @pytest.mark.parametrize("start", [pt.velocities, pt.AggregateSystem.create],
+                             ids=["velocities", "create"])
+    def test_density_data_refused_naming_the_type(self, density, start):
+        with pytest.raises(pt.OracleError, match=f"got {type(density).__name__}$"):
+            start(density, ATTR)
 
 
 class TestTwoAtomMerge:
