@@ -12,11 +12,19 @@ Four layers so far:
   the `particle_collapse` workload, one `advance` call each, as
   `cli.run_particles` does: every call after the first starts from merged
   aggregates and builds its own heap, which the t = inf collapse does once.
-- output: `cli.write_field_outputs` (fields_faces.csv, fields_cells.csv and
-  atoms_extracted.csv) for the 17 PDE snapshots of one fixed scenario: 24
+- output: the three field CSVs (fields_faces.csv, fields_cells.csv and
+  atoms_extracted.csv) of the 17 PDE snapshots of one fixed scenario: 24
   seeded atoms under an attractive piecewise-linear a(u) on 1 600 cells,
-  the shape of the `attractive_crosscheck` benchmark workload.  Reported as
-  seconds and as MB of CSV written per second.
+  the shape of the `attractive_crosscheck` benchmark workload.  Timed two
+  ways.  In process, `cli.write_field_outputs` over the snapshots, as
+  seconds and as MB of CSV written per second.  And the way `run` drives
+  the writer: the march (`cli.run_pde`) streaming each snapshot to the
+  forked `cli._FieldWriter`, the scenario's checks, the commit and the
+  reaping of the child, against the same march and checks alone.  Reported
+  are both wall times, their difference (what the writer adds, in ms) and
+  the time the parent waits at the commit (ms): the formatting that the
+  march and the checks did not hide.  `run`'s own writes of its other
+  files, which overlap the child's writes, are left out.
 - pde_step: microseconds per PDE step (one `_March.dt` and one
   `_March.advance`) on n = 6 400 cells, for quadratic-repulsive a(u) = u
   and for the piecewise-linear a of the output layer, each on a ramp of u
@@ -129,18 +137,40 @@ def output_scenario() -> dict:
 
 
 def output_layer() -> dict:
-    """Best of REPEATS wall times of write_field_outputs, and its MB/s."""
-    snapshots = cli.run_pde(parse_scenario(output_scenario()))
-    best = math.inf
+    """Best of REPEATS of each: write_field_outputs in process, the march and
+    checks alone, and the same with the forked writer, with its commit wait."""
+    scn = parse_scenario(output_scenario())
+    snapshots = cli.run_pde(scn)
+    best = dict.fromkeys(("seconds", "march_s", "streamed_s", "commit_wait_ms"), math.inf)
+
+    def keep(key, value):
+        best[key] = min(best[key], value)
+
     with tempfile.TemporaryDirectory() as out:
+        scn = scn._replace(out_dir=out)
         for _ in range(REPEATS):
             start = time.perf_counter()
             cli.write_field_outputs(out, snapshots)
-            best = min(best, time.perf_counter() - start)
+            keep("seconds", time.perf_counter() - start)
+            start = time.perf_counter()
+            cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
+            keep("march_s", time.perf_counter() - start)
+            start = time.perf_counter()
+            with cli._FieldWriter(scn, True) as fields:
+                streamed = cli.run_pde(scn, each=fields.send)
+                cli.run_diagnostics(scn, streamed, write_json=False)
+                commit = time.perf_counter()
+                fields.commit(streamed)
+                keep("commit_wait_ms", (time.perf_counter() - commit) * 1e3)
+            keep("streamed_s", time.perf_counter() - start)
         size = sum(f.stat().st_size for f in Path(out).iterdir())
-    print(f"output write_field_outputs: {best:.4f} s, {size / 1e6 / best:.1f} MB/s "
-          f"({size} bytes)", flush=True)
-    return {"seconds": best, "mb_per_s": size / 1e6 / best, "bytes": size}
+    best.update(mb_per_s=size / 1e6 / best["seconds"], bytes=size,
+                writer_ms=(best["streamed_s"] - best["march_s"]) * 1e3)
+    print(f"output write_field_outputs: {best['seconds']:.4f} s, {best['mb_per_s']:.1f} MB/s "
+          f"({size} bytes); march and checks {best['march_s']:.4f} s, with the writer "
+          f"{best['streamed_s']:.4f} s (+{best['writer_ms']:.1f} ms), commit wait "
+          f"{best['commit_wait_ms']:.1f} ms", flush=True)
+    return best
 
 
 def ramp_march(model: fx.FluxModel, width: int):
@@ -149,11 +179,12 @@ def ramp_march(model: fx.FluxModel, width: int):
     return pde._March(GridField(-1.0, 1.0, STEP_CELLS, np.clip(k / width, 0.0, 1.0)), model)
 
 
-def step_seconds(march, start_ext, start_state) -> float:
+def step_seconds(march, start_ext, start_jumps, start_state) -> float:
     """The time of STEP_COUNT dt + advance pairs, each from the start state."""
     total = 0.0
     for _ in range(STEP_COUNT):
         np.copyto(march.ext, start_ext)
+        np.copyto(march.jumps, start_jumps)
         vars(march).update(start_state)
         start = time.perf_counter()
         march.advance(march.dt(0.45))
@@ -167,7 +198,8 @@ def pde_step_layer() -> dict:
     for model in (fx.quadratic_repulsive(), fx.piecewise_linear(PWL_NODES)):
         for width in STEP_WIDTHS:
             march = ramp_march(model, width)
-            cases[model.kind, width] = (march, march.ext.copy(), dict(vars(march)))
+            cases[model.kind, width] = (march, march.ext.copy(), march.jumps.copy(),
+                                        dict(vars(march)))
     best = dict.fromkeys(cases, math.inf)
     for _ in range(STEP_REPEATS):
         for key, case in cases.items():

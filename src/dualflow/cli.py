@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import math
 import os
+import pickle
 import sys
 import tempfile
 from itertools import chain, repeat
@@ -33,10 +34,12 @@ def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
                           scn.n_cells if n_cells is None else n_cells)
 
 
-def run_pde(scn: Scenario, n_cells: int | None = None) -> list:   # of pde.SolverState
+def run_pde(scn: Scenario, n_cells: int | None = None, each=None) -> list:   # of SolverState
+    """The snapshots of pde.run; ``each``, when given, is called on each one as
+    the march reaches it and returns it."""
     from . import pde
-    return pde.run(initial_grid(scn, n_cells), scn.model, scn.t_end, cfl=scn.cfl,
-                   output_times=scn.output_times)
+    args = (initial_grid(scn, n_cells), scn.model, scn.t_end, scn.cfl, scn.output_times)
+    return pde.run(*args) if each is None else list(map(each, pde.march(*args)))
 
 
 def run_particles(scn: Scenario):
@@ -92,9 +95,13 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None,
         for rec in CHECKS[name].run(scn, snapshots, pairs):
             report.add(rec)
     if write_json:
-        with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
-            fh.write(report.to_json() + "\n")
+        write_report(scn.out_dir, report)
     return report
+
+
+def write_report(out_dir: str, report):
+    with _atomic_open(os.path.join(out_dir, "diagnostics.json")) as fh:
+        fh.write(report.to_json() + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -152,50 +159,154 @@ def _verbatim(cells: list[str], one_column: bool) -> list[str]:
     return cells
 
 
+class _Csv:
+    """A CSV file's text, handed to ``write`` block by block: the bytes
+    csv.writer gives, with numbers formatted as by _fmt.
+
+    Each block is a tuple of columns giving that block's rows: a 1-D numpy
+    array, a list, or a scalar repeated on every row; a block of scalars is
+    one row.  A numpy column equal, bit for bit, to the same column of the
+    previous block reuses that block's strings."""
+
+    def __init__(self, header: list[str], write):
+        self.write = write
+        self.prev: dict[int, tuple[bytes, str, list[str]]] = {}
+        write(",".join(_verbatim(list(header), len(header) == 1)) + "\r\n")
+
+    def add(self, block):
+        n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
+        cols, arrays = [], {}
+        for j, c in enumerate(block):
+            if isinstance(c, np.ndarray):
+                key = (c.tobytes(), c.dtype.str)
+                hit = self.prev.get(j)
+                cells = hit[2] if hit and hit[:2] == key else _reprs(c)
+                arrays[j] = (*key, cells)
+            elif isinstance(c, list):
+                cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
+            else:
+                cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
+            cols.append(cells)
+        self.prev = arrays
+        rows = "\r\n".join(map(",".join, zip(*cols)))
+        if rows:   # empty only when the block has no rows (see _verbatim)
+            self.write(rows + "\r\n")
+
+
 def _write_csv(path: str, header: list[str], blocks):
-    """Write a CSV: the bytes csv.writer gives, with numbers formatted as by
-    _fmt.  Each block is a tuple of columns giving that block's rows: a 1-D
-    numpy array, a list, or a scalar repeated on every row; a block of
-    scalars is one row.  A numpy column equal, bit for bit, to the same
-    column of the previous block reuses that block's strings."""
+    """Write the _Csv of ``blocks`` to ``path``, a block at a time."""
     with _atomic_open(path) as fh:
-        fh.write(",".join(_verbatim(list(header), len(header) == 1)) + "\r\n")
-        prev: dict[int, tuple[bytes, str, list[str]]] = {}
+        csv = _Csv(header, fh.write)
         for block in blocks:
-            n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
-            cols, arrays = [], {}
-            for j, c in enumerate(block):
-                if isinstance(c, np.ndarray):
-                    key = (c.tobytes(), c.dtype.str)
-                    hit = prev.get(j)
-                    cells = hit[2] if hit and hit[:2] == key else _reprs(c)
-                    arrays[j] = (*key, cells)
-                elif isinstance(c, list):
-                    cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
-                else:
-                    cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
-                cols.append(cells)
-            prev = arrays
-            rows = "\r\n".join(map(",".join, zip(*cols)))
-            if rows:   # empty only when the block has no rows (see _verbatim)
-                fh.write(rows + "\r\n")
-
-
-def _atom_blocks(snapshots):
-    for s in snapshots:
-        mu = extract_atoms(s.field)
-        yield s.t, np.arange(mu.n_atoms), mu.positions, mu.masses
+            csv.add(block)
 
 
 def write_field_outputs(out_dir: str, snapshots):
-    _write_csv(os.path.join(out_dir, "fields_faces.csv"), ["t", "x_face", "u"],
-               ((s.t, s.field.faces, s.field.u_faces) for s in snapshots))
-    _write_csv(os.path.join(out_dir, "fields_cells.csv"),
-               ["t", "x_center", "rho_cell_mass", "rho_density"],
-               ((s.t, s.field.centers, (m := s.field.cell_masses), m / s.field.dx)
-                for s in snapshots))
-    _write_csv(os.path.join(out_dir, "atoms_extracted.csv"),
-               ["t", "atom_id", "x", "m"], _atom_blocks(snapshots))
+    """The three field CSVs of ``snapshots``, an iterable: each snapshot is
+    formatted as it comes, and the files are written after the last."""
+    texts = {"fields_faces.csv": [], "fields_cells.csv": [], "atoms_extracted.csv": []}
+    faces, cells, atoms = (_Csv(header, text.append) for header, text in zip(
+        (["t", "x_face", "u"], ["t", "x_center", "rho_cell_mass", "rho_density"],
+         ["t", "atom_id", "x", "m"]), texts.values()))
+    for s in snapshots:
+        f, mu = s.field, extract_atoms(s.field)
+        faces.add((s.t, f.faces, f.u_faces))
+        cells.add((s.t, f.centers, (m := f.cell_masses), m / f.dx))
+        atoms.add((s.t, np.arange(mu.n_atoms), mu.positions, mu.masses))
+    for name, text in texts.items():
+        with _atomic_open(os.path.join(out_dir, name)) as fh:
+            fh.writelines(text)
+
+
+class _FieldWriter:
+    """write_field_outputs in a forked child, fed each snapshot's (t, u_faces)
+    by ``send`` as the march reaches it.  The child writes the files only
+    after ``commit`` (every engine and check has run) and exits writing
+    nothing when the pipe ends without one; it answers a line, empty for
+    done, else its error (an OSError here).  Leaving the ``with`` block
+    reaps it.  Without a fork (no os.fork, or it fails), commit formats and
+    writes in this process.
+    """
+
+    def __init__(self, scn: Scenario, enabled: bool):
+        from .pde import SolverState   # loaded before the fork: the child uses it
+        self.out_dir, self.pid = scn.out_dir if enabled else None, None
+        if not (enabled and hasattr(os, "fork")):
+            return
+        (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:   # no process to spare: commit writes in this process
+            for fd in (feed, self.feed, self.back, back):
+                os.close(fd)
+            return
+        if not self.pid:   # the child: it never returns
+            try:
+                import signal
+                signal.signal(signal.SIGINT, signal.SIG_IGN)   # the pipe says when to stop
+                os.close(self.feed)
+                os.close(self.back)
+                feed, back = os.fdopen(feed, "rb"), os.fdopen(back, "w", 1, "utf-8")
+
+                def received():
+                    while (item := pickle.load(feed)) is not None:   # EOFError: no commit
+                        yield SolverState(item[0], GridField(scn.x_min, scn.x_max,
+                                                             scn.n_cells, item[1]))
+                    back.write("\n")   # every snapshot is formatted
+                write_field_outputs(scn.out_dir, received())
+                back.write("\n")   # and written
+            except EOFError:
+                pass
+            except Exception as exc:   # one line, never empty: an empty one means done
+                back.write(" ".join(str(exc).splitlines()) or type(exc).__name__)
+                back.write("\n")
+            finally:
+                os._exit(0)
+        os.close(feed)
+        os.close(back)
+        self.back = os.fdopen(self.back, encoding="utf-8")
+
+    def __enter__(self):
+        return self
+
+    def _put(self, item):
+        try:
+            data = memoryview(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+            while data:
+                data = data[os.write(self.feed, data):]
+        except BrokenPipeError:   # the child has stopped: its line says why
+            self._reply()
+            raise
+
+    def _reply(self):
+        if (line := self.back.readline()) != "\n":
+            raise OSError(line.strip() or "the field writer stopped without a reply")
+
+    def send(self, snapshot):
+        if self.pid:
+            self._put((snapshot.t, snapshot.field.u_faces))
+        return snapshot
+
+    def commit(self, snapshots):
+        if not self.pid:
+            if self.out_dir is not None:
+                write_field_outputs(self.out_dir, snapshots)
+            return
+        self._put(None)
+        os.close(self.feed)
+        self.feed = None
+        self._reply()
+
+    def __exit__(self, kind, *_):
+        if self.pid:
+            try:
+                if self.feed is not None:   # no commit: the child writes nothing
+                    os.close(self.feed)
+                elif kind is None:
+                    self._reply()
+            finally:
+                self.back.close()
+                os.waitpid(self.pid, 0)
 
 
 def write_particle_outputs(out_dir: str, states, events):
@@ -247,14 +358,17 @@ def cmd_run(args) -> int:
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-    snapshots = run_pde(scn)
-    # every engine and check has run before the first file is written: exit 1 writes none
-    report = run_diagnostics(scn, snapshots, oracle, write_json="json" in scn.formats)
-    if "csv" in scn.formats:
-        if oracle:
-            write_particle_outputs(scn.out_dir, *oracle)
-        write_field_outputs(scn.out_dir, snapshots)
-        write_summary_csv(scn.out_dir, scn, snapshots, report)
+    with _FieldWriter(scn, "csv" in scn.formats) as fields:
+        snapshots = run_pde(scn, each=fields.send)
+        # every engine and check has run before the first file is written: exit 1 writes none
+        report = run_diagnostics(scn, snapshots, oracle, write_json=False)
+        fields.commit(snapshots)
+        if "json" in scn.formats:
+            write_report(scn.out_dir, report)
+        if "csv" in scn.formats:
+            if oracle:
+                write_particle_outputs(scn.out_dir, *oracle)
+            write_summary_csv(scn.out_dir, scn, snapshots, report)
     for c in report.checks:
         if not c.passed:
             print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",

@@ -363,6 +363,8 @@ class FluxPlan:
         self.corner = None if self.slope <= 0.0 else tuple(
             zip(da.left[inside].tolist(), da.right[inside].tolist(), da.vals[inside].tolist()))
         self.A, self.da = A.at, da.at
+        # a' a constant: its value (1.0 skips the pass du * 1.0), else None
+        self.da_const = float(da.at[0]) if da.at is not None and len(da.at) == 1 else None
 
     def dt(self, cfl: float, dx: float, jump: float) -> float:
         """The CFL step of faces in [lo, hi] whose largest jump is ``jump``; inf
@@ -370,11 +372,12 @@ class FluxPlan:
         speed = self.speed + self.slope * jump if self.slope > 0.0 else self.speed
         return cfl * dx / speed if speed > 0.0 else math.inf
 
-    def fluxes(self, e, out, work):
+    def fluxes(self, e, du, out, work):
         """numerical_flux(model, e[:-1], e[1:]) into ``out``, bit for bit, for
-        nondecreasing ``e`` within the plan's [lo, hi].
+        nondecreasing ``e`` within the plan's [lo, hi] whose jumps
+        e[1:] - e[:-1] are ``du``.
 
-        ``work`` holds three scratch rows of length >= e.size.
+        ``work`` holds two scratch rows of length >= e.size.
         """
         m = e.size - 1
         A = self.A(e, work[0][:m + 1])
@@ -390,9 +393,8 @@ class FluxPlan:
             return F
         uL, uR = e[:-1], e[1:]
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * du
-        du = np.subtract(uR, uL, work[2][:m])
-        if self.da is not None and len(self.da) == 1:   # a' is a constant, here > 0
-            s = np.multiply(du, self.da[0], work[1][:m])
+        if self.da_const is not None:   # a' is a constant, here > 0
+            s = du if self.da_const == 1.0 else np.multiply(du, self.da[0], work[1][:m])
         else:
             if self.da is None:   # a' has no value at a node: the stretches alone
                 slope = np.zeros(m)
@@ -403,7 +405,7 @@ class FluxPlan:
             for l, r, v in self.corner:
                 np.maximum(slope, v, out=slope, where=(l < uR) & (uL < r))
             s = np.multiply(slope, du, out=slope)
-        term = np.multiply(s, 0.5, s)
+        term = np.multiply(s, 0.5, work[1][:m])
         term *= du
         F -= term
         return F

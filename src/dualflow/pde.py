@@ -13,6 +13,7 @@ The density is recovered as cell masses rho_i = u_{i+1} - u_i.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from typing import NamedTuple
 
@@ -55,6 +56,15 @@ def numerical_flux(model: fx.FluxModel, u_left, u_right):
     return F - 0.5 * s * du
 
 
+def _outside() -> int:
+    """The stacklevel of the first frame outside this module, for a warning
+    raised by the caller: it names the user of step, run or march."""
+    level, frame = 1, sys._getframe(1)
+    while frame.f_globals is globals():
+        level, frame = level + 1, frame.f_back
+    return level
+
+
 def stable_dt(field: GridField, model: fx.FluxModel, cfl: float) -> float:
     """CFL time step from the exact wave-speed bound on [min u, max u]; inf at rest."""
     return _March(field, model).dt(cfl)
@@ -88,11 +98,12 @@ class _March:
         self.model = model
         self.ext = np.concatenate((u[:1], u, u[-1:]))
         self.plan = fx.FluxPlan(model, float(u[0]), float(u[-1]))
-        self.work = list(np.empty((5, u.size + 2)))   # rows; row 0 holds the jumps
+        self.jumps = np.empty(u.size + 1)   # d_j = ext[j+1] - ext[j], kept current by _check
+        self.work = list(np.empty((4, u.size + 2)))   # scratch rows
         self._check(0, u.size)
 
     def _check(self, j0: int, j1: int):
-        """Validate the jumps d_j0..d_j1, which hold every non-zero jump.
+        """Refresh and validate the jumps d_j0..d_j1, which hold every non-zero jump.
 
         One pass gives the finiteness and monotonicity checks (a NaN or an
         infinite face makes the smallest jump NaN or -inf), the ordering of
@@ -101,7 +112,7 @@ class _March:
         last d_j1 or d_j1-1); d is searched only when both are zero.
         """
         ext = self.ext
-        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.work[0][:j1 - j0 + 1])
+        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.jumps[j0:j1 + 1])
         d_min = float(np.minimum.reduce(d))
         if not d_min >= -MONOTONE_TOL:
             self.field()   # raises the validation error
@@ -134,10 +145,10 @@ class _March:
         m = j1 - j0 + 1
         e = ext[j0:j1 + 2]
         if self.ordered:
-            F = self.plan.fluxes(e, work[3][:m], work)
+            F = self.plan.fluxes(e, self.jumps[j0:j1 + 1], work[2][:m], work)
         else:
             F = numerical_flux(self.model, e[:-1], e[1:])
-        dF = np.subtract(F[1:], F[:-1], work[4][:m - 1])
+        dF = np.subtract(F[1:], F[:-1], work[3][:m - 1])
         dF *= dt / self.dx
         faces = ext[j0 + 1:j1 + 1]
         faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
@@ -145,7 +156,7 @@ class _March:
             # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
             if abs(ext[1] - ext[0]) > 1e-12 or abs(ext[n] - ext[-1]) > 1e-12:
                 warnings.warn("wave reached the grid boundary; domain too small",
-                              RuntimeWarning, stacklevel=3)
+                              RuntimeWarning, stacklevel=_outside())
             ext[1], ext[n] = ext[0], ext[-1]
         self._check(j0, j1)
 
@@ -177,13 +188,14 @@ def step(state: SolverState, model: fx.FluxModel, dt: float | None = None) -> So
     return SolverState(state.t + dt, march.field(), state.cfl, state.step_count + 1)
 
 
-def run(initial: GridField, model: fx.FluxModel, t_end: float,
-        cfl: float = fx.CFL, output_times=None) -> list[SolverState]:
-    """March to t_end, landing exactly on each requested output time.
+def march(initial: GridField, model: fx.FluxModel, t_end: float,
+          cfl: float = fx.CFL, output_times=None):
+    """March to t_end, yielding a snapshot as each requested output time is
+    reached (landing on it exactly; t_end is always included).
 
-    Returns one snapshot per output time (t_end is always included).  A
-    run whose step budget (``_March.step_budget``) exceeds MAX_STEPS, or
-    whose n_cells x budget exceeds MAX_CELL_STEPS, is refused before its
+    The arguments are checked, and the step budget set, before the first
+    snapshot.  A run whose budget (``_March.step_budget``) exceeds MAX_STEPS,
+    or whose n_cells x budget exceeds MAX_CELL_STEPS, is refused before its
     first step, and one that needs more steps than its budget raises
     SolverError instead of running on.
     """
@@ -196,12 +208,9 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
     if targets[0] < 0 or targets[-1] > t_end:
         raise ValueError("output times must lie in [0, t_end]")
 
-    snapshots: list[SolverState] = []
-    if targets[0] == 0.0:
-        snapshots.append(SolverState(0.0, initial, cfl, 0))
-        targets = targets[1:]
-    march = _March(initial, model)
-    budget = march.step_budget(t_end, cfl, len(targets))
+    at_zero = targets[0] == 0.0
+    faces = _March(initial, model)
+    budget = faces.step_budget(t_end, cfl, len(targets) - at_zero)
     if budget > MAX_STEPS:
         raise SolverError(f"t_end = {t_end} needs a budget of {budget:.3g} steps, "
                           f"more than MAX_STEPS = {MAX_STEPS}")
@@ -209,14 +218,21 @@ def run(initial: GridField, model: fx.FluxModel, t_end: float,
         raise SolverError(f"t_end = {t_end} on {initial.n_cells} cells needs a budget of "
                           f"{initial.n_cells * budget:.3g} cell steps, "
                           f"more than MAX_CELL_STEPS = {MAX_CELL_STEPS}")
+    if at_zero:
+        yield SolverState(0.0, initial, cfl, 0)
     t, steps = 0.0, 0
-    for target in targets:
+    for target in targets[at_zero:]:
         while t < target - 1e-15:
             if steps >= budget:
                 raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
-            dt = min(march.dt(cfl), target - t)
-            march.advance(dt)
+            dt = min(faces.dt(cfl), target - t)
+            faces.advance(dt)
             t += dt
             steps += 1
-        snapshots.append(SolverState(target, march.field(), cfl, steps))  # t absorbs roundoff
-    return snapshots
+        yield SolverState(target, faces.field(), cfl, steps)  # t absorbs roundoff
+
+
+def run(initial: GridField, model: fx.FluxModel, t_end: float,
+        cfl: float = fx.CFL, output_times=None) -> list[SolverState]:
+    """march's snapshots, one per output time, as a list."""
+    return list(march(initial, model, t_end, cfl, output_times))

@@ -42,6 +42,22 @@ def test_pde_step_layer(bench, monkeypatch):
         assert all(0.0 < us < math.inf for us in per_width.values())
 
 
+def test_output_layer(bench, monkeypatch):
+    scenario = bench.output_scenario
+
+    def coarse():
+        raw = scenario()
+        raw["grid"]["n_cells"] = 200
+        return raw
+
+    monkeypatch.setattr(bench, "output_scenario", coarse)
+    monkeypatch.setattr(bench, "REPEATS", 1)
+    results = bench.output_layer()
+    assert set(results) == {"seconds", "march_s", "streamed_s", "commit_wait_ms", "mb_per_s",
+                            "bytes", "writer_ms"}
+    assert results["bytes"] > 0 and results["streamed_s"] > results["commit_wait_ms"] / 1e3 >= 0
+
+
 def test_particles_layer(bench, monkeypatch):
     monkeypatch.setattr(bench, "SIZES", (10, 40))
     monkeypatch.setattr(bench, "REPEATS", 1)

@@ -36,6 +36,7 @@ def no_engine(monkeypatch):
         raise AssertionError("an engine ran on a scenario refused at load")
 
     monkeypatch.setattr(pde, "run", refuse)
+    monkeypatch.setattr(pde, "march", refuse)
     monkeypatch.setattr(particles, "advance", refuse)
 
 

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import dualflow
 from dualflow import cli, particles, pde
-from dualflow.measure import AtomicMeasure, UniformDensity, wasserstein1
+from dualflow.measure import AtomicMeasure, UniformDensity, extract_atoms, wasserstein1
 from dualflow.scenario import CHECKS, parse_scenario
 
 
@@ -560,6 +560,140 @@ class TestOutputFiles:
         with pytest.raises(ValueError, match="quoting"):
             cli._write_csv(str(tmp_path / "x.csv"), header, [block])
         assert not (tmp_path / "x.csv").exists()
+
+
+FIELD_FILES = {"fields_faces.csv": ["t", "x_face", "u"],
+               "fields_cells.csv": ["t", "x_center", "rho_cell_mass", "rho_density"],
+               "atoms_extracted.csv": ["t", "atom_id", "x", "m"]}
+
+
+def field_blocks(snapshots, name):
+    """The blocks of one field CSV, as _write_csv takes them."""
+    for s in snapshots:
+        f = s.field
+        if name == "fields_faces.csv":
+            yield s.t, f.faces, f.u_faces
+        elif name == "fields_cells.csv":
+            yield s.t, f.centers, f.cell_masses, f.cell_masses / f.dx
+        else:
+            mu = extract_atoms(f)
+            yield s.t, np.arange(mu.n_atoms), mu.positions, mu.masses
+
+
+class TestFieldWriter:
+    """run --engine pde|both formats the field CSVs in a forked child as the
+    march reaches each snapshot; the child writes them only on a commit."""
+
+    @pytest.mark.parametrize("name", ["single_dirac_attractive.json", "two_atoms_attractive.json",
+                                      "three_atoms_attractive.json",
+                                      "single_dirac_repulsive.json"])
+    def test_field_csvs_equal_write_csv_in_process(self, tmp_path, name):
+        # run --engine both where the oracle serves the data, else --engine pde
+        scn = cli.load_scenario(cli.bundled_scenario(name))
+        snapshots = cli.run_pde(scn)
+        ref = tmp_path / "ref"
+        for fname, header in FIELD_FILES.items():
+            cli._write_csv(str(ref / fname), header, field_blocks(snapshots, fname))
+        out = tmp_path / "out"
+        engine = "pde" if "repulsive" in name else "both"
+        assert cli.main(["run", "--engine", engine, "--scenario", cli.bundled_scenario(name),
+                         "--out", str(out)]) == 0
+        for fname in FIELD_FILES:
+            assert (out / fname).read_bytes() == (ref / fname).read_bytes(), fname
+
+    @pytest.mark.parametrize("fork", ["missing", "failing"])
+    def test_without_fork_the_same_bytes_are_written_in_process(self, tmp_path, monkeypatch,
+                                                                fork):
+        path = write_scenario(tmp_path)
+        assert cli.main(["run", "--engine", "both", "--scenario", path,
+                         "--out", str(tmp_path / "forked")]) == 0
+
+        def no_process():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        if fork == "missing":
+            monkeypatch.delattr(os, "fork")
+        else:
+            monkeypatch.setattr(os, "fork", no_process)
+        assert cli.main(["run", "--engine", "both", "--scenario", path,
+                         "--out", str(tmp_path / "in_process")]) == 0
+        for fname in os.listdir(tmp_path / "forked"):
+            assert ((tmp_path / "forked" / fname).read_bytes()
+                    == (tmp_path / "in_process" / fname).read_bytes()), fname
+
+    @pytest.mark.parametrize("argv, overrides", [
+        (["validate"], {}),
+        (["convergence", "--resolutions", "50,100,200"], {}),
+        (["run", "--engine", "particles"], {}),
+        (["run", "--engine", "both"], {"output": {"formats": ["json"]}}),
+    ], ids=["validate", "convergence", "run-particles", "run-without-csv"])
+    def test_only_a_csv_run_of_the_pde_forks(self, tmp_path, monkeypatch, argv, overrides):
+        monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+        path = write_scenario(tmp_path, **overrides)
+        assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / "out")]) == 0
+
+    def failed(self, tmp_path, capsys, path, engine="pde"):
+        """The one error line of a run that must exit 1, write nothing and
+        leave no child behind."""
+        out = tmp_path / "out"
+        assert cli.main(["run", "--engine", engine, "--scenario", path, "--out", str(out)]) == 1
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):   # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+        [line] = capsys.readouterr().err.splitlines()
+        return line
+
+    def test_solver_error_after_streamed_snapshots(self, tmp_path, capsys, monkeypatch):
+        sent = []
+        send = cli._FieldWriter.send
+        monkeypatch.setattr(cli._FieldWriter, "send",
+                            lambda self, s: sent.append(s.t) or send(self, s))
+        monkeypatch.setattr(pde._March, "step_budget", lambda *args: 20)   # t = 0.1 takes 12
+        path = write_scenario(tmp_path, time={"t_end": 1.0, "output_times": [0.0, 0.1, 0.5]})
+        assert self.failed(tmp_path, capsys, path).startswith("error: step budget (20 steps)")
+        assert sent == [0.0, 0.1]
+
+    def test_merge_window_error_after_the_march(self, tmp_path, capsys):
+        # the two atoms meet at t = 1.0, the only output time
+        scn = json.loads(open(cli.bundled_scenario("two_atoms_attractive.json")).read())
+        scn["time"] = {"t_end": 1.0}
+        path = tmp_path / "scn.json"
+        path.write_text(json.dumps(scn))
+        assert self.failed(tmp_path, capsys, str(path), "both").startswith(
+            "error: w1_vs_particles: every output time lies within 2 dt of a merge")
+
+    @pytest.mark.parametrize("error, message", [(ValueError("no repr here"), "no repr here"),
+                                                (MemoryError(), "MemoryError")],
+                             ids=["ValueError", "bare-MemoryError"])
+    def test_a_failure_in_the_child_is_one_io_error_line(self, tmp_path, capsys, monkeypatch,
+                                                         error, message):
+        def refuse(a):
+            raise error
+
+        monkeypatch.setattr(cli, "_reprs", refuse)   # the child is a fork: it calls this too
+        line = self.failed(tmp_path, capsys, write_scenario(tmp_path), "both")
+        assert line == f"i/o error: {message}"
+
+    def test_an_exception_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "run_diagnostics", interrupted)
+        out = tmp_path / "out"
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["run", "--scenario", write_scenario(tmp_path), "--out", str(out)])
+        assert not out.exists()
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("overrides, code", [
+        ({}, 0), ({"diagnostics": {"checks": ["mass"], "tolerances": {"mass": -1.0}}}, 2)])
+    def test_a_finished_run_leaves_no_child(self, tmp_path, overrides, code):
+        path = write_scenario(tmp_path, **overrides)
+        assert cli.main(["run", "--scenario", path, "--out", str(tmp_path / "out")]) == code
+        assert len(os.listdir(tmp_path / "out")) == 5
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reference_rows(block):

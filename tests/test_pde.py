@@ -222,7 +222,8 @@ class TestFluxPlan:
         m = e.size - 1
         wider = (data.draw(st.floats(-1.0, float(e[0]))), data.draw(st.floats(float(e[-1]), 2.0)))
         for lo, hi in ((float(e[0]), float(e[-1])), wider, (-1.0, 2.0)):
-            got = fx.FluxPlan(model, lo, hi).fluxes(e, np.empty(m), np.empty((3, e.size)))
+            got = fx.FluxPlan(model, lo, hi).fluxes(e, np.diff(e), np.empty(m),
+                                                    np.empty((2, e.size)))
             assert np.array_equal(bits(got), ref)
 
     @pytest.mark.parametrize("kind", fx.KINDS)
