@@ -19,12 +19,14 @@ Four layers so far:
   ways.  In process, `cli.write_field_outputs` over the snapshots, as
   seconds and as MB of CSV written per second.  And the way `run` drives
   the writer: the march (`cli.run_pde`) streaming each snapshot to the
-  forked `cli._FieldWriter`, the scenario's checks, the commit and the
-  reaping of the child, against the same march and checks alone.  Reported
-  are both wall times, their difference (what the writer adds, in ms) and
-  the time the parent waits at the commit (ms): the formatting that the
-  march and the checks did not hide.  `run`'s own writes of its other
-  files, which overlap the child's writes, are left out.
+  forked `cli._FieldWriter(scn.out_dir)`, the scenario's checks
+  (`cli.run_diagnostics(scn, snapshots)`, which returns their records and
+  writes no file), the commit and the reaping of the child, against the
+  same march and checks alone.  Reported are both wall times, their
+  difference (what the writer adds, in ms) and the time the parent waits
+  at the commit (ms): the formatting that the march and the checks did
+  not hide.  `run`'s own writes of its other files, which overlap the
+  child's writes, are left out.
 - pde_step: microseconds per PDE step (one `_March.dt` and one
   `_March.advance`) on n = 6 400 cells, for quadratic-repulsive a(u) = u
   and for the piecewise-linear a of the output layer, each on a ramp of u
@@ -153,12 +155,12 @@ def output_layer() -> dict:
             cli.write_field_outputs(out, snapshots)
             keep("seconds", time.perf_counter() - start)
             start = time.perf_counter()
-            cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
+            cli.run_diagnostics(scn, cli.run_pde(scn))
             keep("march_s", time.perf_counter() - start)
             start = time.perf_counter()
-            with cli._FieldWriter(scn, True) as fields:
+            with cli._FieldWriter(scn.out_dir) as fields:
                 streamed = cli.run_pde(scn, each=fields.send)
-                cli.run_diagnostics(scn, streamed, write_json=False)
+                cli.run_diagnostics(scn, streamed)
                 commit = time.perf_counter()
                 fields.commit(streamed)
                 keep("commit_wait_ms", (time.perf_counter() - commit) * 1e3)

@@ -10,7 +10,6 @@ scenario.CHECKS, the table of the diagnostics a scenario can request, names.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import NamedTuple
 
@@ -41,7 +40,7 @@ class AnalysisError(ValueError):
 
 class CheckRecord(NamedTuple):
     """One check's outcome; its builder passes Python floats and a bool, not the
-    numpy scalars of array reductions, so a report serializes as plain JSON."""
+    numpy scalars of array reductions, so diagnostics.json holds plain JSON."""
 
     name: str
     t: float
@@ -49,25 +48,6 @@ class CheckRecord(NamedTuple):
     bound: float
     tol: float
     passed: bool
-
-
-class DiagnosticsReport:
-    """The check records of one diagnostics run, with the scenario they ran on."""
-
-    def __init__(self, scenario: dict | None = None):
-        self.scenario = {} if scenario is None else scenario
-        self.checks: list[CheckRecord] = []
-
-    def add(self, record: CheckRecord):
-        self.checks.append(record)
-
-    @property
-    def all_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> str:
-        return json.dumps({"checks": [c._asdict() for c in self.checks],
-                           "scenario": self.scenario}, indent=2, sort_keys=True)
 
 
 def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):

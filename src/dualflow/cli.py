@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import json
 import math
 import os
 import pickle
@@ -74,34 +75,21 @@ def pair_with_oracle(scn: Scenario, snapshots, states, events):
             if not any(abs(s.t - e.t) <= 2 * dt_est for e in events)]
 
 
-def run_diagnostics(scn: Scenario, snapshots, oracle=None,
-                    write_json: bool = True):
-    """Run the scenario's checks on the PDE snapshots; write diagnostics.json.
+def run_diagnostics(scn: Scenario, snapshots, oracle=None) -> list:   # of analysis.CheckRecord
+    """The records of the scenario's checks on the PDE snapshots, in their order.
 
     w1_vs_particles compares against the sticky-particle oracle: ``oracle``
     is run_particles' result, computed here when the caller has none.  A
     scenario whose every snapshot pair_with_oracle skips is an error, never
     an empty check; parse_scenario refuses one the oracle cannot serve.
     """
-    from . import analysis
     pairs = None
     if "w1_vs_particles" in scn.checks:
         pairs = pair_with_oracle(scn, snapshots, *(oracle or run_particles(scn)))
         if not pairs:
             raise ScenarioError("w1_vs_particles: every output time lies within 2 dt of "
                                 "a merge, so no snapshot can be compared with the oracle")
-    report = analysis.DiagnosticsReport(scenario=dict(scn.raw))
-    for name in scn.checks:
-        for rec in CHECKS[name].run(scn, snapshots, pairs):
-            report.add(rec)
-    if write_json:
-        write_report(scn.out_dir, report)
-    return report
-
-
-def write_report(out_dir: str, report):
-    with _atomic_open(os.path.join(out_dir, "diagnostics.json")) as fh:
-        fh.write(report.to_json() + "\n")
+    return [rec for name in scn.checks for rec in CHECKS[name].run(scn, snapshots, pairs)]
 
 
 # ---------------------------------------------------------------------------
@@ -218,21 +206,21 @@ def write_field_outputs(out_dir: str, snapshots):
             fh.writelines(text)
 
 
-class _FieldWriter:
-    """write_field_outputs in a forked child, fed each snapshot's (t, u_faces)
-    by ``send`` as the march reaches it.  The child writes the files only
-    after ``commit`` (every engine and check has run) and exits writing
-    nothing when the pipe ends without one; it answers a line, empty for
-    done, else its error (an OSError here).  Leaving the ``with`` block
-    reaps it.  Without a fork (no os.fork, or it fails), commit formats and
-    writes in this process.
+class _FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ returns self
+    """write_field_outputs to ``out_dir`` (None: no field CSVs) in a forked
+    child, fed each snapshot by ``send`` as the march reaches it.  The child
+    writes the files only after ``commit`` (every engine and check has run)
+    and exits writing nothing when the pipe ends without one; it answers a
+    line, empty for done, else its error (an OSError here).  Leaving the
+    ``with`` block reaps it.  Without a fork (no os.fork, or it fails),
+    commit formats and writes in this process.
     """
 
-    def __init__(self, scn: Scenario, enabled: bool):
-        from .pde import SolverState   # loaded before the fork: the child uses it
-        self.out_dir, self.pid = scn.out_dir if enabled else None, None
-        if not (enabled and hasattr(os, "fork")):
+    def __init__(self, out_dir: str | None):
+        self.out_dir, self.pid = out_dir, None
+        if out_dir is None or not hasattr(os, "fork"):
             return
+        from . import pde   # noqa: F401  loaded before the fork: the child unpickles its states
         (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
@@ -249,14 +237,11 @@ class _FieldWriter:
                 feed, back = os.fdopen(feed, "rb"), os.fdopen(back, "w", 1, "utf-8")
 
                 def received():
-                    while (item := pickle.load(feed)) is not None:   # EOFError: no commit
-                        yield SolverState(item[0], GridField(scn.x_min, scn.x_max,
-                                                             scn.n_cells, item[1]))
+                    while (state := pickle.load(feed)) is not None:   # EOFError: no commit
+                        yield state
                     back.write("\n")   # every snapshot is formatted
-                write_field_outputs(scn.out_dir, received())
+                write_field_outputs(out_dir, received())
                 back.write("\n")   # and written
-            except EOFError:
-                pass
             except Exception as exc:   # one line, never empty: an empty one means done
                 back.write(" ".join(str(exc).splitlines()) or type(exc).__name__)
                 back.write("\n")
@@ -265,9 +250,6 @@ class _FieldWriter:
         os.close(feed)
         os.close(back)
         self.back = os.fdopen(self.back, encoding="utf-8")
-
-    def __enter__(self):
-        return self
 
     def _put(self, item):
         try:
@@ -284,18 +266,17 @@ class _FieldWriter:
 
     def send(self, snapshot):
         if self.pid:
-            self._put((snapshot.t, snapshot.field.u_faces))
+            self._put(snapshot)
         return snapshot
 
     def commit(self, snapshots):
-        if not self.pid:
-            if self.out_dir is not None:
-                write_field_outputs(self.out_dir, snapshots)
-            return
-        self._put(None)
-        os.close(self.feed)
-        self.feed = None
-        self._reply()
+        if self.pid:
+            self._put(None)
+            os.close(self.feed)
+            self.feed = None
+            self._reply()
+        elif self.out_dir is not None:   # no child: format and write here
+            write_field_outputs(self.out_dir, snapshots)
 
     def __exit__(self, kind, *_):
         if self.pid:
@@ -321,19 +302,22 @@ def write_particle_outputs(out_dir: str, states, events):
                  np.array([e.x for e in events]), np.array([e.m for e in events]))])
 
 
-def write_summary_csv(out_dir: str, scn: Scenario, snapshots, report):
+def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
     from . import analysis
-    residual = next((c.value for c in report.checks if c.name == "weak_residual"),
-                    "")
-    rows = []
-    for s in snapshots:
-        f = s.field
-        ole = analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else ""
-        rows.append((s.t, f.total_mass, float(np.max(f.cell_masses) / f.dx),
-                     ole, residual))
+    residual = next((c.value for c in records if c.name == "weak_residual"), "")
     _write_csv(os.path.join(out_dir, "diagnostics.csv"),
                ["t", "total_mass", "max_cell_density", "oleinik_lhs_max",
-                "residual_weak"], rows)
+                "residual_weak"],
+               [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
+                 analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
+                 residual) for s in snapshots])
+
+
+def write_report(scn: Scenario, records):
+    """diagnostics.json: the check records and the scenario they ran on."""
+    with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
+        fh.write(json.dumps({"checks": [r._asdict() for r in records], "scenario": scn.raw},
+                            indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -358,22 +342,22 @@ def cmd_run(args) -> int:
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-    with _FieldWriter(scn, "csv" in scn.formats) as fields:
+    with _FieldWriter(scn.out_dir if "csv" in scn.formats else None) as fields:
         snapshots = run_pde(scn, each=fields.send)
         # every engine and check has run before the first file is written: exit 1 writes none
-        report = run_diagnostics(scn, snapshots, oracle, write_json=False)
+        records = run_diagnostics(scn, snapshots, oracle)
         fields.commit(snapshots)
         if "json" in scn.formats:
-            write_report(scn.out_dir, report)
+            write_report(scn, records)
         if "csv" in scn.formats:
             if oracle:
                 write_particle_outputs(scn.out_dir, *oracle)
-            write_summary_csv(scn.out_dir, scn, snapshots, report)
-    for c in report.checks:
+            write_summary_csv(scn.out_dir, scn, snapshots, records)
+    for c in records:
         if not c.passed:
             print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",
                   file=sys.stderr)
-    return 0 if report.all_pass else 2
+    return 0 if all(c.passed for c in records) else 2
 
 
 def _reference(scn: Scenario, finest: GridField):
@@ -455,11 +439,12 @@ def cmd_riemann(args) -> int:
 
 def cmd_validate(args) -> int:
     scn = load_args_scenario(args)
-    report = run_diagnostics(scn, run_pde(scn))
-    for c in report.checks:
+    records = run_diagnostics(scn, run_pde(scn))
+    write_report(scn, records)
+    for c in records:
         status = "pass" if c.passed else "FAIL"
         print(f"{status} {c.name} t={c.t} value={c.value} bound={c.bound}")
-    return 0 if report.all_pass else 2
+    return 0 if all(c.passed for c in records) else 2
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flux as fx
-from .measure import MONOTONE_TOL, GridField
+from .measure import BOUNDARY_TOL, MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
 MAX_CELL_STEPS = 10**10   # the largest n_cells x step budget pde.run accepts
@@ -154,7 +154,7 @@ class _March:
         faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
         if j0 == 0 or j1 == n:
             # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
-            if abs(ext[1] - ext[0]) > 1e-12 or abs(ext[n] - ext[-1]) > 1e-12:
+            if abs(ext[1] - ext[0]) > BOUNDARY_TOL or abs(ext[n] - ext[-1]) > BOUNDARY_TOL:
                 warnings.warn("wave reached the grid boundary; domain too small",
                               RuntimeWarning, stacklevel=_outside())
             ext[1], ext[n] = ext[0], ext[-1]

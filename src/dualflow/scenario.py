@@ -19,6 +19,8 @@ from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDens
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
 MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
+MAX_COORD = 1e100              # largest |x| of a grid end: the checks' sums of m x^2 stay finite
+MASS_RANGE = (1e-100, 1e100)   # of the total mass: so do those sums, and no mass floor underflows
 
 
 class ScenarioError(ValueError):
@@ -190,7 +192,7 @@ def _parse_initial(block: dict):
             return AtomicMeasure.from_pairs(pairs(atoms, "initial.atoms", "an [x, m] pair"))
         except MeasureError as exc:
             raise ScenarioError(f"initial.atoms: {exc}") from exc
-    if kind in DENSITIES:
+    if isinstance(kind, str) and kind in DENSITIES:   # a list kind is unhashable
         cls, names = DENSITIES[kind]
         _require_keys(block, "initial", {"type", *names})
         try:
@@ -202,15 +204,18 @@ def _parse_initial(block: dict):
 
 def check_grid(x_min: float, x_max: float, n_cells, where: str):
     """Refuse n_cells cells on [x_min, x_max] unless n_cells is a positive
-    integer at most MAX_CELLS, the extent is positive and finite and the
-    faces increase; ``where`` names the field of n_cells (``grid.n_cells``,
-    ``--resolutions``)."""
+    integer at most MAX_CELLS, the extent is positive and finite, each end
+    lies within MAX_COORD of 0 and the faces increase; ``where`` names the
+    field of n_cells (``grid.n_cells``, ``--resolutions``)."""
     if isinstance(n_cells, bool) or not isinstance(n_cells, int) or not 1 <= n_cells <= MAX_CELLS:
         raise ScenarioError(f"{where} must be a positive integer at most {MAX_CELLS}, "
                             f"got {n_cells!r}")
     if not 0.0 < x_max - x_min < math.inf:
         raise ScenarioError(f"grid.x_max - grid.x_min must be positive and finite, "
                             f"got {x_max - x_min!r}")
+    for name, x in (("grid.x_min", x_min), ("grid.x_max", x_max)):
+        if abs(x) > MAX_COORD:
+            raise ScenarioError(f"{name} must lie in [-{MAX_COORD:g}, {MAX_COORD:g}], got {x!r}")
     # each face x_min + dx*k is off by at most 1.5 ulps of the largest |x|, so a dx of
     # 4 of them keeps the faces increasing
     if (x_max - x_min) / n_cells < 4 * math.ulp(max(abs(x_min), abs(x_max))):
@@ -232,6 +237,9 @@ def parse_scenario(raw: dict) -> Scenario:
     _require_keys(raw, "scenario", {"flux", "initial", "grid", "time"}, {"diagnostics", "output"})
     model = parse_flux(raw["flux"], "flux")
     initial = _parse_initial(typed(raw["initial"], dict, "initial"))
+    if not MASS_RANGE[0] <= initial.total_mass <= MASS_RANGE[1]:
+        raise ScenarioError(f"initial: the total mass must lie in [{MASS_RANGE[0]:g}, "
+                            f"{MASS_RANGE[1]:g}], got {initial.total_mass!r}")
 
     grid = _require_keys(raw["grid"], "grid", {"x_min", "x_max", "n_cells"})
     x_min = number(grid["x_min"], "grid.x_min")

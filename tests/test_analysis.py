@@ -260,13 +260,15 @@ class TestRiemannClassification:
 
 
 class TestReport:
-    def test_json_round_trip(self):
+    def test_json_round_trip(self, tmp_path):
         import json
 
-        rep = an.DiagnosticsReport(scenario={"name": "demo"})
-        rep.add(an.CheckRecord("mass", 1.0, 0.0, 0.0, 1e-12, True))
-        rep.add(an.CheckRecord("osl", 1.0, 2.0, 1.0, 0.0, False))
-        assert not rep.all_pass
-        data = json.loads(rep.to_json())
-        assert data["scenario"]["name"] == "demo"
-        assert [c["name"] for c in data["checks"]] == ["mass", "osl"]
+        from dualflow import cli
+
+        scn = cli.load_scenario(cli.bundled_scenario("two_atoms_attractive.json"))
+        records = [an.CheckRecord("mass", 1.0, 0.0, 0.0, 1e-12, True),
+                   an.CheckRecord("osl", 1.0, 2.0, 1.0, 0.0, False)]
+        cli.write_report(scn._replace(out_dir=str(tmp_path), raw={"name": "demo"}), records)
+        data = json.loads((tmp_path / "diagnostics.json").read_text())
+        assert data["scenario"] == {"name": "demo"}
+        assert [an.CheckRecord(**c) for c in data["checks"]] == records

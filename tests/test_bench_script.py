@@ -2,7 +2,7 @@
 small cases, and identity.py's --compare on synthetic records.
 
 The layer functions are called directly, never bench.py's ``main``, so no
-BENCH_*.json is written; identity.py's 18 commands are never run.
+BENCH_*.json is written; identity.py's 19 commands are never run.
 """
 
 import importlib.util

@@ -90,8 +90,8 @@ def test_an_engine_the_oracle_cannot_serve_is_refused_first(tmp_path, capsys, no
 def test_weak_residual_runs_from_35_cells():
     raw = scenario(["weak_residual"], grid={"x_min": -3.0, "x_max": 1.0, "n_cells": 35})
     scn = parse_scenario(raw)
-    report = cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
-    assert [c.name for c in report.checks][-1] == "weak_residual"
+    records = cli.run_diagnostics(scn, cli.run_pde(scn))
+    assert [c.name for c in records][-1] == "weak_residual"
 
 
 def test_tolerances_hold_every_default_and_the_scenario_overrides():
@@ -155,11 +155,11 @@ def load_and_run(checks, flux, initial, t_end, fractions, n_cells):
         # and the check it names raises when run anyway
         scn = parse_scenario({**raw, "diagnostics": {"checks": []}})._replace(checks=(name,))
         with pytest.raises((analysis.AnalysisError, particles.OracleError)):
-            cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
+            cli.run_diagnostics(scn, cli.run_pde(scn))
         return
     try:
-        report = cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
+        records = cli.run_diagnostics(scn, cli.run_pde(scn))
     except ScenarioError as exc:   # the one refusal that needs the oracle's merges
         assert str(exc).startswith(MERGE_WINDOW)
         return
-    assert {FIRST_RECORD[c] for c in checks} <= {c.name for c in report.checks}
+    assert {FIRST_RECORD[c] for c in checks} <= {c.name for c in records}

@@ -780,11 +780,25 @@ class TestValidateCommand:
         out = tmp_path / "out"
         assert cli.main(["validate", "--scenario", path, "--out", str(out)]) == 0
         scn = cli.load_scenario(path)
-        report = cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False)
-        assert {c.name for c in report.checks} == names
-        for c in report.checks:
+        records = cli.run_diagnostics(scn, cli.run_pde(scn))
+        assert {c.name for c in records} == names
+        for c in records:
             assert list(map(type, c)) == [str, float, float, float, float, bool], c
-        assert report.to_json() + "\n" == (out / "diagnostics.json").read_text()
+        cli.write_report(scn._replace(out_dir=str(tmp_path / "again")), records)
+        assert (tmp_path / "again" / "diagnostics.json").read_bytes() == \
+            (out / "diagnostics.json").read_bytes()
+
+    @pytest.mark.parametrize("name", ["single_dirac_attractive", "single_dirac_repulsive",
+                                      "three_atoms_attractive", "two_atoms_attractive"])
+    def test_run_and_validate_write_the_same_report(self, tmp_path, name):
+        """diagnostics.json has one layout: `run --engine pde` and `validate`
+        write the same bytes for the same scenario."""
+        path = cli.bundled_scenario(f"{name}.json")
+        for command in (["run", "--engine", "pde"], ["validate"]):
+            out = tmp_path / command[0]
+            assert cli.main([*command, "--scenario", path, "--out", str(out)]) == 0
+        assert (tmp_path / "run" / "diagnostics.json").read_bytes() == \
+            (tmp_path / "validate" / "diagnostics.json").read_bytes()
 
     def test_passes_and_prints_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path)
@@ -945,8 +959,7 @@ def test_a_equal_to_u_is_recognised_by_value(coeffs):
     scns = [parse_scenario(scenario_dict(flux=flux,
                                          grid={"x_min": -1.0, "x_max": 3.0, "n_cells": 200}))
             for flux in ({"kind": "quadratic-repulsive"}, {"kind": "polynomial", "coeffs": coeffs})]
-    checks = [cli.run_diagnostics(scn, cli.run_pde(scn), write_json=False).checks
-              for scn in scns]
+    checks = [cli.run_diagnostics(scn, cli.run_pde(scn)) for scn in scns]
     assert "oleinik_density" in {c.name for c in checks[0]}
     assert repr(checks[1]) == repr(checks[0])
     rows = [cli.convergence_table(scn, [100, 200, 400]) for scn in scns]

@@ -91,6 +91,15 @@ def test_validate_loads_the_oracle_for_w1_vs_particles(tmp_path):
     assert "particles" in submodules_after(code)
 
 
+def test_validate_without_checks_loads_no_analysis(tmp_path):
+    # analysis is loaded by the first check that runs; diagnostics.json needs none
+    argv = ["validate", "--scenario", scenario_file(tmp_path, diagnostics={"checks": []}),
+            "--out", str(tmp_path / "out")]
+    code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
+    assert submodules_after(code) == ["cli", "flux", "measure", "pde", "scenario"]
+    assert json.loads((tmp_path / "out" / "diagnostics.json").read_text())["checks"] == []
+
+
 def test_every_old_export_resolves_lazily():
     code = f"""
 import sys, dualflow
