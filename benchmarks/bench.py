@@ -1,6 +1,7 @@
 """Layer benchmark: best wall time of several repeats per case, written to BENCH_<label>.json.
 
-Four layers so far:
+Every scenario timed here is a `bench/workloads.py` workload at seed 1, the
+scenario `bench/run.py --seed 1` runs (`workload`).  Four layers so far:
 
 - particles: the collapse of N equal-mass atoms at seeded uniform positions
   on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5, timed over
@@ -8,24 +9,22 @@ Four layers so far:
   size takes longer than SKIP_AFTER_S, larger sizes (ten times as many
   atoms, so at least ten times as long) are recorded as null, so the script
   also finishes against the earlier O(N^2) engine.  One more case,
-  "2048_chained", advances the 2 048-atom system through the output times of
-  the `particle_collapse` workload, one `advance` call each, as
-  `cli.run_particles` does: every call after the first starts from merged
-  aggregates and builds its own heap, which the t = inf collapse does once.
+  "2048_chained", advances the `particle_collapse` workload's 2 048 atoms
+  through its output times, one `advance` call each, as `cli.run_particles`
+  does: every call after the first starts from merged aggregates and builds
+  its own heap, which the t = inf collapse does once.
 - output: the three field CSVs (fields_faces.csv, fields_cells.csv and
-  atoms_extracted.csv) of the 17 PDE snapshots of one fixed scenario: 24
-  seeded atoms under an attractive piecewise-linear a(u) on 1 600 cells,
-  the shape of the `attractive_crosscheck` benchmark workload.  Timed two
-  ways.  In process, `cli.write_field_outputs` over the snapshots, as
-  seconds and as MB of CSV written per second.  And the way `run` drives
-  the writer: the march (`cli.run_pde`) streaming each snapshot to the
-  forked `cli._FieldWriter(scn.out_dir)`, the scenario's checks
-  (`cli.run_diagnostics(scn, snapshots)`, which returns their records and
-  writes no file), the commit and the reaping of the child, against the
-  same march and checks alone.  Reported are both wall times, their
-  difference (what the writer adds, in ms) and the time the parent waits
-  at the commit (ms): the formatting that the march and the checks did
-  not hide.  `run`'s own writes of its other files, which overlap the
+  atoms_extracted.csv) of the 17 PDE snapshots of `attractive_crosscheck`.
+  Timed two ways.  In process, `cli.write_field_outputs` over the
+  snapshots, as seconds and as MB of CSV written per second.  And the way
+  `run` drives the writer: the march (`cli.run_pde`) streaming each
+  snapshot to the forked `cli._FieldWriter(scn.out_dir)`, the workload's
+  checks (`cli.run_diagnostics(scn, snapshots)`, which returns their
+  records and writes no file), the commit and the reaping of the child,
+  against the same march and checks alone.  Reported are both wall times,
+  their difference (what the writer adds, in ms) and the time the parent
+  waits at the commit (ms): the formatting that the march and the checks
+  did not hide.  `run`'s own writes of its other files, which overlap the
   child's writes, are left out.
 - pde_step: microseconds per PDE step (one `_March.dt` and one
   `_March.advance`) on n = 6 400 cells, for quadratic-repulsive a(u) = u
@@ -37,12 +36,10 @@ Four layers so far:
   host the mean of 200 steps moves between about 16 and 40 us in stretches
   of 10 ms to seconds, so the repeats of one case must be spread out.
 - checks: milliseconds per call of each `scenario.CHECKS` entry on the PDE
-  snapshots of two scenarios: the output layer's (the shape of
-  `attractive_crosscheck`) and a triangular density under a(u) = u - u^2
-  on 3 200 cells with 41 output times (the shape of `diagnostics_validate`).
-  Best of 15 rounds that call each check's runner once; null where the
-  check's precondition refuses the scenario (pushforward needs a
-  non-increasing a, w1_vs_particles atoms).
+  snapshots of `attractive_crosscheck` and of `diagnostics_validate`.  Best
+  of 15 rounds that call each check's runner once; null where the check's
+  precondition refuses the scenario (pushforward needs a non-increasing a,
+  w1_vs_particles atoms).
 
     python3 benchmarks/bench.py --label LABEL
 
@@ -51,7 +48,8 @@ times every layer and writes `BENCH_LABEL.json` = {"env": {...},
 at the repository root.  The particles and output layers take the best of
 3.  Needs only the standard library and numpy; the program is imported
 from `src/` next to this directory, so a copy of this script in another
-checkout times that checkout's code.
+checkout times that checkout's code.  `bench/workloads.py` is only read
+(no bytecode is written next to it).
 """
 
 from __future__ import annotations
@@ -70,30 +68,42 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
+sys.dont_write_bytecode = True   # leave bench/ as it is
+sys.path.insert(0, str(ROOT / "bench"))
 
+import workloads  # noqa: E402
 from dualflow import cli, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
-from dualflow.scenario import CHECKS, parse_scenario  # noqa: E402
+from dualflow.scenario import CHECKS, Scenario, parse_scenario  # noqa: E402
 
+SEED = 1
 SIZES = (10**3, 10**4, 10**5)
-CHAIN_ATOMS = 2048
-CHAIN_TIMES = (0.0, 0.5, 1.0, 2.0, 4.0, 8.0)   # particle_collapse's output times
 REPEATS = 3
 SKIP_AFTER_S = 2.0
-PWL_NODES = [[0.0, 1.0], [0.3, 0.2], [0.7, -0.1], [1.0, -1.0]]   # attractive_crosscheck's a
 STEP_CELLS = 6400
 STEP_WIDTHS = (8, 800, 3200)
 STEP_COUNT = 200
 STEP_REPEATS = 30
+CHECK_WORKLOADS = ("attractive_crosscheck", "diagnostics_validate")
 CHECK_REPEATS = 15
 
 
-def collapse_seconds(n: int, times=(math.inf,)) -> float:
-    """Best of REPEATS wall times for n seeded equal-mass atoms advanced
-    through ``times``, one `advance` call each; every merge is counted."""
+def workload(name: str) -> Scenario:
+    """The parsed seed-SEED scenario of one `bench/workloads.py` workload."""
+    return parse_scenario(workloads.scenario(name, SEED))
+
+
+def uniform_atoms(n: int):
+    """n equal-mass atoms at seeded uniform positions on [-1, 1] under a(u) = -u."""
     x = np.sort(np.random.default_rng(n).uniform(-1.0, 1.0, n))
-    system = particles.AggregateSystem.create(AtomicMeasure(x, np.full(n, 1.0 / n)),
-                                              fx.quadratic_attractive())
+    return particles.AggregateSystem.create(AtomicMeasure(x, np.full(n, 1.0 / n)),
+                                            fx.quadratic_attractive())
+
+
+def collapse_seconds(system, times=(math.inf,)) -> float:
+    """Best of REPEATS wall times for ``system`` advanced through ``times``,
+    one `advance` call each; every merge is counted."""
+    n = system.atoms.n_atoms
     best = math.inf
     for _ in range(REPEATS):
         final, merged = system, 0
@@ -113,35 +123,22 @@ def particles_layer() -> dict:
     results: dict[str, float | None] = {}
     skip = False
     for n in SIZES:
-        results[str(n)] = None if skip else collapse_seconds(n)
+        results[str(n)] = None if skip else collapse_seconds(uniform_atoms(n))
         print(f"particles N={n}: " + ("skipped" if skip else f"{results[str(n)]:.4f} s"),
               flush=True)
         skip = skip or results[str(n)] > SKIP_AFTER_S
-    key = f"{CHAIN_ATOMS}_chained"
-    results[key] = collapse_seconds(CHAIN_ATOMS, CHAIN_TIMES)
+    scn = workload("particle_collapse")
+    key = f"{scn.initial.n_atoms}_chained"
+    results[key] = collapse_seconds(particles.AggregateSystem.create(scn.initial, scn.model),
+                                    sorted(set(scn.output_times) | {scn.t_end}))
     print(f"particles {key}: {results[key]:.4f} s", flush=True)
     return results
-
-
-def output_scenario() -> dict:
-    """24 atoms with dyadic masses summing to 1 at seeded positions in [-2, 2]."""
-    rng = np.random.default_rng(24)
-    weights = rng.integers(1 << 19, 3 << 19, 24)
-    weights[-1] += (1 << 25) - weights.sum()
-    return {
-        "flux": {"kind": "piecewise-linear-a", "nodes": PWL_NODES},
-        "initial": {"type": "atoms", "atoms": [[float(x), float(w) / (1 << 25)] for x, w in
-                                               zip(np.sort(rng.uniform(-2.0, 2.0, 24)),
-                                                   weights)]},
-        "grid": {"x_min": -4.0, "x_max": 4.0, "n_cells": 1600},
-        "time": {"t_end": 4.0, "cfl": 0.45, "output_times": [k / 4 for k in range(17)]},
-    }
 
 
 def output_layer() -> dict:
     """Best of REPEATS of each: write_field_outputs in process, the march and
     checks alone, and the same with the forked writer, with its commit wait."""
-    scn = parse_scenario(output_scenario())
+    scn = workload("attractive_crosscheck")
     snapshots = cli.run_pde(scn)
     best = dict.fromkeys(("seconds", "march_s", "streamed_s", "commit_wait_ms"), math.inf)
 
@@ -197,7 +194,7 @@ def step_seconds(march, start_ext, start_jumps, start_state) -> float:
 def pde_step_layer() -> dict:
     """Microseconds per step: best of STEP_REPEATS rounds that time each case once."""
     cases = {}
-    for model in (fx.quadratic_repulsive(), fx.piecewise_linear(PWL_NODES)):
+    for model in (fx.quadratic_repulsive(), fx.piecewise_linear(workloads.PWL_NODES)):
         for width in STEP_WIDTHS:
             march = ramp_march(model, width)
             cases[model.kind, width] = (march, march.ext.copy(), march.jumps.copy(),
@@ -213,26 +210,11 @@ def pde_step_layer() -> dict:
     return results
 
 
-def validate_scenario() -> dict:
-    """A triangular density under a(u) = u - u^2: diagnostics_validate's shape, unshifted."""
-    return {
-        "flux": {"kind": "polynomial", "coeffs": [0.0, 1.0, -1.0]},
-        "initial": {"type": "triangular", "x_left": -1.0, "x_peak": -0.2, "x_right": 1.0,
-                    "mass": 1.0},
-        "grid": {"x_min": -4.0, "x_max": 4.0, "n_cells": 3200},
-        "time": {"t_end": 2.0, "cfl": 0.45, "output_times": [k / 20 for k in range(41)]},
-    }
-
-
-CHECK_SCENARIOS = {"attractive_crosscheck": output_scenario,
-                   "diagnostics_validate": validate_scenario}
-
-
 def checks_layer() -> dict:
     """Milliseconds per call of each check: best of CHECK_REPEATS rounds per scenario."""
     results: dict[str, dict[str, float | None]] = {}
-    for label, make in CHECK_SCENARIOS.items():
-        scn = parse_scenario(make())
+    for label in CHECK_WORKLOADS:
+        scn = workload(label)
         snapshots = cli.run_pde(scn)
         best = {name: math.inf for name, check in CHECKS.items()
                 if not (check.precondition and check.precondition(scn))}

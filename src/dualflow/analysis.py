@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flux as fx
-from .measure import AtomicMeasure, quantile, wasserstein1
+from .measure import AtomicMeasure, face_at, quantile, wasserstein1
 
 N_SPACE, N_TIME = 8, 4   # spatial bumps and time windows of the weak-residual test family
 N_QUANTILES = 64         # mass coordinates of reconstruct_flow for non-atomic data
@@ -111,7 +111,7 @@ def _space_bumps(x_min: float, x_max: float, n_cells: int) -> list[tuple[float, 
     [x_min, x_max], placed by the first 2 N_SPACE WEAK_DRAWS.  A bump that reaches
     the first or last cell centre, where every test function must vanish, raises."""
     span = x_max - x_min
-    ends = x_min + span / n_cells * np.array([0.5, n_cells - 0.5])   # as GridField.centers
+    ends = face_at(x_min, x_max, n_cells, np.array([0.5, n_cells - 0.5]))   # as GridField.centers
     bumps, draws = [], iter(WEAK_DRAWS)
     for _ in range(N_SPACE):
         r = span * _uniform(0.1, 0.3, next(draws))
@@ -162,10 +162,9 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
 
 
 class FlowTable(NamedTuple):
-    times: np.ndarray
     q: np.ndarray             # mass coordinates
     weights: np.ndarray       # quadrature weights summing to the total mass
-    X: np.ndarray             # X[k, j] = position of mass coordinate q[j] at times[k]
+    X: np.ndarray             # X[k, j] = position of mass coordinate q[j] in snapshot k
 
 
 def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel) -> FlowTable:
@@ -184,9 +183,8 @@ def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel)
     else:
         q = (np.arange(N_QUANTILES) + 0.5) * total / N_QUANTILES
         w = np.full(N_QUANTILES, total / N_QUANTILES)
-    times = np.array([s.t for s in snapshots])
     X = np.array([quantile(s.field, q) for s in snapshots])
-    return FlowTable(times, q, w, X)
+    return FlowTable(q, w, X)
 
 
 def pushforward_checks(flow: FlowTable, snapshots: list[SolverState],

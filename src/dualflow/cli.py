@@ -395,7 +395,7 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
         raise ScenarioError("--resolutions must be at least 3 distinct integers, "
                             f"got {','.join(map(str, resolutions))}")
     for n in ns:
-        check_grid(scn.x_min, scn.x_max, n, "--resolutions")
+        check_grid(scn.x_min, scn.x_max, n, "--resolutions", scn.initial)
     fields = [run_pde(scn, n_cells=n)[-1].field for n in ns]
     reference = _reference(scn, fields[-1])
     rows = []

@@ -67,6 +67,12 @@ class AtomicMeasure:
         return np.cumsum(self.masses)
 
 
+def face_at(x_min: float, x_max: float, n_cells: int, k):
+    """Face k (a number or an array) of n_cells cells on [x_min, x_max], the one face
+    formula: x_min + dx * k, which at k = n_cells can round below x_max."""
+    return x_min + (x_max - x_min) / n_cells * k
+
+
 class GridField:
     """Uniform grid holding u at the n_cells+1 cell interfaces.
 
@@ -91,11 +97,11 @@ class GridField:
 
     @property
     def faces(self) -> np.ndarray:
-        return self.x_min + self.dx * np.arange(self.n_cells + 1)
+        return face_at(self.x_min, self.x_max, self.n_cells, np.arange(self.n_cells + 1))
 
     @property
     def centers(self) -> np.ndarray:
-        return self.x_min + self.dx * (np.arange(self.n_cells) + 0.5)
+        return face_at(self.x_min, self.x_max, self.n_cells, np.arange(self.n_cells) + 0.5)
 
     @property
     def cell_masses(self) -> np.ndarray:
@@ -149,16 +155,21 @@ class TriangularDensity:
         return m * np.clip(out, 0.0, 1.0)
 
 
-def check_inside(source, x_min: float, x_max: float):
+def check_inside(source, x_min: float, x_max: float, n_cells: int):
     """Refuse a measure whose support does not lie strictly inside (x_min, x_max),
-    where the Dirichlet ghost values of a grid on [x_min, x_max] would not hold."""
+    where the Dirichlet ghost values of a grid on [x_min, x_max] would not hold,
+    or reaches the last face of its n_cells cells, which can round below x_max:
+    the grid's u would lose the mass beyond it."""
     if isinstance(source, AtomicMeasure):
         if source.n_atoms == 0:
             raise MeasureError("cannot grid an empty measure")
-        if source.positions[0] <= x_min or source.positions[-1] >= x_max:
-            raise MeasureError("atom on or outside the grid boundary")
-    elif source.support[0] <= x_min or source.support[1] >= x_max:
-        raise MeasureError("density support touches the grid boundary")
+        (lo, hi), what = source.positions[[0, -1]], "atom on or outside"
+    else:
+        (lo, hi), what = source.support, "density support touches"
+    if lo <= x_min or hi >= x_max:
+        raise MeasureError(f"{what} the grid boundary")
+    if hi >= (last := face_at(x_min, x_max, n_cells, n_cells)):
+        raise MeasureError(f"{what} the grid's last face {last!r}, which rounds below x_max")
 
 
 def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridField:
@@ -167,8 +178,8 @@ def sample_to_grid(source, x_min: float, x_max: float, n_cells: int) -> GridFiel
     Atomic input is reproduced exactly cell by cell.  The source must pass
     check_inside.
     """
-    check_inside(source, x_min, x_max)
-    faces = x_min + (x_max - x_min) / n_cells * np.arange(n_cells + 1)
+    check_inside(source, x_min, x_max, n_cells)
+    faces = face_at(x_min, x_max, n_cells, np.arange(n_cells + 1))
     u = (_cdf(source, faces, "right") if isinstance(source, AtomicMeasure)
          else source.cdf(faces))
     return GridField(x_min, x_max, n_cells, u).validate()

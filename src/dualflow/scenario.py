@@ -13,6 +13,8 @@ import json
 import math
 from typing import Callable, NamedTuple
 
+import numpy as np
+
 from . import flux as fx
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity, check_inside
 
@@ -202,11 +204,25 @@ def _parse_initial(block: dict):
     raise ScenarioError(f"initial.type must be atoms|uniform|triangular, got {kind!r}")
 
 
-def check_grid(x_min: float, x_max: float, n_cells, where: str):
+def _check_resolved(atoms: AtomicMeasure):
+    """Refuse atoms that u cannot resolve: each must raise the cumulative mass, and
+    its mid level (analysis.reconstruct_flow's mass coordinate) lie strictly between
+    the cumulative masses left and right of it."""
+    cum = np.concatenate(([0.0], atoms.cumulative))
+    mid = cum[:-1] + 0.5 * atoms.masses
+    if (coarse := ((mid <= cum[:-1]) | (mid >= cum[1:])).nonzero()[0]).size:
+        j = int(coarse[0])
+        raise ScenarioError(f"initial.atoms: the atom at x = {float(atoms.positions[j])!r} of "
+                            f"mass {float(atoms.masses[j])!r} is below the resolution of the "
+                            f"cumulative mass {float(cum[j])!r} of the atoms left of it")
+
+
+def check_grid(x_min: float, x_max: float, n_cells, where: str, initial):
     """Refuse n_cells cells on [x_min, x_max] unless n_cells is a positive
     integer at most MAX_CELLS, the extent is positive and finite, each end
-    lies within MAX_COORD of 0 and the faces increase; ``where`` names the
-    field of n_cells (``grid.n_cells``, ``--resolutions``)."""
+    lies within MAX_COORD of 0, the faces increase and the initial data lie
+    strictly inside them (check_inside); ``where`` names the field of n_cells
+    (``grid.n_cells``, ``--resolutions``)."""
     if isinstance(n_cells, bool) or not isinstance(n_cells, int) or not 1 <= n_cells <= MAX_CELLS:
         raise ScenarioError(f"{where} must be a positive integer at most {MAX_CELLS}, "
                             f"got {n_cells!r}")
@@ -222,6 +238,11 @@ def check_grid(x_min: float, x_max: float, n_cells, where: str):
         raise ScenarioError(f"grid.x_max - grid.x_min must be at least 4 ulps of "
                             f"max(|grid.x_min|, |grid.x_max|) per cell, got {x_max - x_min!r} "
                             f"for {where} = {n_cells}")
+    try:
+        check_inside(initial, x_min, x_max, n_cells)
+    except MeasureError as exc:   # the initial data do not fit inside the grid
+        raise ScenarioError(f"initial: {exc} (grid.x_min = {x_min!r}, grid.x_max = {x_max!r}, "
+                            f"{where} = {n_cells})") from exc
 
 
 def load_scenario(path: str) -> Scenario:
@@ -240,12 +261,14 @@ def parse_scenario(raw: dict) -> Scenario:
     if not MASS_RANGE[0] <= initial.total_mass <= MASS_RANGE[1]:
         raise ScenarioError(f"initial: the total mass must lie in [{MASS_RANGE[0]:g}, "
                             f"{MASS_RANGE[1]:g}], got {initial.total_mass!r}")
+    if isinstance(initial, AtomicMeasure):
+        _check_resolved(initial)
 
     grid = _require_keys(raw["grid"], "grid", {"x_min", "x_max", "n_cells"})
     x_min = number(grid["x_min"], "grid.x_min")
     x_max = number(grid["x_max"], "grid.x_max")
     n_cells = grid["n_cells"]
-    check_grid(x_min, x_max, n_cells, "grid.n_cells")
+    check_grid(x_min, x_max, n_cells, "grid.n_cells", initial)
     tblock = _require_keys(raw["time"], "time", {"t_end"}, {"cfl", "output_times"})
     t_end = number(tblock["t_end"], "time.t_end")
     if t_end <= 0:
@@ -280,12 +303,6 @@ def parse_scenario(raw: dict) -> Scenario:
     out_dir = out.get("directory", "out")
     if not isinstance(out_dir, str):
         raise ScenarioError(f"output.directory must be a string, got {out_dir!r}")
-    try:
-        check_inside(initial, x_min, x_max)
-    except MeasureError as exc:   # the initial data do not fit inside the grid
-        raise ScenarioError(f"initial: {exc} (grid.x_min = {x_min!r}, "
-                            f"grid.x_max = {x_max!r})") from exc
-
     scn = Scenario(model=model, initial=initial, x_min=x_min, x_max=x_max, n_cells=n_cells,
                    t_end=t_end, cfl=cfl, output_times=output_times, checks=checks,
                    tolerances=tolerances, out_dir=out_dir, formats=tuple(formats), raw=raw)

@@ -1,5 +1,6 @@
-"""Smoke tests of the scripts in benchmarks/: bench.py's layers run on
-small cases, and identity.py's --compare on synthetic records.
+"""Smoke tests of the scripts in benchmarks/: bench.py's layers run on the
+workloads' tiny scenarios and small cases, and identity.py's --compare on
+synthetic records.
 
 The layer functions are called directly, never bench.py's ``main``, so no
 BENCH_*.json is written; identity.py's 19 commands are never run.
@@ -27,7 +28,17 @@ def load(monkeypatch, name):
 
 @pytest.fixture
 def bench(monkeypatch):
-    return load(monkeypatch, "bench")
+    module = load(monkeypatch, "bench")
+    # the layers run the workloads' seed-1 scenarios, here at their tiny sizes; `asked`
+    # lists the workloads a layer took, so a test sees that it built none of its own
+    module.asked = []
+
+    def tiny(name):
+        module.asked.append(name)
+        return module.parse_scenario(module.workloads.scenario(name, module.SEED, tiny=True))
+
+    monkeypatch.setattr(module, "workload", tiny)
+    return module
 
 
 def test_pde_step_layer(bench, monkeypatch):
@@ -43,43 +54,27 @@ def test_pde_step_layer(bench, monkeypatch):
 
 
 def test_output_layer(bench, monkeypatch):
-    scenario = bench.output_scenario
-
-    def coarse():
-        raw = scenario()
-        raw["grid"]["n_cells"] = 200
-        return raw
-
-    monkeypatch.setattr(bench, "output_scenario", coarse)
     monkeypatch.setattr(bench, "REPEATS", 1)
     results = bench.output_layer()
     assert set(results) == {"seconds", "march_s", "streamed_s", "commit_wait_ms", "mb_per_s",
                             "bytes", "writer_ms"}
     assert results["bytes"] > 0 and results["streamed_s"] > results["commit_wait_ms"] / 1e3 >= 0
+    assert bench.asked == ["attractive_crosscheck"]
 
 
 def test_particles_layer(bench, monkeypatch):
     monkeypatch.setattr(bench, "SIZES", (10, 40))
     monkeypatch.setattr(bench, "REPEATS", 1)
-    monkeypatch.setattr(bench, "CHAIN_ATOMS", 64)
     results = bench.particles_layer()
-    assert set(results) == {"10", "40", "64_chained"}
+    assert set(results) == {"10", "40", "64_chained"}   # particle_collapse has 64 tiny atoms
     assert all(0.0 < s < math.inf for s in results.values())
+    assert bench.asked == ["particle_collapse"]
 
 
 def test_checks_layer(bench, monkeypatch):
-    def coarse(make):
-        def scenario():
-            raw = make()
-            raw["grid"]["n_cells"] = 200
-            return raw
-        return scenario
-
     monkeypatch.setattr(bench, "CHECK_REPEATS", 1)
-    monkeypatch.setattr(bench, "CHECK_SCENARIOS",
-                        {k: coarse(make) for k, make in bench.CHECK_SCENARIOS.items()})
     results = bench.checks_layer()
-    assert set(results) == {"attractive_crosscheck", "diagnostics_validate"}
+    assert bench.asked == list(results) == ["attractive_crosscheck", "diagnostics_validate"]
     for label, per_check in results.items():
         assert list(per_check) == list(bench.CHECKS)
         # the density under a(u) = u - u^2 has neither a flow nor an oracle

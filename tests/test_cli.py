@@ -209,7 +209,8 @@ class TestRunCommand:
          "diagnostics.checks: weak_residual needs two or more distinct snapshot times in "
          "time.output_times and time.t_end"),
         ("both", {"initial": {"type": "atoms", "atoms": [[0.0, 1.0], [5.0, 1.0]]}},
-         "initial: atom on or outside the grid boundary (grid.x_min = -3.0, grid.x_max = 3.0)"),
+         "initial: atom on or outside the grid boundary (grid.x_min = -3.0, grid.x_max = 3.0, "
+         "grid.n_cells = 200)"),
     ], ids=["pushforward-repulsive", "weak-residual-one-snapshot",
             "weak-residual-one-snapshot-both", "atom-outside-the-grid"])
     def test_refused_run_writes_no_file(self, tmp_path, capsys, engine, overrides, message):
@@ -357,7 +358,7 @@ class TestFailClosedFields:
         assert cli.main(["validate", "--scenario", path, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err.splitlines() == [
             "error: initial: atom on or outside the grid boundary "
-            "(grid.x_min = -3.0, grid.x_max = 1.0)"]
+            "(grid.x_min = -3.0, grid.x_max = 1.0, grid.n_cells = 200)"]
 
     @pytest.mark.parametrize("initial", [
         {"type": "atoms", "atoms": [[-0.5, 0.5], [1.0, 0.5]]},
@@ -365,7 +366,8 @@ class TestFailClosedFields:
     ], ids=["atom-on-the-right-face", "density-past-the-left-face"])
     def test_initial_data_off_the_grid_are_refused_at_load(self, tmp_path, capsys, initial):
         with pytest.raises(cli.ScenarioError, match=r"^initial: .* boundary \(grid\.x_min = "
-                                                    r"-3\.0, grid\.x_max = 1\.0\)$"):
+                                                    r"-3\.0, grid\.x_max = 1\.0, "
+                                                    r"grid\.n_cells = 200\)$"):
             parse_scenario(scenario_dict(initial=initial))
         if initial["type"] == "atoms":   # the particle engine, which grids nothing, never runs
             path = write_scenario(tmp_path, initial=initial)
@@ -384,7 +386,7 @@ class TestFailClosedFields:
          "initial: invalid triangular density block"),
         ({"type": "uniform", "x_left": -3.0, "x_right": 0.5, "mass": 1.0},
          "initial: density support touches the grid boundary "
-         "(grid.x_min = -3.0, grid.x_max = 1.0)"),
+         "(grid.x_min = -3.0, grid.x_max = 1.0, grid.n_cells = 200)"),
     ], ids=["uniform_reversed", "uniform_massless", "triangular_peak_outside",
             "support_on_the_boundary"])
     def test_bad_density_block_names_its_fields(self, tmp_path, capsys, initial, message):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -102,12 +104,25 @@ class TestSampleToGrid:
             ms.sample_to_grid(ms.UniformDensity(-1.0, 0.5, 1.0), -1.0, 1.0, 4)
 
     def test_check_inside_is_strict_on_both_ends(self):
-        ms.check_inside(atoms((-0.5, 1.0), (0.99, 1.0)), -1.0, 1.0)
-        ms.check_inside(ms.TriangularDensity(-0.99, 0.0, 0.5, 1.0), -1.0, 1.0)
+        ms.check_inside(atoms((-0.5, 1.0), (0.99, 1.0)), -1.0, 1.0, 200)
+        ms.check_inside(ms.TriangularDensity(-0.99, 0.0, 0.5, 1.0), -1.0, 1.0, 200)
         for source in (atoms((1.0, 1.0)), atoms((-2.0, 1.0), (0.0, 1.0)),
                        ms.UniformDensity(0.0, 1.0, 1.0), ms.TriangularDensity(-1.5, 0.0, 0.5, 1.0)):
             with pytest.raises(ms.MeasureError, match="boundary"):
-                ms.check_inside(source, -1.0, 1.0)
+                ms.check_inside(source, -1.0, 1.0, 200)
+
+    @pytest.mark.parametrize("x_min, x_max, n_cells", [(-2.3, 1.0, 708), (-1e50, 1.0, 800)])
+    def test_check_inside_refuses_support_past_a_last_face_below_x_max(self, x_min, x_max,
+                                                                      n_cells):
+        last = ms.face_at(x_min, x_max, n_cells, n_cells)
+        assert last < x_max and last == ms.GridField(x_min, x_max, n_cells,
+                                                     np.zeros(n_cells + 1)).faces[-1]
+        x = math.nextafter(x_max, 0.0) if last > 0.25 else 0.25   # between last and x_max
+        for source in (atoms((x_min / 2, 0.5), (x, 0.5)), ms.UniformDensity(x_min / 2, x, 1.0)):
+            with pytest.raises(ms.MeasureError, match=f"last face {last!r}"):
+                ms.check_inside(source, x_min, x_max, n_cells)
+            with pytest.raises(ms.MeasureError, match="last face"):   # u would lose its mass
+                ms.sample_to_grid(source, x_min, x_max, n_cells)
 
 
 class TestExtractAtoms:

@@ -1,7 +1,9 @@
 import contextlib
 import copy
+import importlib.util
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -62,9 +64,28 @@ def test_scenarios_load_without_the_cli():
     assert len(names) == 4 and loaded == []
 
 
-# --- fuzzing the bundled scenarios through `validate` -------------------------------------
+# --- fuzzing the bundled and workload scenarios through `validate` -----------------------
 
 BUNDLED = sorted(Path(dualflow.__file__).parent.joinpath("scenarios").glob("*.json"))
+
+
+def bench_workloads():
+    """bench/workloads.py, read without writing bytecode next to it."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    module = sys.modules["workloads"] = importlib.util.module_from_spec(spec)   # @dataclass
+    dont_write, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    return module
+
+
+# the fuzzer's seeds: the bundled scenarios and the workloads' at seed 1, tiny
+workloads = bench_workloads()
+SEEDS = {**{p.stem: json.loads(p.read_text()) for p in BUNDLED},
+         **{name: workloads.scenario(name, 1, tiny=True) for name in workloads.WORKLOADS}}
 EXTREMES = [0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 10**400 - 1, -(10**400 - 1)]
 VALUES = [None, True, "a", 1, 0.5, [], [1.0], {}, {"a": 1}]   # of every JSON type
 NEW_KEYS = ["zzz", "kind", "coeffs", "cfl", "output_times", "checks", "tolerances", "mass",
@@ -152,14 +173,74 @@ def test_mutations_the_fuzzer_found_are_refused_at_load(tmp_path, block, key, va
     assert err.getvalue() == f"error: {message}\n"
 
 
+TWO_ATOMS = json.loads(Path(cli.bundled_scenario("two_atoms_attractive.json")).read_text())
+BELOW_ONE = math.nextafter(1.0, 0.0)
+
+
+def refusal(tmp_path, argv):
+    """cli.main(argv + --out) with warnings as errors: its code, its stderr and
+    whether it wrote the output directory."""
+    err, out = io.StringIO(), tmp_path / "out"
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = cli.main([*argv, "--out", str(out)])
+    return code, err.getvalue(), out.exists()
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"grid": {"x_min": -1e50, "x_max": 1.0, "n_cells": 800},
+      "diagnostics": {"checks": ["mass", "oleinik", "pressureless"]}},
+     "initial: atom on or outside the grid's last face 0.0, which rounds below x_max "
+     "(grid.x_min = -1e+50, grid.x_max = 1.0, grid.n_cells = 800)"),
+    ({"grid": {"x_min": -2.3, "x_max": 1.0, "n_cells": 708},
+      "initial": {"type": "atoms", "atoms": [[-0.25, 0.5], [BELOW_ONE, 0.5]]}},
+     "initial: atom on or outside the grid's last face 0.9999999999999996, which rounds "
+     "below x_max (grid.x_min = -2.3, grid.x_max = 1.0, grid.n_cells = 708)"),
+    ({"initial": {"type": "atoms", "atoms": [[-0.25, 0.5], [0.25, 1e-17]]}},
+     "initial.atoms: the atom at x = 0.25 of mass 1e-17 is below the resolution of the "
+     "cumulative mass 0.5 of the atoms left of it"),
+    ({"initial": {"type": "atoms", "atoms": [[-0.25, 0.5], [0.25, 1e-300]]}},
+     "initial.atoms: the atom at x = 0.25 of mass 1e-300 is below the resolution of the "
+     "cumulative mass 0.5 of the atoms left of it"),
+    # it raises the cumulative mass 1.0 by an ulp, but its mid level rounds up to the total
+    ({"initial": {"type": "atoms", "atoms": [[-0.25, 1.0], [0.25, 2.6645352591003756e-16]]}},
+     "initial.atoms: the atom at x = 0.25 of mass 2.6645352591003756e-16 is below the "
+     "resolution of the cumulative mass 1.0 of the atoms left of it"),
+], ids=["x_min-1e50", "708-cells", "mass-1e-17", "mass-1e-300", "mid-level-at-the-total"])
+def test_atoms_the_grid_would_lose_are_refused_at_load(tmp_path, changes, message):
+    """Each of these once lost an atom from u: one beyond a last face that rounds below
+    grid.x_max (validate passed, mass_conservation reading 0 against a first snapshot
+    that had lost it too), or too light for the cumulative mass to resolve (a quantile
+    error that named no field)."""
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**TWO_ATOMS, **changes}))
+    assert refusal(tmp_path, ["validate", "--scenario", str(path)]) == (
+        1, f"error: {message}\n", False)
+
+
+def test_resolutions_whose_last_face_drops_an_atom_are_refused_before_any_march(
+        tmp_path, monkeypatch):
+    # on 800 cells the last face is 1.0000000000000004; on 708 it is 0.9999999999999996
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps({**TWO_ATOMS, "grid": {"x_min": -2.3, "x_max": 1.0, "n_cells": 800},
+                                "initial": {"type": "atoms",
+                                            "atoms": [[-0.25, 0.5], [BELOW_ONE, 0.5]]}}))
+    monkeypatch.setattr(cli, "run_pde", None)   # a march would raise TypeError
+    assert refusal(tmp_path, ["convergence", "--scenario", str(path),
+                                       "--resolutions", "200,400,708"]) == (
+        1, "error: initial: atom on or outside the grid's last face 0.9999999999999996, "
+        "which rounds below x_max (grid.x_min = -2.3, grid.x_max = 1.0, --resolutions = 708)\n",
+        False)
+
+
 @settings(max_examples=200, deadline=None)
-@given(name=st.sampled_from(BUNDLED), count=st.integers(1, 3), data=st.data())
+@given(name=st.sampled_from(sorted(SEEDS)), count=st.integers(1, 3), data=st.data())
 def test_mutated_scenarios_validate_or_are_refused(name, count, data):
-    """`validate` on a bundled scenario mutated 1-3 times exits 0, 2, or 1 with one
-    `error:` or `i/o error:` line; a refusal at load names the top-level block of a
-    mutated field (or "scenario", for the root and its keys) and nothing else
+    """`validate` on a bundled or workload scenario mutated 1-3 times exits 0, 2, or 1
+    with one `error:` or `i/o error:` line; a refusal at load names the top-level block
+    of a mutated field (or "scenario", for the root and its keys) and nothing else
     escapes.  The only warning admitted is pde's boundary-contact RuntimeWarning."""
-    raw, named = json.loads(name.read_text()), set()
+    raw, named = copy.deepcopy(SEEDS[name]), set()
     for _ in range(count):
         raw, field = mutate(data, raw)
         named.update(map(str, field[:1] if len(field) > 1 else ("scenario", *field)))
