@@ -23,9 +23,11 @@ class MeasureError(ValueError):
 
 
 class AtomicMeasure:
-    """Finite sum of point masses m_i * delta_{x_i}, positions strictly increasing."""
+    """Finite sum of point masses m_i * delta_{x_i}, positions strictly increasing;
+    ``levels``, the primitive at and between the atoms (0, m_1, m_1 + m_2, ..., summed
+    once, left to right), ends at the total mass, inf past the float range."""
 
-    __slots__ = ("positions", "masses")
+    __slots__ = ("positions", "masses", "levels")
 
     def __init__(self, positions, masses):
         x = np.atleast_1d(np.array(positions, dtype=float))   # copies: the caller's arrays
@@ -38,9 +40,11 @@ class AtomicMeasure:
             raise MeasureError("atom masses must be strictly positive")
         if x.size > 1 and np.any(np.diff(x) <= 0):
             raise MeasureError("atom positions must be strictly increasing")
-        x.setflags(write=False)
-        m.setflags(write=False)
-        self.positions, self.masses = x, m
+        with np.errstate(over="ignore"):
+            levels = np.concatenate(([0.0], np.cumsum(m)))
+        for a in (x, m, levels):
+            a.setflags(write=False)
+        self.positions, self.masses, self.levels = x, m, levels
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
@@ -60,11 +64,7 @@ class AtomicMeasure:
 
     @property
     def total_mass(self) -> float:
-        return float(np.sum(self.masses))
-
-    @property
-    def cumulative(self) -> np.ndarray:
-        return np.cumsum(self.masses)
+        return float(self.levels[-1])
 
 
 def face_at(x_min: float, x_max: float, n_cells: int, k):
@@ -227,8 +227,7 @@ def _cdf_breaks(obj) -> np.ndarray:
 def _cdf(obj, x: np.ndarray, side: str) -> np.ndarray:
     """CDF at x: its right limit for side="right", its left limit for side="left"."""
     if isinstance(obj, AtomicMeasure):
-        cum = np.concatenate(([0.0], obj.cumulative))
-        return cum[np.searchsorted(obj.positions, x, side=side)]
+        return obj.levels[np.searchsorted(obj.positions, x, side=side)]
     return np.interp(x, obj.faces, obj.u_faces, left=0.0, right=obj.total_mass)
 
 
@@ -247,7 +246,7 @@ def wasserstein1(mu, nu) -> float:
     Both primitives are piecewise linear (or constant) between the merged
     breakpoints, so the integral is computed exactly interval by interval.
     """
-    if abs(mu.total_mass - nu.total_mass) > 1e-10:
+    if abs(mu.total_mass - nu.total_mass) > 1e-10 * max(mu.total_mass, nu.total_mass):
         raise MeasureError("wasserstein1 requires equal total masses")
     breaks = _union(_cdf_breaks(mu), _cdf_breaks(nu))
     if breaks.size < 2:
@@ -266,18 +265,18 @@ def wasserstein1(mu, nu) -> float:
 def quantile(obj, q):
     """Generalized inverse of the primitive: inf{x : U(x) >= q}, 0 < q < mass,
     for one level q (a float) or for each level of an array q (an array)."""
-    levels = np.asarray(q, dtype=float)
+    q = np.asarray(q, dtype=float)
     total = obj.total_mass
-    outside = ~((0.0 < levels) & (levels < total))
+    outside = ~((0.0 < q) & (q < total))
     if outside.any():
-        raise MeasureError(f"quantile level {levels[outside][0]} outside (0, {total})")
+        raise MeasureError(f"quantile level {q[outside][0]} outside (0, {total})")
     if isinstance(obj, AtomicMeasure):
-        x = obj.positions[np.searchsorted(obj.cumulative, levels, side="left")]
+        x = obj.positions[np.searchsorted(obj.levels[1:], q, side="left")]
     else:
         u, faces = obj.u_faces, obj.faces
-        i = np.searchsorted(u, levels, side="left")
+        i = np.searchsorted(u, q, side="left")
         lo, hi = u[i - 1], u[i]
-        flat = (hi == levels) | (hi == lo) | (i == 0)   # on a face, flat or below u[0]: that face
+        flat = (hi == q) | (hi == lo) | (i == 0)   # on a face, flat or below u[0]: that face
         x = np.where(flat, faces[i],
-                     faces[i - 1] + obj.dx * (levels - lo) / np.where(flat, 1.0, hi - lo))
-    return x if levels.ndim else float(x)
+                     faces[i - 1] + obj.dx * (q - lo) / np.where(flat, 1.0, hi - lo))
+    return x if q.ndim else float(x)

@@ -51,8 +51,7 @@ def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
     if not fx.is_attractive(model, atoms.total_mass):
         raise OracleError("aggregate dynamics requires a non-increasing velocity a "
                           "on [0, total mass]")
-    cum = np.concatenate(([0.0], atoms.cumulative))
-    return np.diff(fx.eval_A(model, cum)) / atoms.masses
+    return np.diff(fx.eval_A(model, atoms.levels)) / atoms.masses
 
 
 class AggregateSystem:
@@ -109,7 +108,7 @@ def advance(system: AggregateSystem, t_target: float):
     x, m, n = system.atoms.positions, system.atoms.masses, system.atoms.n_atoms
     # Aggregates are named by the slot of their leftmost incoming atom, so
     # slot order is list order.  Slot s covers incoming atoms s .. hi[s] - 1.
-    A = fx.eval_A(system.model, np.concatenate(([0.0], np.cumsum(m)))).tolist()
+    A = fx.eval_A(system.model, system.atoms.levels).tolist()
     x0, t0, v, mass = x.tolist(), [t] * n, system.v.tolist(), m.tolist()
     hi, nxt, prv = list(range(1, n + 1)), [*range(1, n), -1], list(range(-1, n - 1))
     # stamp[s]: the version of the gap right of slot s in the heap, LINKED while

@@ -73,7 +73,7 @@ def _oracle_precondition(scn):
 
 class Check(NamedTuple):   # one entry of CHECKS
     runner: str                     # its fn(scenario, snapshots, oracle pairs) in analysis
-    tolerance: Callable | None      # fn(dx) -> the default tolerance; None: it takes none
+    tolerance: Callable | None      # fn(dx, total mass) -> the default; None: it takes none
     precondition: Callable | None   # fn(scenario) -> a refusal naming the field, or None
 
     def run(self, scn: Scenario, snapshots, pairs) -> list:   # of analysis.CheckRecord
@@ -84,13 +84,17 @@ class Check(NamedTuple):   # one entry of CHECKS
 # The diagnostics a scenario can request, by name.  ``pairs`` are (snapshot, oracle
 # atoms), given only for w1_vs_particles.  A scenario's "tolerances" may override the
 # defaults, and parse_scenario refuses a check whose precondition refuses the scenario.
+# W1, the push-forward errors and the weak residual integrate u or rho, so they scale
+# with the total mass M and their defaults carry it.
 CHECKS = {
-    "mass": Check("_check_mass", lambda dx: 1e-12, None),
-    "oleinik": Check("_check_oleinik", lambda dx: 5 * dx, None),
+    "mass": Check("_check_mass", lambda dx, mass: 1e-12, None),
+    "oleinik": Check("_check_oleinik", lambda dx, mass: 5 * dx, None),
     "pressureless": Check("_check_pressureless", None, None),
-    "pushforward": Check("_check_pushforward", lambda dx: 5 * dx, _nonincreasing_a),
-    "weak_residual": Check("_check_weak_residual", lambda dx: 20 * dx, _residual_precondition),
-    "w1_vs_particles": Check("_check_w1_vs_particles", lambda dx: 3 * dx, _oracle_precondition),
+    "pushforward": Check("_check_pushforward", lambda dx, mass: 5 * dx * mass, _nonincreasing_a),
+    "weak_residual": Check("_check_weak_residual", lambda dx, mass: 20 * dx * mass,
+                           _residual_precondition),
+    "w1_vs_particles": Check("_check_w1_vs_particles", lambda dx, mass: 3 * dx * mass,
+                             _oracle_precondition),
 }
 
 
@@ -208,7 +212,7 @@ def _check_resolved(atoms: AtomicMeasure):
     """Refuse atoms that u cannot resolve: each must raise the cumulative mass, and
     its mid level (analysis.reconstruct_flow's mass coordinate) lie strictly between
     the cumulative masses left and right of it."""
-    cum = np.concatenate(([0.0], atoms.cumulative))
+    cum = atoms.levels
     mid = cum[:-1] + 0.5 * atoms.masses
     if (coarse := ((mid <= cum[:-1]) | (mid >= cum[1:])).nonzero()[0]).size:
         j = int(coarse[0])
@@ -293,7 +297,8 @@ def parse_scenario(raw: dict) -> Scenario:
             if not isinstance(c, str) or c not in known:
                 raise ScenarioError(f"diagnostics.{where}: {c!r} is not one of {list(known)}")
     # every tolerance a check can take, the scenario's own or the default for this grid
-    tolerances = {k: v((x_max - x_min) / n_cells) for k, v in defaults.items()} | {
+    tolerances = {k: v((x_max - x_min) / n_cells, initial.total_mass)
+                  for k, v in defaults.items()} | {
         k: number(v, f"diagnostics.tolerances.{k}") for k, v in tolerances.items()}
     out = _require_keys(raw.get("output", {}), "output", (), {"directory", "formats"})
     formats = typed(out.get("formats", FORMATS), list, "output.formats")

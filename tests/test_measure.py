@@ -18,7 +18,7 @@ class TestAtomicMeasure:
         mu = atoms((-1.0, 0.5), (1.0, 0.5))
         assert mu.n_atoms == 2
         assert mu.total_mass == 1.0
-        np.testing.assert_allclose(mu.cumulative, [0.5, 1.0])
+        np.testing.assert_allclose(mu.levels, [0.0, 0.5, 1.0])
 
     def test_from_pairs_sorts_and_coalesces(self):
         mu = ms.AtomicMeasure.from_pairs([(1.0, 0.25), (-1.0, 0.5), (1.0, 0.25)])
@@ -290,11 +290,25 @@ class TestQuantile:
         with pytest.raises(ms.MeasureError):
             ms.quantile(mu, 1.5)
 
+    def test_levels_below_the_total_reach_the_last_atom(self):
+        """The total is the last of the levels quantile searches; numpy's pairwise sum
+        of these masses ends an ulp higher, and a level between the two once indexed
+        past the last atom."""
+        mu = ms.AtomicMeasure(range(8), [
+            0.6008642961850954, 0.07585185974836328, 0.3503207777371492, 0.33361493409693543,
+            0.03797709933299598, 0.8574708797256025, 0.03500591969383493, 0.0027354607912608575])
+        top = mu.levels[-1]
+        assert mu.total_mass == top < 2.2938412273112374 < np.sum(mu.masses)
+        assert ms.quantile(mu, math.nextafter(top, 0.0)) == 7.0
+        for q in (top, 2.2938412273112374):
+            with pytest.raises(ms.MeasureError):
+                ms.quantile(mu, q)
+
 
 def _quantile_reference(obj, q):
     """One level at a time, by the formula quantile keeps for every level."""
     if isinstance(obj, ms.AtomicMeasure):
-        return float(obj.positions[int(np.searchsorted(obj.cumulative, q, side="left"))])
+        return float(obj.positions[int(np.searchsorted(obj.levels, q, side="left")) - 1])
     u = obj.u_faces
     i = int(np.searchsorted(u, q, side="left"))
     if i == 0 or u[i] == q or u[i] == u[i - 1]:
@@ -321,7 +335,7 @@ class TestArrayQuantile:
         # drawn levels, seeded ones whose digits are not as round, and the
         # face values or atom boundaries of the CDF, which include every flat
         # stretch of a grid's u
-        steps = obj.cumulative if isinstance(obj, ms.AtomicMeasure) else obj.u_faces
+        steps = obj.levels if isinstance(obj, ms.AtomicMeasure) else obj.u_faces
         seeded = np.random.default_rng(seed).uniform(0.0, 1.0, 10)
         levels = np.concatenate((total * np.array(shares), total * seeded, steps))
         levels = levels[(0.0 < levels) & (levels < total)]

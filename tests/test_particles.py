@@ -263,8 +263,7 @@ def test_merge_accounting_and_invariants(model, xs, ks, times):
 
 
 def _reference_speeds(atoms, model):
-    cum = np.concatenate(([0.0], atoms.cumulative))
-    return np.diff(fx.eval_A(model, cum)) / atoms.masses
+    return np.diff(fx.eval_A(model, atoms.levels)) / atoms.masses
 
 
 def _reference_drift_and_merge(system, t, pairs, events):

@@ -156,12 +156,14 @@ def mutate(data, root):
     ("grid", "x_max", 1e200, "grid.x_max must lie in [-1e+100, 1e+100], got 1e+200"),
     ("initial", "atoms", [[0.0, 5e-324]],
      "initial: the total mass must lie in [1e-100, 1e+100], got 5e-324"),
+    ("initial", "atoms", [[-0.5, 1e308], [0.5, 1e308]],
+     "initial: the total mass must lie in [1e-100, 1e+100], got inf"),
 ], ids=["unhashable-type", "x_min-squared-overflows", "x_max-squared-overflows",
-        "subnormal-mass"])
+        "subnormal-mass", "total-mass-overflows"])
 def test_mutations_the_fuzzer_found_are_refused_at_load(tmp_path, block, key, value, message):
     """Each of these once escaped `validate` as a TypeError or as numpy's overflow
-    RuntimeWarning (in the pushforward x2 test function, or the pressureless
-    slack divided by a subnormal cell mass)."""
+    RuntimeWarning (in the pushforward x2 test function, the pressureless slack
+    divided by a subnormal cell mass, or the sum of the atoms' masses)."""
     raw = json.loads(BUNDLED[0].read_text())   # single_dirac_attractive
     raw[block][key] = value
     path = tmp_path / "scn.json"
