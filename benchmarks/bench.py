@@ -220,7 +220,7 @@ def checks_layer() -> dict:
                 if not (check.precondition and check.precondition(scn))}
         pairs = None
         if "w1_vs_particles" in best:
-            pairs = cli.pair_with_oracle(scn, snapshots, *cli.run_particles(scn))
+            pairs = cli.pair_with_oracle(snapshots, cli.run_particles(scn)[0])
         for _ in range(CHECK_REPEATS):
             for name in best:
                 start = time.perf_counter()

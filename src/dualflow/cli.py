@@ -61,34 +61,24 @@ def bundled_scenario(name: str) -> str:
     return str(resources.files("dualflow").joinpath("scenarios", name))
 
 
-def pair_with_oracle(scn: Scenario, snapshots, states, events):
-    """(snapshot, oracle atoms) pairs, skipping times within 2 dt of a merge.
+def pair_with_oracle(snapshots, states):
+    """(snapshot, oracle atoms) pairs, one per output time.
 
-    ``states`` and ``events`` come from run_particles, whose output times
-    are the snapshot times.  Shock merging in the PDE path is smeared over a
-    few cells, so the W1 comparison is meaningless right at an oracle merge
-    instant.
+    ``states`` are run_particles' oracle states, whose output times are the
+    snapshot times.
     """
-    from . import pde
-    dt_est = pde.stable_dt(initial_grid(scn), scn.model, scn.cfl)
-    return [(s, state.atoms) for s, state in zip(snapshots, states, strict=True)
-            if not any(abs(s.t - e.t) <= 2 * dt_est for e in events)]
+    return [(s, state.atoms) for s, state in zip(snapshots, states, strict=True)]
 
 
 def run_diagnostics(scn: Scenario, snapshots, oracle=None) -> list:   # of analysis.CheckRecord
     """The records of the scenario's checks on the PDE snapshots, in their order.
 
     w1_vs_particles compares against the sticky-particle oracle: ``oracle``
-    is run_particles' result, computed here when the caller has none.  A
-    scenario whose every snapshot pair_with_oracle skips is an error, never
-    an empty check; parse_scenario refuses one the oracle cannot serve.
+    is run_particles' result, computed here when the caller has none.
     """
     pairs = None
     if "w1_vs_particles" in scn.checks:
-        pairs = pair_with_oracle(scn, snapshots, *(oracle or run_particles(scn)))
-        if not pairs:
-            raise ScenarioError("w1_vs_particles: every output time lies within 2 dt of "
-                                "a merge, so no snapshot can be compared with the oracle")
+        pairs = pair_with_oracle(snapshots, (oracle or run_particles(scn))[0])
     return [rec for name in scn.checks for rec in CHECKS[name].run(scn, snapshots, pairs)]
 
 

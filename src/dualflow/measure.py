@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 
+# Roundoff tolerances on u, per unit of the total mass M = |u[-1]| (none when M = 0):
 MONOTONE_TOL = 1e-14   # the largest face-to-face decrease of u still taken as nondecreasing
 BOUNDARY_TOL = 1e-12   # the largest |u| at the left face still taken as pinned to 0
 ATOM_WIDTH_CELLS = 5   # extract_atoms: cells in the window whose mass marks a cluster
@@ -115,9 +116,10 @@ class GridField:
         u = self.u_faces
         if not np.all(np.isfinite(u)):
             raise MeasureError("non-finite grid field")
-        if np.any(np.diff(u) < -MONOTONE_TOL):
+        mass = abs(float(u[-1]))
+        if np.any(np.diff(u) < -MONOTONE_TOL * mass):
             raise MeasureError("u_faces not nondecreasing")
-        if abs(u[0]) > BOUNDARY_TOL:
+        if abs(u[0]) > BOUNDARY_TOL * mass:
             raise MeasureError("left boundary value not pinned to 0")
         return self
 

@@ -74,7 +74,7 @@ class _March:
     """The faces of one run between Dirichlet ghosts, advanced in place.
 
     ``ext`` = [u_0, u_0, ..., u_n, u_n]: the ghosts repeat the pinned end
-    faces (u_0 = 0 within BOUNDARY_TOL, u_n = M), so the left ghost enters
+    faces (u_0 = 0 within BOUNDARY_TOL·M, u_n = M), so the left ghost enters
     only face 0's update, which the pin discards.  Only faces next to a
     non-zero jump d_j = ext[j+1] - ext[j] can change in a step: elsewhere
     the update is F(c, c) - F(c, c) = 0 exactly.  The jumps are non-zero
@@ -85,7 +85,7 @@ class _March:
     While the faces are nondecreasing, ``ext`` lies between its ghosts: the
     flux plan, with the wave bound of the CFL step, is built once for
     [ext[0], ext[-1]].  A step whose faces dipped by roundoff (within
-    MONOTONE_TOL) takes the reference ``numerical_flux`` and the CFL step
+    MONOTONE_TOL·M) takes the reference ``numerical_flux`` and the CFL step
     of a plan of its own [min u, max u].
     """
 
@@ -98,6 +98,8 @@ class _March:
         self.model = model
         self.ext = np.concatenate((u[:1], u, u[-1:]))
         self.plan = fx.FluxPlan(model, float(u[0]), float(u[-1]))
+        mass = abs(float(u[-1]))   # the roundoff tolerances on u are relative to it
+        self.monotone_tol, self.boundary_tol = MONOTONE_TOL * mass, BOUNDARY_TOL * mass
         self.jumps = np.empty(u.size + 1)   # d_j = ext[j+1] - ext[j], kept current by _check
         self.work = list(np.empty((4, u.size + 2)))   # scratch rows
         self._check(0, u.size)
@@ -114,7 +116,7 @@ class _March:
         ext = self.ext
         d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.jumps[j0:j1 + 1])
         d_min = float(np.minimum.reduce(d))
-        if not d_min >= -MONOTONE_TOL:
+        if not d_min >= -self.monotone_tol:
             self.field()   # raises the validation error
         self.ordered = d_min >= 0.0
         self.jump = max(float(np.maximum.reduce(d)), -d_min)
@@ -154,7 +156,8 @@ class _March:
         faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
         if j0 == 0 or j1 == n:
             # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
-            if abs(ext[1] - ext[0]) > BOUNDARY_TOL or abs(ext[n] - ext[-1]) > BOUNDARY_TOL:
+            tol = self.boundary_tol
+            if abs(ext[1] - ext[0]) > tol or abs(ext[n] - ext[-1]) > tol:
                 warnings.warn("wave reached the grid boundary; domain too small",
                               RuntimeWarning, stacklevel=_outside())
             ext[1], ext[n] = ext[0], ext[-1]
@@ -168,13 +171,13 @@ class _March:
         """More steps than any run to t_end takes.
 
         ext stays between its ghosts but for roundoff, which _check admits
-        down to a jump of -MONOTONE_TOL, so the bound is taken on that range
-        widened by MONOTONE_TOL on each side.  Every step but the last before
+        down to a jump of -MONOTONE_TOL·M, so the bound is taken on that range
+        widened by MONOTONE_TOL·M on each side.  Every step but the last before
         an output time is at least the CFL step of that bound (none, and an
         inf budget, if it overflows); doubling the count and a few steps more
         leave room for roundoff.
         """
-        lo, hi = float(self.ext[0]) - MONOTONE_TOL, float(self.ext[-1]) + MONOTONE_TOL
+        lo, hi = float(self.ext[0]) - self.monotone_tol, float(self.ext[-1]) + self.monotone_tol
         dt_floor = fx.FluxPlan(self.model, lo, hi).dt(cfl, self.dx, hi - lo)
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else math.inf)) + 8.0
 
@@ -222,7 +225,7 @@ def march(initial: GridField, model: fx.FluxModel, t_end: float,
         yield SolverState(0.0, initial, cfl, 0)
     t, steps = 0.0, 0
     for target in targets[at_zero:]:
-        while t < target - 1e-15:
+        while t < target - 1e-15 * target:   # relative to the target: any time scale lands
             if steps >= budget:
                 raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
             dt = min(faces.dt(cfl), target - t)

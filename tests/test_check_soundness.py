@@ -6,7 +6,11 @@ must pass the scaled run too; W1, the push-forward errors and the weak
 residual are integrals of u or rho and scale by M, which their default
 bounds do.  The scaled runs at M = 2**20, 1e6 and 1e9, the frozen candidate
 and the random 16-atom runs each failed under the absolute bounds of the
-unit-mass defaults.
+unit-mass defaults.  The engine's roundoff tolerances on u are relative to M
+and its landing test on an output time to that time, so the scaled runs take
+the unit run's steps: at M = 1e-20 an absolute widening of [0, M] refused the
+run for its step budget, and at M = 1e15 an absolute landing test left half
+the output intervals without a step.
 """
 
 import contextlib
@@ -39,16 +43,27 @@ def scaled_two_atoms(M: float) -> dict:
 
 
 @cache
+def snapshots(M: float) -> tuple:
+    return tuple(cli.run_pde(parse_scenario(scaled_two_atoms(M))))
+
+
+@cache
 def records(M: float, frozen: bool = False) -> tuple:
     """The scaled run's check records; ``frozen`` holds rho_0 at every snapshot time."""
-    scn = parse_scenario(scaled_two_atoms(M))
-    snapshots = cli.run_pde(scn)
+    snaps = list(snapshots(M))
     if frozen:
-        snapshots = [s._replace(field=snapshots[0].field) for s in snapshots]
-    return tuple(cli.run_diagnostics(scn, snapshots))
+        snaps = [s._replace(field=snaps[0].field) for s in snaps]
+    return tuple(cli.run_diagnostics(parse_scenario(scaled_two_atoms(M)), snaps))
 
 
-@pytest.mark.parametrize("M", [2.0**-20, 2.0**20, 1e-6, 1e6, 1e9])
+@pytest.mark.parametrize("M", [1e-20, 1e15])
+def test_the_scaled_run_takes_the_unit_steps(M):
+    steps = [s.step_count for s in snapshots(M)]
+    assert steps == [s.step_count for s in snapshots(1.0)]
+    assert steps[-1] == 920 and min(np.diff(steps)) > 0   # a step in each of the 40 intervals
+
+
+@pytest.mark.parametrize("M", [2.0**-20, 2.0**20, 1e-6, 1e6, 1e9, 1e-20, 1e15])
 def test_the_scaled_two_atom_run_passes_every_check(M):
     recs = records(M)
     assert len(recs) == len(records(1.0)) and {r.name for r in recs} >= set(SCALED)
@@ -59,7 +74,7 @@ def test_the_scaled_two_atom_run_passes_every_check(M):
 def test_mass_scaled_records_are_M_times_the_unit_records(M):
     """At a power of two the scaling is exact, so the records are, bit for bit."""
     pairs = [(r, u) for r, u in zip(records(M), records(1.0), strict=True) if r.name in SCALED]
-    assert len(pairs) == 164
+    assert len(pairs) == 165
     assert all(r.value == M * u.value and r.bound == M * u.bound for r, u in pairs)
 
 

@@ -114,7 +114,6 @@ DENSITIES = st.tuples(st.floats(-1.0, -0.1), st.floats(0.1, 1.0), st.floats(0.2,
     lambda b: st.sampled_from([
         {"type": "uniform", "x_left": b[0], "x_right": b[1], "mass": b[2]},
         {"type": "triangular", "x_left": b[0], "x_peak": 0.0, "x_right": b[1], "mass": b[2]}]))
-MERGE_WINDOW = "w1_vs_particles: every output time lies within 2 dt of a merge"
 BOUNDARY = "wave reached the grid boundary"   # pde's warning when a tail reaches an end face
 FIRST_RECORD = {"mass": "mass_conservation", "oleinik": "oleinik_osl",
                 "pressureless": "momentum_total", "pushforward": "pushforward_x",
@@ -157,9 +156,5 @@ def load_and_run(checks, flux, initial, t_end, fractions, n_cells):
         with pytest.raises((analysis.AnalysisError, particles.OracleError)):
             cli.run_diagnostics(scn, cli.run_pde(scn))
         return
-    try:
-        records = cli.run_diagnostics(scn, cli.run_pde(scn))
-    except ScenarioError as exc:   # the one refusal that needs the oracle's merges
-        assert str(exc).startswith(MERGE_WINDOW)
-        return
+    records = cli.run_diagnostics(scn, cli.run_pde(scn))   # every refusal came at load
     assert {FIRST_RECORD[c] for c in checks} <= {c.name for c in records}

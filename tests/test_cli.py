@@ -655,14 +655,15 @@ class TestFieldWriter:
         assert self.failed(tmp_path, capsys, path).startswith("error: step budget (20 steps)")
         assert sent == [0.0, 0.1]
 
-    def test_merge_window_error_after_the_march(self, tmp_path, capsys):
-        # the two atoms meet at t = 1.0, the only output time
-        scn = json.loads(open(cli.bundled_scenario("two_atoms_attractive.json")).read())
-        scn["time"] = {"t_end": 1.0}
-        path = tmp_path / "scn.json"
-        path.write_text(json.dumps(scn))
-        assert self.failed(tmp_path, capsys, str(path), "both").startswith(
-            "error: w1_vs_particles: every output time lies within 2 dt of a merge")
+    def test_scenario_error_after_the_march(self, tmp_path, capsys, monkeypatch):
+        # every refusal comes at load; an error between the march and the commit
+        # still writes nothing and reaps the child
+        def refuse(*args):
+            raise cli.ScenarioError("refused after the march")
+
+        monkeypatch.setattr(cli, "run_diagnostics", refuse)
+        line = self.failed(tmp_path, capsys, write_scenario(tmp_path), "both")
+        assert line == "error: refused after the march"
 
     @pytest.mark.parametrize("error, message", [(ValueError("no repr here"), "no repr here"),
                                                 (MemoryError(), "MemoryError")],
@@ -837,17 +838,19 @@ class TestValidateCommand:
         assert not out.exists()
 
     def test_w1_with_every_snapshot_at_a_merge(self, tmp_path, capsys):
-        # the two atoms meet at t = 1.0, the only output time: pair_with_oracle
-        # skips it, and a check with no records must not pass
+        # the two atoms meet at t = 1.0, the only output time: the snapshot at
+        # the merge is compared with the oracle like any other
         scn = json.loads(open(cli.bundled_scenario("two_atoms_attractive.json")).read())
         scn["time"] = {"t_end": 1.0}
         scn["diagnostics"]["checks"] = ["w1_vs_particles"]
         path = tmp_path / "scn.json"
         path.write_text(json.dumps(scn))
         out = tmp_path / "out"
-        assert cli.main(["validate", "--scenario", str(path), "--out", str(out)]) == 1
-        assert capsys.readouterr().err.startswith("error: w1_vs_particles:")
-        assert not (out / "diagnostics.json").exists()
+        assert cli.main(["validate", "--scenario", str(path), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        [record] = json.loads((out / "diagnostics.json").read_text())["checks"]
+        assert (record["name"], record["t"], record["passed"]) == ("w1_pde_vs_particles", 1.0,
+                                                                   True)
 
 
 class TestConvergenceCommand:
@@ -1028,7 +1031,7 @@ CROSS_MODELS = {
        atoms=st.lists(st.tuples(st.floats(-1.5, 1.5), st.integers(1, 16)),
                       min_size=1, max_size=6, unique_by=lambda a: a[0]))
 def test_engines_agree_in_w1(model, atoms):
-    """run --engine both: at every paired output time W1(PDE, oracle) <= 3 dx."""
+    """run --engine both: at every output time W1(PDE, oracle) <= 3 dx."""
     total = sum(k for _, k in atoms)
     scn = parse_scenario(scenario_dict(
         flux=CROSS_MODELS[model],
@@ -1036,5 +1039,7 @@ def test_engines_agree_in_w1(model, atoms):
         grid={"x_min": -4.0, "x_max": 4.0, "n_cells": 400},
         time={"t_end": 2.0, "output_times": [0.25, 0.5, 1.0, 1.5, 2.0]}))
     snapshots = cli.run_pde(scn)
-    for snap, oracle_atoms in cli.pair_with_oracle(scn, snapshots, *cli.run_particles(scn)):
+    pairs = cli.pair_with_oracle(snapshots, cli.run_particles(scn)[0])
+    assert [snap for snap, _ in pairs] == snapshots   # every snapshot is paired
+    for snap, oracle_atoms in pairs:
         assert wasserstein1(snap.field, oracle_atoms) <= 3 * scn.dx

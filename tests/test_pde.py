@@ -290,7 +290,7 @@ def reference_run(initial, model, t_end, cfl, output_times, step_fn):
         out.append((0.0, u))
         targets = targets[1:]
     for target in targets:
-        while t < target - 1e-15:
+        while t < target - 1e-15 * target:
             field = ms.GridField(initial.x_min, initial.x_max, initial.n_cells, u)
             dt = min(reference_dt(field, model, cfl), target - t)
             u = step_fn(field, dt)
@@ -465,9 +465,10 @@ class TestStepBudget:
         cfl = data.draw(st.sampled_from([0.45, 1.0]))
         t_end = data.draw(st.floats(0.01, 100.0))
         n_targets = data.draw(st.integers(1, 5))
-        # the CFL step of [u_0, M] widened by MONOTONE_TOL, whose largest jump is its width
+        # the CFL step of [u_0, M] widened by MONOTONE_TOL·M, whose largest jump is its width
         u = grid.u_faces
-        lo, hi = float(u[0]) - ms.MONOTONE_TOL, float(u[-1]) + ms.MONOTONE_TOL
+        tol = ms.MONOTONE_TOL * float(u[-1])
+        lo, hi = float(u[0]) - tol, float(u[-1]) + tol
         speed = fx.max_wave_speed(model, lo, hi)
         slope = max(0.0, fx.max_slope_of_a(model, lo, hi))
         top = speed + slope * (hi - lo)
