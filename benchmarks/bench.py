@@ -1,7 +1,7 @@
 """Layer benchmark: best wall time of several repeats per case, written to BENCH_<label>.json.
 
 Every scenario timed here is a `bench/workloads.py` workload at seed 1, the
-scenario `bench/run.py --seed 1` runs (`workload`).  Four layers so far:
+scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far:
 
 - particles: the collapse of N equal-mass atoms at seeded uniform positions
   on [-1, 1] under a(u) = -u, for N = 10^3, 10^4 and 10^5, timed over
@@ -40,11 +40,22 @@ scenario `bench/run.py --seed 1` runs (`workload`).  Four layers so far:
   of 15 rounds that call each check's runner once; null where the check's
   precondition refuses the scenario (pushforward needs a non-increasing a,
   w1_vs_particles atoms).
+- process: what a whole command costs as a process, the fixed cost that the
+  layers above leave out.  Each workload's command is spawned
+  PROCESS_SPAWNS times, the workloads taking turns, as `python -c STAMP_EXIT`:
+  it runs `dualflow.cli` as `__main__`, as `python -m dualflow.cli` does,
+  and on its SystemExit writes time.monotonic() to stderr and re-raises, so
+  the exit code is the command's.  The environment is `bench/run.py`'s
+  (PYTHONPATH=src, one BLAS/OpenMP thread) with PYTHONDONTWRITEBYTECODE=1.
+  Reported per workload are the medians of the wall time and of the
+  teardown, the time from that stamp to the parent's return from wait
+  (final collections, module teardown, process exit), both in ms.
 
     python3 benchmarks/bench.py --label LABEL
 
 times every layer and writes `BENCH_LABEL.json` = {"env": {...},
-"particles": {...}, "output": {...}, "pde_step": {...}, "checks": {...}}
+"particles": {...}, "output": {...}, "pde_step": {...}, "checks": {...},
+"process": {...}}
 at the repository root.  The particles and output layers take the best of
 3.  Needs only the standard library and numpy; the program is imported
 from `src/` next to this directory, so a copy of this script in another
@@ -59,6 +70,9 @@ import json
 import math
 import os
 import platform
+import shutil
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -86,11 +100,25 @@ STEP_COUNT = 200
 STEP_REPEATS = 30
 CHECK_WORKLOADS = ("attractive_crosscheck", "diagnostics_validate")
 CHECK_REPEATS = 15
+PROCESS_SPAWNS = 10
+STAMP_EXIT = (
+    "import runpy, sys, time\n"
+    "try:\n"
+    "    runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n"
+    "except SystemExit:\n"
+    "    sys.stderr.write(repr(time.monotonic()) + '\\n')\n"
+    "    raise\n"
+)
+
+
+def workload_scenario(name: str) -> dict:
+    """The seed-SEED scenario of one `bench/workloads.py` workload, as a dict."""
+    return workloads.scenario(name, SEED)
 
 
 def workload(name: str) -> Scenario:
     """The parsed seed-SEED scenario of one `bench/workloads.py` workload."""
-    return parse_scenario(workloads.scenario(name, SEED))
+    return parse_scenario(workload_scenario(name))
 
 
 def uniform_atoms(n: int):
@@ -234,8 +262,39 @@ def checks_layer() -> dict:
     return results
 
 
+def process_layer() -> dict:
+    """Median wall time and teardown, in ms, of PROCESS_SPAWNS processes per workload."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
+               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    times: dict[str, tuple[list, list]] = {name: ([], []) for name in workloads.WORKLOADS}
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = {}
+        for name, w in workloads.WORKLOADS.items():
+            path = Path(tmp, f"{name}.json")
+            path.write_bytes(workloads.scenario_bytes(workload_scenario(name)))
+            commands[name] = [sys.executable, "-c", STAMP_EXIT, *w.argv,
+                              "--scenario", str(path), "--out", str(Path(tmp, name))]
+        for _ in range(PROCESS_SPAWNS):
+            for name, argv in commands.items():
+                shutil.rmtree(argv[-1], ignore_errors=True)   # each run writes afresh
+                start = time.monotonic()
+                proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+                end = time.monotonic()
+                if proc.returncode != 0:
+                    raise SystemExit(f"process {name}: exit {proc.returncode}\n{proc.stderr}")
+                times[name][0].append(end - start)
+                times[name][1].append(end - float(proc.stderr.splitlines()[-1]))
+    results = {}
+    for name, (walls, teardowns) in times.items():
+        results[name] = {"wall_ms": statistics.median(walls) * 1e3,
+                         "teardown_ms": statistics.median(teardowns) * 1e3}
+        print(f"process {name}: wall {results[name]['wall_ms']:.1f} ms, teardown "
+              f"{results[name]['teardown_ms']:.1f} ms (median of {len(walls)})", flush=True)
+    return results
+
+
 LAYERS = {"particles": particles_layer, "output": output_layer, "pde_step": pde_step_layer,
-          "checks": checks_layer}
+          "checks": checks_layer, "process": process_layer}
 
 
 def main(argv=None) -> int:

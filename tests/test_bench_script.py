@@ -35,9 +35,9 @@ def bench(monkeypatch):
 
     def tiny(name):
         module.asked.append(name)
-        return module.parse_scenario(module.workloads.scenario(name, module.SEED, tiny=True))
+        return module.workloads.scenario(name, module.SEED, tiny=True)
 
-    monkeypatch.setattr(module, "workload", tiny)
+    monkeypatch.setattr(module, "workload_scenario", tiny)
     return module
 
 
@@ -81,6 +81,15 @@ def test_checks_layer(bench, monkeypatch):
         missing = {"pushforward", "w1_vs_particles"} if label == "diagnostics_validate" else set()
         assert {name for name, ms in per_check.items() if ms is None} == missing
         assert all(0.0 < ms < math.inf for ms in per_check.values() if ms is not None)
+
+
+def test_process_layer(bench, monkeypatch):
+    monkeypatch.setattr(bench, "PROCESS_SPAWNS", 1)
+    results = bench.process_layer()
+    assert bench.asked == list(results) == list(bench.workloads.WORKLOADS)
+    for per_process in results.values():
+        assert set(per_process) == {"wall_ms", "teardown_ms"}
+        assert 0.0 < per_process["teardown_ms"] < per_process["wall_ms"] < math.inf
 
 
 RECORD = {"run_a": {"exit": 0, "stdout": "s1", "files": {"f.csv": "h1", "g.json": "h2"}},

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import json
 import math
 import os
@@ -20,6 +21,9 @@ from dualflow.scenario import CHECKS, parse_scenario
 
 
 BIG = 123456.789   # stands in a scenario for 1e400, which json.dumps cannot write
+# a fresh interpreter's path to dualflow and numpy, also under -S
+ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    str(Path(m.__file__).parents[1]) for m in (dualflow, np)))
 
 
 def scenario_dict(**overrides):
@@ -319,11 +323,74 @@ def test_command_imports_no(tmp_path, package, command, diagnostics):
     argv = [] if command is None else [*command, "--scenario",
                                        write_scenario(tmp_path, diagnostics=diagnostics),
                                        "--out", str(tmp_path / "out")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        str(Path(m.__file__).parents[1]) for m in (dualflow, np)))
     out = subprocess.run([sys.executable, "-S", "-c", IMPORTED, package, *argv], check=True,
-                         env=env, capture_output=True, text=True)
+                         env=ENV, capture_output=True, text=True)
     assert out.stdout.splitlines()[-1] == "0 []"
+
+
+def output_files(out: Path) -> dict:
+    return {p.name: p.read_bytes() for p in out.iterdir()} if out.exists() else {}
+
+
+class TestProcessEntry:
+    """`python -m dualflow.cli` and the `dualflow` script run cli.entry, which
+    freezes the heap after main; cli.main itself never freezes."""
+
+    @pytest.mark.parametrize("argv, scenario, code", [
+        (["validate"], None, 0),
+        (["validate"], {"grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 0}}, 1),
+        (["run", "--engine", "both"],
+         {"diagnostics": {"checks": ["mass", "w1_vs_particles"], "tolerances": {"mass": -1.0}}},
+         2),
+    ], ids=["passes", "refused-at-load", "check-fails"])
+    def test_process_gives_what_main_gives(self, tmp_path, capsys, argv, scenario, code):
+        path = (cli.bundled_scenario("two_atoms_attractive.json") if scenario is None
+                else write_scenario(tmp_path, **scenario))
+        outs = [tmp_path / "process", tmp_path / "main"]
+        proc = subprocess.run([sys.executable, "-m", "dualflow.cli", *argv, "--scenario", path,
+                               "--out", str(outs[0])], env=ENV, capture_output=True, text=True)
+        assert cli.main([*argv, "--scenario", path, "--out", str(outs[1])]) == code
+        assert proc.returncode == code, proc.stderr
+        captured = capsys.readouterr()
+        assert (proc.stdout, proc.stderr) == (captured.out, captured.err)
+        assert output_files(outs[0]) == output_files(outs[1])
+        if code == 1:
+            assert not outs[0].exists()
+            assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        else:
+            assert len(output_files(outs[0])) == (1 if argv == ["validate"] else 7)
+
+    def test_the_process_freezes_and_still_runs_atexit(self, tmp_path):
+        wrapper = ("import atexit, gc, runpy\n"
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+                   "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n")
+        proc = subprocess.run([sys.executable, "-c", wrapper, "validate", "--scenario",
+                               cli.bundled_scenario("single_dirac_attractive.json"),
+                               "--out", str(tmp_path / "out")],
+                              env=ENV, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "frozen True"
+
+    def test_the_script_and_module_share_one_entry(self):
+        pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        [script] = re.findall(r'^dualflow = "dualflow\.cli:(\w+)"$', pyproject, re.M)
+        [block] = [node for node in ast.parse(Path(cli.__file__).read_text()).body
+                   if isinstance(node, ast.If)
+                   and ast.unparse(node.test) == "__name__ == '__main__'"]
+        [call] = [node for node in ast.walk(block) if isinstance(node, ast.Call)]
+        assert ast.unparse(call) == f"{script}()" and callable(getattr(cli, script))
+
+    def test_main_never_freezes(self, tmp_path):
+        path = write_scenario(tmp_path)
+        for argv in (["run", "--engine", "both"], ["validate"]):
+            assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / argv[0])]) == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == (0, True)
+
+    def test_import_never_freezes(self):
+        code = "import gc, dualflow.cli; print(gc.get_freeze_count(), gc.isenabled())"
+        proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, check=True,
+                              capture_output=True, text=True)
+        assert proc.stdout == "0 True\n"
 
 
 class TestFailClosedFields:
