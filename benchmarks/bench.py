@@ -26,15 +26,20 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   waits at the commit (ms): the formatting that the march and the checks
   did not hide.  `run`'s own writes of its other files, which overlap the
   child's writes, are left out.
-- pde_step: microseconds per PDE step (one `_March.dt` and one
-  `_March.advance`) on n = 6 400 cells, for quadratic-repulsive a(u) = u
-  and for the piecewise-linear a of the output layer, each on a ramp of u
-  from 0 to 1 over 8, 800 and 3 200 cells (a window of that many faces).
-  Every step starts from the same ramp, so the window keeps its width;
-  best of 30 sums of 200 timed steps, divided by 200, the six cases taking
-  turns.  Thirty rounds, not three, and taking turns: on a shared 2-core
-  host the mean of 200 steps moves between about 16 and 40 us in stretches
-  of 10 ms to seconds, so the repeats of one case must be spread out.
+- pde_step: microseconds per PDE step, each one call of the step body
+  that `pde.march` runs (`_March.stepper`), on n = 6 400 cells, for the
+  flux of each workload, one per kind: quadratic-repulsive a(u) = u
+  (`rarefaction_pde`), the piecewise-linear a of `attractive_crosscheck`,
+  quadratic-attractive a(u) = -u (`particle_collapse`) and the polynomial
+  a(u) = u - u^2 of `diagnostics_validate`, each on a ramp of u from 0 to 1
+  over 8, 800 and 3 200 cells (a window of that many faces).  Every step
+  starts from the same ramp, so the window keeps its width; best of 30
+  sums of 200 timed steps, divided by 200, the twelve cases taking turns.
+  Thirty rounds, not three, and taking turns: on a shared 2-core host the
+  mean of 200 steps moves between about 16 and 40 us in stretches of 10 ms
+  to seconds, so the repeats of one case must be spread out.  One more
+  case, "march", times the whole march of `rarefaction_pde`
+  (`cli.run_pde`), best of MARCH_REPEATS, as its steps and us per step.
 - checks: milliseconds per call of each `scenario.CHECKS` entry on the PDE
   snapshots of `attractive_crosscheck` and of `diagnostics_validate`.  Best
   of 15 rounds that call each check's runner once; null where the check's
@@ -98,6 +103,9 @@ STEP_CELLS = 6400
 STEP_WIDTHS = (8, 800, 3200)
 STEP_COUNT = 200
 STEP_REPEATS = 30
+STEP_WORKLOADS = ("rarefaction_pde", "attractive_crosscheck", "particle_collapse",
+                  "diagnostics_validate")
+MARCH_REPEATS = 10
 CHECK_WORKLOADS = ("attractive_crosscheck", "diagnostics_validate")
 CHECK_REPEATS = 15
 PROCESS_SPAWNS = 10
@@ -206,35 +214,54 @@ def ramp_march(model: fx.FluxModel, width: int):
     return pde._March(GridField(-1.0, 1.0, STEP_CELLS, np.clip(k / width, 0.0, 1.0)), model)
 
 
-def step_seconds(march, start_ext, start_jumps, start_state) -> float:
-    """The time of STEP_COUNT dt + advance pairs, each from the start state."""
+def stepper(march):
+    """The step body of ``march`` at cfl 0.45, called as step(limit); a
+    checkout whose _March has no stepper takes dt and advance instead."""
+    if hasattr(march, "stepper"):
+        return march.stepper(0.45)
+    return lambda limit: march.advance(min(march.dt(0.45), limit))
+
+
+def step_seconds(march, step, start_ext, start_jumps, start_state) -> float:
+    """The time of STEP_COUNT calls of ``step``, each from the start state."""
     total = 0.0
     for _ in range(STEP_COUNT):
         np.copyto(march.ext, start_ext)
         np.copyto(march.jumps, start_jumps)
         vars(march).update(start_state)
         start = time.perf_counter()
-        march.advance(march.dt(0.45))
+        step(math.inf)
         total += time.perf_counter() - start
     return total
 
 
 def pde_step_layer() -> dict:
-    """Microseconds per step: best of STEP_REPEATS rounds that time each case once."""
+    """Microseconds per step: best of STEP_REPEATS rounds that time each case
+    once; and the march of rarefaction_pde, best of MARCH_REPEATS."""
     cases = {}
-    for model in (fx.quadratic_repulsive(), fx.piecewise_linear(workloads.PWL_NODES)):
+    for name in STEP_WORKLOADS:
+        model = workload(name).model
         for width in STEP_WIDTHS:
             march = ramp_march(model, width)
-            cases[model.kind, width] = (march, march.ext.copy(), march.jumps.copy(),
-                                        dict(vars(march)))
+            cases[model.kind, width] = (march, stepper(march), march.ext.copy(),
+                                        march.jumps.copy(), dict(vars(march)))
     best = dict.fromkeys(cases, math.inf)
     for _ in range(STEP_REPEATS):
         for key, case in cases.items():
             best[key] = min(best[key], step_seconds(*case))
-    results: dict[str, dict[str, float]] = {}
+    results: dict[str, dict] = {}
     for (kind, width), seconds in best.items():
         results.setdefault(kind, {})[str(width)] = us = seconds / STEP_COUNT * 1e6
         print(f"pde_step {kind} window={width}: {us:.1f} us/step", flush=True)
+    scn = workload("rarefaction_pde")
+    seconds = math.inf
+    for _ in range(MARCH_REPEATS):
+        start = time.perf_counter()
+        steps = cli.run_pde(scn)[-1].step_count
+        seconds = min(seconds, time.perf_counter() - start)
+    results["march"] = {"steps": steps, "us_per_step": seconds / steps * 1e6}
+    print(f"pde_step march rarefaction_pde: {steps} steps, "
+          f"{results['march']['us_per_step']:.1f} us/step", flush=True)
     return results
 
 

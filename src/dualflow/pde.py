@@ -86,7 +86,8 @@ class _March:
     flux plan, with the wave bound of the CFL step, is built once for
     [ext[0], ext[-1]].  A step whose faces dipped by roundoff (within
     MONOTONE_TOL·M) takes the reference ``numerical_flux`` and the CFL step
-    of a plan of its own [min u, max u].
+    of a plan of its own [min u, max u].  ``stepper`` makes the one step
+    body that march and step run.
     """
 
     def __init__(self, field: GridField, model: fx.FluxModel):
@@ -102,24 +103,28 @@ class _March:
         self.monotone_tol, self.boundary_tol = MONOTONE_TOL * mass, BOUNDARY_TOL * mass
         self.jumps = np.empty(u.size + 1)   # d_j = ext[j+1] - ext[j], kept current by _check
         self.work = list(np.empty((4, u.size + 2)))   # scratch rows
-        self._check(0, u.size)
+        self._check(0, self.ext[:-1], self.ext[1:], self.jumps)
 
-    def _check(self, j0: int, j1: int):
-        """Refresh and validate the jumps d_j0..d_j1, which hold every non-zero jump.
+    def _check(self, j0: int, uL, uR, d):
+        """Refresh and validate the jumps d = uR - uL, the views ext[j0:j1 + 1],
+        ext[j0 + 1:j1 + 2] and jumps[j0:j1 + 1], which hold every non-zero jump.
 
         One pass gives the finiteness and monotonicity checks (a NaN or an
         infinite face makes the smallest jump NaN or -inf), the ordering of
         the faces, the largest jump for the CFL bound and the new window.
+        The largest jump is taken only where the CFL step reads it, on faces
+        out of order or with a plan whose slope is > 0; else it is None.
         The new window's first jump is d_j0 or else d_j0+1, the old end (its
         last d_j1 or d_j1-1); d is searched only when both are zero.
         """
-        ext = self.ext
-        d = np.subtract(ext[j0 + 1:j1 + 2], ext[j0:j1 + 1], self.jumps[j0:j1 + 1])
+        np.subtract(uR, uL, d)
         d_min = float(np.minimum.reduce(d))
         if not d_min >= -self.monotone_tol:
             self.field()   # raises the validation error
-        self.ordered = d_min >= 0.0
-        self.jump = max(float(np.maximum.reduce(d)), -d_min)
+        self.ordered = ordered = d_min >= 0.0
+        self.jump = (max(float(np.maximum.reduce(d)), -d_min)
+                     if not ordered or self.plan.slope > 0.0 else None)
+        j1 = j0 + d.size - 1
         first = j0 if d[0] else j0 + 1 if d[1] else None
         last = j1 if d[-1] else j1 - 1 if d[-2] else None
         if first is None or last is None:
@@ -135,33 +140,57 @@ class _March:
         plan = fx.FluxPlan(self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
         return plan.dt(cfl, self.dx, self.jump)
 
-    def advance(self, dt: float):
-        """One Godunov step of length dt; boundary faces stay pinned exactly."""
-        if not math.isfinite(dt) or dt <= 0:
-            raise SolverError("no positive time step available (pass dt for rest states)")
-        if self.window is None:
-            return
-        ext, work = self.ext, self.work
+    def stepper(self, cfl: float | None):
+        """The step body: ``step(limit)`` takes one Godunov step, of the CFL
+        step ``dt(cfl)`` or ``limit``, whichever is shorter (``limit`` itself
+        when cfl is None), with the boundary faces pinned exactly, and
+        returns its length.
+
+        The buffers, the plan's constants and the ufuncs are bound here, once
+        per run; the state of the faces (``ordered``, ``jump``, ``window``)
+        stays on the march, and ``_check`` refreshes it after each step.
+        """
+        ext, jumps, work, dx, model = self.ext, self.jumps, self.work, self.dx, self.model
+        plan_dt, fluxes, dt_of, check = self.plan.dt, self.plan.fluxes, self.dt, self._check
         n = ext.size - 2   # faces
-        j0, j1 = max(self.window[0] - 1, 0), min(self.window[1] + 1, n)
-        m = j1 - j0 + 1
-        e = ext[j0:j1 + 2]
-        if self.ordered:
-            F = self.plan.fluxes(e, self.jumps[j0:j1 + 1], work[2][:m], work)
-        else:
-            F = numerical_flux(self.model, e[:-1], e[1:])
-        dF = np.subtract(F[1:], F[:-1], work[3][:m - 1])
-        dF *= dt / self.dx
-        faces = ext[j0 + 1:j1 + 1]
-        faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
-        if j0 == 0 or j1 == n:
-            # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
-            tol = self.boundary_tol
-            if abs(ext[1] - ext[0]) > tol or abs(ext[n] - ext[-1]) > tol:
-                warnings.warn("wave reached the grid boundary; domain too small",
-                              RuntimeWarning, stacklevel=_outside())
-            ext[1], ext[n] = ext[0], ext[-1]
-        self._check(j0, j1)
+        flux_row, diff_row, subtract, inf = work[2], work[3], np.subtract, math.inf
+
+        def step(limit: float) -> float:
+            if cfl is None:
+                dt = limit
+            else:
+                dt = plan_dt(cfl, dx, self.jump) if self.ordered else dt_of(cfl)
+                if limit < dt:
+                    dt = limit
+            if not 0.0 < dt < inf:
+                raise SolverError("no positive time step available (pass dt for rest states)")
+            window = self.window
+            if window is None:
+                return dt
+            j0, j1 = max(window[0] - 1, 0), min(window[1] + 1, n)
+            m = j1 - j0 + 1
+            # the stretch's faces and jumps, sliced once for the fluxes and the check
+            e, du = ext[j0:j1 + 2], jumps[j0:j1 + 1]
+            uL, uR = e[:-1], e[1:]
+            if self.ordered:
+                F = fluxes(e, uL, uR, du, flux_row[:m], work)
+            else:
+                F = numerical_flux(model, uL, uR)
+            dF = subtract(F[1:], F[:-1], diff_row[:m - 1])
+            dF *= dt / dx
+            faces = ext[j0 + 1:j1 + 1]
+            faces -= dF   # in place; `ext[j0 + 1:j1 + 1] -= dF` would copy it back too
+            if j0 == 0 or j1 == n:
+                # Dirichlet pinning to the ghosts; warn when waves reach the edge of the grid.
+                tol = self.boundary_tol
+                if abs(ext[1] - ext[0]) > tol or abs(ext[n] - ext[-1]) > tol:
+                    warnings.warn("wave reached the grid boundary; domain too small",
+                                  RuntimeWarning, stacklevel=_outside())
+                ext[1], ext[n] = ext[0], ext[-1]
+            check(j0, uL, uR, du)
+            return dt
+
+        return step
 
     def field(self) -> GridField:
         g = self.grid
@@ -186,8 +215,9 @@ def step(state: SolverState, model: fx.FluxModel, dt: float | None = None) -> So
     """Advance one Godunov step; boundary faces stay pinned exactly."""
     march = _March(state.field, model)
     if dt is None:
-        dt = march.dt(state.cfl)
-    march.advance(dt)
+        dt = march.stepper(state.cfl)(math.inf)
+    else:
+        march.stepper(None)(dt)
     return SolverState(state.t + dt, march.field(), state.cfl, state.step_count + 1)
 
 
@@ -223,14 +253,13 @@ def march(initial: GridField, model: fx.FluxModel, t_end: float,
                           f"more than MAX_CELL_STEPS = {MAX_CELL_STEPS}")
     if at_zero:
         yield SolverState(0.0, initial, cfl, 0)
+    advance = faces.stepper(cfl)
     t, steps = 0.0, 0
     for target in targets[at_zero:]:
         while t < target - 1e-15 * target:   # relative to the target: any time scale lands
             if steps >= budget:
                 raise SolverError(f"step budget ({budget:.0f} steps) exhausted at t = {t}")
-            dt = min(faces.dt(cfl), target - t)
-            faces.advance(dt)
-            t += dt
+            t += advance(target - t)
             steps += 1
         yield SolverState(target, faces.field(), cfl, steps)  # t absorbs roundoff
 

@@ -1,15 +1,18 @@
 """Smoke tests of the scripts in benchmarks/: bench.py's layers run on the
-workloads' tiny scenarios and small cases, and identity.py's --compare on
-synthetic records.
+workloads' tiny scenarios and small cases, identity.py's --compare on
+synthetic records, and ab.py on HEAD against HEAD, one short pair.
 
 The layer functions are called directly, never bench.py's ``main``, so no
-BENCH_*.json is written; identity.py's 19 commands are never run.
+BENCH_*.json is written in the repository (ab.py writes its record in a
+temporary directory); identity.py's 19 commands are never run.
 """
 
 import importlib.util
 import json
 import math
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -44,13 +47,16 @@ def bench(monkeypatch):
 def test_pde_step_layer(bench, monkeypatch):
     # the layer restores a _March from vars(march), so it follows _March's fields
     for name, value in (("STEP_CELLS", 64), ("STEP_WIDTHS", (8, 32)), ("STEP_COUNT", 2),
-                        ("STEP_REPEATS", 1)):
+                        ("STEP_REPEATS", 1), ("MARCH_REPEATS", 1)):
         monkeypatch.setattr(bench, name, value)
     results = bench.pde_step_layer()
-    assert set(results) == {"quadratic-repulsive", "piecewise-linear-a"}
+    assert bench.asked == [*bench.STEP_WORKLOADS, "rarefaction_pde"]
+    march = results.pop("march")
+    assert set(results) == set(bench.fx.KINDS)
     for per_width in results.values():
         assert set(per_width) == {"8", "32"}
         assert all(0.0 < us < math.inf for us in per_width.values())
+    assert march["steps"] > 0 and 0.0 < march["us_per_step"] < math.inf
 
 
 def test_output_layer(bench, monkeypatch):
@@ -117,3 +123,24 @@ def test_identity_compare(monkeypatch, tmp_path, capsys, change, listed):
         assert code == 0 and out == "identical: 2 commands, 2 files\n"
     else:
         assert code == 1 and out.splitlines() == [listed]
+
+
+def test_ab_head_against_head(monkeypatch, tmp_path):
+    ab = load(monkeypatch, "ab")
+    if subprocess.run(["git", "-C", str(ab.ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    monkeypatch.setattr(ab, "OUT_DIR", tmp_path)
+    (tmp_path / "tmp").mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    assert ab.main(["HEAD", "HEAD", "--workload", "rarefaction_pde", "--pairs", "1",
+                    "--seconds", "0.01", "--label", "smoke"]) == 0
+    assert not any((tmp_path / "tmp").iterdir())   # the extracted trees are gone
+    result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert result["a"]["commit"] == result["b"]["commit"] and result["same_outputs"]
+    (pair,) = result["pairs"]
+    assert pair["first"] == "a" and pair["a"]["correct"] and pair["b"]["correct"]
+    assert set(result["summary"]) == {"setup_s", "run_s", "peak_rss_mib", "output_bytes"}
+    for s in result["summary"].values():
+        assert s["pairs"] == 1 and s["b_wins"] in (0, 1)
+        assert s["a"]["iqr"] == s["b"]["iqr"] == 0.0

@@ -212,19 +212,31 @@ class TestFluxPlan:
     def test_kernel_equals_numerical_flux(self, kind, data):
         model = data.draw(KIND_MODELS[kind])
         # faces on the extremum points of A, a and a' (the nodes of the
-        # piecewise-linear kind among them), and repeated face values
+        # piecewise-linear kind among them), on zero and subnormals, and
+        # repeated face values, which sort into runs of equal faces
         edges = [u for table in model._tables for u in table.left.tolist() if -1.0 <= u <= 2.0]
-        repeats = data.draw(st.lists(st.floats(-0.1, 1.5), min_size=1, max_size=4))
-        faces = data.draw(st.lists(st.floats(-0.1, 1.5) | st.sampled_from(edges + repeats),
+        tiny = [0.0, 5e-324, 1e-310, -5e-324, -1e-310]
+        repeats = data.draw(st.lists(st.floats(-0.1, 1.5) | st.sampled_from(tiny),
+                                     min_size=1, max_size=4))
+        faces = data.draw(st.lists(st.floats(-0.1, 1.5) | st.sampled_from(edges + tiny + repeats),
                                    min_size=2, max_size=40))
         e = np.sort(np.array(faces)) + 0.0   # monotone, no negative zero
-        ref = bits(pde.numerical_flux(model, e[:-1], e[1:]))
-        m = e.size - 1
-        wider = (data.draw(st.floats(-1.0, float(e[0]))), data.draw(st.floats(float(e[-1]), 2.0)))
-        for lo, hi in ((float(e[0]), float(e[-1])), wider, (-1.0, 2.0)):
-            got = fx.FluxPlan(model, lo, hi).fluxes(e, np.diff(e), np.empty(m),
-                                                    np.empty((2, e.size)))
-            assert np.array_equal(bits(got), ref)
+        for e in (e, 0.0 - e[::-1]):   # and mirrored, mostly below 0
+            ref = bits(pde.numerical_flux(model, e[:-1], e[1:]))
+            m = e.size - 1
+            lo, hi = float(e[0]), float(e[-1])
+            wider = (data.draw(st.floats(-2.0, lo)), data.draw(st.floats(hi, 2.0)))
+            # for A = c·u², a range with 0 inside keeps the min of A at both faces,
+            # [-ε, M]; one without, [0, M] or [lo, hi], takes A at the upwind face
+            ranges = [(lo, hi), wider, (-2.0, 2.0), (min(lo, -5e-324), hi)]
+            ranges += [(0.0, hi)] if lo >= 0.0 else [(lo, 0.0)] if hi <= 0.0 else []
+            for lo, hi in ranges:
+                plan = fx.FluxPlan(model, lo, hi)
+                assert (plan.upwind is not None) == (kind.startswith("quadratic")
+                                                     and not lo < 0.0 < hi)
+                got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(m),
+                                  np.empty((2, e.size)))
+                assert np.array_equal(bits(got), ref)
 
     @pytest.mark.parametrize("kind", fx.KINDS)
     @settings(max_examples=60, deadline=None)
@@ -331,28 +343,33 @@ def atoms(max_size=4):
 
 
 def checked_run(grid, model, t_end, cfl, output_times, paths):
-    """pde.run, checking after every advance that the window holds the first
+    """pde.run, checking after every step that the window holds the first
     and last non-zero jump of the faces and ghosts (None when there is none).
     Counts in ``paths`` the steps whose new window ends were read next to the
     old ones ("read"), those where d was searched ("search"), and those whose
     stretch touched a grid end ("grid end")."""
-    advance = pde._March.advance
+    stepper = pde._March.stepper
 
-    def checked(march, dt):
+    def checked(march, cfl):
+        step = stepper(march, cfl)
         n = march.ext.size - 2
-        window = march.window
-        advance(march, dt)
-        d = np.diff(march.ext)
-        nonzero = np.flatnonzero(d)
-        assert march.window == ((nonzero[0], nonzero[-1]) if nonzero.size else None)
-        if window is not None:
-            j0, j1 = max(window[0] - 1, 0), min(window[1] + 1, n)
-            paths["read" if (d[j0] or d[j0 + 1]) and (d[j1] or d[j1 - 1]) else "search"] += 1
-            paths["grid end"] += j0 == 0 or j1 == n
+
+        def checked_step(limit):
+            window = march.window
+            dt = step(limit)
+            d = np.diff(march.ext)
+            nonzero = np.flatnonzero(d)
+            assert march.window == ((nonzero[0], nonzero[-1]) if nonzero.size else None)
+            if window is not None:
+                j0, j1 = max(window[0] - 1, 0), min(window[1] + 1, n)
+                paths["read" if (d[j0] or d[j0 + 1]) and (d[j1] or d[j1 - 1]) else "search"] += 1
+                paths["grid end"] += j0 == 0 or j1 == n
+            return dt
+        return checked_step
 
     with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)   # waves at the grid ends
-        mp.setattr(pde._March, "advance", checked)
+        mp.setattr(pde._March, "stepper", checked)
         return pde.run(grid, model, t_end, cfl, output_times)
 
 
@@ -487,9 +504,9 @@ class TestStepBudget:
         assert snaps[-1].step_count == 42
 
     def test_budget_above_max_steps_refused_before_stepping(self, monkeypatch):
-        def no_step(self, dt):
+        def no_step(limit):
             raise AssertionError("stepped")
-        monkeypatch.setattr(pde._March, "advance", no_step)
+        monkeypatch.setattr(pde._March, "stepper", lambda self, cfl: no_step)
         with pytest.raises(pde.SolverError, match="t_end"):
             pde.run(dirac_grid(), ATTR, 1e300)
 
