@@ -60,8 +60,10 @@ def sample(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def spread(values: list) -> dict:
-    q1, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else (values[0],) * 2
-    return {"median": statistics.median(values), "iqr": q3 - q1}
+    """Median and IQR, the quartiles interpolated as numpy.percentile does."""
+    q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                  else (values[0],) * 3)
+    return {"median": q2, "iqr": q3 - q1}
 
 
 def summary(pairs: list, lower: dict) -> dict:

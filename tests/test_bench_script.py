@@ -144,3 +144,4 @@ def test_ab_head_against_head(monkeypatch, tmp_path):
     for s in result["summary"].values():
         assert s["pairs"] == 1 and s["b_wins"] in (0, 1)
         assert s["a"]["iqr"] == s["b"]["iqr"] == 0.0
+    assert ab.spread([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "iqr": 1.5}
