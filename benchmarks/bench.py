@@ -38,8 +38,10 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   Thirty rounds, not three, and taking turns: on a shared 2-core host the
   mean of 200 steps moves between about 16 and 40 us in stretches of 10 ms
   to seconds, so the repeats of one case must be spread out.  One more
-  case, "march", times the whole march of `rarefaction_pde`
-  (`cli.run_pde`), best of MARCH_REPEATS, as its steps and us per step.
+  case, "march", times the whole march (`cli.run_pde`) of each of
+  MARCH_WORKLOADS, `rarefaction_pde`, `attractive_crosscheck` and
+  `diagnostics_validate`, best of MARCH_REPEATS, as its steps and us per
+  step.
 - checks: milliseconds per call of each `scenario.CHECKS` entry on the PDE
   snapshots of `attractive_crosscheck` and of `diagnostics_validate`.  Best
   of 15 rounds that call each check's runner once; null where the check's
@@ -105,6 +107,7 @@ STEP_COUNT = 200
 STEP_REPEATS = 30
 STEP_WORKLOADS = ("rarefaction_pde", "attractive_crosscheck", "particle_collapse",
                   "diagnostics_validate")
+MARCH_WORKLOADS = ("rarefaction_pde", "attractive_crosscheck", "diagnostics_validate")
 MARCH_REPEATS = 10
 CHECK_WORKLOADS = ("attractive_crosscheck", "diagnostics_validate")
 CHECK_REPEATS = 15
@@ -237,7 +240,7 @@ def step_seconds(march, step, start_ext, start_jumps, start_state) -> float:
 
 def pde_step_layer() -> dict:
     """Microseconds per step: best of STEP_REPEATS rounds that time each case
-    once; and the march of rarefaction_pde, best of MARCH_REPEATS."""
+    once; and the march of each of MARCH_WORKLOADS, best of MARCH_REPEATS."""
     cases = {}
     for name in STEP_WORKLOADS:
         model = workload(name).model
@@ -253,15 +256,17 @@ def pde_step_layer() -> dict:
     for (kind, width), seconds in best.items():
         results.setdefault(kind, {})[str(width)] = us = seconds / STEP_COUNT * 1e6
         print(f"pde_step {kind} window={width}: {us:.1f} us/step", flush=True)
-    scn = workload("rarefaction_pde")
-    seconds = math.inf
-    for _ in range(MARCH_REPEATS):
-        start = time.perf_counter()
-        steps = cli.run_pde(scn)[-1].step_count
-        seconds = min(seconds, time.perf_counter() - start)
-    results["march"] = {"steps": steps, "us_per_step": seconds / steps * 1e6}
-    print(f"pde_step march rarefaction_pde: {steps} steps, "
-          f"{results['march']['us_per_step']:.1f} us/step", flush=True)
+    results["march"] = {}
+    for name in MARCH_WORKLOADS:
+        scn = workload(name)
+        seconds = math.inf
+        for _ in range(MARCH_REPEATS):
+            start = time.perf_counter()
+            steps = cli.run_pde(scn)[-1].step_count
+            seconds = min(seconds, time.perf_counter() - start)
+        results["march"][name] = march = {"steps": steps, "us_per_step": seconds / steps * 1e6}
+        print(f"pde_step march {name}: {steps} steps, {march['us_per_step']:.1f} us/step",
+              flush=True)
     return results
 
 

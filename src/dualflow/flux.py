@@ -12,6 +12,7 @@ A model is the pair (a, A) with the normalization A(0) = 0.  Built-in kinds:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -123,6 +124,9 @@ def eval_A(model: FluxModel, u):
     return _value(model._tables[0].at, _finite(u))
 
 
+RUNS_FROM = 128   # the faces from which _PwlA.sorted gathers its rows by runs
+
+
 class _PwlA:
     """A(u) for the piecewise-linear kind, a = avs at the N nodes us: one row
     per stretch of the a' table, of values ``slopes``.  Rows 1..N-1 are the
@@ -145,7 +149,27 @@ class _PwlA:
 
     def __call__(self, u, out=None):
         """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""
-        u0, val, raw0, quad = self.table.take(self.breaks.searchsorted(u, side="right"), 1)
+        return self._finish(u, self.table.take(self.breaks.searchsorted(u, side="right"), 1), out)
+
+    def sorted(self, e, out):
+        """A at nondecreasing faces e, into ``out``, bit for bit as __call__.
+
+        Sorted faces fill the rows in order, so from RUNS_FROM faces on the
+        columns are gathered in runs: e[j] >= breaks[k] from pos[k] on (side
+        left; side right would put a face on a node in the row before it),
+        and row r repeats pos[r] - pos[r - 1] times, pos[-1] = 0 and
+        pos[N] = e.size.  Fewer faces take __call__'s one take, which costs
+        less than the runs' fixed Python work there.
+        """
+        if e.size < RUNS_FROM:
+            return self(e, out)
+        pos = e.searchsorted(self.breaks).tolist()
+        pos.append(e.size)
+        return self._finish(e, self.table.repeat(list(map(operator.sub, pos, [0, *pos])), 1), out)
+
+    def _finish(self, u, rows, out):
+        """A from the rows gathered for u: u0, a0, raw0, half slope."""
+        u0, val, raw0, quad = rows
         du = np.subtract(u, u0, out=u0 if u0.ndim else None)   # a 0-d u gathers scalars
         val *= du
         val += raw0               # raw + a0*du
@@ -173,6 +197,8 @@ class _Horner(tuple):
 
     def __call__(self, x, out):
         return _horner(x, self, out)
+
+    sorted = __call__   # on sorted faces too: the order saves Horner nothing (_PwlA.sorted)
 
 
 def _horner(x, coeffs, out):
@@ -240,6 +266,9 @@ def _new_tables(model: FluxModel) -> tuple[_Extrema, _Extrema, _Extrema]:
     for _ in range(2):
         d = derivs[-1]
         derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
+    if not np.isfinite(derivs[3]).all():   # a' or a'' overflows: 1 + inf·u is NaN at 0
+        raise FluxError(f"polynomial coefficients {list(model.a_coeffs)} out of range: "
+                        "the derivatives of a overflow")
     return tuple(_table(_real_poly_roots(derivs[k + 1]), _horner_coeffs(derivs[k].tolist()))
                  for k in range(3))
 
@@ -363,15 +392,18 @@ class FluxPlan:
         inside = _meeting(lo, hi, da)[0] & (da.vals > 0.0)
         self.corner = None if self.slope <= 0.0 else tuple(
             zip(da.left[inside].tolist(), da.right[inside].tolist(), da.vals[inside].tolist()))
-        self.A, self.da = A.at, da.at
-        # A = c·u², which _horner evaluates as (u·c)·u + 0.0, is monotone on a
-        # range without 0 inside, and so is each rounded product: on nondecreasing
-        # faces min(A(uL), A(uR)) is, bit for bit (every zero of A is +0.0), A at
-        # the upwind face, uL where A rises.  For c > 0, (u·c)·u is never -0.0,
-        # so no + 0.0.  None, or (c, whether the upwind face is uR, 0.0 or None)
+        self.A, self.da = A.at.sorted, da.at
+        # A = c·u², c ≠ 0, which _horner evaluates as (u·c)·u + 0.0 whatever the
+        # kind (A.at is (+0.0, None, c)), is monotone on a range without 0 inside,
+        # and so is each rounded product: on nondecreasing faces min(A(uL), A(uR))
+        # is, bit for bit (every zero of A is +0.0), A at the upwind face, uL where
+        # A rises.  For c > 0, (u·c)·u is never -0.0, so no + 0.0.  None, or (c,
+        # whether the upwind face is uR, 0.0 or None)
         self.upwind = None
-        if model.kind.startswith("quadratic") and not self.stationary:
-            zero, _, c = A.at
+        at = A.at
+        if (type(at) is _Horner and len(at) == 3 and at[1] is None and at[2]
+                and at[0] == 0.0 and math.copysign(1.0, at[0]) > 0 and not self.stationary):
+            zero, _, c = at
             rises = (float(c) > 0.0) == (lo >= 0.0)
             self.upwind = (c, not rises, None if c > 0.0 else zero)
         self.half = np.array(0.5)   # 0-d: a ufunc takes it faster than a float
@@ -408,8 +440,8 @@ class FluxPlan:
             # face k alone, where e[k] < c <= e[k + 1]
             for c, Ac in self.stationary:
                 k = e.searchsorted(c) - 1
-                if 0 <= k < m and c < e[k + 1]:
-                    F[k] = np.minimum(F[k], Ac)
+                if 0 <= k < m and c < e[k + 1] and not F[k] < Ac:
+                    F[k] = Ac   # np.minimum's pick: on a tie, Ac
         if self.corner is None:
             return F
         # corner dissipation: F - 0.5 * s * du, s = max(0, max a') * du

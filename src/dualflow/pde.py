@@ -114,15 +114,19 @@ class _March:
         the faces, the largest jump for the CFL bound and the new window.
         The largest jump is taken only where the CFL step reads it, on faces
         out of order or with a plan whose slope is > 0; else it is None.
+        The extremes are read at argmin/argmax, about half the cost of a
+        ufunc reduce: both return the first NaN, and of a +-0 tie they may
+        pick the other zero, whose sign no comparison and no speed + slope *
+        jump can see.
         The new window's first jump is d_j0 or else d_j0+1, the old end (its
         last d_j1 or d_j1-1); d is searched only when both are zero.
         """
         np.subtract(uR, uL, d)
-        d_min = float(np.minimum.reduce(d))
+        d_min = d.item(d.argmin())
         if not d_min >= -self.monotone_tol:
             self.field()   # raises the validation error
         self.ordered = ordered = d_min >= 0.0
-        self.jump = (max(float(np.maximum.reduce(d)), -d_min)
+        self.jump = (max(d.item(d.argmax()), -d_min)
                      if not ordered or self.plan.slope > 0.0 else None)
         j1 = j0 + d.size - 1
         first = j0 if d[0] else j0 + 1 if d[1] else None

@@ -50,13 +50,15 @@ def test_pde_step_layer(bench, monkeypatch):
                         ("STEP_REPEATS", 1), ("MARCH_REPEATS", 1)):
         monkeypatch.setattr(bench, name, value)
     results = bench.pde_step_layer()
-    assert bench.asked == [*bench.STEP_WORKLOADS, "rarefaction_pde"]
-    march = results.pop("march")
+    assert bench.asked == [*bench.STEP_WORKLOADS, *bench.MARCH_WORKLOADS]
+    marches = results.pop("march")
     assert set(results) == set(bench.fx.KINDS)
     for per_width in results.values():
         assert set(per_width) == {"8", "32"}
         assert all(0.0 < us < math.inf for us in per_width.values())
-    assert march["steps"] > 0 and 0.0 < march["us_per_step"] < math.inf
+    assert list(marches) == list(bench.MARCH_WORKLOADS)
+    for march in marches.values():
+        assert march["steps"] > 0 and 0.0 < march["us_per_step"] < math.inf
 
 
 def test_output_layer(bench, monkeypatch):

@@ -197,7 +197,10 @@ def test_max_slope_pwl_segments_and_extensions():
     lambda: fx.piecewise_linear([(0.0, 0.0), (float("inf"), 1.0)]),
     lambda: fx.polynomial([1.0, 2.2e-309]),                        # np.roots overflows
     lambda: fx.polynomial([float("nan")]),
-], ids=["close-nodes", "infinite-node", "subnormal-lead", "nan-coefficient"])
+    lambda: fx.polynomial([0.0, 1.0, 1e308]),                      # a' = 1 + 2e308·u overflows
+    lambda: fx.polynomial([0.0, 0.0, 0.0, 5e307]),                 # a'' = 3e308·u overflows
+], ids=["close-nodes", "infinite-node", "subnormal-lead", "nan-coefficient",
+        "derivative-overflows", "second-derivative-overflows"])
 def test_models_without_finite_flux_rejected(make):
     with pytest.raises(fx.FluxError):
         make()

@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -205,6 +206,11 @@ KIND_MODELS = {
 }
 
 
+def is_c_u(model):
+    """Whether a(u) = ±0 + c·u, so that A = (c/2)·u², with c/2 ≠ 0."""
+    return len(model.a_coeffs) == 2 and model.a_coeffs[0] == 0.0 and model.a_coeffs[1] / 2 != 0.0
+
+
 class TestFluxPlan:
     @pytest.mark.parametrize("kind", fx.KINDS)
     @settings(max_examples=80, deadline=None)
@@ -232,11 +238,61 @@ class TestFluxPlan:
             ranges += [(0.0, hi)] if lo >= 0.0 else [(lo, 0.0)] if hi <= 0.0 else []
             for lo, hi in ranges:
                 plan = fx.FluxPlan(model, lo, hi)
-                assert (plan.upwind is not None) == (kind.startswith("quadratic")
-                                                     and not lo < 0.0 < hi)
-                got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(m),
-                                  np.empty((2, e.size)))
-                assert np.array_equal(bits(got), ref)
+                assert (plan.upwind is not None) == (is_c_u(model) and not lo < 0.0 < hi)
+                # the piecewise-linear A gathers its rows by runs from RUNS_FROM faces on
+                for runs_from in (fx.RUNS_FROM, 0):
+                    with pytest.MonkeyPatch.context() as mp:
+                        mp.setattr(fx, "RUNS_FROM", runs_from)
+                        got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(m),
+                                          np.empty((2, e.size)))
+                    assert np.array_equal(bits(got), ref)
+
+    @settings(max_examples=60, deadline=None)
+    @given(c=st.floats(-2.0, 2.0).filter(lambda c: c / 2), zero=st.sampled_from([0.0, -0.0]),
+           data=st.data())
+    def test_polynomial_c_u_takes_the_upwind_flux(self, c, zero, data):
+        # a(u) = ±0 + c·u gives A the evaluator of the quadratic kinds, (u·c/2)·u + 0.0,
+        # so its plan takes the upwind flux where 0 is not inside the range, whatever the kind
+        model = fx.polynomial([zero, c])
+        assert fx.FluxPlan(model, 0.0, 1.0).upwind is not None
+        faces = data.draw(st.lists(st.floats(0.0, 1.5) | st.sampled_from([0.0, 5e-324, 1e-310]),
+                                   min_size=2, max_size=40))
+        e = np.sort(np.array(faces)) + 0.0
+        for e in (e, 0.0 - e[::-1]):
+            plan = fx.FluxPlan(model, float(e[0]), float(e[-1]))
+            assert plan.upwind is not None
+            got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(e.size - 1),
+                              np.empty((2, e.size)))
+            assert np.array_equal(bits(got), bits(pde.numerical_flux(model, e[:-1], e[1:])))
+
+    def test_c_u_upwind_equals_the_quadratic_kinds(self):
+        for c, quadratic in ((1.0, REP), (-1.0, ATTR)):
+            for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
+                plan, same = fx.FluxPlan(fx.polynomial([0.0, c]), lo, hi), fx.FluxPlan(quadratic, lo, hi)
+                assert bits(plan.upwind[0]) == bits(same.upwind[0])
+                assert plan.upwind[1:] == same.upwind[1:]
+        # A = 0 (c/2 is 0), a constant term or a third coefficient keep the min of A
+        for coeffs in ([0.0, 0.0], [0.0, 5e-324], [0.5, 1.0], [0.0, 1.0, 0.0]):
+            assert fx.FluxPlan(fx.polynomial(coeffs), 0.0, 1.0).upwind is None
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pwl_run_gather_equals_the_take(self, data):
+        # _PwlA.sorted gathers the rows of sorted faces by runs: the bits of
+        # __call__, for faces on every break (the last one, nextafter the last
+        # node, too), repeated faces, signed zeros and subnormals
+        model = data.draw(pwl_models())
+        A = model._tables[0].at
+        special = [*A.breaks.tolist(), *(u for u, _ in model.nodes), 0.0, -0.0,
+                   5e-324, -5e-324, 1e-310, -1e-310]
+        faces = data.draw(st.lists(st.floats(-0.5, 1.5) | st.sampled_from(special),
+                                   min_size=1, max_size=60))
+        e = np.sort(np.array(faces * data.draw(st.integers(1, 3))))
+        ref = A(e, np.empty(e.size))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fx, "RUNS_FROM", 0)
+            got = A.sorted(e, np.empty(e.size))
+        assert np.array_equal(bits(got), bits(ref))
 
     @pytest.mark.parametrize("kind", fx.KINDS)
     @settings(max_examples=60, deadline=None)
@@ -279,6 +335,47 @@ class TestFluxPlan:
         for l, h, r in zip(lo.tolist(), hi.tolist(), ref):
             got = fx.max_slope_on_intervals(model, l, h)
             assert type(got) is float and bits(got) == bits(r)
+
+
+def reduce_check(march, j0, d):
+    """_check's ordered, jump and window from ufunc reductions of the jumps d."""
+    d_min = float(np.minimum.reduce(d))
+    ordered = d_min >= 0.0
+    jump = (max(float(np.maximum.reduce(d)), -d_min)
+            if not ordered or march.plan.slope > 0.0 else None)
+    nonzero = j0 + np.flatnonzero(d)
+    return ordered, jump, (int(nonzero[0]), int(nonzero[-1])) if nonzero.size else None
+
+
+class TestCheck:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["first", "inside", "last"])
+    def test_non_finite_face_in_the_window_refused(self, bad, where):
+        march = pde._March(dirac_grid(), REP)
+        step = march.stepper(0.45)
+        for _ in range(5):
+            step(math.inf)
+        j0, j1 = march.window
+        march.ext[{"first": j0 + 1, "inside": (j0 + j1) // 2, "last": j1}[where]] = bad
+        e, d = march.ext[j0:j1 + 2], march.jumps[j0:j1 + 1]
+        with pytest.raises(ms.MeasureError, match="non-finite"):
+            march._check(j0, e[:-1], e[1:], d)
+
+    @pytest.mark.parametrize("model", [ATTR, REP], ids=lambda m: m.kind)
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_signed_zero_jumps_read_as_the_reductions(self, model, data):
+        # jumps -0.0 - 0.0 = -0.0 among +0.0 ones, with a dip of roundoff or without:
+        # argmin/argmax may pick the other zero of a tie, which changes nothing here
+        march = pde._March(dirac_grid(), model)
+        e = np.array(sorted(data.draw(st.lists(st.sampled_from([0.0, -0.0, 0.25, 0.5, 1.0]),
+                                               min_size=3, max_size=12))))
+        if data.draw(st.booleans()):
+            k = data.draw(st.integers(0, e.size - 1))
+            e[k] -= 1e-17   # a dip that the check admits
+        d = np.empty(e.size - 1)
+        march._check(3, e[:-1], e[1:], d)
+        assert (march.ordered, march.jump, march.window) == reduce_check(march, 3, e[1:] - e[:-1])
 
 
 def reference_dt(field, model, cfl):
