@@ -18,7 +18,7 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   Timed two ways.  In process, `cli.write_field_outputs` over the
   snapshots, as seconds and as MB of CSV written per second.  And the way
   `run` drives the writer: the march (`cli.run_pde`) streaming each
-  snapshot to the forked `cli._FieldWriter(scn.out_dir)`, the workload's
+  snapshot to the forked `fieldwriter.FieldWriter`, the workload's
   checks (`cli.run_diagnostics(scn, snapshots)`, which returns their
   records and writes no file), the commit and the reaping of the child,
   against the same march and checks alone.  Reported are both wall times,
@@ -93,7 +93,7 @@ sys.dont_write_bytecode = True   # leave bench/ as it is
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from dualflow import cli, flux as fx, particles, pde  # noqa: E402
+from dualflow import cli, fieldwriter, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
 from dualflow.scenario import CHECKS, Scenario, parse_scenario  # noqa: E402
 
@@ -194,7 +194,7 @@ def output_layer() -> dict:
             cli.run_diagnostics(scn, cli.run_pde(scn))
             keep("march_s", time.perf_counter() - start)
             start = time.perf_counter()
-            with cli._FieldWriter(scn.out_dir) as fields:
+            with fieldwriter.FieldWriter(scn.out_dir, cli.write_field_outputs) as fields:
                 streamed = cli.run_pde(scn, each=fields.send)
                 cli.run_diagnostics(scn, streamed)
                 commit = time.perf_counter()

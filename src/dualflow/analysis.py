@@ -6,6 +6,7 @@ quantile-based flow reconstruction with the push-forward identity, the
 pressureless momentum extension, and the non-uniqueness demonstration for
 a single Dirac.  The _check_* functions are the runners that
 scenario.CHECKS, the table of the diagnostics a scenario can request, names.
+The wave structure of a Riemann problem is riemann.classify_riemann's.
 """
 
 from __future__ import annotations
@@ -23,8 +24,6 @@ N_QUANTILES = 64         # mass coordinates of reconstruct_flow for non-atomic d
 MASS_FLOOR_REL = 1e-10   # pressureless_check: lighter cells (share of the mass) have no speed
 MOMENTUM_TOL = 1e-10     # pressureless_check: allowed |total momentum - (A(M) - A(0))|,
                          # relative to |A(M) - A(0)| where that exceeds 1
-RIEMANN_SAMPLES = 2001   # classify_riemann: points on which the envelope of A is taken
-RIEMANN_TOL = 1e-10      # classify_riemann: dip of A below the chord (over max |A|) of a shock
 
 # weak_residual's draws: default_rng(0).random(22), fixed whatever numpy's streams become
 WEAK_DRAWS = (0.6369616873214543, 0.2697867137638703, 0.04097352393619469, 0.016527635528529094,
@@ -270,65 +269,6 @@ def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
         "admissible": admissible,
         "selected": is_selected,
     }
-
-
-# ---------------------------------------------------------------------------
-# Riemann wave classification (informational; the scheme needs none of it)
-
-
-def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict:
-    """Wave structure for nondecreasing data via the lower convex envelope of A."""
-    if u_minus >= u_plus:
-        raise AnalysisError("a Riemann problem requires u_minus < u_plus")
-    low, high, selected = admissible_speed_range(model, u_minus, u_plus)
-    us = np.linspace(u_minus, u_plus, RIEMANN_SAMPLES)
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
-        As = fx.eval_A(model, us)
-        chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
-        # no cross product of the hull exceeds this
-        reach = 2.0 * (us[-1] - us[0]) * (As.max() - As.min())
-    if not (np.isfinite(chord).all() and np.isfinite(reach)):
-        raise AnalysisError(f"the envelope of A overflows for the states "
-                            f"({u_minus}, {u_plus})")
-    scale = max(1.0, float(np.max(np.abs(As))))
-    if np.all(As >= chord - RIEMANN_TOL * scale):
-        hull = [0, us.size - 1]
-    else:
-        hull = _lower_hull_indices(us, As)
-    # an edge between neighbouring samples follows the graph of A (rarefaction),
-    # a longer one is a chord of A (shock); consecutive graph edges merge
-    segments = []
-    for i, j in zip(hull, hull[1:]):
-        ua, ub = float(us[i]), float(us[j])
-        if j - i > 1:
-            s = (fx.eval_A(model, ub) - fx.eval_A(model, ua)) / (ub - ua)
-            segments.append(("shock", ua, ub, s))
-        elif segments and segments[-1][0] == "rarefaction":
-            segments[-1] = ("rarefaction", segments[-1][1], ub, None)
-        else:
-            segments.append(("rarefaction", ua, ub, None))
-    wave = segments[0][0] if len(segments) == 1 else "composite"
-    return {
-        "wave": wave,
-        "segments": segments,
-        "admissible_low": low,
-        "admissible_high": high,
-        "selected_speed": selected,
-    }
-
-
-def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:
-    hull: list[int] = []
-    for i in range(len(x)):
-        while len(hull) >= 2:
-            i1, i2 = hull[-2], hull[-1]
-            cross = (x[i2] - x[i1]) * (y[i] - y[i1]) - (y[i2] - y[i1]) * (x[i] - x[i1])
-            if cross <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append(i)
-    return hull
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,10 @@ Subcommands:
     validate     run all configured diagnostics; exit 0 iff everything passes
 
 Exit codes: 0 success, 1 configuration/I-O error, 2 diagnostics failure.
+
+Each command compiles only the modules it runs (README lists them): the
+engines, the checks, the CSV writers, the convergence study and the Riemann
+classifier are imported by the functions that run them.
 """
 
 from __future__ import annotations
@@ -16,19 +20,13 @@ import argparse
 import contextlib
 import gc
 import json
-import math
 import os
-import pickle
 import sys
-import tempfile
-from itertools import chain, repeat
 
 import numpy as np
 
-from . import flux as fx   # pde, particles and analysis: imported by the functions that run them
-from .measure import AtomicMeasure, GridField, extract_atoms, sample_to_grid, wasserstein1
-from .scenario import (CHECKS, Scenario, ScenarioError, check_grid, load_scenario, parse_flux,
-                       read_json)
+from .measure import GridField, extract_atoms, sample_to_grid
+from .scenario import CHECKS, Scenario, ScenarioError, atomic_open, load_scenario
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
@@ -87,104 +85,12 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None) -> list:   # of analy
 # file output
 
 
-def _fmt(x) -> str:
-    return repr(float(x)) if isinstance(x, float) else str(x)
-
-
-@contextlib.contextmanager
-def _atomic_open(path: str):
-    """Text handle on a temporary file that replaces ``path`` once closed.
-
-    Readers see the old file or the complete new one, never a partial
-    write; on error the temporary file is removed.  The file gets the mode
-    open() would give it (0o666 less the umask), not mkstemp's 0o600.
-    """
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            yield fh
-        umask = os.umask(0o077)   # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _reprs(a: np.ndarray) -> list[str]:
-    """repr of every entry of a 1-D numeric array, called once per run of
-    identical bit patterns (so -0.0 and 0.0, equal as floats, stay apart)."""
-    if a.ndim != 1 or a.dtype.kind not in "biuf" or a.itemsize > 8:
-        raise ValueError(f"csv column must be a 1-D numeric array, got {a.dtype} "
-                         f"with shape {a.shape}")
-    bits = a.view(f"u{a.itemsize}")
-    starts = np.flatnonzero(bits[1:] != bits[:-1]) + 1
-    if 2 * (len(starts) + 1) > len(a):   # mostly distinct: runs do not pay
-        return list(map(repr, a.tolist()))
-    starts = np.concatenate(([0], starts))
-    counts = np.diff(starts, append=len(a)).tolist()
-    return list(chain.from_iterable(map(repeat, map(repr, a[starts].tolist()), counts)))
-
-
-def _verbatim(cells: list[str], one_column: bool) -> list[str]:
-    """cells, checked to need no csv quoting: no delimiter, quote or line
-    break, and no empty cell alone on its row (csv writes that as "")."""
-    text = "\0".join(cells)
-    if any(c in text for c in ',"\r\n') or (one_column and "" in cells):
-        raise ValueError(f"csv cell would need quoting: {cells!r}")
-    return cells
-
-
-class _Csv:
-    """A CSV file's text, handed to ``write`` block by block: the bytes
-    csv.writer gives, with numbers formatted as by _fmt.
-
-    Each block is a tuple of columns giving that block's rows: a 1-D numpy
-    array, a list, or a scalar repeated on every row; a block of scalars is
-    one row.  A numpy column equal, bit for bit, to the same column of the
-    previous block reuses that block's strings."""
-
-    def __init__(self, header: list[str], write):
-        self.write = write
-        self.prev: dict[int, tuple[bytes, str, list[str]]] = {}
-        write(",".join(_verbatim(list(header), len(header) == 1)) + "\r\n")
-
-    def add(self, block):
-        n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
-        cols, arrays = [], {}
-        for j, c in enumerate(block):
-            if isinstance(c, np.ndarray):
-                key = (c.tobytes(), c.dtype.str)
-                hit = self.prev.get(j)
-                cells = hit[2] if hit and hit[:2] == key else _reprs(c)
-                arrays[j] = (*key, cells)
-            elif isinstance(c, list):
-                cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
-            else:
-                cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
-            cols.append(cells)
-        self.prev = arrays
-        rows = "\r\n".join(map(",".join, zip(*cols)))
-        if rows:   # empty only when the block has no rows (see _verbatim)
-            self.write(rows + "\r\n")
-
-
-def _write_csv(path: str, header: list[str], blocks):
-    """Write the _Csv of ``blocks`` to ``path``, a block at a time."""
-    with _atomic_open(path) as fh:
-        csv = _Csv(header, fh.write)
-        for block in blocks:
-            csv.add(block)
-
-
 def write_field_outputs(out_dir: str, snapshots):
     """The three field CSVs of ``snapshots``, an iterable: each snapshot is
     formatted as it comes, and the files are written after the last."""
+    from .csvtext import Csv
     texts = {"fields_faces.csv": [], "fields_cells.csv": [], "atoms_extracted.csv": []}
-    faces, cells, atoms = (_Csv(header, text.append) for header, text in zip(
+    faces, cells, atoms = (Csv(header, text.append) for header, text in zip(
         (["t", "x_face", "u"], ["t", "x_center", "rho_cell_mass", "rho_density"],
          ["t", "atom_id", "x", "m"]), texts.values()))
     for s in snapshots:
@@ -193,120 +99,38 @@ def write_field_outputs(out_dir: str, snapshots):
         cells.add((s.t, f.centers, (m := f.cell_masses), m / f.dx))
         atoms.add((s.t, np.arange(mu.n_atoms), mu.positions, mu.masses))
     for name, text in texts.items():
-        with _atomic_open(os.path.join(out_dir, name)) as fh:
+        with atomic_open(os.path.join(out_dir, name)) as fh:
             fh.writelines(text)
 
 
-class _FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ returns self
-    """write_field_outputs to ``out_dir`` (None: no field CSVs) in a forked
-    child, fed each snapshot by ``send`` as the march reaches it.  The child
-    writes the files only after ``commit`` (every engine and check has run)
-    and exits writing nothing when the pipe ends without one; it answers a
-    line, empty for done, else its error (an OSError here).  Leaving the
-    ``with`` block reaps it.  Without a fork (no os.fork, or it fails),
-    commit formats and writes in this process.
-    """
-
-    def __init__(self, out_dir: str | None):
-        self.out_dir, self.pid = out_dir, None
-        if out_dir is None or not hasattr(os, "fork"):
-            return
-        from . import pde   # noqa: F401  loaded before the fork: the child unpickles its states
-        (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
-        try:
-            self.pid = os.fork()
-        except OSError:   # no process to spare: commit writes in this process
-            for fd in (feed, self.feed, self.back, back):
-                os.close(fd)
-            return
-        if not self.pid:   # the child: it never returns
-            try:
-                import signal
-                signal.signal(signal.SIGINT, signal.SIG_IGN)   # the pipe says when to stop
-                os.close(self.feed)
-                os.close(self.back)
-                feed, back = os.fdopen(feed, "rb"), os.fdopen(back, "w", 1, "utf-8")
-
-                def received():
-                    while (state := pickle.load(feed)) is not None:   # EOFError: no commit
-                        yield state
-                    back.write("\n")   # every snapshot is formatted
-                write_field_outputs(out_dir, received())
-                back.write("\n")   # and written
-            except Exception as exc:   # one line, never empty: an empty one means done
-                back.write(" ".join(str(exc).splitlines()) or type(exc).__name__)
-                back.write("\n")
-            finally:
-                os._exit(0)
-        os.close(feed)
-        os.close(back)
-        self.back = os.fdopen(self.back, encoding="utf-8")
-
-    def _put(self, item):
-        try:
-            data = memoryview(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-            while data:
-                data = data[os.write(self.feed, data):]
-        except BrokenPipeError:   # the child has stopped: its line says why
-            self._reply()
-            raise
-
-    def _reply(self):
-        if (line := self.back.readline()) != "\n":
-            raise OSError(line.strip() or "the field writer stopped without a reply")
-
-    def send(self, snapshot):
-        if self.pid:
-            self._put(snapshot)
-        return snapshot
-
-    def commit(self, snapshots):
-        if self.pid:
-            self._put(None)
-            os.close(self.feed)
-            self.feed = None
-            self._reply()
-        elif self.out_dir is not None:   # no child: format and write here
-            write_field_outputs(self.out_dir, snapshots)
-
-    def __exit__(self, kind, *_):
-        if self.pid:
-            try:
-                if self.feed is not None:   # no commit: the child writes nothing
-                    os.close(self.feed)
-                elif kind is None:
-                    self._reply()
-            finally:
-                self.back.close()
-                os.waitpid(self.pid, 0)
-
-
 def write_particle_outputs(out_dir: str, states, events):
-    _write_csv(os.path.join(out_dir, "trajectory.csv"),
-               ["t", "atom_id", "x", "m", "v"],
-               ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
-                for st in states))
-    _write_csv(os.path.join(out_dir, "events.csv"),
-               ["t_event", "ids_merged", "x", "m"],
-               [(np.array([e.t for e in events]),
-                 ["+".join(str(i) for i in e.indices) for e in events],
-                 np.array([e.x for e in events]), np.array([e.m for e in events]))])
+    from .csvtext import write_csv
+    write_csv(os.path.join(out_dir, "trajectory.csv"),
+              ["t", "atom_id", "x", "m", "v"],
+              ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
+               for st in states))
+    write_csv(os.path.join(out_dir, "events.csv"),
+              ["t_event", "ids_merged", "x", "m"],
+              [(np.array([e.t for e in events]),
+                ["+".join(str(i) for i in e.indices) for e in events],
+                np.array([e.x for e in events]), np.array([e.m for e in events]))])
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
     from . import analysis
+    from .csvtext import write_csv
     residual = next((c.value for c in records if c.name == "weak_residual"), "")
-    _write_csv(os.path.join(out_dir, "diagnostics.csv"),
-               ["t", "total_mass", "max_cell_density", "oleinik_lhs_max",
-                "residual_weak"],
-               [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
-                 analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
-                 residual) for s in snapshots])
+    write_csv(os.path.join(out_dir, "diagnostics.csv"),
+              ["t", "total_mass", "max_cell_density", "oleinik_lhs_max",
+               "residual_weak"],
+              [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
+                analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
+                residual) for s in snapshots])
 
 
 def write_report(scn: Scenario, records):
     """diagnostics.json: the check records and the scenario they ran on."""
-    with _atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
+    with atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
         fh.write(json.dumps({"checks": [r._asdict() for r in records], "scenario": scn.raw},
                             indent=2, sort_keys=True) + "\n")
 
@@ -333,11 +157,18 @@ def cmd_run(args) -> int:
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-    with _FieldWriter(scn.out_dir if "csv" in scn.formats else None) as fields:
-        snapshots = run_pde(scn, each=fields.send)
-        # every engine and check has run before the first file is written: exit 1 writes none
+    writer = contextlib.nullcontext()   # whose fields are None: no field CSVs
+    if "csv" in scn.formats:
+        from .fieldwriter import FieldWriter   # its child starts before the march
+        writer = FieldWriter(scn.out_dir, write_field_outputs)
+    with writer as fields:
+        snapshots = run_pde(scn, each=fields and fields.send)
+        # every engine and check has run before the first file is written, so a failure up
+        # to here writes none; one in the writes below exits 1 and leaves each file already
+        # renamed into place (whole) beside the previous run's others
         records = run_diagnostics(scn, snapshots, oracle)
-        fields.commit(snapshots)
+        if fields:
+            fields.commit(snapshots)
         if "json" in scn.formats:
             write_report(scn, records)
         if "csv" in scn.formats:
@@ -351,81 +182,14 @@ def cmd_run(args) -> int:
     return 0 if all(c.passed for c in records) else 2
 
 
-def _reference(scn: Scenario, finest: GridField):
-    """The u_ref that every convergence row is measured against.
-
-    Data the oracle serves (w1_vs_particles' precondition, which asks for
-    atoms and a non-increasing a): its atoms at t_end.  One atom under
-    a(u) = u: its fan, the one-cell field whose primitive is
-    clip((x - x0) / t, 0, M) (the atom itself when the fan is narrower than
-    an ulp of x0).  Anything else: ``finest``, the finest grid.
-    """
-    mu = scn.initial
-    if not CHECKS["w1_vs_particles"].precondition(scn):   # one advance, from t = 0 to t_end
-        return run_particles(scn._replace(output_times=[]))[0][-1].atoms
-    if isinstance(mu, AtomicMeasure) and mu.n_atoms == 1 and fx.is_identity_a(scn.model):
-        x0, m = float(mu.positions[0]), mu.total_mass
-        x1 = x0 + m * scn.t_end
-        return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
-    return finest
-
-
-def convergence_table(scn: Scenario, resolutions) -> list[dict]:
-    """Exact W1 = L1 error of u per resolution, with observed order between rows.
-
-    ``resolutions``: cell counts, as ints or as the strings of --resolutions;
-    at least 3 of them, distinct, each a grid the scenario's parser admits.
-    The error is wasserstein1 against _reference; a row measured against
-    itself (the finest grid) is NaN, with no order.
-    """
-    try:
-        ns = sorted(int(n) for n in resolutions)
-    except ValueError:
-        ns = []
-    if len(ns) < 3 or len(set(ns)) < len(ns):
-        raise ScenarioError("--resolutions must be at least 3 distinct integers, "
-                            f"got {','.join(map(str, resolutions))}")
-    for n in ns:
-        check_grid(scn.x_min, scn.x_max, n, "--resolutions", scn.initial)
-    fields = [run_pde(scn, n_cells=n)[-1].field for n in ns]
-    reference = _reference(scn, fields[-1])
-    rows = []
-    for i, (n, f) in enumerate(zip(ns, fields)):
-        e = math.nan if f is reference else wasserstein1(f, reference)
-        order = None
-        if i and e > 0 and rows[-1]["l1_error"] > 0:
-            order = math.log2(rows[-1]["l1_error"] / e) / math.log2(n / ns[i - 1])
-        rows.append({"n_cells": n, "l1_error": e, "order": order})
-    return rows
-
-
 def cmd_convergence(args) -> int:
-    scn = load_args_scenario(args)
-    rows = convergence_table(scn, args.resolutions.split(","))
-    _write_csv(os.path.join(scn.out_dir, "convergence.csv"),
-               ["n_cells", "l1_error", "order"],
-               [(r["n_cells"], r["l1_error"],
-                 "" if r["order"] is None else r["order"]) for r in rows])
-    print(f"{'n_cells':>8} {'L1 error':>14} {'order':>8}")
-    for r in rows:
-        order = "" if r["order"] is None else f"{r['order']:.3f}"
-        print(f"{r['n_cells']:>8} {r['l1_error']:>14.6e} {order:>8}")
-    return 0
+    from . import convergence
+    return convergence.cmd_convergence(load_args_scenario(args), args.resolutions)
 
 
 def cmd_riemann(args) -> int:
-    from . import analysis
-    model = parse_flux(read_json(args.flux, "--flux"))
-    info = analysis.classify_riemann(model, args.u_minus, args.u_plus)
-    print(f"admissible speed range: ({info['admissible_low']}, {info['admissible_high']})")
-    print(f"selected (Rankine-Hugoniot) speed: {info['selected_speed']}")
-    print(f"wave type: {info['wave']}")
-    for kind, ua, ub, s in info["segments"]:
-        if kind == "shock":
-            print(f"  shock {ua} -> {ub}, speed {s}")
-        else:
-            print(f"  rarefaction {ua} -> {ub}")
-    return 0
+    from . import riemann
+    return riemann.cmd_riemann(args)
 
 
 def cmd_validate(args) -> int:
@@ -468,6 +232,13 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run diagnostics; exit 0 iff all pass")
     p_val.set_defaults(func=cmd_validate)
     return parser
+
+
+def __getattr__(name: str):   # PEP 562: cli.convergence_table loads the study on first use
+    if name == "convergence_table":
+        from .convergence import convergence_table
+        return convergence_table
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,5 @@
-"""Scenario files: the one reader of their JSON format.
+"""Scenario files: the one reader of their JSON format, and the one writer
+of the files a scenario's run writes (atomic_open).
 
 A scenario poses the Cauchy problem: a velocity model a (``flux``), an
 initial measure rho_0 (``initial``), the grid and times it is solved on,
@@ -9,8 +10,10 @@ ScenarioError naming the field, e.g. ``grid.x_min must be a number, got 'a'``.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -21,6 +24,7 @@ from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDens
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
 MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
+MAX_SNAPSHOT_VALUES = 10**7   # the most face values of a run's snapshots: faces x snapshot times
 MAX_COORD = 1e100              # largest |x| of a grid end: the checks' sums of m x^2 stay finite
 MASS_RANGE = (1e-100, 1e100)   # of the total mass: so do those sums, and no mass floor underflows
 
@@ -249,6 +253,17 @@ def check_grid(x_min: float, x_max: float, n_cells, where: str, initial):
                             f"{where} = {n_cells})") from exc
 
 
+def check_snapshots(n_cells: int, output_times, t_end: float, where: str):
+    """Refuse a run whose snapshots hold more than MAX_SNAPSHOT_VALUES face
+    values: n_cells + 1 faces at each distinct time of output_times and
+    t_end.  ``where`` names the field of n_cells, as in check_grid."""
+    values = (n_cells + 1) * (times := len(set(output_times) | {t_end}))
+    if values > MAX_SNAPSHOT_VALUES:
+        raise ScenarioError(f"time.output_times: {times} snapshot times (time.t_end included) "
+                            f"of {n_cells + 1} faces ({where} = {n_cells}) hold {values} face "
+                            f"values, more than MAX_SNAPSHOT_VALUES = {MAX_SNAPSHOT_VALUES}")
+
+
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -286,6 +301,7 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("time.output_times must lie in [0, t_end]")
     if output_times != sorted(output_times):
         raise ScenarioError("time.output_times must be sorted")
+    check_snapshots(n_cells, output_times, t_end, "grid.n_cells")
 
     diag = _require_keys(raw.get("diagnostics", {}), "diagnostics", (), {"checks", "tolerances"})
     checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))
@@ -315,3 +331,31 @@ def parse_scenario(raw: dict) -> Scenario:
         if refusal := CHECKS[name].precondition and CHECKS[name].precondition(scn):
             raise ScenarioError(f"diagnostics.checks: {name} {refusal}")
     return scn
+
+
+# ---------------------------------------------------------------------------
+# the files a run writes
+
+
+@contextlib.contextmanager
+def atomic_open(path: str):
+    """Text handle on a temporary file that replaces ``path`` once closed.
+
+    Readers see the old file or the complete new one, never a partial
+    write; on error the temporary file is removed.  The file gets the mode
+    open() would give it (0o666 less the umask), not mkstemp's 0o600.
+    """
+    import tempfile   # loaded by the commands that write, not by reading a scenario
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", newline="") as fh:
+            yield fh
+        umask = os.umask(0o077)   # reading the umask means setting it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise

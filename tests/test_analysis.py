@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from dualflow import analysis as an
 from dualflow import flux as fx
 from dualflow import measure as ms
-from dualflow import pde
+from dualflow import pde, riemann
 
 ATTR = fx.quadratic_attractive()
 REP = fx.quadratic_repulsive()
@@ -237,26 +237,26 @@ class TestNonuniqueness:
 
 class TestRiemannClassification:
     def test_concave_is_shock(self):
-        out = an.classify_riemann(ATTR, 0.0, 1.0)
+        out = riemann.classify_riemann(ATTR, 0.0, 1.0)
         assert out["wave"] == "shock"
         assert out["segments"][0][3] == pytest.approx(-0.5)
 
     def test_convex_is_rarefaction(self):
-        out = an.classify_riemann(REP, 0.0, 1.0)
+        out = riemann.classify_riemann(REP, 0.0, 1.0)
         assert out["wave"] == "rarefaction"
 
     def test_s_shaped_is_composite(self):
         # a(u) = 3(u - 1/2)^2 - 3/4 + 3/4... use a = 3u^2 - 3u + 0.75:
         # A has an inflection, envelope = rarefaction then shock
         model = fx.polynomial([0.75, -3.0, 3.0])
-        out = an.classify_riemann(model, 0.0, 1.0)
+        out = riemann.classify_riemann(model, 0.0, 1.0)
         assert out["wave"] == "composite"
         kinds = [seg[0] for seg in out["segments"]]
         assert "shock" in kinds and "rarefaction" in kinds
 
     def test_needs_increasing_states(self):
         with pytest.raises(an.AnalysisError):
-            an.classify_riemann(ATTR, 1.0, 0.0)
+            riemann.classify_riemann(ATTR, 1.0, 0.0)
 
 
 class TestReport:

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import cli, particles, pde
+from dualflow import cli, csvtext, fieldwriter, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, extract_atoms, wasserstein1
 from dualflow.scenario import CHECKS, parse_scenario
 
@@ -578,11 +578,11 @@ class TestOutputFiles:
         blocks = [(0.25, np.array([1.0, -2.5e-300, 1 / 3]), np.arange(3), ["a+b", "", "c"]),
                   (1.0, 2, "", float("nan")),
                   (0.5, np.array([]), np.array([], dtype=int), [])]
-        cli._write_csv(str(tmp_path / "fast.csv"), ["t", "x", "i", "s"], blocks)
+        csvtext.write_csv(str(tmp_path / "fast.csv"), ["t", "x", "i", "s"], blocks)
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "i", "s"])
-            writer.writerows([[cli._fmt(v) for v in row] for row in
+            writer.writerows([[csvtext._fmt(v) for v in row] for row in
                               [(0.25, 1.0, 0, "a+b"), (0.25, -2.5e-300, 1, ""),
                                (0.25, 1 / 3, 2, "c"), (1.0, 2, "", float("nan"))]])
         assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
@@ -599,7 +599,7 @@ class TestOutputFiles:
             blocks.append(tuple(data.draw(csv_column(n, p)) for p in prev))
         header = [f"c{j}" for j in range(n_columns)]
         d = tmp_path_factory.mktemp("csv")
-        cli._write_csv(str(d / "fast.csv"), header, blocks)
+        csvtext.write_csv(str(d / "fast.csv"), header, blocks)
         with open(d / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -613,7 +613,7 @@ class TestOutputFiles:
         zeros = np.repeat([0.0, -0.0, 0.0], 4)   # runs that differ only in sign
         blocks = [(t, col) for t, col in enumerate([x, x.copy(), signed, signed.view(np.int64),
                                                     signed.view(np.int64), x, zeros])]
-        cli._write_csv(str(tmp_path / "fast.csv"), ["t", "x"], blocks)
+        csvtext.write_csv(str(tmp_path / "fast.csv"), ["t", "x"], blocks)
         expected = "t,x\r\n" + "".join(f"{a},{b}\r\n" for block in blocks
                                        for a, b in reference_rows(block))
         assert (tmp_path / "fast.csv").read_bytes() == expected.encode()
@@ -627,7 +627,7 @@ class TestOutputFiles:
     ], ids=["comma", "quote", "newline", "header_return", "lone_empty_cell"])
     def test_a_cell_that_needs_quoting_is_refused(self, tmp_path, header, block):
         with pytest.raises(ValueError, match="quoting"):
-            cli._write_csv(str(tmp_path / "x.csv"), header, [block])
+            csvtext.write_csv(str(tmp_path / "x.csv"), header, [block])
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -662,7 +662,7 @@ class TestFieldWriter:
         snapshots = cli.run_pde(scn)
         ref = tmp_path / "ref"
         for fname, header in FIELD_FILES.items():
-            cli._write_csv(str(ref / fname), header, field_blocks(snapshots, fname))
+            csvtext.write_csv(str(ref / fname), header, field_blocks(snapshots, fname))
         out = tmp_path / "out"
         engine = "pde" if "repulsive" in name else "both"
         assert cli.main(["run", "--engine", engine, "--scenario", cli.bundled_scenario(name),
@@ -714,8 +714,8 @@ class TestFieldWriter:
 
     def test_solver_error_after_streamed_snapshots(self, tmp_path, capsys, monkeypatch):
         sent = []
-        send = cli._FieldWriter.send
-        monkeypatch.setattr(cli._FieldWriter, "send",
+        send = fieldwriter.FieldWriter.send
+        monkeypatch.setattr(fieldwriter.FieldWriter, "send",
                             lambda self, s: sent.append(s.t) or send(self, s))
         monkeypatch.setattr(pde._March, "step_budget", lambda *args: 20)   # t = 0.1 takes 12
         path = write_scenario(tmp_path, time={"t_end": 1.0, "output_times": [0.0, 0.1, 0.5]})
@@ -740,7 +740,7 @@ class TestFieldWriter:
         def refuse(a):
             raise error
 
-        monkeypatch.setattr(cli, "_reprs", refuse)   # the child is a fork: it calls this too
+        monkeypatch.setattr(csvtext, "_reprs", refuse)   # the child is a fork: it calls this too
         line = self.failed(tmp_path, capsys, write_scenario(tmp_path), "both")
         assert line == f"i/o error: {message}"
 
@@ -771,8 +771,8 @@ def reference_rows(block):
     writer did: numpy entries by repr, list entries and scalars by _fmt."""
     n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
     cols = [map(repr, c.tolist()) if isinstance(c, np.ndarray)
-            else map(cli._fmt, c) if isinstance(c, list)
-            else [cli._fmt(c)] * n for c in block]
+            else map(csvtext._fmt, c) if isinstance(c, list)
+            else [csvtext._fmt(c)] * n for c in block]
     return zip(*cols)
 
 

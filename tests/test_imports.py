@@ -1,9 +1,10 @@
 """Each command loads only the modules it runs.
 
 ``import dualflow`` loads no submodule; its names load their module on first
-use.  ``cli`` imports the PDE engine, the particle oracle and the diagnostics
-inside the functions that run them, and ``scenario`` reads the check table
-without ``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
+use.  ``cli`` imports the PDE engine, the particle oracle, the diagnostics,
+the CSV formatter, the writer fork, the convergence study and the Riemann
+classifier inside the functions that run them, and ``scenario`` reads the
+check table without ``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
 interpreter, since this test process has imported every module already.
 """
 
@@ -70,18 +71,56 @@ def scenario_file(tmp_path, **overrides) -> str:
     return str(path)
 
 
-@pytest.mark.parametrize("argv, loaded", [
-    (["run", "--engine", "particles"], ["cli", "flux", "measure", "particles", "scenario"]),
-    (["run", "--engine", "pde"], ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
-    (["validate"], ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
-    (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"],
-     ["analysis", "cli", "flux", "measure", "scenario"]),
-], ids=["run-particles", "run-pde", "validate", "riemann"])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, loaded):
+JSON_ONLY = {"output": {"formats": ["json"]}}
+
+
+@pytest.mark.parametrize("argv, overrides, loaded", [
+    (["run", "--engine", "particles"], {},
+     ["cli", "csvtext", "flux", "measure", "particles", "scenario"]),
+    (["run", "--engine", "particles"], JSON_ONLY, ["cli", "flux", "measure", "particles", "scenario"]),
+    (["run", "--engine", "pde"], {},
+     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "measure", "pde", "scenario"]),
+    (["run", "--engine", "pde"], JSON_ONLY, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["validate"], {}, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["convergence", "--resolutions", "50,100,200"], {},
+     ["cli", "convergence", "csvtext", "flux", "measure", "particles", "pde", "scenario"]),
+    (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"], {},
+     ["analysis", "cli", "flux", "measure", "riemann", "scenario"]),
+], ids=["run-particles", "run-particles-json", "run-pde", "run-pde-json", "validate",
+        "convergence", "riemann"])
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, overrides, loaded):
+    # the CSV formatter only with "csv" in the formats, the writer fork only for the
+    # field CSVs of the PDE engine; convergence and riemann only for their own commands
     if argv[0] != "riemann":
-        argv = [*argv, "--scenario", scenario_file(tmp_path), "--out", str(tmp_path / "out")]
+        argv = [*argv, "--scenario", scenario_file(tmp_path, **overrides),
+                "--out", str(tmp_path / "out")]
     code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
     assert submodules_after(code) == loaded
+
+
+def imports_of(path: Path) -> set[str]:
+    """The absolute names of the dualflow modules and names that ``path`` imports."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = "dualflow" + ("." + node.module if node.module else "") if node.level \
+                else node.module
+            names.add(base)
+            names.update(f"{base}.{alias.name}" for alias in node.names)
+    return names
+
+
+def test_no_module_imports_the_cli():
+    # under `python -m dualflow.cli` the cli runs as __main__: importing dualflow.cli
+    # would compile and run it a second time
+    sources = sorted(Path(dualflow.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    for path in sources:
+        cli_imports = {n for n in imports_of(path) if n == "dualflow.cli"
+                       or n.startswith("dualflow.cli.")}
+        assert not cli_imports, (path.name, cli_imports)
 
 
 def test_validate_loads_the_oracle_for_w1_vs_particles(tmp_path):

@@ -16,8 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import cli, flux as fx
-from dualflow.scenario import FLUX_FIELDS, ScenarioError, load_scenario, parse_flux
+from dualflow import cli, flux as fx, pde
+from dualflow.scenario import (FLUX_FIELDS, MAX_SNAPSHOT_VALUES, ScenarioError, load_scenario,
+                               parse_flux, parse_scenario)
 
 
 def test_flux_block_fail_closed():
@@ -227,12 +228,56 @@ def test_resolutions_whose_last_face_drops_an_atom_are_refused_before_any_march(
     path.write_text(json.dumps({**TWO_ATOMS, "grid": {"x_min": -2.3, "x_max": 1.0, "n_cells": 800},
                                 "initial": {"type": "atoms",
                                             "atoms": [[-0.25, 0.5], [BELOW_ONE, 0.5]]}}))
-    monkeypatch.setattr(cli, "run_pde", None)   # a march would raise TypeError
+    monkeypatch.setattr(pde, "run", None)   # a march would raise TypeError
     assert refusal(tmp_path, ["convergence", "--scenario", str(path),
                                        "--resolutions", "200,400,708"]) == (
         1, "error: initial: atom on or outside the grid's last face 0.9999999999999996, "
         "which rounds below x_max (grid.x_min = -2.3, grid.x_max = 1.0, --resolutions = 708)\n",
         False)
+
+
+# 10^6 cells and 2 001 output times: 2.0e9 face values of snapshots, 16 GB of u alone
+OVER_THE_SNAPSHOT_CAP = {
+    "flux": {"kind": "quadratic-attractive"},
+    "initial": {"type": "uniform", "x_left": -0.5, "x_right": 0.5, "mass": 1.0},
+    "grid": {"x_min": -1.0, "x_max": 1.0, "n_cells": 10**6},
+    "time": {"t_end": 1e-3, "output_times": [k * 5e-7 for k in range(2001)]}}
+
+
+def test_snapshots_over_the_cap_are_refused_at_load(tmp_path, monkeypatch):
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(OVER_THE_SNAPSHOT_CAP))
+    monkeypatch.setattr(pde, "run", None)   # a march would raise TypeError
+    monkeypatch.setattr(pde, "march", None)
+    for argv in (["validate"], ["run", "--engine", "pde"]):
+        code, err, wrote = refusal(tmp_path, [*argv, "--scenario", str(path)])
+        assert (code, wrote) == (1, False)
+        assert err == ("error: time.output_times: 2001 snapshot times (time.t_end included) of "
+                       "1000001 faces (grid.n_cells = 1000000) hold 2001002001 face values, "
+                       f"more than MAX_SNAPSHOT_VALUES = {MAX_SNAPSHOT_VALUES}\n")
+
+
+@pytest.mark.parametrize("times, admitted", [(10, True), (11, False)])
+def test_the_snapshot_cap_counts_faces_times_distinct_times(times, admitted):
+    # 10^6 faces at `times` distinct times, t_end among them, each listed twice
+    raw = copy.deepcopy(OVER_THE_SNAPSHOT_CAP)
+    raw["grid"]["n_cells"] = MAX_SNAPSHOT_VALUES // 10 - 1
+    raw["time"]["output_times"] = sorted(2 * [k * 1e-4 for k in range(times - 1)] + [1e-3])
+    with contextlib.nullcontext() if admitted else pytest.raises(ScenarioError,
+                                                                 match="time.output_times"):
+        parse_scenario(raw)
+
+
+def test_resolutions_over_the_snapshot_cap_are_refused_before_any_march(tmp_path, monkeypatch):
+    # four snapshot times of 4 000 001 faces
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(TWO_ATOMS))
+    monkeypatch.setattr(pde, "run", None)   # a march would raise TypeError
+    code, err, wrote = refusal(tmp_path, ["convergence", "--scenario", str(path),
+                                          "--resolutions", "200,400,4000000"])
+    assert (code, wrote) == (1, False)
+    assert err.startswith("error: time.output_times: 4 snapshot times") and \
+        "(--resolutions = 4000000)" in err and "MAX_SNAPSHOT_VALUES" in err
 
 
 @settings(max_examples=200, deadline=None)
