@@ -1,17 +1,21 @@
-"""Interleaved A/B of two revisions on one workload of `bench/run.py`.
+"""Interleaved A/B of two revisions: one workload of `bench/run.py`, or the layers.
 
     python3 benchmarks/ab.py REV_A REV_B --workload W --pairs N --seconds S --label L [--seed K]
+    python3 benchmarks/ab.py REV_A REV_B --layers --pairs N --label L
 
 Each revision is extracted with `git archive` into a temporary directory
-(nothing in `.git` changes; the directories are removed on exit).  Then,
-N times, each side's own `bench/run.py --workload W --seed K --seconds S
---trace 0` runs to completion, one child at a time, the side that goes
-first alternating from pair to pair, so a slow spell of a shared host falls
-on both sides alike.
+(nothing in `.git` changes; the directories are removed on exit).  First
+each tree's own `benchmarks/identity.py` records what that tree's program
+writes, and B's `--compare`s the two records.  Then, N times, each side's
+own `bench/run.py --workload W --seed K --seconds S --trace 0` (or, with
+`--layers`, its own `benchmarks/bench.py`) runs to completion, one child at
+a time, the side that goes first alternating from pair to pair, so a slow
+spell of a shared host falls on both sides alike.
 
-Writes `BENCH_L.json` at the repository root: every sample (its end-to-end
-metrics and the digest of its outputs), and per metric each side's median
-and IQR and the number of pairs in which B is better than A.
+Writes `BENCH_L.json` at the repository root: the identity verdict, every
+sample (its end-to-end metrics and the digest of its outputs, or its layer
+results), and, for a workload, per metric each side's median and IQR and
+the number of pairs in which B is better than A.
 """
 
 from __future__ import annotations
@@ -59,6 +63,33 @@ def sample(tree: Path, workload: str, seed: int, seconds: float) -> dict:
             **{name: m["value"] for name, m in result["metrics"].items()}}
 
 
+def layers(tree: Path, k: int) -> dict:
+    """One run of the tree's benchmarks/bench.py: its layer results."""
+    label = f"ab_layers_{k}"
+    proc = subprocess.run([sys.executable, "benchmarks/bench.py", "--label", label], cwd=tree,
+                          capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree.name}: benchmarks/bench.py exit {proc.returncode}\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads((tree / f"BENCH_{label}.json").read_text())
+
+
+def identity(trees: dict) -> dict | None:
+    """Each tree's benchmarks/identity.py record, and B's --compare of the two:
+    its verdict line(s) and whether they found no difference.  None when a
+    tree has no identity.py."""
+    scripts = {side: tree / "benchmarks" / "identity.py" for side, tree in trees.items()}
+    if not all(path.exists() for path in scripts.values()):
+        return None
+    records = {side: str(tree.parent / f"identity_{side}.json") for side, tree in trees.items()}
+    for side, tree in trees.items():
+        subprocess.run([sys.executable, str(scripts[side]), records[side]], cwd=tree,
+                       capture_output=True, check=True)
+    proc = subprocess.run([sys.executable, str(scripts["b"]), "--compare", records["a"],
+                           records["b"]], capture_output=True, text=True)
+    return {"verdict": proc.stdout.strip(), "identical": proc.returncode == 0}
+
+
 def spread(values: list) -> dict:
     """Median and IQR, the quartiles interpolated as numpy.percentile does."""
     q1, q2, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
@@ -82,18 +113,24 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("rev_a")
     p.add_argument("rev_b")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload")
+    p.add_argument("--layers", action="store_true",
+                   help="run each tree's benchmarks/bench.py instead of a workload")
     p.add_argument("--pairs", type=int, required=True)
-    p.add_argument("--seconds", type=float, required=True)
+    p.add_argument("--seconds", type=float)
     p.add_argument("--label", required=True)
     p.add_argument("--seed", type=int, default=1)
     args = p.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        p.error("--pairs must be at least 1 and --seconds positive")
+    if args.layers == (args.workload is not None):
+        p.error("give either --workload or --layers")
+    if args.pairs < 1 or not args.layers and not (args.seconds or 0) > 0:
+        p.error("--pairs must be at least 1, and --seconds positive with --workload")
     with tempfile.TemporaryDirectory(prefix="dualflow-ab-") as tmp:
         trees = {side: Path(tmp, side) for side in ("a", "b")}
         commits = {side: extract(rev, trees[side])
                    for side, rev in (("a", args.rev_a), ("b", args.rev_b))}
+        verdict = identity(trees)
+        print(f"identity: {verdict and verdict['verdict']}", flush=True)
         metrics = json.loads((trees["a"] / "BENCHMARK.json").read_text())["end_to_end"]
         lower = {m["name"]: m["better"] == "lower" for m in metrics}
         pairs = []
@@ -101,26 +138,34 @@ def main(argv=None) -> int:
             order = ("a", "b") if k % 2 == 0 else ("b", "a")
             pair = {"first": order[0]}
             for side in order:
-                pair[side] = sample(trees[side], args.workload, args.seed, args.seconds)
+                pair[side] = (layers(trees[side], k) if args.layers else
+                              sample(trees[side], args.workload, args.seed, args.seconds))
             pairs.append(pair)
-            print(f"pair {k + 1}/{args.pairs}: run_s a {pair['a']['run_s']:.4f} "
-                  f"b {pair['b']['run_s']:.4f}", flush=True)
-    digests = {p[side]["outputs_sha256"] for p in pairs for side in "ab"}
+            if not args.layers:
+                print(f"pair {k + 1}/{args.pairs}: run_s a {pair['a']['run_s']:.4f} "
+                      f"b {pair['b']['run_s']:.4f}", flush=True)
+            else:
+                print(f"pair {k + 1}/{args.pairs}: layers done", flush=True)
     results = {
         "a": {"rev": args.rev_a, "commit": commits["a"]},
         "b": {"rev": args.rev_b, "commit": commits["b"]},
-        "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
-        "same_outputs": len(digests) == 1 and None not in digests,
-        "summary": summary(pairs, lower),
-        "pairs": pairs,
+        "identity": verdict,
     }
-    for name, s in results["summary"].items():
-        print(f"{name}: a {s['a']['median']:.6g} (IQR {s['a']['iqr']:.3g}), "
-              f"b {s['b']['median']:.6g} (IQR {s['b']['iqr']:.3g}), "
-              f"b better in {s['b_wins']}/{s['pairs']}")
+    if args.layers:
+        results.update(layers=True, pairs=pairs)
+    else:
+        digests = {p[side]["outputs_sha256"] for p in pairs for side in "ab"}
+        results.update(workload=args.workload, seed=args.seed, seconds=args.seconds,
+                       same_outputs=len(digests) == 1 and None not in digests,
+                       summary=summary(pairs, lower), pairs=pairs)
+        for name, s in results["summary"].items():
+            print(f"{name}: a {s['a']['median']:.6g} (IQR {s['a']['iqr']:.3g}), "
+                  f"b {s['b']['median']:.6g} (IQR {s['b']['iqr']:.3g}), "
+                  f"b better in {s['b_wins']}/{s['pairs']}")
     path = OUT_DIR / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(results, indent=1) + "\n")
-    print(f"wrote {path.name}; outputs identical across all runs: {results['same_outputs']}")
+    print(f"wrote {path.name}" + ("" if args.layers else
+          f"; outputs identical across all runs: {results['same_outputs']}"))
     return 0
 
 

@@ -135,11 +135,14 @@ def test_ab_head_against_head(monkeypatch, tmp_path):
     monkeypatch.setattr(ab, "OUT_DIR", tmp_path)
     (tmp_path / "tmp").mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+    # identity.py's 19 commands are never run here (test_ab_identity_verdict)
+    monkeypatch.setattr(ab, "identity", lambda trees: {"verdict": "stub", "identical": True})
     assert ab.main(["HEAD", "HEAD", "--workload", "rarefaction_pde", "--pairs", "1",
                     "--seconds", "0.01", "--label", "smoke"]) == 0
     assert not any((tmp_path / "tmp").iterdir())   # the extracted trees are gone
     result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
     assert result["a"]["commit"] == result["b"]["commit"] and result["same_outputs"]
+    assert result["identity"] == {"verdict": "stub", "identical": True}
     (pair,) = result["pairs"]
     assert pair["first"] == "a" and pair["a"]["correct"] and pair["b"]["correct"]
     assert set(result["summary"]) == {"setup_s", "run_s", "peak_rss_mib", "output_bytes"}
@@ -147,3 +150,46 @@ def test_ab_head_against_head(monkeypatch, tmp_path):
         assert s["pairs"] == 1 and s["b_wins"] in (0, 1)
         assert s["a"]["iqr"] == s["b"]["iqr"] == 0.0
     assert ab.spread([4.0, 1.0, 3.0, 2.0]) == {"median": 2.5, "iqr": 1.5}
+
+
+def test_ab_layers_take_turns(monkeypatch, tmp_path):
+    ab = load(monkeypatch, "ab")
+    if subprocess.run(["git", "-C", str(ab.ROOT), "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    monkeypatch.setattr(ab, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(ab, "identity", lambda trees: None)
+    runs = []   # bench.py itself takes minutes: each run records its side and pair
+    monkeypatch.setattr(ab, "layers", lambda tree, k: runs.append((tree.name, k)) or
+                        {"side": tree.name, "pair": k})
+    assert ab.main(["HEAD", "HEAD", "--layers", "--pairs", "3", "--label", "smoke"]) == 0
+    assert runs == [("a", 0), ("b", 0), ("b", 1), ("a", 1), ("a", 2), ("b", 2)]
+    result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert result["layers"] and result["identity"] is None and "summary" not in result
+    assert [p["first"] for p in result["pairs"]] == ["a", "b", "a"]
+    assert all(p[side] == {"side": side, "pair": k}
+               for k, p in enumerate(result["pairs"]) for side in "ab")
+
+
+@pytest.mark.parametrize("same", [True, False])
+def test_ab_identity_verdict(monkeypatch, tmp_path, same):
+    # each tree records with its own identity.py; B's compares the two records
+    ab = load(monkeypatch, "ab")
+    fake = """
+import json, sys
+if sys.argv[1] == "--compare":
+    a, b = (json.load(open(p)) for p in sys.argv[2:])
+    print("identical: 1 commands, 0 files" if a == b else "x: exit differs (0 -> 1)")
+    sys.exit(a != b)
+json.dump({"x": {"exit": int(open("code").read())}}, open(sys.argv[1], "w"))
+"""
+    trees = {side: tmp_path / side for side in "ab"}
+    for side, tree in trees.items():
+        (tree / "benchmarks").mkdir(parents=True)
+        (tree / "benchmarks" / "identity.py").write_text(fake)
+        (tree / "code").write_text("0" if same or side == "a" else "1")
+    assert ab.identity(trees) == (
+        {"verdict": "identical: 1 commands, 0 files", "identical": True} if same else
+        {"verdict": "x: exit differs (0 -> 1)", "identical": False})
+    (trees["a"] / "benchmarks" / "identity.py").unlink()   # a revision from before the script
+    assert ab.identity(trees) is None
