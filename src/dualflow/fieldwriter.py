@@ -28,7 +28,8 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
         self.out_dir, self.write, self.pid = out_dir, write, None
         if not hasattr(os, "fork"):
             return
-        from . import pde   # noqa: F401  loaded before the fork: the child unpickles its states
+        # loaded before the fork: the child unpickles pde's states and formats with csvtext
+        from . import csvtext, pde   # noqa: F401
         (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
