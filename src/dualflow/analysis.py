@@ -1,17 +1,17 @@
 """Diagnostics: every checkable solution property, as a named record.
 
-Covers the admissible-speed bracket and Rankine-Hugoniot selection, the
-one-sided Lipschitz (Oleinik) bound, weak residuals of u_t + A(u)_x = 0,
-quantile-based flow reconstruction with the push-forward identity, the
-pressureless momentum extension, and the non-uniqueness demonstration for
-a single Dirac.  The _check_* functions are the runners that
-scenario.CHECKS, the table of the diagnostics a scenario can request, names.
-The wave structure of a Riemann problem is riemann.classify_riemann's.
+Covers the one-sided Lipschitz (Oleinik) bound, weak residuals of
+u_t + A(u)_x = 0, quantile-based flow reconstruction with the push-forward
+identity and the pressureless momentum extension.  The _check_* functions
+are the runners that scenario.CHECKS, the table of the diagnostics a
+scenario can request, names.  The admissible-speed bracket, the
+non-uniqueness demonstration and the wave structure of a Riemann problem
+are dualflow.riemann's; ``analysis.admissible_speed_range`` and
+``analysis.nonuniqueness_demo`` load it on first use.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -38,6 +38,13 @@ class AnalysisError(ValueError):
     """Diagnostic requested outside its validity domain."""
 
 
+def __getattr__(name: str):   # PEP 562: the names that moved to riemann, loaded on first use
+    if name in ("admissible_speed_range", "nonuniqueness_demo"):
+        from . import riemann
+        return getattr(riemann, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class CheckRecord(NamedTuple):
     """One check's outcome; its builder passes Python floats and a bool, not the
     numpy scalars of array reductions, so diagnostics.json holds plain JSON."""
@@ -48,27 +55,6 @@ class CheckRecord(NamedTuple):
     bound: float
     tol: float
     passed: bool
-
-
-def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
-    """(low, high, selected) speeds for a jump from u_minus to u_plus.
-
-    low/high bracket the endpoint velocities; selected is the
-    Rankine-Hugoniot chord slope of A, the speed singled out by the
-    flux-product identity.
-    """
-    if u_minus == u_plus:
-        raise AnalysisError("degenerate state pair (u_minus == u_plus)")
-    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
-        a_m = fx.eval_a(model, u_minus)
-        a_p = fx.eval_a(model, u_plus)
-        A_m, A_p = fx.eval_A(model, u_minus), fx.eval_A(model, u_plus)
-        width = u_plus - u_minus
-        selected = (A_p - A_m) / width
-    if not all(map(math.isfinite, (a_m, a_p, A_m, A_p, width, selected))):
-        raise AnalysisError(f"a, A or the chord slope of A overflows for the states "
-                            f"({u_minus}, {u_plus})")
-    return min(a_m, a_p), max(a_m, a_p), selected
 
 
 def check_oleinik(state: SolverState, model: fx.FluxModel, tol: float) -> list[CheckRecord]:
@@ -242,33 +228,6 @@ def pressureless_check(snapshots: list[SolverState], model: fx.FluxModel) -> lis
         records.append(CheckRecord("momentum_bracket", float(s.t), float(bad),
                                    0.0, 0.0, bad == 0))
     return records
-
-
-# ---------------------------------------------------------------------------
-# non-uniqueness demonstration
-
-
-def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
-                       t_end: float) -> dict:
-    """Classify the candidate solution delta_{x0 + speed t} for unit mass.
-
-    Any speed strictly inside (a(1), a(0)) yields a duality solution; only
-    the chord slope A(1) - A(0) satisfies the flux-product selection.
-    """
-    low, high, selected = admissible_speed_range(model, 0.0, 1.0)
-    admissible = low < speed < high
-    is_selected = abs(speed - selected) <= 1e-12
-    return {
-        "x0": x0,
-        "speed": speed,
-        "t_end": t_end,
-        "x_final": x0 + speed * t_end,
-        "admissible_low": low,
-        "admissible_high": high,
-        "selected_speed": selected,
-        "admissible": admissible,
-        "selected": is_selected,
-    }
 
 
 # ---------------------------------------------------------------------------

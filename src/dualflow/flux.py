@@ -12,7 +12,6 @@ A model is the pair (a, A) with the normalization A(0) = 0.  Built-in kinds:
 from __future__ import annotations
 
 import math
-import operator
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -124,63 +123,6 @@ def eval_A(model: FluxModel, u):
     return _value(model._tables[0].at, _finite(u))
 
 
-RUNS_FROM = 128   # the faces from which _PwlA.sorted gathers its rows by runs
-
-
-class _PwlA:
-    """A(u) for the piecewise-linear kind, a = avs at the N nodes us: one row
-    per stretch of the a' table, of values ``slopes``.  Rows 1..N-1 are the
-    segments between nodes, rows 0 and N the constant extensions of a."""
-
-    def __init__(self, us, avs, slopes):
-        raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
-        # the row of u; the last node stays on the last segment
-        self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
-        # per row one column, gathered in one call: u, a, A_raw where it starts, half
-        # the slope of a (-0.0 on the extensions, where the quadratic term changes no bit)
-        half_slope = 0.5 * slopes
-        half_slope[[0, -1]] = -0.0
-        self.table = np.vstack([np.r_[v[0], v] for v in (us, avs, raw)] + [half_slope])
-        # then A_raw(0), from a first call; None for +0.0: x - (+0.0) is x, even for -0.0
-        self.shift = None
-        shift = float(self(np.asarray(0.0)))
-        if shift or math.copysign(1.0, shift) < 0:
-            self.shift = np.array(shift)   # 0-d, as in _horner_coeffs
-
-    def __call__(self, u, out=None):
-        """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""
-        return self._finish(u, self.table.take(self.breaks.searchsorted(u, side="right"), 1), out)
-
-    def sorted(self, e, out):
-        """A at nondecreasing faces e, into ``out``, bit for bit as __call__.
-
-        Sorted faces fill the rows in order, so from RUNS_FROM faces on the
-        columns are gathered in runs: e[j] >= breaks[k] from pos[k] on (side
-        left; side right would put a face on a node in the row before it),
-        and row r repeats pos[r] - pos[r - 1] times, pos[-1] = 0 and
-        pos[N] = e.size.  Fewer faces take __call__'s one take, which costs
-        less than the runs' fixed Python work there.
-        """
-        if e.size < RUNS_FROM:
-            return self(e, out)
-        pos = e.searchsorted(self.breaks).tolist()
-        pos.append(e.size)
-        return self._finish(e, self.table.repeat(list(map(operator.sub, pos, [0, *pos])), 1), out)
-
-    def _finish(self, u, rows, out):
-        """A from the rows gathered for u: u0, a0, raw0, half slope."""
-        u0, val, raw0, quad = rows
-        du = np.subtract(u, u0, out=u0 if u0.ndim else None)   # a 0-d u gathers scalars
-        val *= du
-        val += raw0               # raw + a0*du
-        quad *= du
-        quad *= du                # 0.5*slope*du*du
-        out = np.add(val, quad, out)
-        if self.shift is not None:
-            out -= self.shift
-        return out
-
-
 def _horner_coeffs(coeffs) -> _Horner:
     """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
     floats), and None for each add that changes no bit.  For finite y, adding
@@ -198,7 +140,7 @@ class _Horner(tuple):
     def __call__(self, x, out):
         return _horner(x, self, out)
 
-    sorted = __call__   # on sorted faces too: the order saves Horner nothing (_PwlA.sorted)
+    sorted = __call__   # on sorted faces too: the order saves Horner nothing (pwl.PwlA.sorted)
 
 
 def _horner(x, coeffs, out):
@@ -249,16 +191,17 @@ def _new_tables(model: FluxModel) -> tuple[_Extrema, _Extrema, _Extrema]:
 
     Polynomial kinds: the real roots of the next derivative, and _horner
     over the derivative's coefficients.  The piecewise-linear kind: the
-    zeros of a with _PwlA, the nodes with np.interp on them, and for a' the
+    zeros of a with pwl.PwlA, the nodes with np.interp on them, and for a' the
     segments between nodes plus the two constant extensions.
     """
     if model.kind == "piecewise-linear-a":
+        from .pwl import PwlA   # loaded by this kind only
         us, avs = map(np.array, zip(*model.nodes))
         slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
         k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
         zeros = np.sort(np.r_[us[avs == 0.0],
                               us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
-        return (_table(zeros, _PwlA(us, avs, slopes)),
+        return (_table(zeros, PwlA(us, avs, slopes)),
                 _table(us, lambda u, out: np.interp(u, us, avs)),
                 _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None))
     c = np.asarray(model.a_coeffs)

@@ -1,19 +1,68 @@
-"""The riemann command: the wave structure of one Riemann problem.
+"""Riemann problems: the admissible speeds of a jump, the speed the flux
+selects, the non-uniqueness demonstration for a single Dirac, and the wave
+structure of the riemann command.
 
-Informational: the scheme needs none of it.  Loaded on first use, by
-`dualflow riemann`; no other command compiles it.
+Informational: the scheme and the checks need none of it.  Loaded on first
+use, by `dualflow riemann` and by the names ``analysis`` serves from here;
+no other command compiles it.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import flux as fx
-from .analysis import AnalysisError, admissible_speed_range
+from .analysis import AnalysisError
 from .scenario import parse_flux, read_json
 
 RIEMANN_SAMPLES = 2001   # classify_riemann: points on which the envelope of A is taken
 RIEMANN_TOL = 1e-10      # classify_riemann: dip of A below the chord (over max |A|) of a shock
+
+
+def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
+    """(low, high, selected) speeds for a jump from u_minus to u_plus.
+
+    low/high bracket the endpoint velocities; selected is the
+    Rankine-Hugoniot chord slope of A, the speed singled out by the
+    flux-product identity.
+    """
+    if u_minus == u_plus:
+        raise AnalysisError("degenerate state pair (u_minus == u_plus)")
+    with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
+        a_m = fx.eval_a(model, u_minus)
+        a_p = fx.eval_a(model, u_plus)
+        A_m, A_p = fx.eval_A(model, u_minus), fx.eval_A(model, u_plus)
+        width = u_plus - u_minus
+        selected = (A_p - A_m) / width
+    if not all(map(math.isfinite, (a_m, a_p, A_m, A_p, width, selected))):
+        raise AnalysisError(f"a, A or the chord slope of A overflows for the states "
+                            f"({u_minus}, {u_plus})")
+    return min(a_m, a_p), max(a_m, a_p), selected
+
+
+def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
+                       t_end: float) -> dict:
+    """Classify the candidate solution delta_{x0 + speed t} for unit mass.
+
+    Any speed strictly inside (a(1), a(0)) yields a duality solution; only
+    the chord slope A(1) - A(0) satisfies the flux-product selection.
+    """
+    low, high, selected = admissible_speed_range(model, 0.0, 1.0)
+    admissible = low < speed < high
+    is_selected = abs(speed - selected) <= 1e-12
+    return {
+        "x0": x0,
+        "speed": speed,
+        "t_end": t_end,
+        "x_final": x0 + speed * t_end,
+        "admissible_low": low,
+        "admissible_high": high,
+        "selected_speed": selected,
+        "admissible": admissible,
+        "selected": is_selected,
+    }
 
 
 def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict:

@@ -255,17 +255,6 @@ def check_grid(x_min: float, x_max: float, n_cells, where: str, initial):
                             f"{where} = {n_cells})") from exc
 
 
-def check_snapshots(n_cells: int, output_times, t_end: float, where: str):
-    """Refuse a run whose snapshots hold more than MAX_SNAPSHOT_VALUES face
-    values: n_cells + 1 faces at each distinct time of output_times and
-    t_end.  ``where`` names the field of n_cells, as in check_grid."""
-    values = (n_cells + 1) * (times := len(set(output_times) | {t_end}))
-    if values > MAX_SNAPSHOT_VALUES:
-        raise ScenarioError(f"time.output_times: {times} snapshot times (time.t_end included) "
-                            f"of {n_cells + 1} faces ({where} = {n_cells}) hold {values} face "
-                            f"values, more than MAX_SNAPSHOT_VALUES = {MAX_SNAPSHOT_VALUES}")
-
-
 def load_scenario(path: str) -> Scenario:
     try:
         with open(path) as fh:
@@ -303,7 +292,11 @@ def parse_scenario(raw: dict) -> Scenario:
         raise ScenarioError("time.output_times must lie in [0, t_end]")
     if output_times != sorted(output_times):
         raise ScenarioError("time.output_times must be sorted")
-    check_snapshots(n_cells, output_times, t_end, "grid.n_cells")
+    values = (n_cells + 1) * (times := len(set(output_times) | {t_end}))
+    if values > MAX_SNAPSHOT_VALUES:
+        raise ScenarioError(f"time.output_times: {times} snapshot times (time.t_end included) "
+                            f"of {n_cells + 1} faces (grid.n_cells = {n_cells}) hold {values} "
+                            f"face values, more than MAX_SNAPSHOT_VALUES = {MAX_SNAPSHOT_VALUES}")
 
     diag = _require_keys(raw.get("diagnostics", {}), "diagnostics", (), {"checks", "tolerances"})
     checks = tuple(typed(diag.get("checks", DEFAULT_CHECKS), list, "diagnostics.checks"))

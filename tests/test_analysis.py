@@ -20,19 +20,19 @@ def dirac_snapshots(model=ATTR, x_min=-3.0, x_max=1.0, n=200, t_end=1.0,
 
 class TestSpeedRange:
     def test_attractive_unit_jump(self):
-        low, high, sel = an.admissible_speed_range(ATTR, 0.0, 1.0)
+        low, high, sel = riemann.admissible_speed_range(ATTR, 0.0, 1.0)
         assert (low, high) == (-1.0, 0.0)
         assert sel == -0.5
 
     def test_selected_is_chord_slope(self):
         model = fx.polynomial([1.0, -2.0])  # A(u) = u - u^2
-        low, high, sel = an.admissible_speed_range(model, 0.0, 1.0)
+        low, high, sel = riemann.admissible_speed_range(model, 0.0, 1.0)
         assert sel == pytest.approx(0.0, abs=1e-15)
         assert low <= sel <= high
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(an.AnalysisError):
-            an.admissible_speed_range(ATTR, 0.5, 0.5)
+            riemann.admissible_speed_range(ATTR, 0.5, 0.5)
 
 
 class TestOleinik:
@@ -222,17 +222,17 @@ class TestNonuniqueness:
     def test_family_and_selection(self):
         # unit Dirac, a(u) = -u: any speed in (-1, 0) is admissible,
         # only -1/2 is selected
-        demo = an.nonuniqueness_demo(ATTR, 0.0, -0.25, 1.0)
+        demo = riemann.nonuniqueness_demo(ATTR, 0.0, -0.25, 1.0)
         assert demo["admissible"] and not demo["selected"]
-        demo = an.nonuniqueness_demo(ATTR, 0.0, -0.5, 1.0)
+        demo = riemann.nonuniqueness_demo(ATTR, 0.0, -0.5, 1.0)
         assert demo["admissible"] and demo["selected"]
         assert demo["x_final"] == -0.5
-        demo = an.nonuniqueness_demo(ATTR, 0.0, 0.5, 1.0)
+        demo = riemann.nonuniqueness_demo(ATTR, 0.0, 0.5, 1.0)
         assert not demo["admissible"]
 
     def test_endpoints_not_admissible(self):
-        assert not an.nonuniqueness_demo(ATTR, 0.0, -1.0, 1.0)["admissible"]
-        assert not an.nonuniqueness_demo(ATTR, 0.0, 0.0, 1.0)["admissible"]
+        assert not riemann.nonuniqueness_demo(ATTR, 0.0, -1.0, 1.0)["admissible"]
+        assert not riemann.nonuniqueness_demo(ATTR, 0.0, 0.0, 1.0)["admissible"]
 
 
 class TestRiemannClassification:

@@ -3,8 +3,9 @@
 ``import dualflow`` loads no submodule; its names load their module on first
 use.  ``cli`` imports the PDE engine, the particle oracle, the diagnostics,
 the CSV formatter, the writer fork, the convergence study and the Riemann
-classifier inside the functions that run them, and ``scenario`` reads the
-check table without ``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
+classifier inside the functions that run them, ``flux`` the piecewise-linear
+A only for that kind, and ``scenario`` reads the check table without
+``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
 interpreter, since this test process has imported every module already.
 """
 
@@ -82,15 +83,18 @@ JSON_ONLY = {"output": {"formats": ["json"]}}
      ["analysis", "cli", "csvtext", "fieldwriter", "flux", "measure", "pde", "scenario"]),
     (["run", "--engine", "pde"], JSON_ONLY, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
     (["validate"], {}, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["validate"], {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 0.0], [1.0, -1.0]]}},
+     ["analysis", "cli", "flux", "measure", "pde", "pwl", "scenario"]),
     (["convergence", "--resolutions", "50,100,200"], {},
      ["cli", "convergence", "csvtext", "flux", "measure", "particles", "pde", "scenario"]),
     (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"], {},
      ["analysis", "cli", "flux", "measure", "riemann", "scenario"]),
 ], ids=["run-particles", "run-particles-json", "run-pde", "run-pde-json", "validate",
-        "convergence", "riemann"])
+        "validate-pwl", "convergence", "riemann"])
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, overrides, loaded):
     # the CSV formatter only with "csv" in the formats, the writer fork only for the
-    # field CSVs of the PDE engine; convergence and riemann only for their own commands
+    # field CSVs of the PDE engine, the piecewise-linear A only for that kind;
+    # convergence and riemann only for their own commands
     if argv[0] != "riemann":
         argv = [*argv, "--scenario", scenario_file(tmp_path, **overrides),
                 "--out", str(tmp_path / "out")]
@@ -151,6 +155,21 @@ for module, names in {OLD_EXPORTS!r}.items():
         assert imported is getattr(dualflow, name) is getattr(owner, name), name
 assert dualflow.__version__ == "0.1.0"
 assert not hasattr(dualflow, "no_such_name")
+print("ok")
+"""
+    out = fresh(code)
+    assert out.returncode == 0 and out.stdout.split() == ["ok"], out.stderr
+
+
+def test_analysis_serves_the_riemann_names_on_first_use():
+    # the acceptance test reads analysis.nonuniqueness_demo; validate never loads riemann
+    code = """
+import sys
+from dualflow import analysis
+assert "dualflow.riemann" not in sys.modules
+for name in ("admissible_speed_range", "nonuniqueness_demo"):
+    assert getattr(analysis, name) is getattr(sys.modules["dualflow.riemann"], name), name
+assert not hasattr(analysis, "classify_riemann")
 print("ok")
 """
     out = fresh(code)

@@ -7,7 +7,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 
 from dualflow import cli, flux as fx
 from dualflow import measure as ms
-from dualflow import pde
+from dualflow import pde, pwl
 
 ATTR = fx.quadratic_attractive()
 REP = fx.quadratic_repulsive()
@@ -240,9 +240,9 @@ class TestFluxPlan:
                 plan = fx.FluxPlan(model, lo, hi)
                 assert (plan.upwind is not None) == (is_c_u(model) and not lo < 0.0 < hi)
                 # the piecewise-linear A gathers its rows by runs from RUNS_FROM faces on
-                for runs_from in (fx.RUNS_FROM, 0):
+                for runs_from in (pwl.RUNS_FROM, 0):
                     with pytest.MonkeyPatch.context() as mp:
-                        mp.setattr(fx, "RUNS_FROM", runs_from)
+                        mp.setattr(pwl, "RUNS_FROM", runs_from)
                         got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(m),
                                           np.empty((2, e.size)))
                     assert np.array_equal(bits(got), ref)
@@ -278,7 +278,7 @@ class TestFluxPlan:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
     def test_pwl_run_gather_equals_the_take(self, data):
-        # _PwlA.sorted gathers the rows of sorted faces by runs: the bits of
+        # PwlA.sorted gathers the rows of sorted faces by runs: the bits of
         # __call__, for faces on every break (the last one, nextafter the last
         # node, too), repeated faces, signed zeros and subnormals
         model = data.draw(pwl_models())
@@ -290,7 +290,7 @@ class TestFluxPlan:
         e = np.sort(np.array(faces * data.draw(st.integers(1, 3))))
         ref = A(e, np.empty(e.size))
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(fx, "RUNS_FROM", 0)
+            mp.setattr(pwl, "RUNS_FROM", 0)
             got = A.sorted(e, np.empty(e.size))
         assert np.array_equal(bits(got), bits(ref))
 

@@ -228,7 +228,7 @@ def test_resolutions_whose_last_face_drops_an_atom_are_refused_before_any_march(
     path.write_text(json.dumps({**TWO_ATOMS, "grid": {"x_min": -2.3, "x_max": 1.0, "n_cells": 800},
                                 "initial": {"type": "atoms",
                                             "atoms": [[-0.25, 0.5], [BELOW_ONE, 0.5]]}}))
-    monkeypatch.setattr(pde, "run", None)   # a march would raise TypeError
+    monkeypatch.setattr(pde, "march", None)   # a march would raise TypeError
     assert refusal(tmp_path, ["convergence", "--scenario", str(path),
                                        "--resolutions", "200,400,708"]) == (
         1, "error: initial: atom on or outside the grid's last face 0.9999999999999996, "
@@ -266,18 +266,6 @@ def test_the_snapshot_cap_counts_faces_times_distinct_times(times, admitted):
     with contextlib.nullcontext() if admitted else pytest.raises(ScenarioError,
                                                                  match="time.output_times"):
         parse_scenario(raw)
-
-
-def test_resolutions_over_the_snapshot_cap_are_refused_before_any_march(tmp_path, monkeypatch):
-    # four snapshot times of 4 000 001 faces
-    path = tmp_path / "scn.json"
-    path.write_text(json.dumps(TWO_ATOMS))
-    monkeypatch.setattr(pde, "run", None)   # a march would raise TypeError
-    code, err, wrote = refusal(tmp_path, ["convergence", "--scenario", str(path),
-                                          "--resolutions", "200,400,4000000"])
-    assert (code, wrote) == (1, False)
-    assert err.startswith("error: time.output_times: 4 snapshot times") and \
-        "(--resolutions = 4000000)" in err and "MAX_SNAPSHOT_VALUES" in err
 
 
 @settings(max_examples=200, deadline=None)
