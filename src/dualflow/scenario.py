@@ -24,9 +24,9 @@ from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDens
 DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
 MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
-# the most face values (faces x snapshot times) of a run's snapshots: each costs `run` about
-# 150 bytes in its writer child and 120 of CSV, so 1.4 GB and 1.2 GB at the cap
-MAX_SNAPSHOT_VALUES = 10**7
+# the most face values (faces x snapshot times) of a run's snapshots, one snapshot of the
+# largest grid: each costs `run` about 150 bytes in its writer child and 120 of CSV
+MAX_SNAPSHOT_VALUES = MAX_CELLS + 1
 MAX_COORD = 1e100              # largest |x| of a grid end: the checks' sums of m x^2 stay finite
 MASS_RANGE = (1e-100, 1e100)   # of the total mass: so do those sums, and no mass floor underflows
 

@@ -17,8 +17,8 @@ from hypothesis import given, settings, strategies as st
 
 import dualflow
 from dualflow import cli, flux as fx, pde
-from dualflow.scenario import (FLUX_FIELDS, MAX_SNAPSHOT_VALUES, ScenarioError, load_scenario,
-                               parse_flux, parse_scenario)
+from dualflow.scenario import (FLUX_FIELDS, MAX_CELLS, MAX_SNAPSHOT_VALUES, ScenarioError,
+                               load_scenario, parse_flux, parse_scenario)
 
 
 def test_flux_block_fail_closed():
@@ -257,11 +257,15 @@ def test_snapshots_over_the_cap_are_refused_at_load(tmp_path, monkeypatch):
                        f"more than MAX_SNAPSHOT_VALUES = {MAX_SNAPSHOT_VALUES}\n")
 
 
-@pytest.mark.parametrize("times, admitted", [(10, True), (11, False)])
-def test_the_snapshot_cap_counts_faces_times_distinct_times(times, admitted):
-    # 10^6 faces at `times` distinct times, t_end among them, each listed twice
+@pytest.mark.parametrize("n_cells, times, admitted", [
+    (MAX_SNAPSHOT_VALUES // 10 - 1, 10, True), (MAX_SNAPSHOT_VALUES // 10 - 1, 11, False),
+    (MAX_CELLS, 1, True), (MAX_CELLS, 2, False)],
+    ids=["10-times", "11-times", "largest-grid-once", "largest-grid-twice"])
+def test_the_snapshot_cap_counts_faces_times_distinct_times(n_cells, times, admitted):
+    # n_cells + 1 faces at `times` distinct times, t_end among them, each listed twice;
+    # parsed only, never run
     raw = copy.deepcopy(OVER_THE_SNAPSHOT_CAP)
-    raw["grid"]["n_cells"] = MAX_SNAPSHOT_VALUES // 10 - 1
+    raw["grid"]["n_cells"] = n_cells
     raw["time"]["output_times"] = sorted(2 * [k * 1e-4 for k in range(times - 1)] + [1e-3])
     with contextlib.nullcontext() if admitted else pytest.raises(ScenarioError,
                                                                  match="time.output_times"):
