@@ -16,8 +16,6 @@ import math
 import os
 from typing import Callable, NamedTuple
 
-import numpy as np
-
 from . import flux as fx
 from .measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity, check_inside
 
