@@ -12,10 +12,20 @@ own `bench/run.py --workload W --seed K --seconds S --trace 0` (or, with
 a time, the side that goes first alternating from pair to pair, so a slow
 spell of a shared host falls on both sides alike.
 
+Before each pair a probe reads how much of the host is free: a CPU-bound
+loop is timed alone, then in two processes at once (this one and a fork),
+and the pair records the second wall time over the first.  On an idle
+2-core host it reads about 1; where the two copies take turns on one core,
+about 2.  A workload whose command forks (the field writer of `run`) gains
+from the second core only while it is free, so its A/B can move with the
+host rather than with the change; the ratio tells the spells apart.
+
 Writes `BENCH_L.json` at the repository root: the identity verdict, every
 sample (its end-to-end metrics and the digest of its outputs, or its layer
-results), and, for a workload, per metric each side's median and IQR and
-the number of pairs in which B is better than A.
+results) with the pair's probe ratio, and, for a workload, per metric each
+side's median and IQR and the number of pairs in which B is better than A,
+over all pairs and again over the pairs whose ratio read below QUIET and
+above BUSY (null where no pair did).
 """
 
 from __future__ import annotations
@@ -23,16 +33,42 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import signal
 import statistics
 import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT   # where BENCH_<label>.json goes
+PROBE_LOOPS = 2_000_000   # about 0.1 s of one core here
+QUIET, BUSY = 1.35, 1.7   # probe ratios that split the pairs in the summary
+
+
+def spin() -> float:
+    """Wall seconds of PROBE_LOOPS turns of a CPU-bound loop."""
+    t0 = time.perf_counter()
+    total = 0
+    for i in range(PROBE_LOOPS):
+        total += i
+    return time.perf_counter() - t0
+
+
+def probe() -> float:
+    """The loop's wall time in two processes at once over its time alone."""
+    alone = spin()
+    t0 = time.perf_counter()
+    pid = os.fork()
+    if pid == 0:   # the child spins and leaves, running none of the parent's exit code
+        spin()
+        os._exit(0)
+    spin()
+    os.waitpid(pid, 0)
+    return (time.perf_counter() - t0) / alone
 
 
 def git(*args) -> bytes:
@@ -97,9 +133,11 @@ def spread(values: list) -> dict:
     return {"median": q2, "iqr": q3 - q1}
 
 
-def summary(pairs: list, lower: dict) -> dict:
+def summary(pairs: list, lower: dict) -> dict | None:
     """Per metric (``lower``: whether lower is better): both sides' median
-    and IQR, and B's wins over the pairs."""
+    and IQR, and B's wins over the pairs; None without pairs."""
+    if not pairs:
+        return None
     out = {}
     for name, lower_better in lower.items():
         a = [p["a"][name] for p in pairs]
@@ -136,16 +174,17 @@ def main(argv=None) -> int:
         pairs = []
         for k in range(args.pairs):
             order = ("a", "b") if k % 2 == 0 else ("b", "a")
-            pair = {"first": order[0]}
+            pair = {"first": order[0], "probe": probe()}
             for side in order:
                 pair[side] = (layers(trees[side], k) if args.layers else
                               sample(trees[side], args.workload, args.seed, args.seconds))
             pairs.append(pair)
             if not args.layers:
-                print(f"pair {k + 1}/{args.pairs}: run_s a {pair['a']['run_s']:.4f} "
-                      f"b {pair['b']['run_s']:.4f}", flush=True)
+                print(f"pair {k + 1}/{args.pairs}: probe {pair['probe']:.2f}, run_s a "
+                      f"{pair['a']['run_s']:.4f} b {pair['b']['run_s']:.4f}", flush=True)
             else:
-                print(f"pair {k + 1}/{args.pairs}: layers done", flush=True)
+                print(f"pair {k + 1}/{args.pairs}: probe {pair['probe']:.2f}, layers done",
+                      flush=True)
     results = {
         "a": {"rev": args.rev_a, "commit": commits["a"]},
         "b": {"rev": args.rev_b, "commit": commits["b"]},
@@ -157,11 +196,16 @@ def main(argv=None) -> int:
         digests = {p[side]["outputs_sha256"] for p in pairs for side in "ab"}
         results.update(workload=args.workload, seed=args.seed, seconds=args.seconds,
                        same_outputs=len(digests) == 1 and None not in digests,
-                       summary=summary(pairs, lower), pairs=pairs)
-        for name, s in results["summary"].items():
-            print(f"{name}: a {s['a']['median']:.6g} (IQR {s['a']['iqr']:.3g}), "
-                  f"b {s['b']['median']:.6g} (IQR {s['b']['iqr']:.3g}), "
-                  f"b better in {s['b_wins']}/{s['pairs']}")
+                       summary=summary(pairs, lower),
+                       summary_quiet=summary([p for p in pairs if p["probe"] < QUIET], lower),
+                       summary_busy=summary([p for p in pairs if p["probe"] > BUSY], lower),
+                       pairs=pairs)
+        for key, title in (("summary", "all pairs"), ("summary_quiet", f"probe < {QUIET}"),
+                           ("summary_busy", f"probe > {BUSY}")):
+            for name, s in (results[key] or {}).items():
+                print(f"{title}: {name}: a {s['a']['median']:.6g} (IQR {s['a']['iqr']:.3g}), "
+                      f"b {s['b']['median']:.6g} (IQR {s['b']['iqr']:.3g}), "
+                      f"b better in {s['b_wins']}/{s['pairs']}")
     path = OUT_DIR / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(results, indent=1) + "\n")
     print(f"wrote {path.name}" + ("" if args.layers else

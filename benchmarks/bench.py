@@ -50,13 +50,15 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
 - process: what a whole command costs as a process, the fixed cost that the
   layers above leave out.  Each workload's command is spawned
   PROCESS_SPAWNS times, the workloads taking turns, as `python -c STAMP_EXIT`:
-  it runs `dualflow.cli` as `__main__`, as `python -m dualflow.cli` does,
-  and on its SystemExit writes time.monotonic() to stderr and re-raises, so
-  the exit code is the command's.  The environment is `bench/run.py`'s
+  it registers an atexit handler that writes time.monotonic() to stderr,
+  then runs `dualflow.cli` as `__main__`, as `python -m dualflow.cli` does,
+  so the exit code is the command's.  Handlers run last-in first-out, so
+  the stamp is the last one's.  The environment is `bench/run.py`'s
   (PYTHONPATH=src, one BLAS/OpenMP thread) with PYTHONDONTWRITEBYTECODE=1.
   Reported per workload are the medians of the wall time and of the
   teardown, the time from that stamp to the parent's return from wait
-  (final collections, module teardown, process exit), both in ms.
+  (the flush of stdio, whatever the interpreter still does after it, and
+  process exit), both in ms.
 
     python3 benchmarks/bench.py --label LABEL
 
@@ -112,13 +114,10 @@ MARCH_REPEATS = 10
 CHECK_WORKLOADS = ("attractive_crosscheck", "diagnostics_validate")
 CHECK_REPEATS = 15
 PROCESS_SPAWNS = 10
-STAMP_EXIT = (
-    "import runpy, sys, time\n"
-    "try:\n"
-    "    runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n"
-    "except SystemExit:\n"
-    "    sys.stderr.write(repr(time.monotonic()) + '\\n')\n"
-    "    raise\n"
+STAMP_EXIT = (   # registered first, so the last atexit handler to run
+    "import atexit, runpy, sys, time\n"
+    "atexit.register(lambda: sys.stderr.write(repr(time.monotonic()) + '\\n'))\n"
+    "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n"
 )
 
 

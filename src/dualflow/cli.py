@@ -16,17 +16,28 @@ classifier are imported by the functions that run them.
 
 from __future__ import annotations
 
-import argparse
-import contextlib
 import gc
-import json
-import os
-import sys
 
-import numpy as np
+# The imports below allocate tens of thousands of long-lived objects and free none of
+# them, so every collection they trigger (some 30 under numpy's alone) finds no garbage.
+# The collector is off while they load and back in the state it was found in after.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    import argparse
+    import atexit
+    import contextlib
+    import json
+    import os
+    import sys
 
-from .measure import GridField, extract_atoms, sample_to_grid
-from .scenario import CHECKS, Scenario, ScenarioError, atomic_open, load_scenario
+    import numpy as np
+
+    from .measure import GridField, extract_atoms, sample_to_grid
+    from .scenario import CHECKS, Scenario, ScenarioError, atomic_open, load_scenario
+finally:
+    if _collecting:
+        gc.enable()
 
 
 def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
@@ -112,7 +123,7 @@ def write_particle_outputs(out_dir: str, states, events):
     write_csv(os.path.join(out_dir, "events.csv"),
               ["t_event", "ids_merged", "x", "m"],
               [(np.array([e.t for e in events]),
-                ["+".join(str(i) for i in e.indices) for e in events],
+                ["+".join(map(str, e.indices)) for e in events],
                 np.array([e.x for e in events]), np.array([e.m for e in events]))])
 
 
@@ -196,9 +207,9 @@ def cmd_validate(args) -> int:
     scn = load_args_scenario(args)
     records = run_diagnostics(scn, run_pde(scn))
     write_report(scn, records)
-    for c in records:
-        status = "pass" if c.passed else "FAIL"
-        print(f"{status} {c.name} t={c.t} value={c.value} bound={c.bound}")
+    # in one write: unbuffered (PYTHONUNBUFFERED), a print per record is a write per record
+    sys.stdout.write("".join(f"{'pass' if c.passed else 'FAIL'} {c.name} t={c.t} "
+                             f"value={c.value} bound={c.bound}\n" for c in records))
     return 0 if all(c.passed for c in records) else 2
 
 
@@ -255,13 +266,22 @@ def main(argv=None) -> int:
 
 
 def entry():
-    """The process entry of `dualflow` and `python -m dualflow.cli`: main's
-    exit code, after gc.freeze() has spared the interpreter's final
-    collections the ~22 000 long-lived objects of numpy, the stdlib and
-    dualflow, none of them garbage.  main(argv) itself never freezes."""
+    """The process entry of `dualflow` and `python -m dualflow.cli`: main's exit
+    code, after the atexit handlers and the flush of sys.stdout and sys.stderr,
+    as at any exit, and then os._exit: no module teardown and no final
+    collections, whose only work left is freeing memory that the exit returns
+    anyway.  Every output file is closed, and the field writer child reaped,
+    before main returns.  A flush that fails exits through sys.exit instead, so
+    that the interpreter reports the failure as it does at any exit.
+    cli.main(argv), the call of the library and the tests, only returns."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except (OSError, ValueError):   # a closed pipe, a full disk, a closed stream
+        sys.exit(code)
+    os._exit(code)
 
 
 if __name__ == "__main__":

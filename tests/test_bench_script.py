@@ -194,3 +194,45 @@ json.dump({"x": {"exit": int(open("code").read())}}, open(sys.argv[1], "w"))
         {"verdict": "x: exit differs (0 -> 1)", "identical": False})
     (trees["a"] / "benchmarks" / "identity.py").unlink()   # a revision from before the script
     assert ab.identity(trees) is None
+
+
+def test_ab_probe_reads_the_loop_in_two_processes_over_alone(monkeypatch):
+    ab = load(monkeypatch, "ab")
+    monkeypatch.setattr(ab, "PROBE_LOOPS", 20_000)
+    # about 1 with two free cores and 2 with one; a loop this short also reads the fork
+    assert 0.5 < ab.probe() < math.inf
+
+
+def test_ab_summarises_the_quiet_and_busy_pairs_apart(monkeypatch, tmp_path):
+    # each tree is a stand-in bench/run.py whose run_s is B's 0.9 against A's 1.0
+    ab = load(monkeypatch, "ab")
+    stand_in = """
+import json, sys
+print("outputs_sha256 same")
+print(json.dumps({"correct": 1, "attempted": 1, "failed": 0,
+                  "metrics": {"run_s": {"value": float(open("run_s").read())}}}))
+"""
+
+    def extract(rev, dest):
+        (dest / "bench").mkdir(parents=True)
+        (dest / "bench" / "run.py").write_text(stand_in)
+        (dest / "run_s").write_text("1.0" if rev == "A" else "0.9")
+        (dest / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "run_s", "better": "lower"}]}))
+        return rev
+
+    ratios = iter([1.0, 2.0, 1.5, 1.2, 1.8])
+    monkeypatch.setattr(ab, "OUT_DIR", tmp_path)
+    monkeypatch.setattr(ab, "extract", extract)
+    monkeypatch.setattr(ab, "identity", lambda trees: None)
+    monkeypatch.setattr(ab, "probe", lambda: next(ratios))
+    assert ab.main(["A", "B", "--workload", "w", "--pairs", "5", "--seconds", "1",
+                    "--label", "smoke"]) == 0
+    result = json.loads((tmp_path / "BENCH_smoke.json").read_text())
+    assert [p["probe"] for p in result["pairs"]] == [1.0, 2.0, 1.5, 1.2, 1.8]
+    assert result["same_outputs"]
+    for key, pairs in (("summary", 5), ("summary_quiet", 2), ("summary_busy", 2)):
+        assert result[key] == {"run_s": {"a": {"median": 1.0, "iqr": 0.0},
+                                         "b": {"median": 0.9, "iqr": 0.0},
+                                         "b_wins": pairs, "pairs": pairs}}
+    assert ab.summary([], {"run_s": True}) is None   # no pair on that side of a split

@@ -334,21 +334,25 @@ def output_files(out: Path) -> dict:
 
 class TestProcessEntry:
     """`python -m dualflow.cli` and the `dualflow` script run cli.entry, which
-    freezes the heap after main; cli.main itself never freezes."""
+    runs the atexit handlers and flushes stdio after main, then ends the process
+    without teardown; what it prints and its exit status are what the
+    interpreter's own exit gives."""
 
-    @pytest.mark.parametrize("argv, scenario, code", [
+    CASES = pytest.mark.parametrize("argv, scenario, code", [
         (["validate"], None, 0),
         (["validate"], {"grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 0}}, 1),
         (["run", "--engine", "both"],
          {"diagnostics": {"checks": ["mass", "w1_vs_particles"], "tolerances": {"mass": -1.0}}},
          2),
     ], ids=["passes", "refused-at-load", "check-fails"])
-    def test_process_gives_what_main_gives(self, tmp_path, capsys, argv, scenario, code):
+
+    @staticmethod
+    def process_and_main(tmp_path, capsys, argv, scenario, code, env):
         path = (cli.bundled_scenario("two_atoms_attractive.json") if scenario is None
                 else write_scenario(tmp_path, **scenario))
         outs = [tmp_path / "process", tmp_path / "main"]
         proc = subprocess.run([sys.executable, "-m", "dualflow.cli", *argv, "--scenario", path,
-                               "--out", str(outs[0])], env=ENV, capture_output=True, text=True)
+                               "--out", str(outs[0])], env=env, capture_output=True, text=True)
         assert cli.main([*argv, "--scenario", path, "--out", str(outs[1])]) == code
         assert proc.returncode == code, proc.stderr
         captured = capsys.readouterr()
@@ -360,16 +364,54 @@ class TestProcessEntry:
         else:
             assert len(output_files(outs[0])) == (1 if argv == ["validate"] else 7)
 
-    def test_the_process_freezes_and_still_runs_atexit(self, tmp_path):
-        wrapper = ("import atexit, gc, runpy\n"
-                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+    @CASES
+    def test_process_gives_what_main_gives(self, tmp_path, capsys, argv, scenario, code):
+        self.process_and_main(tmp_path, capsys, argv, scenario, code, ENV)
+
+    @CASES
+    def test_buffered_process_gives_what_main_gives(self, tmp_path, capsys, argv, scenario,
+                                                    code):
+        # only buffered stdio has anything left for the entry's flush to write
+        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+        self.process_and_main(tmp_path, capsys, argv, scenario, code, env)
+
+    def test_atexit_handlers_run_and_their_output_appears(self, tmp_path, capsys):
+        wrapper = ("import atexit, runpy\n"
+                   "atexit.register(print, 'handler ran')\n"
                    "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n")
-        proc = subprocess.run([sys.executable, "-c", wrapper, "validate", "--scenario",
-                               cli.bundled_scenario("single_dirac_attractive.json"),
-                               "--out", str(tmp_path / "out")],
-                              env=ENV, capture_output=True, text=True)
+        argv = ["validate", "--scenario", cli.bundled_scenario("single_dirac_attractive.json")]
+        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+        proc = subprocess.run([sys.executable, "-c", wrapper, *argv,
+                               "--out", str(tmp_path / "process")],
+                              env=env, capture_output=True, text=True)
+        assert cli.main([*argv, "--out", str(tmp_path / "main")]) == 0
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "frozen True"
+        assert proc.stdout == capsys.readouterr().out + "handler ran\n"
+
+    @pytest.mark.parametrize("unbuffered, code, err", [
+        (False, 120, [r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' .*>",
+                      r"BrokenPipeError: \[Errno 32\] Broken pipe"]),
+        (True, 1, [r"i/o error: \[Errno 32\] Broken pipe"]),
+    ], ids=["buffered", "unbuffered"])
+    def test_a_closed_stdout_exits_as_the_interpreter_does(self, tmp_path, unbuffered, code,
+                                                           err):
+        # the reader is gone before the child writes: a reader that took a few bytes and
+        # then closed would race the child's one write of its report
+        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dualflow.cli", "validate",
+                                   "--scenario", cli.bundled_scenario("two_atoms_attractive.json"),
+                                   "--out", str(tmp_path / "out")],
+                                  env=env, stdout=write, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write)
+        assert proc.returncode == code
+        lines = proc.stderr.splitlines()
+        assert len(lines) == len(err) and all(map(re.fullmatch, err, lines)), proc.stderr
 
     def test_the_script_and_module_share_one_entry(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
@@ -391,6 +433,35 @@ class TestProcessEntry:
         proc = subprocess.run([sys.executable, "-S", "-c", code], env=ENV, check=True,
                               capture_output=True, text=True)
         assert proc.stdout == "0 True\n"
+
+    IMPORT_PROBE = """if True:
+        import gc, sys
+        import dualflow   # the package, which loads no module
+        gc.enable() if sys.argv[1] == "True" else gc.disable()
+        sys.modules.update(dict.fromkeys(sys.argv[2:]))   # None: importing them raises
+        passes = []   # those that begin while a module cli imports is still loading
+
+        def seen(phase, info):
+            if phase == "start" and any(
+                    getattr(getattr(module, "__spec__", None), "_initializing", False)
+                    for name, module in list(sys.modules.items()) if name != "dualflow.cli"):
+                passes.append(info)
+
+        gc.callbacks.append(seen)
+        try:
+            import dualflow.cli
+        except ImportError:
+            print("import failed")
+        print(gc.isenabled(), len(passes))
+    """
+
+    @pytest.mark.parametrize("enabled, blocked", [(True, []), (False, []), (True, ["numpy"])],
+                             ids=["enabled", "disabled", "an-import-fails"])
+    def test_import_runs_no_collection_and_leaves_the_collector_as_found(self, enabled,
+                                                                         blocked):
+        proc = subprocess.run([sys.executable, "-S", "-c", self.IMPORT_PROBE, str(enabled),
+                               *blocked], env=ENV, check=True, capture_output=True, text=True)
+        assert proc.stdout == ("import failed\n" if blocked else "") + f"{enabled} 0\n"
 
 
 class TestFailClosedFields:
