@@ -18,9 +18,9 @@ from __future__ import annotations
 
 import gc
 
-# The imports below allocate tens of thousands of long-lived objects and free none of
-# them, so every collection they trigger (some 30 under numpy's alone) finds no garbage.
-# The collector is off while they load and back in the state it was found in after.
+# The imports below allocate some 20 000 long-lived objects and free none of them, so
+# every collection they trigger (some 30 under numpy's alone) finds no garbage.  The
+# collector is off while they load and back in the state it was found in after.
 _collecting = gc.isenabled()
 gc.disable()
 try:
@@ -36,6 +36,11 @@ try:
     from .measure import GridField, extract_atoms, sample_to_grid
     from .scenario import CHECKS, Scenario, ScenarioError, atomic_open, load_scenario
 finally:
+    # freeze and unfreeze move every tracked object, unscanned, to the oldest generation:
+    # else the first allocation after the imports scans all they made in one young pass
+    if not gc.get_freeze_count():   # a caller's frozen objects stay frozen
+        gc.freeze()
+        gc.unfreeze()
     if _collecting:
         gc.enable()
 

@@ -438,30 +438,43 @@ class TestProcessEntry:
         import gc, sys
         import dualflow   # the package, which loads no module
         gc.enable() if sys.argv[1] == "True" else gc.disable()
-        sys.modules.update(dict.fromkeys(sys.argv[2:]))   # None: importing them raises
+        if sys.argv[2] == "True":
+            gc.freeze()
+        frozen = gc.get_freeze_count()
+        sys.modules.update(dict.fromkeys(sys.argv[3:]))   # None: importing them raises
         passes = []   # those that begin while a module cli imports is still loading
+        young = []    # the size of the young generation at the start of each pass
 
         def seen(phase, info):
-            if phase == "start" and any(
-                    getattr(getattr(module, "__spec__", None), "_initializing", False)
-                    for name, module in list(sys.modules.items()) if name != "dualflow.cli"):
-                passes.append(info)
+            if phase == "start":
+                young.append(len(gc.get_objects(generation=0)))
+                if any(getattr(getattr(module, "__spec__", None), "_initializing", False)
+                       for name, module in list(sys.modules.items()) if name != "dualflow.cli"):
+                    passes.append(info)
 
         gc.callbacks.append(seen)
         try:
             import dualflow.cli
         except ImportError:
             print("import failed")
-        print(gc.isenabled(), len(passes))
+        young.append(len(gc.get_objects(generation=0)))
+        print(gc.isenabled(), len(passes), gc.get_freeze_count() == frozen,
+              max(young) < 2 * gc.get_threshold()[0])
     """
 
-    @pytest.mark.parametrize("enabled, blocked", [(True, []), (False, []), (True, ["numpy"])],
-                             ids=["enabled", "disabled", "an-import-fails"])
-    def test_import_runs_no_collection_and_leaves_the_collector_as_found(self, enabled,
+    @pytest.mark.parametrize("enabled, frozen, blocked", [
+        (True, False, []), (False, False, []), (True, False, ["numpy"]), (False, True, []),
+    ], ids=["enabled", "disabled", "an-import-fails", "frozen-objects"])
+    def test_import_runs_no_collection_and_leaves_the_collector_as_found(self, enabled, frozen,
                                                                          blocked):
+        # the last field: no young generation holding all that the imports made, for one
+        # pass to scan, neither right after them nor after; a caller's freeze is kept,
+        # and with it every object stays where it was
         proc = subprocess.run([sys.executable, "-S", "-c", self.IMPORT_PROBE, str(enabled),
-                               *blocked], env=ENV, check=True, capture_output=True, text=True)
-        assert proc.stdout == ("import failed\n" if blocked else "") + f"{enabled} 0\n"
+                               str(frozen), *blocked],
+                              env=ENV, check=True, capture_output=True, text=True)
+        assert proc.stdout == (("import failed\n" if blocked else "")
+                               + f"{enabled} 0 True {not frozen}\n")
 
 
 class TestFailClosedFields:
