@@ -208,13 +208,20 @@ def cmd_riemann(args) -> int:
     return riemann.cmd_riemann(args)
 
 
+ATOMIC_PIPE_WRITE = 512   # bytes: the least PIPE_BUF that POSIX allows
+
+
 def cmd_validate(args) -> int:
     scn = load_args_scenario(args)
     records = run_diagnostics(scn, run_pde(scn))
     write_report(scn, records)
-    # in one write: unbuffered (PYTHONUNBUFFERED), a print per record is a write per record
-    sys.stdout.write("".join(f"{'pass' if c.passed else 'FAIL'} {c.name} t={c.t} "
-                             f"value={c.value} bound={c.bound}\n" for c in records))
+    # unbuffered (PYTHONUNBUFFERED), a print per record would be a write per record; but
+    # there a write that a pipe takes only part of loses the rest with no error, so the
+    # report goes in writes a pipe takes whole or not at all (its lines are ASCII)
+    report = "".join(f"{'pass' if c.passed else 'FAIL'} {c.name} t={c.t} value={c.value} "
+                     f"bound={c.bound}\n" for c in records)
+    for start in range(0, len(report), ATOMIC_PIPE_WRITE):
+        sys.stdout.write(report[start:start + ATOMIC_PIPE_WRITE])
     return 0 if all(c.passed for c in records) else 2
 
 

@@ -388,30 +388,45 @@ class TestProcessEntry:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == capsys.readouterr().out + "handler ran\n"
 
-    @pytest.mark.parametrize("unbuffered, code, err", [
-        (False, 120, [r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' .*>",
-                      r"BrokenPipeError: \[Errno 32\] Broken pipe"]),
-        (True, 1, [r"i/o error: \[Errno 32\] Broken pipe"]),
-    ], ids=["buffered", "unbuffered"])
-    def test_a_closed_stdout_exits_as_the_interpreter_does(self, tmp_path, unbuffered, code,
-                                                           err):
-        # the reader is gone before the child writes: a reader that took a few bytes and
-        # then closed would race the child's one write of its report
+    BROKEN_PIPE = r"i/o error: \[Errno 32\] Broken pipe"
+
+    @pytest.mark.parametrize("report, unbuffered, code, err", [
+        ("small", False, 120, [r"Exception ignored in: <_io\.TextIOWrapper name='<stdout>' .*>",
+                               r"BrokenPipeError: \[Errno 32\] Broken pipe"]),
+        ("small", True, 1, [BROKEN_PIPE]),
+        ("large", False, 1, [BROKEN_PIPE]),
+        ("large", True, 1, [BROKEN_PIPE]),
+    ], ids=["small-buffered", "small-unbuffered", "large-buffered", "large-unbuffered"])
+    def test_a_closed_stdout_exits_as_the_interpreter_does(self, tmp_path, report, unbuffered,
+                                                           code, err):
         env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
         if unbuffered:
             env["PYTHONUNBUFFERED"] = "1"
-        read, write = os.pipe()
-        os.close(read)
-        try:
-            proc = subprocess.run([sys.executable, "-m", "dualflow.cli", "validate",
-                                   "--scenario", cli.bundled_scenario("two_atoms_attractive.json"),
-                                   "--out", str(tmp_path / "out")],
-                                  env=env, stdout=write, stderr=subprocess.PIPE, text=True)
-        finally:
-            os.close(write)
-        assert proc.returncode == code
-        lines = proc.stderr.splitlines()
-        assert len(lines) == len(err) and all(map(re.fullmatch, err, lines)), proc.stderr
+        if report == "small":   # 9 lines, written before a reader that took some could close
+            path = cli.bundled_scenario("two_atoms_attractive.json")
+        else:   # 4 003 lines, over 200 KB: the child blocks on the full pipe until it closes
+            path = write_scenario(tmp_path, time={
+                "t_end": 1.0, "output_times": [k / 1000 for k in range(1001)]})
+        argv = [sys.executable, "-m", "dualflow.cli", "validate", "--scenario", path,
+                "--out", str(tmp_path / "out")]
+        if report == "small":   # so its reader is gone before the child starts
+            read, write = os.pipe()
+            os.close(read)
+            try:
+                proc = subprocess.run(argv, env=env, stdout=write, stderr=subprocess.PIPE,
+                                      text=True)
+            finally:
+                os.close(write)
+            returncode, stderr = proc.returncode, proc.stderr
+        else:   # its reader takes 10 bytes, then closes
+            with subprocess.Popen(argv, env=env, stdout=subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True) as proc:
+                assert len(proc.stdout.read(10)) == 10
+                proc.stdout.close()
+                stderr, returncode = proc.stderr.read(), proc.wait(timeout=60)
+        assert returncode == code
+        lines = stderr.splitlines()
+        assert len(lines) == len(err) and all(map(re.fullmatch, err, lines)), stderr
 
     def test_the_script_and_module_share_one_entry(self):
         pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
