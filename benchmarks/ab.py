@@ -14,9 +14,9 @@ spell of a shared host falls on both sides alike.
 
 Before each pair a probe reads how much of the host is free: a CPU-bound
 loop is timed alone, then in two processes at once (this one and a fork),
-and the pair records the second wall time over the first.  On an idle
-2-core host it reads about 1; where the two copies take turns on one core,
-about 2.  A workload whose command forks (the field writer of `run`) gains
+and the pair records the second wall time over the first.  Where each
+copy has a core to itself it reads about 1; where the two take turns on one
+core, about 2.  A workload whose command forks (the field writer of `run`) gains
 from the second core only while it is free, so its A/B can move with the
 host rather than with the change; the ratio tells the spells apart.
 
@@ -45,7 +45,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 OUT_DIR = ROOT   # where BENCH_<label>.json goes
-PROBE_LOOPS = 2_000_000   # about 0.1 s of one core here
+PROBE_LOOPS = 2_000_000   # about 0.08 s on one core of a 2-core x86-64 host
 QUIET, BUSY = 1.35, 1.7   # probe ratios that split the pairs in the summary
 
 

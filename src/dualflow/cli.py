@@ -19,7 +19,7 @@ from __future__ import annotations
 import gc
 
 # The imports below allocate some 20 000 long-lived objects and free none of them, so
-# every collection they trigger (some 30 under numpy's alone) finds no garbage.  The
+# every collection they trigger (34 with the collector on) finds no garbage.  The
 # collector is off while they load and back in the state it was found in after.
 _collecting = gc.isenabled()
 gc.disable()

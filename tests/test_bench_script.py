@@ -1,7 +1,8 @@
 """Smoke tests of the scripts in benchmarks/: bench.py's layers run on the
 workloads' tiny scenarios and small cases, identity.py's --compare on
 synthetic records, and ab.py on HEAD against HEAD, one short pair, its
---layers turns and its identity verdict with stand-ins for the scripts.
+--layers turns, its identity verdict and its summaries of the pairs split by
+the host probe, with stand-ins for the scripts.
 
 The layer functions are called directly, never bench.py's ``main``, so no
 BENCH_*.json is written in the repository (ab.py writes its record in a

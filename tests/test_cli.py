@@ -338,6 +338,9 @@ class TestProcessEntry:
     without teardown; what it prints and its exit status are what the
     interpreter's own exit gives."""
 
+    # only buffered stdio has anything left for the entry's flush to write
+    BUFFERED_ENV = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
+
     CASES = pytest.mark.parametrize("argv, scenario, code", [
         (["validate"], None, 0),
         (["validate"], {"grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 0}}, 1),
@@ -371,19 +374,16 @@ class TestProcessEntry:
     @CASES
     def test_buffered_process_gives_what_main_gives(self, tmp_path, capsys, argv, scenario,
                                                     code):
-        # only buffered stdio has anything left for the entry's flush to write
-        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-        self.process_and_main(tmp_path, capsys, argv, scenario, code, env)
+        self.process_and_main(tmp_path, capsys, argv, scenario, code, self.BUFFERED_ENV)
 
     def test_atexit_handlers_run_and_their_output_appears(self, tmp_path, capsys):
         wrapper = ("import atexit, runpy\n"
                    "atexit.register(print, 'handler ran')\n"
                    "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n")
         argv = ["validate", "--scenario", cli.bundled_scenario("single_dirac_attractive.json")]
-        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
         proc = subprocess.run([sys.executable, "-c", wrapper, *argv,
                                "--out", str(tmp_path / "process")],
-                              env=env, capture_output=True, text=True)
+                              env=self.BUFFERED_ENV, capture_output=True, text=True)
         assert cli.main([*argv, "--out", str(tmp_path / "main")]) == 0
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == capsys.readouterr().out + "handler ran\n"
@@ -399,10 +399,8 @@ class TestProcessEntry:
     ], ids=["small-buffered", "small-unbuffered", "large-buffered", "large-unbuffered"])
     def test_a_closed_stdout_exits_as_the_interpreter_does(self, tmp_path, report, unbuffered,
                                                            code, err):
-        env = {k: v for k, v in ENV.items() if k != "PYTHONUNBUFFERED"}
-        if unbuffered:
-            env["PYTHONUNBUFFERED"] = "1"
-        if report == "small":   # 9 lines, written before a reader that took some could close
+        env = dict(self.BUFFERED_ENV, PYTHONUNBUFFERED="1") if unbuffered else self.BUFFERED_ENV
+        if report == "small":   # 9 lines: a reader that took 10 bytes would race their write
             path = cli.bundled_scenario("two_atoms_attractive.json")
         else:   # 4 003 lines, over 200 KB: the child blocks on the full pipe until it closes
             path = write_scenario(tmp_path, time={
