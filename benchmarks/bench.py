@@ -23,9 +23,10 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   records and writes no file), the commit and the reaping of the child,
   against the same march and checks alone.  Reported are both wall times,
   their difference (what the writer adds, in ms) and the time the parent
-  waits at the commit (ms): the formatting that the march and the checks
-  did not hide.  `run`'s own writes of its other files, which overlap the
-  child's writes, are left out.
+  waits at the commit (ms): the child's formatting that the march and the
+  checks did not hide, and its writing of the three files, which the
+  commit waits for.  `run` writes its other files after the commit
+  returns; those writes are left out.
 - pde_step: microseconds per PDE step, each one call of the step body
   that `pde.march` runs (`_March.stepper`), on n = 6 400 cells, for the
   flux of each workload, one per kind: quadratic-repulsive a(u) = u

@@ -34,7 +34,7 @@ try:
     import numpy as np
 
     from .measure import GridField, extract_atoms, sample_to_grid
-    from .scenario import CHECKS, Scenario, ScenarioError, atomic_open, load_scenario
+    from .scenario import CHECKS, Scenario, ScenarioError, load_scenario, write_files
 finally:
     # freeze and unfreeze move every tracked object, unscanned, to the oldest generation:
     # else the first allocation after the imports scans all they made in one young pass
@@ -114,41 +114,38 @@ def write_field_outputs(out_dir: str, snapshots):
         faces.add((s.t, f.faces, f.u_faces))
         cells.add((s.t, f.centers, (m := f.cell_masses), m / f.dx))
         atoms.add((s.t, np.arange(mu.n_atoms), mu.positions, mu.masses))
-    for name, text in texts.items():
-        with atomic_open(os.path.join(out_dir, name)) as fh:
-            fh.writelines(text)
+    write_files(out_dir, texts)
 
 
 def write_particle_outputs(out_dir: str, states, events):
-    from .csvtext import write_csv
-    write_csv(os.path.join(out_dir, "trajectory.csv"),
-              ["t", "atom_id", "x", "m", "v"],
-              ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
-               for st in states))
-    write_csv(os.path.join(out_dir, "events.csv"),
-              ["t_event", "ids_merged", "x", "m"],
-              [(np.array([e.t for e in events]),
-                ["+".join(map(str, e.indices)) for e in events],
-                np.array([e.x for e in events]), np.array([e.m for e in events]))])
+    from .csvtext import csv_text
+    write_files(out_dir, {
+        "trajectory.csv": csv_text(
+            ["t", "atom_id", "x", "m", "v"],
+            ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
+             for st in states)),
+        "events.csv": csv_text(
+            ["t_event", "ids_merged", "x", "m"],
+            [(np.array([e.t for e in events]), ["+".join(map(str, e.indices)) for e in events],
+              np.array([e.x for e in events]), np.array([e.m for e in events]))])})
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
     from . import analysis
-    from .csvtext import write_csv
+    from .csvtext import csv_text
     residual = next((c.value for c in records if c.name == "weak_residual"), "")
-    write_csv(os.path.join(out_dir, "diagnostics.csv"),
-              ["t", "total_mass", "max_cell_density", "oleinik_lhs_max",
-               "residual_weak"],
-              [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
-                analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
-                residual) for s in snapshots])
+    write_files(out_dir, {"diagnostics.csv": csv_text(
+        ["t", "total_mass", "max_cell_density", "oleinik_lhs_max", "residual_weak"],
+        [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
+          analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
+          residual) for s in snapshots])})
 
 
-def write_report(scn: Scenario, records):
-    """diagnostics.json: the check records and the scenario they ran on."""
-    with atomic_open(os.path.join(scn.out_dir, "diagnostics.json")) as fh:
-        fh.write(json.dumps({"checks": [r._asdict() for r in records], "scenario": scn.raw},
-                            indent=2, sort_keys=True) + "\n")
+def json_report(scn: Scenario, records) -> dict:
+    """diagnostics.json, as write_files takes it: the check records and the
+    scenario they ran on."""
+    report = {"checks": [r._asdict() for r in records], "scenario": scn.raw}
+    return {"diagnostics.json": [json.dumps(report, indent=2, sort_keys=True), "\n"]}
 
 
 # ---------------------------------------------------------------------------
@@ -179,14 +176,15 @@ def cmd_run(args) -> int:
         writer = FieldWriter(scn.out_dir, write_field_outputs)
     with writer as fields:
         snapshots = run_pde(scn, each=fields and fields.send)
-        # every engine and check has run before the first file is written, so a failure up
-        # to here writes none; one in the writes below exits 1 and leaves each file already
-        # renamed into place (whole) beside the previous run's others
+        # every engine and check runs, and the writer child writes the field CSVs, before
+        # this process writes a file: a failure up to the commit's return leaves this
+        # process's files as they were; one in the writes below exits 1 and leaves each file
+        # already renamed into place (whole) beside the previous run's others
         records = run_diagnostics(scn, snapshots, oracle)
-        if fields:
+        report = json_report(scn, records) if "json" in scn.formats else {}
+        if fields:   # the child formatted its last snapshots while the report was made
             fields.commit(snapshots)
-        if "json" in scn.formats:
-            write_report(scn, records)
+        write_files(scn.out_dir, report)
         if "csv" in scn.formats:
             if oracle:
                 write_particle_outputs(scn.out_dir, *oracle)
@@ -214,7 +212,7 @@ ATOMIC_PIPE_WRITE = 512   # bytes: the least PIPE_BUF that POSIX allows
 def cmd_validate(args) -> int:
     scn = load_args_scenario(args)
     records = run_diagnostics(scn, run_pde(scn))
-    write_report(scn, records)
+    write_files(scn.out_dir, json_report(scn, records))
     # unbuffered (PYTHONUNBUFFERED), a print per record would be a write per record; but
     # there a write that a pipe takes only part of loses the rest with no error, so the
     # report goes in writes a pipe takes whole or not at all (its lines are ASCII)

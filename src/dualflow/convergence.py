@@ -8,12 +8,11 @@ no other command compiles it.  Like every module, it imports no
 from __future__ import annotations
 
 import math
-import os
 
 from . import flux as fx
-from .csvtext import write_csv
+from .csvtext import csv_text
 from .measure import AtomicMeasure, GridField, sample_to_grid, wasserstein1
-from .scenario import CHECKS, Scenario, ScenarioError, check_grid
+from .scenario import CHECKS, Scenario, ScenarioError, check_grid, write_files
 
 
 def _final_field(scn: Scenario, n_cells: int) -> GridField:
@@ -79,10 +78,9 @@ def convergence_table(scn: Scenario, resolutions) -> list[dict]:
 def cmd_convergence(scn: Scenario, resolutions: str) -> int:
     """convergence.csv and the printed table of the comma-separated ``resolutions``."""
     rows = convergence_table(scn, resolutions.split(","))
-    write_csv(os.path.join(scn.out_dir, "convergence.csv"),
-              ["n_cells", "l1_error", "order"],
-              [(r["n_cells"], r["l1_error"],
-                "" if r["order"] is None else r["order"]) for r in rows])
+    write_files(scn.out_dir, {"convergence.csv": csv_text(
+        ["n_cells", "l1_error", "order"],
+        [(r["n_cells"], r["l1_error"], "" if r["order"] is None else r["order"]) for r in rows])})
     print(f"{'n_cells':>8} {'L1 error':>14} {'order':>8}")
     for r in rows:
         order = "" if r["order"] is None else f"{r['order']:.3f}"

@@ -1,4 +1,4 @@
-"""The one CSV formatter: Csv, and write_csv, which writes a file with it.
+"""The one CSV formatter: Csv, and csv_text, the text of a file through it.
 
 Loaded on first use, by the commands that write CSV files (`run` with
 ``csv`` in its formats, and `convergence`); `validate` never compiles it.
@@ -9,8 +9,6 @@ from __future__ import annotations
 from itertools import chain, repeat
 
 import numpy as np
-
-from .scenario import atomic_open
 
 
 def _fmt(x) -> str:
@@ -75,9 +73,13 @@ class Csv:
             self.write(rows + "\r\n")
 
 
-def write_csv(path: str, header: list[str], blocks):
-    """Write the Csv of ``blocks`` to ``path``, a block at a time."""
-    with atomic_open(path) as fh:
-        csv = Csv(header, fh.write)
-        for block in blocks:
-            csv.add(block)
+def csv_text(header: list[str], blocks):
+    """The Csv of ``blocks``: its header, then each block's rows, yielded as
+    the block is formatted, so that a file written from it is never held whole."""
+    text: list[str] = []
+    csv = Csv(header, text.append)
+    for block in blocks:
+        yield from text
+        text.clear()
+        csv.add(block)
+    yield from text

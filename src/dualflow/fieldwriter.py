@@ -18,8 +18,9 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
     """``write(out_dir, snapshots)`` (cli.write_field_outputs) in a forked
     child, fed each snapshot by ``send`` as the march reaches it.  The child
     writes the files only after ``commit`` (every engine and check has run)
-    and exits writing nothing when the pipe ends without one; it answers a
-    line, empty for done, else its error (an OSError here).  Leaving the
+    and exits writing nothing when the pipe ends without one.  It answers
+    once, when the files are written: a line, empty for done, else its error
+    (an OSError here), and commit returns on that answer.  Leaving the
     ``with`` block reaps it.  Without a fork (no os.fork, or it fails),
     commit formats and writes in this process.
     """
@@ -48,9 +49,8 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
                 def received():
                     while (state := pickle.load(feed)) is not None:   # EOFError: no commit
                         yield state
-                    back.write("\n")   # every snapshot is formatted
                 write(out_dir, received())
-                back.write("\n")   # and written
+                back.write("\n")   # every snapshot is formatted and written
             except Exception as exc:   # one line, never empty: an empty one means done
                 back.write(" ".join(str(exc).splitlines()) or type(exc).__name__)
                 back.write("\n")
@@ -87,13 +87,9 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
         else:   # no child: format and write here
             self.write(self.out_dir, snapshots)
 
-    def __exit__(self, kind, *_):
+    def __exit__(self, *_):
         if self.pid:
-            try:
-                if self.feed is not None:   # no commit: the child writes nothing
-                    os.close(self.feed)
-                elif kind is None:
-                    self._reply()
-            finally:
-                self.back.close()
-                os.waitpid(self.pid, 0)
+            if self.feed is not None:   # no commit: the child writes nothing
+                os.close(self.feed)
+            self.back.close()
+            os.waitpid(self.pid, 0)

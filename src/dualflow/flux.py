@@ -336,16 +336,15 @@ class FluxPlan:
         self.corner = None if self.slope <= 0.0 else tuple(
             zip(da.left[inside].tolist(), da.right[inside].tolist(), da.vals[inside].tolist()))
         self.A, self.da = A.at.sorted, da.at
-        # A = c·u², c ≠ 0, which _horner evaluates as (u·c)·u + 0.0 whatever the
-        # kind (A.at is (+0.0, None, c)), is monotone on a range without 0 inside,
-        # and so is each rounded product: on nondecreasing faces min(A(uL), A(uR))
-        # is, bit for bit (every zero of A is +0.0), A at the upwind face, uL where
-        # A rises.  For c > 0, (u·c)·u is never -0.0, so no + 0.0.  None, or (c,
-        # whether the upwind face is uR, 0.0 or None)
+        # A = c·u², c ≠ 0, which _horner evaluates as (u·c)·u + 0.0 whatever the kind
+        # (A.at is (+0.0, None, c): _new_tables' literal 0.0 is A's constant term), is
+        # monotone on a range without 0 inside, and so is each rounded product: on
+        # nondecreasing faces min(A(uL), A(uR)) is, bit for bit (every zero of A is +0.0),
+        # A at the upwind face, uL where A rises.  For c > 0, (u·c)·u is never -0.0, so no
+        # + 0.0.  None, or (c, whether the upwind face is uR, 0.0 or None)
         self.upwind = None
         at = A.at
-        if (type(at) is _Horner and len(at) == 3 and at[1] is None and at[2]
-                and at[0] == 0.0 and math.copysign(1.0, at[0]) > 0 and not self.stationary):
+        if type(at) is _Horner and len(at) == 3 and at[1] is None and at[2] and not self.stationary:
             zero, _, c = at
             rises = (float(c) > 0.0) == (lo >= 0.0)
             self.upwind = (c, not rises, None if c > 0.0 else zero)

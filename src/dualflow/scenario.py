@@ -1,5 +1,5 @@
 """Scenario files: the one reader of their JSON format, and the one writer
-of the files a scenario's run writes (atomic_open).
+of the files a scenario's run writes (write_files).
 
 A scenario poses the Cauchy problem: a velocity model a (``flux``), an
 initial measure rho_0 (``initial``), the grid and times it is solved on,
@@ -10,7 +10,6 @@ ScenarioError naming the field, e.g. ``grid.x_min must be a number, got 'a'``.
 
 from __future__ import annotations
 
-import contextlib
 import json
 import math
 import os
@@ -330,25 +329,27 @@ def parse_scenario(raw: dict) -> Scenario:
 # the files a run writes
 
 
-@contextlib.contextmanager
-def atomic_open(path: str):
-    """Text handle on a temporary file that replaces ``path`` once closed.
+def write_files(out_dir: str, texts: dict):
+    """Write each file of ``texts``, a file name mapped to an iterable of str,
+    into ``out_dir``, creating it on the first file.
 
-    Readers see the old file or the complete new one, never a partial
-    write; on error the temporary file is removed.  The file gets the mode
-    open() would give it (0o666 less the umask), not mkstemp's 0o600.
+    Each file is a temporary one until it is whole, then replaces the file
+    of its name: readers see the old file or the complete new one, never a
+    partial write.  On error the temporary file is removed.  Each file gets
+    the mode open() would give it (0o666 less the umask), not mkstemp's 0o600.
     """
     import tempfile   # loaded by the commands that write, not by reading a scenario
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            yield fh
-        umask = os.umask(0o077)   # reading the umask means setting it
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    umask = os.umask(0o077)   # reading the umask means setting it
+    os.umask(umask)
+    for name, text in texts.items():
+        os.makedirs(out_dir or ".", exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=out_dir or ".", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.writelines(text)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, os.path.join(out_dir, name))
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise

@@ -268,7 +268,7 @@ class TestReport:
         scn = cli.load_scenario(cli.bundled_scenario("two_atoms_attractive.json"))
         records = [an.CheckRecord("mass", 1.0, 0.0, 0.0, 1e-12, True),
                    an.CheckRecord("osl", 1.0, 2.0, 1.0, 0.0, False)]
-        cli.write_report(scn._replace(out_dir=str(tmp_path), raw={"name": "demo"}), records)
+        cli.write_files(str(tmp_path), cli.json_report(scn._replace(raw={"name": "demo"}), records))
         data = json.loads((tmp_path / "diagnostics.json").read_text())
         assert data["scenario"] == {"name": "demo"}
         assert [an.CheckRecord(**c) for c in data["checks"]] == records

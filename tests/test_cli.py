@@ -15,9 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import cli, csvtext, fieldwriter, particles, pde
+from dualflow import analysis, cli, csvtext, fieldwriter, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, extract_atoms, wasserstein1
-from dualflow.scenario import CHECKS, parse_scenario
+from dualflow.scenario import CHECKS, parse_scenario, write_files
 
 
 BIG = 123456.789   # stands in a scenario for 1e400, which json.dumps cannot write
@@ -675,7 +675,7 @@ class TestOutputFiles:
         blocks = [(0.25, np.array([1.0, -2.5e-300, 1 / 3]), np.arange(3), ["a+b", "", "c"]),
                   (1.0, 2, "", float("nan")),
                   (0.5, np.array([]), np.array([], dtype=int), [])]
-        csvtext.write_csv(str(tmp_path / "fast.csv"), ["t", "x", "i", "s"], blocks)
+        write_files(str(tmp_path), {"fast.csv": csvtext.csv_text(["t", "x", "i", "s"], blocks)})
         with open(tmp_path / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["t", "x", "i", "s"])
@@ -696,7 +696,7 @@ class TestOutputFiles:
             blocks.append(tuple(data.draw(csv_column(n, p)) for p in prev))
         header = [f"c{j}" for j in range(n_columns)]
         d = tmp_path_factory.mktemp("csv")
-        csvtext.write_csv(str(d / "fast.csv"), header, blocks)
+        write_files(str(d), {"fast.csv": csvtext.csv_text(header, blocks)})
         with open(d / "ref.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
@@ -710,7 +710,7 @@ class TestOutputFiles:
         zeros = np.repeat([0.0, -0.0, 0.0], 4)   # runs that differ only in sign
         blocks = [(t, col) for t, col in enumerate([x, x.copy(), signed, signed.view(np.int64),
                                                     signed.view(np.int64), x, zeros])]
-        csvtext.write_csv(str(tmp_path / "fast.csv"), ["t", "x"], blocks)
+        write_files(str(tmp_path), {"fast.csv": csvtext.csv_text(["t", "x"], blocks)})
         expected = "t,x\r\n" + "".join(f"{a},{b}\r\n" for block in blocks
                                        for a, b in reference_rows(block))
         assert (tmp_path / "fast.csv").read_bytes() == expected.encode()
@@ -724,7 +724,7 @@ class TestOutputFiles:
     ], ids=["comma", "quote", "newline", "header_return", "lone_empty_cell"])
     def test_a_cell_that_needs_quoting_is_refused(self, tmp_path, header, block):
         with pytest.raises(ValueError, match="quoting"):
-            csvtext.write_csv(str(tmp_path / "x.csv"), header, [block])
+            write_files(str(tmp_path), {"x.csv": csvtext.csv_text(header, [block])})
         assert not (tmp_path / "x.csv").exists()
 
 
@@ -734,7 +734,7 @@ FIELD_FILES = {"fields_faces.csv": ["t", "x_face", "u"],
 
 
 def field_blocks(snapshots, name):
-    """The blocks of one field CSV, as _write_csv takes them."""
+    """The blocks of one field CSV, as csv_text takes them."""
     for s in snapshots:
         f = s.field
         if name == "fields_faces.csv":
@@ -759,7 +759,7 @@ class TestFieldWriter:
         snapshots = cli.run_pde(scn)
         ref = tmp_path / "ref"
         for fname, header in FIELD_FILES.items():
-            csvtext.write_csv(str(ref / fname), header, field_blocks(snapshots, fname))
+            write_files(str(ref), {fname: csvtext.csv_text(header, field_blocks(snapshots, fname))})
         out = tmp_path / "out"
         engine = "pde" if "repulsive" in name else "both"
         assert cli.main(["run", "--engine", engine, "--scenario", cli.bundled_scenario(name),
@@ -853,6 +853,24 @@ class TestFieldWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_a_field_csv_the_child_cannot_write_leaves_the_parents_files(self, tmp_path,
+                                                                         capsys):
+        out = tmp_path / "out"
+        first = write_scenario(tmp_path)
+        assert cli.main(["run", "--engine", "both", "--scenario", first, "--out", str(out)]) == 0
+        kept = {name: (out / name).read_bytes() for name in ("diagnostics.json", "diagnostics.csv")}
+        (out / "fields_faces.csv").unlink()
+        (out / "fields_faces.csv").mkdir()
+        second = write_scenario(tmp_path, "second.json",
+                                time={"t_end": 0.5, "output_times": [0.0, 0.25, 0.5]})
+        assert cli.main(["run", "--engine", "both", "--scenario", second, "--out", str(out)]) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith("i/o error: ") and "Is a directory" in line, line
+        assert {name: (out / name).read_bytes() for name in kept} == kept
+        assert not list(out.glob("*.tmp"))
+        with pytest.raises(ChildProcessError):   # every child is reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("overrides, code", [
         ({}, 0), ({"diagnostics": {"checks": ["mass"], "tolerances": {"mass": -1.0}}}, 2)])
     def test_a_finished_run_leaves_no_child(self, tmp_path, overrides, code):
@@ -864,7 +882,7 @@ class TestFieldWriter:
 
 
 def reference_rows(block):
-    """The rows of one _write_csv block, formatted as the csv.writer-based
+    """The rows of one csv_text block, formatted as the csv.writer-based
     writer did: numpy entries by repr, list entries and scalars by _fmt."""
     n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
     cols = [map(repr, c.tolist()) if isinstance(c, np.ndarray)
@@ -951,7 +969,7 @@ class TestValidateCommand:
         assert {c.name for c in records} == names
         for c in records:
             assert list(map(type, c)) == [str, float, float, float, float, bool], c
-        cli.write_report(scn._replace(out_dir=str(tmp_path / "again")), records)
+        write_files(str(tmp_path / "again"), cli.json_report(scn, records))
         assert (tmp_path / "again" / "diagnostics.json").read_bytes() == \
             (out / "diagnostics.json").read_bytes()
 
@@ -966,6 +984,23 @@ class TestValidateCommand:
             assert cli.main([*command, "--scenario", path, "--out", str(out)]) == 0
         assert (tmp_path / "run" / "diagnostics.json").read_bytes() == \
             (tmp_path / "validate" / "diagnostics.json").read_bytes()
+
+    def test_pushforward_on_density_data(self, tmp_path):
+        # reconstruct_flow follows N_QUANTILES mass coordinates of a density, not atoms
+        path = write_scenario(
+            tmp_path,
+            initial={"type": "triangular", "x_left": -1.0, "x_peak": -0.2, "x_right": 1.0,
+                     "mass": 1.0},
+            grid={"x_min": -3.0, "x_max": 3.0, "n_cells": 600},
+            time={"t_end": 1.0, "output_times": [0.0, 0.25, 0.5, 1.0]},
+            diagnostics={"checks": ["mass", "pushforward"], "tolerances": {}})
+        out = tmp_path / "out"
+        assert cli.main(["validate", "--scenario", path, "--out", str(out)]) == 0
+        checks = json.loads((out / "diagnostics.json").read_text())["checks"]
+        assert {"pushforward_x", "pushforward_x2", "pushforward_sin"} <= {c["name"] for c in checks}
+        scn = cli.load_scenario(path)
+        flow = analysis.reconstruct_flow(cli.run_pde(scn), scn.initial, scn.model)
+        assert len(flow.q) == analysis.N_QUANTILES
 
     def test_passes_and_prints_lines(self, tmp_path, capsys):
         path = write_scenario(tmp_path)

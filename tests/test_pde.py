@@ -54,6 +54,16 @@ class TestStableDt:
         with pytest.raises(pde.SolverError):
             pde.step(state, still)
 
+    def test_dt_steps_a_rest_state(self):
+        # no mass, so no face moves: only a given dt advances the clock
+        field = ms.GridField(-1.0, 1.0, 8, np.zeros(9))
+        state = pde.SolverState(0.0, field)
+        stepped = pde.step(state, ATTR, dt=0.5)
+        assert (stepped.t, stepped.step_count) == (0.5, 1)
+        assert stepped.field.u_faces.tobytes() == field.u_faces.tobytes()
+        with pytest.raises(pde.SolverError, match="pass dt for rest states"):
+            pde.step(state, ATTR)
+
 
 class TestStepInvariants:
     @pytest.mark.parametrize("model", [ATTR, REP])
