@@ -59,7 +59,9 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   Reported per workload are the medians of the wall time and of the
   teardown, the time from that stamp to the parent's return from wait
   (the flush of stdio, whatever the interpreter still does after it, and
-  process exit), both in ms.
+  process exit), both in ms, and the source lines the command compiled: the
+  lines of the `dualflow` modules in the child's `sys.modules` when the stamp
+  is taken (`__init__` and `cli`, which runs as `__main__`, included).
 
     python3 benchmarks/bench.py --label LABEL
 
@@ -117,7 +119,10 @@ CHECK_REPEATS = 15
 PROCESS_SPAWNS = 10
 STAMP_EXIT = (   # registered first, so the last atexit handler to run
     "import atexit, runpy, sys, time\n"
-    "atexit.register(lambda: sys.stderr.write(repr(time.monotonic()) + '\\n'))\n"
+    "atexit.register(lambda: sys.stderr.write('\\t'.join(\n"
+    "    m.__file__ for m in list(sys.modules.values())\n"
+    "    if getattr(m, '__spec__', None) and m.__spec__.name.split('.')[0] == 'dualflow')\n"
+    "    + '\\n' + repr(time.monotonic()) + '\\n'))\n"
     "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n"
 )
 
@@ -295,10 +300,12 @@ def checks_layer() -> dict:
 
 
 def process_layer() -> dict:
-    """Median wall time and teardown, in ms, of PROCESS_SPAWNS processes per workload."""
+    """Median wall time and teardown, in ms, of PROCESS_SPAWNS processes per workload,
+    and the dualflow source lines each workload's command compiles."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
                OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     times: dict[str, tuple[list, list]] = {name: ([], []) for name in workloads.WORKLOADS}
+    lines: dict[str, int] = {}
     with tempfile.TemporaryDirectory() as tmp:
         commands = {}
         for name, w in workloads.WORKLOADS.items():
@@ -314,14 +321,19 @@ def process_layer() -> dict:
                 end = time.monotonic()
                 if proc.returncode != 0:
                     raise SystemExit(f"process {name}: exit {proc.returncode}\n{proc.stderr}")
+                *_, modules, stamp = proc.stderr.splitlines()
                 times[name][0].append(end - start)
-                times[name][1].append(end - float(proc.stderr.splitlines()[-1]))
+                times[name][1].append(end - float(stamp))
+                lines[name] = sum(len(Path(f).read_text().splitlines())
+                                  for f in set(modules.split("\t")))
     results = {}
     for name, (walls, teardowns) in times.items():
         results[name] = {"wall_ms": statistics.median(walls) * 1e3,
-                         "teardown_ms": statistics.median(teardowns) * 1e3}
+                         "teardown_ms": statistics.median(teardowns) * 1e3,
+                         "lines_compiled": lines[name]}
         print(f"process {name}: wall {results[name]['wall_ms']:.1f} ms, teardown "
-              f"{results[name]['teardown_ms']:.1f} ms (median of {len(walls)})", flush=True)
+              f"{results[name]['teardown_ms']:.1f} ms (median of {len(walls)}), "
+              f"{lines[name]} lines compiled", flush=True)
     return results
 
 

@@ -7,11 +7,14 @@ Subcommands:
     riemann      admissible speed range, selected speed and wave structure
     validate     run all configured diagnostics; exit 0 iff everything passes
 
-Exit codes: 0 success, 1 configuration/I-O error, 2 diagnostics failure.
+Options take their exact long names, as --name VALUE or --name=VALUE, and a
+value that is not empty; of a repeated option the last wins.  --resolutions
+takes comma-separated cell counts, --flux a flux block as JSON, e.g.
+{"kind": "quadratic-attractive"}, and a state of riemann may be negative
+(riemann --flux JSON -0.5 0.5).  -h or --help prints this text and the usage.
 
-Each command compiles only the modules it runs (README lists them): the
-engines, the checks, the CSV writers, the convergence study and the Riemann
-classifier are imported by the functions that run them.
+Exit codes: 0 success, 1 usage, configuration or I/O error, 2 diagnostics
+failure.
 """
 
 from __future__ import annotations
@@ -24,12 +27,12 @@ import gc
 _collecting = gc.isenabled()
 gc.disable()
 try:
-    import argparse
     import atexit
     import contextlib
     import json
     import os
     import sys
+    import types
 
     import numpy as np
 
@@ -209,50 +212,113 @@ def cmd_riemann(args) -> int:
 ATOMIC_PIPE_WRITE = 512   # bytes: the least PIPE_BUF that POSIX allows
 
 
+def write_stdout(text: str):
+    """``text``, ASCII, on stdout in writes a pipe takes whole or not at all.
+    Unbuffered (PYTHONUNBUFFERED), a write that a pipe takes only part of
+    loses the rest with no error."""
+    for start in range(0, len(text), ATOMIC_PIPE_WRITE):
+        sys.stdout.write(text[start:start + ATOMIC_PIPE_WRITE])
+
+
 def cmd_validate(args) -> int:
     scn = load_args_scenario(args)
     records = run_diagnostics(scn, run_pde(scn))
     write_files(scn.out_dir, json_report(scn, records))
-    # unbuffered (PYTHONUNBUFFERED), a print per record would be a write per record; but
-    # there a write that a pipe takes only part of loses the rest with no error, so the
-    # report goes in writes a pipe takes whole or not at all (its lines are ASCII)
-    report = "".join(f"{'pass' if c.passed else 'FAIL'} {c.name} t={c.t} value={c.value} "
-                     f"bound={c.bound}\n" for c in records)
-    for start in range(0, len(report), ATOMIC_PIPE_WRITE):
-        sys.stdout.write(report[start:start + ATOMIC_PIPE_WRITE])
+    # one text, not a print per record: unbuffered, that would be a write per record
+    write_stdout("".join(f"{'pass' if c.passed else 'FAIL'} {c.name} t={c.t} value={c.value} "
+                         f"bound={c.bound}\n" for c in records))
     return 0 if all(c.passed for c in records) else 2
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="dualflow",
-                                     description=__doc__,
-                                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = parser.add_subparsers(dest="command", required=True)
-    scn_opts = argparse.ArgumentParser(add_help=False)   # read by load_args_scenario
-    scn_opts.add_argument("--scenario", required=True)
-    scn_opts.add_argument("--out", default=None)
+# ---------------------------------------------------------------------------
+# command line
 
-    p_run = sub.add_parser("run", parents=[scn_opts], help="run a scenario")
-    p_run.add_argument("--engine", choices=("pde", "particles", "both"),
-                       default="pde")
-    p_run.set_defaults(func=cmd_run)
 
-    p_conv = sub.add_parser("convergence", parents=[scn_opts], help="grid-refinement study")
-    p_conv.add_argument("--resolutions", required=True,
-                        help="comma-separated cell counts, e.g. 100,200,400")
-    p_conv.set_defaults(func=cmd_convergence)
+REQUIRED = object()   # the default of an option that every command line must give
+# the options that load_args_scenario reads
+SCENARIO_OPTIONS = {"--scenario": ("PATH", REQUIRED), "--out": ("DIR", None)}
+# name: (function, {option: (metavar, default)}, positional floats); the metavar
+# {a,b,...} lists the only values that its option takes
+COMMANDS = {
+    "run": (cmd_run, {**SCENARIO_OPTIONS, "--engine": ("{pde,particles,both}", "pde")}, ()),
+    "convergence": (cmd_convergence, {**SCENARIO_OPTIONS, "--resolutions": ("N,N,...", REQUIRED)},
+                    ()),
+    "riemann": (cmd_riemann, {"--flux": ("JSON", REQUIRED)}, ("u_minus", "u_plus")),
+    "validate": (cmd_validate, SCENARIO_OPTIONS, ()),
+}
+HELP = ("-h", "--help")
 
-    p_rie = sub.add_parser("riemann", help="classify a Riemann problem")
-    p_rie.add_argument("--flux", required=True,
-                       help='flux block as JSON, e.g. {"kind": "quadratic-attractive"}')
-    p_rie.add_argument("u_minus", type=float)
-    p_rie.add_argument("u_plus", type=float)
-    p_rie.set_defaults(func=cmd_riemann)
 
-    p_val = sub.add_parser("validate", parents=[scn_opts],
-                           help="run diagnostics; exit 0 iff all pass")
-    p_val.set_defaults(func=cmd_validate)
-    return parser
+class UsageError(Exception):
+    """A command line that COMMANDS does not take."""
+
+
+def usage(command: str | None = None) -> str:
+    """The usage line of a command, or of dualflow."""
+    if command is None:
+        return f"usage: dualflow {{{','.join(COMMANDS)}}} [--option VALUE]... (-h for help)"
+    _, options, floats = COMMANDS[command]
+    return " ".join(["usage: dualflow", command, *(
+        f"{name} {meta}" if default is REQUIRED else f"[{name} {meta}]"
+        for name, (meta, default) in options.items()), *floats])
+
+
+def is_option(token: str) -> bool:
+    """Whether a command-line token names an option: a '-' first, and no number."""
+    try:
+        float(token)
+    except ValueError:
+        return token.startswith("-")
+    return False
+
+
+def parse_args(argv: list):
+    """The command line ``argv`` as attributes, one per option (``--out`` as
+    ``out``) and per positional float, and the command's function ``func``;
+    None when it asks for help.  Raises UsageError for any line COMMANDS does
+    not take."""
+    if not argv:
+        raise UsageError("no command given")
+    if argv[0] in HELP:
+        return None
+    if argv[0] not in COMMANDS:
+        raise UsageError(f"{argv[0]!r} is not a command ({', '.join(COMMANDS)})")
+    func, options, floats = COMMANDS[argv[0]]
+    given, positional = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in HELP:
+            return None
+        if not is_option(token):
+            positional.append(token)
+            continue
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise UsageError(f"unrecognized option {name}")
+        if not eq:
+            value = next(tokens, None)
+            if value is None or is_option(value):
+                raise UsageError(f"option {name} needs a value")
+        meta = options[name][0]
+        if not value:
+            raise UsageError(f"option {name} has an empty value")
+        if meta.startswith("{") and value not in meta[1:-1].split(","):
+            raise UsageError(f"option {name}: {value!r} is not one of {meta}")
+        given[name] = value
+    missing = [name for name, (_, default) in options.items()
+               if default is REQUIRED and name not in given] + list(floats[len(positional):])
+    if missing:
+        raise UsageError(f"missing {', '.join(missing)}")
+    if len(positional) > len(floats):
+        raise UsageError(f"unrecognized arguments {' '.join(positional[len(floats):])}")
+    args = types.SimpleNamespace(func=func, **{
+        name[2:]: given.get(name, default) for name, (_, default) in options.items()})
+    for name, token in zip(floats, positional):
+        try:
+            setattr(args, name, float(token))
+        except ValueError:
+            raise UsageError(f"{name}: {token!r} is not a number") from None
+    return args
 
 
 def __getattr__(name: str):   # PEP 562: cli.convergence_table loads the study on first use
@@ -263,8 +329,16 @@ def __getattr__(name: str):   # PEP 562: cli.convergence_table loads the study o
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    try:
+        args = parse_args(argv)
+    except UsageError as exc:
+        print(usage(command), f"error: {exc}", sep="\n", file=sys.stderr)
+        return 1
+    if args is None:   # -h: the docstring, and the usage of the command or of every command
+        write_stdout("\n".join([__doc__, *map(usage, [command] if command else COMMANDS), ""]))
+        return 0
     try:
         return args.func(args)
     except ValueError as exc:   # every error of a bad input here, pde.SolverError too

@@ -29,8 +29,9 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
         self.out_dir, self.write, self.pid = out_dir, write, None
         if not hasattr(os, "fork"):
             return
-        # loaded before the fork: the child unpickles pde's states and formats with csvtext
-        from . import csvtext, pde   # noqa: F401
+        # loaded before the fork: the child unpickles pde's states, extracts their atoms with
+        # transport and formats with csvtext
+        from . import csvtext, pde, transport   # noqa: F401
         (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()

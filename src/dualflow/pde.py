@@ -20,6 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import flux as fx
+from .fluxplan import FluxPlan
 from .measure import BOUNDARY_TOL, MONOTONE_TOL, GridField
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
@@ -98,7 +99,7 @@ class _March:
         self.dx = field.dx
         self.model = model
         self.ext = np.concatenate((u[:1], u, u[-1:]))
-        self.plan = fx.FluxPlan(model, float(u[0]), float(u[-1]))
+        self.plan = FluxPlan(model, float(u[0]), float(u[-1]))
         mass = abs(float(u[-1]))   # the roundoff tolerances on u are relative to it
         self.monotone_tol, self.boundary_tol = MONOTONE_TOL * mass, BOUNDARY_TOL * mass
         self.jumps = np.empty(u.size + 1)   # d_j = ext[j+1] - ext[j], kept current by _check
@@ -141,7 +142,7 @@ class _March:
         if self.ordered:
             return self.plan.dt(cfl, self.dx, self.jump)
         u = self.ext[1:-1]
-        plan = fx.FluxPlan(self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
+        plan = FluxPlan(self.model, float(np.minimum.reduce(u)), float(np.maximum.reduce(u)))
         return plan.dt(cfl, self.dx, self.jump)
 
     def stepper(self, cfl: float | None):
@@ -211,7 +212,7 @@ class _March:
         leave room for roundoff.
         """
         lo, hi = float(self.ext[0]) - self.monotone_tol, float(self.ext[-1]) + self.monotone_tol
-        dt_floor = fx.FluxPlan(self.model, lo, hi).dt(cfl, self.dx, hi - lo)
+        dt_floor = FluxPlan(self.model, lo, hi).dt(cfl, self.dx, hi - lo)
         return 2.0 * (n_targets + (t_end / dt_floor if dt_floor > 0.0 else math.inf)) + 8.0
 
 

@@ -98,8 +98,13 @@ def test_process_layer(bench, monkeypatch):
     results = bench.process_layer()
     assert bench.asked == list(results) == list(bench.workloads.WORKLOADS)
     for per_process in results.values():
-        assert set(per_process) == {"wall_ms", "teardown_ms"}
+        assert set(per_process) == {"wall_ms", "teardown_ms", "lines_compiled"}
         assert 0.0 < per_process["teardown_ms"] < per_process["wall_ms"] < math.inf
+    # the particle engine's run compiles these modules (cli as __main__) and no other
+    sources = bench.ROOT / "src" / "dualflow"
+    assert results["particle_collapse"]["lines_compiled"] == sum(
+        len((sources / f"{m}.py").read_text().splitlines())
+        for m in ("__init__", "cli", "csvtext", "flux", "measure", "particles", "scenario"))
 
 
 RECORD = {"run_a": {"exit": 0, "stdout": "s1", "files": {"f.csv": "h1", "g.json": "h2"}},

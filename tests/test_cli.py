@@ -1216,6 +1216,109 @@ class TestRiemannCommand:
         assert capsys.readouterr().err == "error: --flux contains the non-finite number NaN\n"
 
 
+class TestCommandLine:
+    """cli.main parses its command line from cli.COMMANDS: exact long options,
+    --name VALUE or --name=VALUE, -h/--help; a line it does not take is one
+    usage line and one error line on stderr, and exit 1."""
+
+    FLUX = '{"kind": "quadratic-attractive"}'
+
+    def usage_error(self, capsys, argv, usage, error):
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [usage, error]
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "error: no command given"),
+        (["simulate"], "error: 'simulate' is not a command (run, convergence, riemann, "
+                       "validate)"),
+        (["--scenario", "s.json"], "error: '--scenario' is not a command (run, convergence, "
+                                   "riemann, validate)"),
+    ], ids=["no-command", "unknown-command", "option-first"])
+    def test_bad_command(self, capsys, argv, error):
+        self.usage_error(capsys, argv, "usage: dualflow {run,convergence,riemann,validate} "
+                         "[--option VALUE]... (-h for help)", error)
+
+    RUN = "usage: dualflow run --scenario PATH [--out DIR] [--engine {pde,particles,both}]"
+    RIEMANN = "usage: dualflow riemann --flux JSON u_minus u_plus"
+
+    @pytest.mark.parametrize("argv, usage, error", [
+        (["run", "--scenario", "s.json", "--speed", "2"], RUN,
+         "error: unrecognized option --speed"),
+        # argparse took a prefix of an option's name for the option
+        (["validate", "--scen", "s.json"], "usage: dualflow validate --scenario PATH [--out DIR]",
+         "error: unrecognized option --scen"),
+        (["run", "--engine", "pde"], RUN, "error: missing --scenario"),
+        (["convergence", "--scenario", "s.json"],
+         "usage: dualflow convergence --scenario PATH [--out DIR] --resolutions N,N,...",
+         "error: missing --resolutions"),
+        (["run", "--scenario", "s.json", "--engine", "particle"], RUN,
+         "error: option --engine: 'particle' is not one of {pde,particles,both}"),
+        (["run", "--scenario"], RUN, "error: option --scenario needs a value"),
+        (["run", "--out", "--scenario", "s.json"], RUN, "error: option --out needs a value"),
+        (["run", "--scenario", "s.json", "--out", ""], RUN,
+         "error: option --out has an empty value"),
+        (["run", "--scenario=", "--out", "o"], RUN, "error: option --scenario has an empty value"),
+        (["run", "--scenario", "s.json", "extra"], RUN, "error: unrecognized arguments extra"),
+        (["riemann", "--flux", FLUX, "zero", "1"], RIEMANN,
+         "error: u_minus: 'zero' is not a number"),
+        (["riemann", "--flux", FLUX, "0"], RIEMANN, "error: missing u_plus"),
+        (["riemann", "0", "1"], RIEMANN, "error: missing --flux"),
+        (["riemann", "--flux", FLUX, "0", "1", "2"], RIEMANN, "error: unrecognized arguments 2"),
+    ], ids=["unknown-option", "abbreviated-option", "missing-scenario", "missing-resolutions",
+            "bad-choice", "no-value-at-the-end", "option-for-a-value", "empty-out",
+            "empty-equals-value", "extra-argument", "non-numeric-state", "missing-state",
+            "missing-flux", "extra-state"])
+    def test_usage_error_exits_1(self, capsys, argv, usage, error):
+        self.usage_error(capsys, argv, usage, error)
+
+    def test_empty_out_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # --out "" used to fall back to the scenario's output.directory, "out" here
+        path = write_scenario(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["run", "--engine", "particles", "--scenario", path, "--out", ""]) == 1
+        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr().err.splitlines()[-1] == "error: option --out has an empty value"
+
+    def test_negative_states_are_values(self, capsys):
+        assert cli.main(["riemann", "--flux", self.FLUX, "-0.5", "0.5"]) == 0
+        assert "shock -0.5 -> 0.5, speed 0.0" in capsys.readouterr().out
+
+    def test_equals_form_and_the_last_repeat_win(self, tmp_path, capsys):
+        path, out = write_scenario(tmp_path), tmp_path / "results"
+        assert cli.main(["run", f"--scenario={path}", "--out", str(tmp_path / "first"),
+                         f"--out={out}", "--engine=particles"]) == 0
+        assert capsys.readouterr() == ("", "")
+        assert sorted(p.name for p in out.iterdir()) == ["events.csv", "trajectory.csv"]
+        assert not (tmp_path / "first").exists()
+        args = cli.parse_args(["riemann", "--flux", "{}", "--flux={ }", "1e-3", "-2"])
+        assert (args.func, args.flux, args.u_minus, args.u_plus) == (cli.cmd_riemann, "{ }",
+                                                                   1e-3, -2.0)
+
+    @pytest.mark.parametrize("argv", [[], ["run"], ["convergence"], ["riemann"], ["validate"]],
+                             ids=["top", "run", "convergence", "riemann", "validate"])
+    @pytest.mark.parametrize("flag", ["-h", "--help"])
+    def test_help(self, capsys, argv, flag):
+        # anywhere an option may stand, before the required ones are given
+        assert cli.main([*argv, flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(cli.__doc__)
+        usages = [line for line in captured.out.splitlines() if line.startswith("usage: ")]
+        assert usages == [cli.usage(c) for c in (argv or cli.COMMANDS)]
+
+    def test_process_exits_1_on_a_usage_error_and_0_on_help(self, tmp_path):
+        # argparse exited 2, the code of a failed diagnostic
+        bad, help_ = (subprocess.run([sys.executable, "-m", "dualflow.cli", *argv], env=ENV,
+                                     capture_output=True, text=True)
+                      for argv in (["validate", "--scenaro", "x.json"], ["validate", "-h"]))
+        assert (bad.returncode, bad.stdout) == (1, "")
+        assert bad.stderr.splitlines()[-1] == "error: unrecognized option --scenaro"
+        assert (help_.returncode, help_.stderr) == (0, "")
+        assert help_.stdout.splitlines()[-1] == cli.usage("validate")
+
+
 # a(u) non-increasing on [0, 1] for each: the oracle serves all three
 CROSS_MODELS = {
     "quadratic": {"kind": "quadratic-attractive"},

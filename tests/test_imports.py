@@ -5,8 +5,10 @@ use.  ``cli`` imports the PDE engine, the particle oracle, the diagnostics,
 the CSV formatter, the writer fork, the convergence study and the Riemann
 classifier inside the functions that run them, ``flux`` the piecewise-linear
 A only for that kind, and ``scenario`` reads the check table without
-``analysis``.  Each test that looks at ``sys.modules`` runs one fresh
-interpreter, since this test process has imported every module already.
+``analysis``.  ``pde`` alone loads the flux plan, and ``measure`` loads the
+bodies of its atoms, W1 and quantile functions on their first call.  Each
+test that looks at ``sys.modules`` runs one fresh interpreter, since this
+test process has imported every module already.
 """
 
 import ast
@@ -75,31 +77,57 @@ def scenario_file(tmp_path, **overrides) -> str:
 JSON_ONLY = {"output": {"formats": ["json"]}}
 
 
-@pytest.mark.parametrize("argv, overrides, loaded", [
+COMMAND_LINES = [
     (["run", "--engine", "particles"], {},
      ["cli", "csvtext", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "particles"], JSON_ONLY, ["cli", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "pde"], {},
-     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "measure", "pde", "scenario"]),
-    (["run", "--engine", "pde"], JSON_ONLY, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
-    (["validate"], {}, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "fluxplan", "measure", "pde",
+      "scenario", "transport"]),
+    (["run", "--engine", "pde"], JSON_ONLY,
+     ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "scenario"]),
+    (["validate"], {}, ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "scenario"]),
     (["validate"], {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 0.0], [1.0, -1.0]]}},
-     ["analysis", "cli", "flux", "measure", "pde", "pwl", "scenario"]),
+     ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "pwl", "scenario"]),
     (["convergence", "--resolutions", "50,100,200"], {},
-     ["cli", "convergence", "csvtext", "flux", "measure", "particles", "pde", "scenario"]),
+     ["cli", "convergence", "csvtext", "flux", "fluxplan", "measure", "particles", "pde",
+      "scenario", "transport"]),
     (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"], {},
      ["analysis", "cli", "flux", "measure", "riemann", "scenario"]),
-], ids=["run-particles", "run-particles-json", "run-pde", "run-pde-json", "validate",
-        "validate-pwl", "convergence", "riemann"])
-def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, overrides, loaded):
-    # the CSV formatter only with "csv" in the formats, the writer fork only for the
-    # field CSVs of the PDE engine, the piecewise-linear A only for that kind;
-    # convergence and riemann only for their own commands
+]
+COMMAND_IDS = ["run-particles", "run-particles-json", "run-pde", "run-pde-json", "validate",
+               "validate-pwl", "convergence", "riemann"]
+
+
+def command_code(tmp_path, argv, overrides) -> str:
+    """Code that runs one of COMMAND_LINES through cli.main, asserting exit 0."""
     if argv[0] != "riemann":
         argv = [*argv, "--scenario", scenario_file(tmp_path, **overrides),
                 "--out", str(tmp_path / "out")]
-    code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
-    assert submodules_after(code) == loaded
+    return f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("argv, overrides, loaded", COMMAND_LINES, ids=COMMAND_IDS)
+def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, overrides, loaded):
+    # the CSV formatter only with "csv" in the formats, the writer fork only for the
+    # field CSVs of the PDE engine, the piecewise-linear A only for that kind;
+    # convergence and riemann only for their own commands; the flux plan only with
+    # the PDE engine, and the atoms, W1 and quantile bodies (transport) only for the
+    # field CSVs, a W1 check or the flow reconstruction: neither for the particle
+    # engine alone nor for riemann
+    assert submodules_after(command_code(tmp_path, argv, overrides)) == loaded
+
+
+@pytest.mark.parametrize("argv, overrides", [line[:2] for line in COMMAND_LINES], ids=COMMAND_IDS)
+def test_no_command_loads_argparse_gettext_or_locale(tmp_path, argv, overrides):
+    # cli parses its command line from its own table; argparse's help strings load
+    # gettext, and gettext loads locale
+    code = command_code(tmp_path, argv, overrides) + """
+import sys
+print([m for m in ("argparse", "gettext", "locale") if m in sys.modules])"""
+    out = fresh(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "[]"
 
 
 def imports_of(path: Path) -> set[str]:
@@ -139,7 +167,7 @@ def test_validate_without_checks_loads_no_analysis(tmp_path):
     argv = ["validate", "--scenario", scenario_file(tmp_path, diagnostics={"checks": []}),
             "--out", str(tmp_path / "out")]
     code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
-    assert submodules_after(code) == ["cli", "flux", "measure", "pde", "scenario"]
+    assert submodules_after(code) == ["cli", "flux", "fluxplan", "measure", "pde", "scenario"]
     assert json.loads((tmp_path / "out" / "diagnostics.json").read_text())["checks"] == []
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from dualflow import flux as fx
 from dualflow import measure as ms
-from dualflow import pde
+from dualflow import pde, transport
 
 
 def atoms(*pairs):
@@ -228,7 +228,7 @@ class TestExtractAtomsEqualsTheScan:
 def test_union_equals_union1d(x, y):
     # repeats and zeros of both signs: which of equal values is kept shows in the bits
     x, y = np.sort(x), np.sort(y)
-    assert np.array_equal(ms._union(x, y).view(np.int64), np.union1d(x, y).view(np.int64))
+    assert np.array_equal(transport._union(x, y).view(np.int64), np.union1d(x, y).view(np.int64))
 
 
 class TestWasserstein:

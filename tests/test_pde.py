@@ -8,6 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from dualflow import cli, flux as fx
 from dualflow import measure as ms
 from dualflow import pde, pwl
+from dualflow.fluxplan import FluxPlan
 
 ATTR = fx.quadratic_attractive()
 REP = fx.quadratic_repulsive()
@@ -247,7 +248,7 @@ class TestFluxPlan:
             ranges = [(lo, hi), wider, (-2.0, 2.0), (min(lo, -5e-324), hi)]
             ranges += [(0.0, hi)] if lo >= 0.0 else [(lo, 0.0)] if hi <= 0.0 else []
             for lo, hi in ranges:
-                plan = fx.FluxPlan(model, lo, hi)
+                plan = FluxPlan(model, lo, hi)
                 assert (plan.upwind is not None) == (is_c_u(model) and not lo < 0.0 < hi)
                 # the piecewise-linear A gathers its rows by runs from RUNS_FROM faces on
                 for runs_from in (pwl.RUNS_FROM, 0):
@@ -268,7 +269,7 @@ class TestFluxPlan:
                                    min_size=2, max_size=40))
         e = np.sort(np.array(faces)) + 0.0
         for e in (e, 0.0 - e[::-1]):
-            plan = fx.FluxPlan(model, float(e[0]), float(e[-1]))
+            plan = FluxPlan(model, float(e[0]), float(e[-1]))
             assert plan.upwind is not None
             got = plan.fluxes(e, e[:-1], e[1:], np.diff(e), np.empty(e.size - 1),
                               np.empty((2, e.size)))
@@ -277,13 +278,13 @@ class TestFluxPlan:
     def test_c_u_upwind_equals_the_quadratic_kinds(self):
         for c, quadratic in ((1.0, REP), (-1.0, ATTR)):
             for lo, hi in ((0.0, 1.0), (-1.0, 0.0)):
-                plan = fx.FluxPlan(fx.polynomial([0.0, c]), lo, hi)
-                same = fx.FluxPlan(quadratic, lo, hi)
+                plan = FluxPlan(fx.polynomial([0.0, c]), lo, hi)
+                same = FluxPlan(quadratic, lo, hi)
                 assert bits(plan.upwind[0]) == bits(same.upwind[0])
                 assert plan.upwind[1:] == same.upwind[1:]
         # A = 0 (c/2 is 0), a constant term or a third coefficient keep the min of A
         for coeffs in ([0.0, 0.0], [0.0, 5e-324], [0.5, 1.0], [0.0, 1.0, 0.0]):
-            assert fx.FluxPlan(fx.polynomial(coeffs), 0.0, 1.0).upwind is None
+            assert FluxPlan(fx.polynomial(coeffs), 0.0, 1.0).upwind is None
 
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -310,7 +311,7 @@ class TestFluxPlan:
     def test_wave_bound_equals_the_range_queries(self, kind, data):
         model = data.draw(KIND_MODELS[kind])
         lo, hi = sorted(data.draw(st.tuples(st.floats(-0.5, 1.5), st.floats(-0.5, 1.5))))
-        plan = fx.FluxPlan(model, lo, hi)
+        plan = FluxPlan(model, lo, hi)
         assert bits(plan.speed) == bits(fx.max_wave_speed(model, lo, hi))
         assert bits(plan.slope) == bits(max(0.0, fx.max_slope_of_a(model, lo, hi)))
 
