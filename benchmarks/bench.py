@@ -222,14 +222,6 @@ def ramp_march(model: fx.FluxModel, width: int):
     return pde._March(GridField(-1.0, 1.0, STEP_CELLS, np.clip(k / width, 0.0, 1.0)), model)
 
 
-def stepper(march):
-    """The step body of ``march`` at cfl 0.45, called as step(limit); a
-    checkout whose _March has no stepper takes dt and advance instead."""
-    if hasattr(march, "stepper"):
-        return march.stepper(0.45)
-    return lambda limit: march.advance(min(march.dt(0.45), limit))
-
-
 def step_seconds(march, step, start_ext, start_jumps, start_state) -> float:
     """The time of STEP_COUNT calls of ``step``, each from the start state."""
     total = 0.0
@@ -251,7 +243,7 @@ def pde_step_layer() -> dict:
         model = workload(name).model
         for width in STEP_WIDTHS:
             march = ramp_march(model, width)
-            cases[model.kind, width] = (march, stepper(march), march.ext.copy(),
+            cases[model.kind, width] = (march, march.stepper(0.45), march.ext.copy(),
                                         march.jumps.copy(), dict(vars(march)))
     best = dict.fromkeys(cases, math.inf)
     for _ in range(STEP_REPEATS):

@@ -48,16 +48,15 @@ finally:
         gc.enable()
 
 
-def initial_grid(scn: Scenario, n_cells: int | None = None) -> GridField:
-    return sample_to_grid(scn.initial, scn.x_min, scn.x_max,
-                          scn.n_cells if n_cells is None else n_cells)
+def initial_grid(scn: Scenario) -> GridField:
+    return sample_to_grid(scn.initial, scn.x_min, scn.x_max, scn.n_cells)
 
 
-def run_pde(scn: Scenario, n_cells: int | None = None, each=None) -> list:   # of SolverState
+def run_pde(scn: Scenario, each=None) -> list:   # of SolverState
     """The snapshots of pde.run; ``each``, when given, is called on each one as
     the march reaches it and returns it."""
     from . import pde
-    args = (initial_grid(scn, n_cells), scn.model, scn.t_end, scn.cfl, scn.output_times)
+    args = (initial_grid(scn), scn.model, scn.t_end, scn.cfl, scn.output_times)
     return pde.run(*args) if each is None else list(map(each, pde.march(*args)))
 
 

@@ -16,8 +16,8 @@ from .scenario import CHECKS, Scenario, ScenarioError, check_grid, write_files
 
 
 def _final_field(scn: Scenario, n_cells: int) -> GridField:
-    """u at t_end on n_cells cells: the last snapshot of cli.run_pde(scn, n_cells),
-    the only one kept."""
+    """u at t_end on n_cells cells: the last snapshot of
+    cli.run_pde(scn._replace(n_cells=n_cells)), the only one kept."""
     from . import pde
     grid = sample_to_grid(scn.initial, scn.x_min, scn.x_max, n_cells)
     for state in pde.march(grid, scn.model, scn.t_end, scn.cfl, scn.output_times):

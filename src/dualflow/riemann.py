@@ -33,13 +33,21 @@ def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
     with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
         a_m = fx.eval_a(model, u_minus)
         a_p = fx.eval_a(model, u_plus)
-        A_m, A_p = fx.eval_A(model, u_minus), fx.eval_A(model, u_plus)
         width = u_plus - u_minus
-        selected = (A_p - A_m) / width
-    if not all(map(math.isfinite, (a_m, a_p, A_m, A_p, width, selected))):
+        selected = _chord_slope(model, u_minus, u_plus)
+    if not all(map(math.isfinite, (a_m, a_p, width, selected))):
         raise AnalysisError(f"a, A or the chord slope of A overflows for the states "
                             f"({u_minus}, {u_plus})")
     return min(a_m, a_p), max(a_m, a_p), selected
+
+
+def _chord_slope(model: fx.FluxModel, l: float, r: float) -> float:
+    """(A(r) - A(l)) / (r - l), clipped to the range of a on [l, r], where the
+    mean value theorem puts the exact slope: the clip removes only rounding.
+    An overflow stays inf or nan."""
+    s = (fx.eval_A(model, r) - fx.eval_A(model, l)) / (r - l)
+    low, high = fx.a_range(model, l, r)
+    return min(max(s, low), high) if math.isfinite(s) else s
 
 
 def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
@@ -90,8 +98,7 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
     for i, j in zip(hull, hull[1:]):
         ua, ub = float(us[i]), float(us[j])
         if j - i > 1:
-            s = (fx.eval_A(model, ub) - fx.eval_A(model, ua)) / (ub - ua)
-            segments.append(("shock", ua, ub, s))
+            segments.append(("shock", ua, ub, _chord_slope(model, ua, ub)))
         elif segments and segments[-1][0] == "rarefaction":
             segments[-1] = ("rarefaction", segments[-1][1], ub, None)
         else:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dualflow import analysis as an
 from dualflow import flux as fx
@@ -147,6 +149,50 @@ ATOM_DATA = st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.05, 0.3)),
 DENSITY_DATA = (st.tuples(st.floats(-1.0, -0.1), st.floats(0.1, 1.0), st.floats(0.2, 1.2))
                 .flatmap(lambda b: st.sampled_from([
                     ms.UniformDensity(*b), ms.TriangularDensity(b[0], 0.0, b[1], b[2])])))
+
+
+# distinct finite states, subnormals included: any two, or two a relative gap apart
+STATE = st.floats(allow_nan=False, allow_infinity=False)
+NEAR_PAIRS = st.tuples(st.floats(0.5, 2.0), st.floats(1e-15, 1.0)).map(
+    lambda p: (p[0], p[0] * (1.0 + p[1])))
+STATE_PAIRS = (st.tuples(STATE, STATE) | NEAR_PAIRS).filter(lambda p: p[0] != p[1])
+
+
+class TestSelectedSpeedInRange:
+    """The chord slope of A lies in the range of a (mean value theorem); the
+    rounded one is kept there, and an overflow is refused."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(model=st.sampled_from(KIND_MODELS), pair=STATE_PAIRS)
+    @example(model=ATTR, pair=(0.0, 1e155))   # A(1e155) overflows; a clip would hide it
+    def test_selected_speed(self, model, pair):
+        u_minus, u_plus = pair
+        with np.errstate(over="ignore", invalid="ignore"):
+            a_m, a_p = fx.eval_a(model, u_minus), fx.eval_a(model, u_plus)
+            width = u_plus - u_minus
+            chord = (fx.eval_A(model, u_plus) - fx.eval_A(model, u_minus)) / width
+            low, high = fx.a_range(model, u_minus, u_plus)
+        if not all(map(math.isfinite, (a_m, a_p, width, chord))):
+            with pytest.raises(an.AnalysisError, match="overflows"):
+                riemann.admissible_speed_range(model, u_minus, u_plus)
+            return
+        selected = riemann.admissible_speed_range(model, u_minus, u_plus)[2]
+        assert low <= selected <= high
+
+    @settings(max_examples=200, deadline=None)
+    @given(model=st.sampled_from(KIND_MODELS), pair=STATE_PAIRS)
+    def test_shock_speeds(self, model, pair):
+        u_minus, u_plus = sorted(pair)
+        try:
+            info = riemann.classify_riemann(model, u_minus, u_plus)
+        except an.AnalysisError as exc:
+            assert "overflows" in str(exc)
+            return
+        assert info["admissible_low"] <= info["admissible_high"]
+        for kind, ua, ub, s in info["segments"]:
+            if kind == "shock":
+                low, high = fx.a_range(model, ua, ub)
+                assert low <= s <= high
 
 
 class TestWeakResidualFamily:

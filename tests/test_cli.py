@@ -727,6 +727,12 @@ class TestOutputFiles:
             write_files(str(tmp_path), {"x.csv": csvtext.csv_text(header, [block])})
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize("column", [np.zeros((2, 2)), np.array([1.0, "a"], dtype=object)],
+                             ids=["2-D", "object"])
+    def test_a_column_that_is_not_1d_numeric_is_refused(self, column):
+        with pytest.raises(ValueError, match="1-D numeric array"):
+            csvtext._reprs(column)
+
 
 FIELD_FILES = {"fields_faces.csv": ["t", "x_face", "u"],
                "fields_cells.csv": ["t", "x_center", "rho_cell_mass", "rho_density"],
@@ -1123,7 +1129,7 @@ class TestConvergenceCommand:
             time={"t_end": t_end}))
         rows = cli.convergence_table(scn, [100, 200, 400])
         for row in rows:
-            field = cli.run_pde(scn, row["n_cells"])[-1].field
+            field = cli.run_pde(scn._replace(n_cells=row["n_cells"]))[-1].field
             sub = 64 * field.n_cells   # midpoints of 64 sub-cells per cell
             x = field.x_min + (np.arange(sub) + 0.5) * (field.x_max - field.x_min) / sub
             exact = np.clip(x / t_end, 0.0, 1.0)
@@ -1138,9 +1144,9 @@ class TestConvergenceCommand:
                      "mass": 1.0},
             grid={"x_min": -4.0, "x_max": 4.0, "n_cells": 100}, time={"t_end": 2.0}))
         rows = cli.convergence_table(scn, [100, 200, 400])
-        finest = cli.run_pde(scn, 400)[-1].field
+        finest = cli.run_pde(scn._replace(n_cells=400))[-1].field
         for row in rows[:-1]:
-            field = cli.run_pde(scn, row["n_cells"])[-1].field
+            field = cli.run_pde(scn._replace(n_cells=row["n_cells"]))[-1].field
             assert row["l1_error"] == wasserstein1(field, finest) > 0
         assert rows[1]["order"] is not None
         assert math.isnan(rows[-1]["l1_error"]) and rows[-1]["order"] is None
@@ -1193,6 +1199,15 @@ class TestRiemannCommand:
         assert rc == 0
         out = capsys.readouterr().out
         assert "composite" in out
+
+    def test_subnormal_states_give_speeds_in_the_range(self, capsys):
+        # the rounded chord slope of A here is 0.0, outside the range of a = -u
+        rc = cli.main(["riemann", "--flux", '{"kind":"quadratic-attractive"}', "1e-320", "1e-310"])
+        assert rc == 0
+        assert capsys.readouterr().out == ("admissible speed range: (-1e-310, -1e-320)\n"
+                                           "selected (Rankine-Hugoniot) speed: -1e-320\n"
+                                           "wave type: shock\n"
+                                           "  shock 1e-320 -> 1e-310, speed -1e-320\n")
 
     def test_decreasing_states_rejected(self, capsys):
         rc = cli.main(["riemann", "--flux",

@@ -206,6 +206,11 @@ def test_models_without_finite_flux_rejected(make):
         make()
 
 
+def test_unknown_kind_rejected():
+    with pytest.raises(fx.FluxError, match="unknown flux kind 'tabulated'"):
+        fx.FluxModel("tabulated")
+
+
 def test_far_roots_build_without_warnings():
     # a tiny top coefficient puts a root of a' near -5e299, where a overflows;
     # a subnormal one makes np.roots overflow before the model is refused

@@ -82,16 +82,16 @@ COMMAND_LINES = [
      ["cli", "csvtext", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "particles"], JSON_ONLY, ["cli", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "pde"], {},
-     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "fluxplan", "measure", "pde",
-      "scenario", "transport"]),
+     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "measure", "pde", "scenario",
+      "transport"]),
     (["run", "--engine", "pde"], JSON_ONLY,
-     ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "scenario"]),
-    (["validate"], {}, ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "scenario"]),
+     ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
+    (["validate"], {}, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
     (["validate"], {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 0.0], [1.0, -1.0]]}},
-     ["analysis", "cli", "flux", "fluxplan", "measure", "pde", "pwl", "scenario"]),
+     ["analysis", "cli", "flux", "measure", "pde", "pwl", "scenario"]),
     (["convergence", "--resolutions", "50,100,200"], {},
-     ["cli", "convergence", "csvtext", "flux", "fluxplan", "measure", "particles", "pde",
-      "scenario", "transport"]),
+     ["cli", "convergence", "csvtext", "flux", "measure", "particles", "pde", "scenario",
+      "transport"]),
     (["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"], {},
      ["analysis", "cli", "flux", "measure", "riemann", "scenario"]),
 ]
@@ -167,7 +167,7 @@ def test_validate_without_checks_loads_no_analysis(tmp_path):
     argv = ["validate", "--scenario", scenario_file(tmp_path, diagnostics={"checks": []}),
             "--out", str(tmp_path / "out")]
     code = f"from dualflow import cli\nassert cli.main({argv!r}) == 0"
-    assert submodules_after(code) == ["cli", "flux", "fluxplan", "measure", "pde", "scenario"]
+    assert submodules_after(code) == ["cli", "flux", "measure", "pde", "scenario"]
     assert json.loads((tmp_path / "out" / "diagnostics.json").read_text())["checks"] == []
 
 

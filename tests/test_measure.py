@@ -32,6 +32,8 @@ class TestAtomicMeasure:
             ms.AtomicMeasure(np.array([1.0, 0.0]), np.array([0.5, 0.5]))
         with pytest.raises(ms.MeasureError):
             ms.AtomicMeasure(np.array([np.nan]), np.array([1.0]))
+        with pytest.raises(ms.MeasureError, match="equal length"):
+            ms.AtomicMeasure(np.array([0.0, 1.0]), np.array([1.0]))
 
     def test_empty_allowed(self):
         mu = ms.AtomicMeasure(np.empty(0), np.empty(0))
@@ -60,6 +62,15 @@ class TestGridField:
         f = ms.GridField(0.0, 1.0, 1, u)
         u[0] = -1.0   # the caller's array stays writable
         assert f.u_faces.tolist() == [0.0, 1.0] and not f.u_faces.flags.writeable
+
+    @pytest.mark.parametrize("x_min, x_max, n_cells, u, message", [
+        (1.0, 1.0, 1, [0.0, 1.0], "invalid grid extent"),
+        (0.0, 1.0, 0, [0.0], "invalid grid extent"),
+        (0.0, 1.0, 2, [0.0, 1.0], "n_cells \\+ 1 entries"),
+    ], ids=["empty-extent", "no-cells", "short-faces"])
+    def test_rejects_bad_extent_or_shape(self, x_min, x_max, n_cells, u, message):
+        with pytest.raises(ms.MeasureError, match=message):
+            ms.GridField(x_min, x_max, n_cells, np.array(u))
 
     def test_validate(self):
         f = ms.GridField(-1.0, 1.0, 2, np.array([0.0, 2.0, 1.0]))
@@ -102,6 +113,10 @@ class TestSampleToGrid:
     def test_support_touching_boundary_rejected(self):
         with pytest.raises(ms.MeasureError):
             ms.sample_to_grid(ms.UniformDensity(-1.0, 0.5, 1.0), -1.0, 1.0, 4)
+
+    def test_check_inside_refuses_an_empty_measure(self):
+        with pytest.raises(ms.MeasureError, match="empty measure"):
+            ms.check_inside(ms.AtomicMeasure(np.empty(0), np.empty(0)), -1.0, 1.0, 4)
 
     def test_check_inside_is_strict_on_both_ends(self):
         ms.check_inside(atoms((-0.5, 1.0), (0.99, 1.0)), -1.0, 1.0, 200)
@@ -248,6 +263,8 @@ class TestWasserstein:
         assert ms.wasserstein1(mu, nu) == pytest.approx(
             ms.wasserstein1(nu, mu), abs=1e-15)
         assert ms.wasserstein1(mu, mu) == 0.0
+        one = atoms((0.5, 1.0))   # one breakpoint: no interval to integrate over
+        assert ms.wasserstein1(one, one) == 0.0
 
     def test_grid_vs_atoms(self):
         mu = atoms((0.0, 1.0))

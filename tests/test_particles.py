@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from dualflow import cli
 from dualflow import flux as fx
 from dualflow import particles as pt
-from dualflow.measure import AtomicMeasure, TriangularDensity, UniformDensity
+from dualflow.measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
 from dualflow.scenario import parse_scenario
 
 ATTR = fx.quadratic_attractive()
@@ -44,6 +44,10 @@ class TestVelocities:
         amin, amax = fx.a_range(ATTR, 0.0, float(np.sum(ms)))
         assert np.all(s.v >= amin - 1e-12)
         assert np.all(s.v <= amax + 1e-12)
+
+    def test_empty_measure_refused(self):
+        with pytest.raises(MeasureError, match="no atoms"):
+            pt.velocities(AtomicMeasure(np.empty(0), np.empty(0)), ATTR)
 
     def test_repulsive_refused(self):
         with pytest.raises(pt.OracleError):

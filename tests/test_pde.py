@@ -8,7 +8,7 @@ from hypothesis import assume, event, given, settings, strategies as st
 from dualflow import cli, flux as fx
 from dualflow import measure as ms
 from dualflow import pde, pwl
-from dualflow.fluxplan import FluxPlan
+from dualflow.pde import FluxPlan
 
 ATTR = fx.quadratic_attractive()
 REP = fx.quadratic_repulsive()
@@ -90,6 +90,11 @@ class TestStepInvariants:
         u = state.field.u_faces
         assert u.min() >= -1e-14
         assert u.max() <= 1.0 + 1e-14
+
+    def test_nan_face_refused(self):
+        field = ms.GridField(-1.0, 1.0, 2, np.array([0.0, np.nan, 1.0]))
+        with pytest.raises(pde.SolverError, match="NaN/Inf"):
+            pde.step(pde.SolverState(0.0, field), ATTR)
 
 
 class TestShockTransport:

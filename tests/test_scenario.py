@@ -176,6 +176,21 @@ def test_mutations_the_fuzzer_found_are_refused_at_load(tmp_path, block, key, va
     assert err.getvalue() == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flux, message", [
+    ({"kind": "piecewise-linear-a", "nodes": [[0.0, 1.0]]},
+     "flux: piecewise-linear-a needs at least 2 nodes"),
+    ({"kind": "polynomial", "coeffs": []}, "flux: polynomial model needs coefficients"),
+], ids=["one-node", "no-coeffs"])
+def test_flux_blocks_without_a_model_are_refused_at_load(tmp_path, flux, message):
+    raw = json.loads(BUNDLED[0].read_text())
+    raw["flux"] = flux
+    path = tmp_path / "scn.json"
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ScenarioError) as exc:
+        load_scenario(str(path))
+    assert str(exc.value) == message
+
+
 TWO_ATOMS = json.loads(Path(cli.bundled_scenario("two_atoms_attractive.json")).read_text())
 BELOW_ONE = math.nextafter(1.0, 0.0)
 

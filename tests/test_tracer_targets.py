@@ -72,7 +72,7 @@ def test_the_tracer_installs_in_a_fresh_interpreter():
 
 
 def test_a_traced_command_records_the_spans_of_the_moved_code(tmp_path):
-    # FluxPlan (dualflow.fluxplan) calls flux's range bounds through the flux module, and
+    # pde.FluxPlan calls flux's range bounds through the flux module, and
     # measure's names call their bodies in dualflow.transport: the tracer, which rebinds
     # names only in the modules it lists, must still see every call
     scenario = tmp_path / "scn.json"
