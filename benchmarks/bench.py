@@ -50,18 +50,22 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   w1_vs_particles atoms).
 - process: what a whole command costs as a process, the fixed cost that the
   layers above leave out.  Each workload's command is spawned
-  PROCESS_SPAWNS times, the workloads taking turns, as `python -c STAMP_EXIT`:
-  it registers an atexit handler that writes time.monotonic() to stderr,
-  then runs `dualflow.cli` as `__main__`, as `python -m dualflow.cli` does,
-  so the exit code is the command's.  Handlers run last-in first-out, so
-  the stamp is the last one's.  The environment is `bench/run.py`'s
-  (PYTHONPATH=src, one BLAS/OpenMP thread) with PYTHONDONTWRITEBYTECODE=1.
-  Reported per workload are the medians of the wall time and of the
-  teardown, the time from that stamp to the parent's return from wait
-  (the flush of stdio, whatever the interpreter still does after it, and
-  process exit), both in ms, and the source lines the command compiled: the
-  lines of the `dualflow` modules in the child's `sys.modules` when the stamp
-  is taken (`__init__` and `cli`, which runs as `__main__`, included).
+  PROCESS_SPAWNS times in each of two environments, the workloads and the
+  environments taking turns, as `python -c STAMP_EXIT`: it registers an
+  atexit handler that writes time.monotonic() to stderr, then runs
+  `dualflow.cli` as `__main__`, as `python -m dualflow.cli` does, so the
+  exit code is the command's.  Handlers run last-in first-out, so the stamp
+  is the last one's.  The first environment is `bench/run.py`'s
+  (PYTHONPATH=src, one BLAS/OpenMP thread) with PYTHONDONTWRITEBYTECODE=1;
+  the second is the same without the three BLAS variables (BLAS_THREADS),
+  as a user's shell has it, where only the program can set them.  Reported
+  per workload are the medians of the wall time in each (`wall_ms`,
+  `wall_ms_blas_unset`) and of the teardown in the first, the time from that
+  stamp to the parent's return from wait (the flush of stdio, whatever the
+  interpreter still does after it, and process exit), all in ms, the source
+  lines the command compiled (the lines of the `dualflow` modules in the
+  child's `sys.modules` when the stamp is taken, `__init__` and `cli`, which
+  runs as `__main__`, included) and whether numpy was loaded by then.
 
     python3 benchmarks/bench.py --label LABEL
 
@@ -122,9 +126,10 @@ STAMP_EXIT = (   # registered first, so the last atexit handler to run
     "atexit.register(lambda: sys.stderr.write('\\t'.join(\n"
     "    m.__file__ for m in list(sys.modules.values())\n"
     "    if getattr(m, '__spec__', None) and m.__spec__.name.split('.')[0] == 'dualflow')\n"
-    "    + '\\n' + repr(time.monotonic()) + '\\n'))\n"
+    "    + '\\n' + repr('numpy' in sys.modules) + '\\n' + repr(time.monotonic()) + '\\n'))\n"
     "runpy.run_module('dualflow.cli', run_name='__main__', alter_sys=True)\n"
 )
+BLAS_THREADS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def workload_scenario(name: str) -> dict:
@@ -293,11 +298,16 @@ def checks_layer() -> dict:
 
 def process_layer() -> dict:
     """Median wall time and teardown, in ms, of PROCESS_SPAWNS processes per workload,
-    and the dualflow source lines each workload's command compiles."""
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1",
-               OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    times: dict[str, tuple[list, list]] = {name: ([], []) for name in workloads.WORKLOADS}
+    the wall time again with the BLAS variables unset, and the dualflow source lines
+    each workload's command compiles and whether it loads numpy."""
+    unset = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    unset.update(PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
+    envs = {"wall_ms": dict(unset, **dict.fromkeys(BLAS_THREADS, "1")),
+            "wall_ms_blas_unset": unset}
+    times: dict[str, dict[str, list]] = {name: {key: [] for key in (*envs, "teardown_ms")}
+                                         for name in workloads.WORKLOADS}
     lines: dict[str, int] = {}
+    numpy_loaded: dict[str, bool] = {}
     with tempfile.TemporaryDirectory() as tmp:
         commands = {}
         for name, w in workloads.WORKLOADS.items():
@@ -307,25 +317,30 @@ def process_layer() -> dict:
                               "--scenario", str(path), "--out", str(Path(tmp, name))]
         for _ in range(PROCESS_SPAWNS):
             for name, argv in commands.items():
-                shutil.rmtree(argv[-1], ignore_errors=True)   # each run writes afresh
-                start = time.monotonic()
-                proc = subprocess.run(argv, env=env, capture_output=True, text=True)
-                end = time.monotonic()
-                if proc.returncode != 0:
-                    raise SystemExit(f"process {name}: exit {proc.returncode}\n{proc.stderr}")
-                *_, modules, stamp = proc.stderr.splitlines()
-                times[name][0].append(end - start)
-                times[name][1].append(end - float(stamp))
-                lines[name] = sum(len(Path(f).read_text().splitlines())
-                                  for f in set(modules.split("\t")))
+                for key, env in envs.items():
+                    shutil.rmtree(argv[-1], ignore_errors=True)   # each run writes afresh
+                    start = time.monotonic()
+                    proc = subprocess.run(argv, env=env, capture_output=True, text=True)
+                    end = time.monotonic()
+                    if proc.returncode != 0:
+                        raise SystemExit(f"process {name}: exit {proc.returncode}\n"
+                                         f"{proc.stderr}")
+                    *_, modules, numpy, stamp = proc.stderr.splitlines()
+                    times[name][key].append(end - start)
+                    if key == "wall_ms":
+                        times[name]["teardown_ms"].append(end - float(stamp))
+                    lines[name] = sum(len(Path(f).read_text().splitlines())
+                                      for f in set(modules.split("\t")))
+                    numpy_loaded[name] = numpy == "True"
     results = {}
-    for name, (walls, teardowns) in times.items():
-        results[name] = {"wall_ms": statistics.median(walls) * 1e3,
-                         "teardown_ms": statistics.median(teardowns) * 1e3,
-                         "lines_compiled": lines[name]}
-        print(f"process {name}: wall {results[name]['wall_ms']:.1f} ms, teardown "
-              f"{results[name]['teardown_ms']:.1f} ms (median of {len(walls)}), "
-              f"{lines[name]} lines compiled", flush=True)
+    for name, samples in times.items():
+        results[name] = {key: statistics.median(ms) * 1e3 for key, ms in samples.items()}
+        results[name].update(lines_compiled=lines[name], numpy_loaded=numpy_loaded[name])
+        r = results[name]
+        print(f"process {name}: wall {r['wall_ms']:.1f} ms, {r['wall_ms_blas_unset']:.1f} ms "
+              f"with the BLAS variables unset, teardown {r['teardown_ms']:.1f} ms (medians of "
+              f"{PROCESS_SPAWNS}), {lines[name]} lines compiled, numpy "
+              f"{'loaded' if r['numpy_loaded'] else 'not loaded'}", flush=True)
     return results
 
 

@@ -7,6 +7,9 @@ diagnostics layer (Oleinik bound, push-forward identity, weak residuals,
 pressureless momentum extension, non-uniqueness selection).
 """
 
+import gc
+import sys
+
 # module -> its names, each loaded on first use (PEP 562): `import dualflow` loads no module
 _EXPORTS = {
     "flux": ("FluxError", "FluxModel", "eval_A", "eval_a", "godunov_flux", "piecewise_linear",
@@ -29,3 +32,48 @@ def __getattr__(name: str):
     # the import statement's path, which -X importtime logs; a fromlist returns the submodule
     module = __import__(f"{__name__}.{module}", fromlist=["_"])
     return module if name in _EXPORTS else getattr(module, name)
+
+
+class without_collections:
+    """A ``with`` block that runs with the cyclic collector off, and leaves it on
+    or off as it found it, also when the block raises.  For imports: they
+    allocate long-lived objects and free none, so every collection they trigger
+    finds no garbage.  On the way out, freeze and unfreeze move every tracked
+    object, unscanned, to the oldest generation: else the first allocation after
+    the block would scan all it made in one young pass."""
+
+    def __enter__(self):
+        self.collecting = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc):
+        if not gc.get_freeze_count():   # a caller's frozen objects stay frozen
+            gc.freeze()
+            gc.unfreeze()
+        if self.collecting:
+            gc.enable()
+
+
+class NumpyOnFirstUse:
+    """A module's ``np`` until the module first reads a name of it: that
+    imports numpy, without collections unless it is loaded already, and binds
+    numpy itself as the module's ``np``, so every later read is numpy's own.
+    A command that builds no array never imports numpy."""
+
+    __slots__ = ("namespace",)
+
+    def __init__(self, namespace: dict):
+        self.namespace = namespace   # the module's globals()
+
+    def __getattr__(self, name: str):
+        self.namespace["np"] = numpy = load_numpy()
+        return getattr(numpy, name)
+
+
+def load_numpy():
+    """numpy, imported by the first call without collections: its import
+    makes some 13 000 tracked objects, long-lived, and frees none."""
+    if "numpy" not in sys.modules:
+        with without_collections():
+            import numpy   # noqa: F401
+    return sys.modules["numpy"]

@@ -14,10 +14,11 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-import numpy as np
-
+from . import NumpyOnFirstUse
 from . import flux as fx
 from .measure import AtomicMeasure, face_at, quantile, wasserstein1
+
+np = NumpyOnFirstUse(globals())
 
 N_SPACE, N_TIME = 8, 4   # spatial bumps and time windows of the weak-residual test family
 N_QUANTILES = 64         # mass coordinates of reconstruct_flow for non-atomic data

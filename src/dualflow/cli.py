@@ -19,14 +19,12 @@ failure.
 
 from __future__ import annotations
 
-import gc
+from . import NumpyOnFirstUse, without_collections
 
-# The imports below allocate some 20 000 long-lived objects and free none of them, so
-# every collection they trigger (34 with the collector on) finds no garbage.  The
-# collector is off while they load and back in the state it was found in after.
-_collecting = gc.isenabled()
-gc.disable()
-try:
+# The imports below allocate long-lived objects and free none of them, so every
+# collection they would trigger finds no garbage; numpy is imported by the first
+# function that builds an array (NumpyOnFirstUse), without collections too.
+with without_collections():
     import atexit
     import contextlib
     import json
@@ -34,18 +32,10 @@ try:
     import sys
     import types
 
-    import numpy as np
-
     from .measure import GridField, extract_atoms, sample_to_grid
     from .scenario import CHECKS, Scenario, ScenarioError, load_scenario, write_files
-finally:
-    # freeze and unfreeze move every tracked object, unscanned, to the oldest generation:
-    # else the first allocation after the imports scans all they made in one young pass
-    if not gc.get_freeze_count():   # a caller's frozen objects stay frozen
-        gc.freeze()
-        gc.unfreeze()
-    if _collecting:
-        gc.enable()
+
+np = NumpyOnFirstUse(globals())
 
 
 def initial_grid(scn: Scenario) -> GridField:
@@ -120,16 +110,17 @@ def write_field_outputs(out_dir: str, snapshots):
 
 
 def write_particle_outputs(out_dir: str, states, events):
+    """trajectory.csv and events.csv, from the oracle's float lists: no numpy."""
     from .csvtext import csv_text
     write_files(out_dir, {
         "trajectory.csv": csv_text(
             ["t", "atom_id", "x", "m", "v"],
-            ((st.time, np.arange(st.atoms.n_atoms), st.atoms.positions, st.atoms.masses, st.v)
+            ((st.time, list(range(st.atoms.n_atoms)), st.atoms.xs, st.atoms.ms, st.vs)
              for st in states)),
         "events.csv": csv_text(
             ["t_event", "ids_merged", "x", "m"],
-            [(np.array([e.t for e in events]), ["+".join(map(str, e.indices)) for e in events],
-              np.array([e.x for e in events]), np.array([e.m for e in events]))])})
+            [([e.t for e in events], ["+".join(map(str, e.indices)) for e in events],
+              [e.x for e in events], [e.m for e in events])])})
 
 
 def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
@@ -348,6 +339,9 @@ def main(argv=None) -> int:
         return 1
 
 
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def entry():
     """The process entry of `dualflow` and `python -m dualflow.cli`: main's exit
     code, after the atexit handlers and the flush of sys.stdout and sys.stderr,
@@ -356,7 +350,16 @@ def entry():
     anyway.  Every output file is closed, and the field writer child reaped,
     before main returns.  A flush that fails exits through sys.exit instead, so
     that the interpreter reports the failure as it does at any exit.
-    cli.main(argv), the call of the library and the tests, only returns."""
+    cli.main(argv), the call of the library and the tests, only returns.
+
+    Before main, and so before numpy is first imported, each of BLAS_THREADS
+    that the environment does not set is set to 1: OpenBLAS then starts no
+    thread pool (whose start is a large share of a short command), and the
+    bits of weak_residual's matrix-vector product depend on no core count.
+    A value the user set is kept.  cli.main and ``import dualflow`` leave
+    the environment alone."""
+    for name in BLAS_THREADS:
+        os.environ.setdefault(name, "1")
     code = main()
     atexit._run_exitfuncs()
     try:

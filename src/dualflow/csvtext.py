@@ -6,9 +6,12 @@ Loaded on first use, by the commands that write CSV files (`run` with
 
 from __future__ import annotations
 
+import sys
 from itertools import chain, repeat
 
-import numpy as np
+from . import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
 
 
 def _fmt(x) -> str:
@@ -28,6 +31,12 @@ def _reprs(a: np.ndarray) -> list[str]:
     starts = np.concatenate(([0], starts))
     counts = np.diff(starts, append=len(a)).tolist()
     return list(chain.from_iterable(map(repeat, map(repr, a[starts].tolist()), counts)))
+
+
+def _is_array(c) -> bool:
+    """Whether ``c`` is a numpy array: never before numpy is loaded, so a file
+    of list and scalar columns is formatted without it."""
+    return "numpy" in sys.modules and isinstance(c, np.ndarray)
 
 
 def _verbatim(cells: list[str], one_column: bool) -> list[str]:
@@ -54,16 +63,17 @@ class Csv:
         write(",".join(_verbatim(list(header), len(header) == 1)) + "\r\n")
 
     def add(self, block):
-        n = max((len(c) for c in block if isinstance(c, (list, np.ndarray))), default=1)
+        n = max((len(c) for c in block if isinstance(c, list) or _is_array(c)), default=1)
         cols, arrays = [], {}
         for j, c in enumerate(block):
-            if isinstance(c, np.ndarray):
+            if _is_array(c):
                 key = (c.tobytes(), c.dtype.str)
                 hit = self.prev.get(j)
                 cells = hit[2] if hit and hit[:2] == key else _reprs(c)
                 arrays[j] = (*key, cells)
-            elif isinstance(c, list):
-                cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
+            elif isinstance(c, list):   # plain floats and ints: repr, _fmt's text, unquoted
+                cells = (list(map(repr, c)) if set(map(type, c)) <= {float, int}
+                         else _verbatim(list(map(_fmt, c)), len(block) == 1))
             else:
                 cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
             cols.append(cells)

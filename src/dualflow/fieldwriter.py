@@ -30,8 +30,9 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
         if not hasattr(os, "fork"):
             return
         # loaded before the fork: the child unpickles pde's states, extracts their atoms with
-        # transport and formats with csvtext
-        from . import csvtext, pde, transport   # noqa: F401
+        # transport and formats with csvtext, all on numpy's arrays
+        from . import csvtext, load_numpy, pde, transport   # noqa: F401
+        load_numpy()
         (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()

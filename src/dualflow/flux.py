@@ -14,7 +14,9 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple
 
-import numpy as np
+from . import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
 
 CFL = 0.45   # the Courant number of a run, and of a scenario, that sets none (FluxPlan.dt)
 KINDS = (
@@ -35,7 +37,9 @@ class FluxModel:
     ``a_coeffs`` holds polynomial coefficients c_0..c_n (a(u) = sum c_k u^k)
     for polynomial-type kinds; ``nodes`` holds ((u_0, a_0), ...) for the
     piecewise-linear kind.  A(0) = 0 always.  Models are equal, and hash
-    alike, when (kind, a_coeffs, nodes) are.
+    alike, when (kind, a_coeffs, nodes) are.  The extremum tables (``_tables``)
+    are built on first use, except for the polynomial kind, whose roots are
+    taken at construction so that coefficients they fail on are refused there.
     """
 
     __slots__ = ("kind", "a_coeffs", "nodes", "_tables")
@@ -50,8 +54,7 @@ class FluxModel:
             us = [u for u, _ in nodes]
             if any(u2 <= u1 for u1, u2 in zip(us, us[1:])):
                 raise FluxError("piecewise-linear-a nodes must have increasing u")
-            slopes = [(a2 - a1) / (u2 - u1) for (u1, a1), (u2, a2) in zip(nodes, nodes[1:])]
-            if not all(map(math.isfinite, [*us, *slopes])):
+            if not all(map(math.isfinite, [*us, *_slopes(nodes)])):
                 raise FluxError("piecewise-linear-a nodes must be finite, with a "
                                 "finite slope of a between them")
         elif kind == "polynomial":
@@ -60,13 +63,21 @@ class FluxModel:
             if not all(map(math.isfinite, a_coeffs)):
                 raise FluxError("polynomial coefficients must be finite")
         self.kind, self.a_coeffs, self.nodes = kind, a_coeffs, nodes
-        # the extremum tables of A, a and a', per instance: equal models can differ in a zero's sign
+        if kind == "polynomial":   # np.roots now: coefficients it fails on are refused here
+            self.__getattr__("_tables")
+
+    def __getattr__(self, name: str):
+        """``_tables``, built on its first read: the extremum tables of A, a and a',
+        per instance, since equal models can differ in a zero's sign."""
+        if name != "_tables":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         try:   # a far root may overflow; the table then holds eval's +-inf there
             with np.errstate(over="ignore", divide="ignore"):
-                self._tables = _new_tables(self)
+                self._tables = tables = _new_tables(self)
         except np.linalg.LinAlgError as exc:
-            raise FluxError(f"polynomial coefficients {list(a_coeffs)} out of "
+            raise FluxError(f"polynomial coefficients {list(self.a_coeffs)} out of "
                             f"range: their roots cannot be computed ({exc})") from exc
+        return tables
 
     def _key(self):
         return self.kind, self.a_coeffs, self.nodes
@@ -123,15 +134,61 @@ def eval_A(model: FluxModel, u):
     return _value(model._tables[0].at, _finite(u))
 
 
-def _horner_coeffs(coeffs) -> _Horner:
-    """``coeffs`` for _horner: 0-d arrays (a ufunc takes them faster than
-    floats), and None for each add that changes no bit.  For finite y, adding
-    a zero c[k] can change only the sign of a zero y, and the last add, of
-    c[0], makes that sign the same unless c[0] is -0.0."""
+def eval_A_list(model: FluxModel, us: list) -> list:
+    """eval_A at each float of the list ``us``, bit for bit, as a list of
+    floats (the oracle's A at its atom levels): the same operations in the
+    same order, on Python floats.  No array is built, so beyond the
+    polynomial kind's tables, which its construction builds, this needs no
+    numpy."""
+    if not all(map(math.isfinite, us)):
+        raise FluxError("non-finite argument to flux evaluation")
+    if model.nodes:
+        from .pwl import float_A, float_table   # loaded by this kind only
+        table = float_table(model.nodes)
+        return [float_A(table, u) for u in us]
+    return _horner_list(us, _horner_plan(_integral(model.a_coeffs)))
+
+
+def _integral(a_coeffs) -> list:
+    """The coefficients of A, the integral of a(u) = sum c_k u^k from 0."""
+    return [0.0, *(c / k for k, c in enumerate(a_coeffs, 1))]
+
+
+def _slopes(nodes) -> list:
+    """The slope of a on each segment between the piecewise-linear kind's nodes."""
+    return [(a2 - a1) / (u2 - u1) for (u1, a1), (u2, a2) in zip(nodes, nodes[1:])]
+
+
+def _horner_plan(coeffs) -> list:
+    """``coeffs``, floats, with None for each add that changes no bit.  For
+    finite y, adding a zero c[k] can change only the sign of a zero y, and
+    the last add, of c[0], makes that sign the same unless c[0] is -0.0."""
     c0 = coeffs[0]
     keep = c0 == 0.0 and math.copysign(1.0, c0) < 0
-    return _Horner(np.array(c) if c or keep or k in (0, len(coeffs) - 1) else None
-                   for k, c in enumerate(coeffs))
+    return [c if c or keep or k in (0, len(coeffs) - 1) else None for k, c in enumerate(coeffs)]
+
+
+def _horner_coeffs(coeffs) -> _Horner:
+    """``coeffs`` for _horner: _horner_plan's, as 0-d arrays (a ufunc takes
+    them faster than floats)."""
+    return _Horner(None if c is None else np.array(c) for c in _horner_plan(coeffs))
+
+
+def _horner_list(xs, coeffs) -> list:
+    """_horner at each float of ``xs``, its operations in its order, where
+    ``coeffs`` = _horner_plan(c): a list of floats."""
+    if coeffs[-1] and len(coeffs) > 1:
+        ys = [x * coeffs[-1] for x in xs]
+    else:
+        ys = [x * 0.0 + coeffs[-1] for x in xs]
+        if len(coeffs) == 1:
+            return ys
+        ys = [y * x for y, x in zip(ys, xs)]
+    for c in coeffs[-2:0:-1]:
+        if c is not None:
+            ys = [y + c for y in ys]
+        ys = [y * x for y, x in zip(ys, xs)]
+    return [y + coeffs[0] for y in ys]
 
 
 class _Horner(tuple):
@@ -197,15 +254,15 @@ def _new_tables(model: FluxModel) -> tuple[_Extrema, _Extrema, _Extrema]:
     if model.kind == "piecewise-linear-a":
         from .pwl import PwlA   # loaded by this kind only
         us, avs = map(np.array, zip(*model.nodes))
-        slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
+        slopes = np.array([0.0, *_slopes(model.nodes), 0.0])
         k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
         zeros = np.sort(np.r_[us[avs == 0.0],
                               us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
-        return (_table(zeros, PwlA(us, avs, slopes)),
+        return (_table(zeros, PwlA(model.nodes)),
                 _table(us, lambda u, out: np.interp(u, us, avs)),
                 _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None))
     c = np.asarray(model.a_coeffs)
-    derivs = [np.concatenate(([0.0], c / np.arange(1, len(c) + 1))), c]   # A, a, a', a''
+    derivs = [np.array(_integral(model.a_coeffs)), c]   # A, a, a', a''
     for _ in range(2):
         d = derivs[-1]
         derivs.append(d[1:] * np.arange(1, len(d)) if len(d) > 1 else np.zeros(1))
@@ -282,7 +339,20 @@ ATTRACTIVE_TOL = 1e-12   # the largest slope of a that is_attractive calls non-i
 
 
 def is_attractive(model: FluxModel, m_total: float) -> bool:
-    """True when a is non-increasing on [0, m_total] (concave A)."""
+    """True when a is non-increasing on [0, m_total] (concave A): when
+    max_slope_of_a(model, 0, m_total) <= ATTRACTIVE_TOL.  Where a' is
+    piecewise constant that is decided in floats, without the tables: a' is
+    c_1 (or 0) for an a of degree 1 or less, and under the piecewise-linear
+    kind the slope of each segment that meets (0, m_total), 0 on the
+    extensions."""
+    if model.nodes:
+        lo, hi = min(0.0, m_total), max(0.0, m_total)
+        us = [u for u, _ in model.nodes]
+        stretches = zip([-math.inf, *us], [*us, math.inf], [0.0, *_slopes(model.nodes), 0.0])
+        return max((s for left, right, s in stretches if left < hi and lo < right),
+                   default=0.0) <= ATTRACTIVE_TOL
+    if len(model.a_coeffs) <= 2:   # a = c_0 + c_1 u
+        return (model.a_coeffs[1] if len(model.a_coeffs) == 2 else 0.0) <= ATTRACTIVE_TOL
     return max_slope_of_a(model, 0.0, m_total) <= ATTRACTIVE_TOL
 
 

@@ -9,7 +9,13 @@ to that face.
 
 from __future__ import annotations
 
-import numpy as np
+import math
+import operator
+from itertools import accumulate
+
+from . import NumpyOnFirstUse
+
+np = NumpyOnFirstUse(globals())
 
 
 # Roundoff tolerances on u, per unit of the total mass M = |u[-1]| (none when M = 0):
@@ -26,26 +32,27 @@ class MeasureError(ValueError):
 class AtomicMeasure:
     """Finite sum of point masses m_i * delta_{x_i}, positions strictly increasing;
     ``levels``, the primitive at and between the atoms (0, m_1, m_1 + m_2, ..., summed
-    once, left to right), ends at the total mass, inf past the float range."""
+    once, left to right), ends at the total mass, inf past the float range.
 
-    __slots__ = ("positions", "masses", "levels")
+    The data are checked and summed as Python floats, kept as the lists ``xs``,
+    ``ms`` and ``cum`` (read them, do not change them); ``positions``,
+    ``masses`` and ``levels`` are the same as read-only arrays, built on first
+    access, so a caller that reads none of them needs no numpy."""
+
+    __slots__ = ("xs", "ms", "cum", "_arrays")
 
     def __init__(self, positions, masses):
-        x = np.atleast_1d(np.array(positions, dtype=float))   # copies: the caller's arrays
-        m = np.atleast_1d(np.array(masses, dtype=float))      # stay writable
-        if x.shape != m.shape:
+        x, m = _floats(positions), _floats(masses)   # copies: the caller's stay writable
+        if len(x) != len(m):
             raise MeasureError("positions and masses must have equal length")
-        if x.size and (not np.all(np.isfinite(x)) or not np.all(np.isfinite(m))):
+        if not (all(map(math.isfinite, x)) and all(map(math.isfinite, m))):
             raise MeasureError("non-finite atom data")
-        if np.any(m <= 0):
+        if m and min(m) <= 0:
             raise MeasureError("atom masses must be strictly positive")
-        if x.size > 1 and np.any(np.diff(x) <= 0):
+        if any(map(operator.ge, x, x[1:])):
             raise MeasureError("atom positions must be strictly increasing")
-        with np.errstate(over="ignore"):
-            levels = np.concatenate(([0.0], np.cumsum(m)))
-        for a in (x, m, levels):
-            a.setflags(write=False)
-        self.positions, self.masses, self.levels = x, m, levels
+        # np.cumsum's sums, in its order; past the float range a sum is inf
+        self.xs, self.ms, self.cum, self._arrays = x, m, [0.0, *accumulate(m)], None
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
@@ -59,13 +66,35 @@ class AtomicMeasure:
                 ms.append(m)
         return cls(xs, ms)
 
+    def _array(self, k: int):
+        if self._arrays is None:
+            self._arrays = tuple(map(frozen_array, (self.xs, self.ms, self.cum)))
+        return self._arrays[k]
+
+    positions = property(lambda self: self._array(0), doc="xs as a read-only array")
+    masses = property(lambda self: self._array(1), doc="ms as a read-only array")
+    levels = property(lambda self: self._array(2), doc="cum as a read-only array")
+
     @property
     def n_atoms(self) -> int:
-        return self.positions.size
+        return len(self.xs)
 
     @property
     def total_mass(self) -> float:
-        return float(self.levels[-1])
+        return self.cum[-1]
+
+
+def _floats(values) -> list:
+    """``values`` as a new list of Python floats: an array's through tolist,
+    which is faster than iterating its numpy scalars."""
+    return list(map(float, values.tolist() if hasattr(values, "tolist") else values))
+
+
+def frozen_array(values):
+    """``values``, floats, as a read-only float array."""
+    a = np.array(values, dtype=float)
+    a.setflags(write=False)
+    return a
 
 
 def face_at(x_min: float, x_max: float, n_cells: int, k):
@@ -165,7 +194,7 @@ def check_inside(source, x_min: float, x_max: float, n_cells: int):
     if isinstance(source, AtomicMeasure):
         if source.n_atoms == 0:
             raise MeasureError("cannot grid an empty measure")
-        (lo, hi), what = source.positions[[0, -1]], "atom on or outside"
+        lo, hi, what = source.xs[0], source.xs[-1], "atom on or outside"
     else:
         (lo, hi), what = source.support, "density support touches"
     if lo <= x_min or hi >= x_max:

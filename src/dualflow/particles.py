@@ -21,10 +21,11 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-import numpy as np
-
+from . import NumpyOnFirstUse
 from . import flux as fx
-from .measure import AtomicMeasure, MeasureError
+from .measure import AtomicMeasure, MeasureError, frozen_array
+
+np = NumpyOnFirstUse(globals())
 
 EVENT_TOL = 1e-12
 MAX_EVENTS = 10**6
@@ -42,8 +43,9 @@ class MergeEvent(NamedTuple):
     m: float
 
 
-def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
-    """Aggregate speeds from the antiderivative increments over mass blocks."""
+def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> list[float]:
+    """Aggregate speeds from the antiderivative increments over mass blocks,
+    as Python floats (AggregateSystem.v gives them as an array)."""
     if not isinstance(atoms, AtomicMeasure):
         raise OracleError(f"aggregate dynamics needs an AtomicMeasure, got {type(atoms).__name__}")
     if atoms.n_atoms == 0:
@@ -51,18 +53,28 @@ def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> np.ndarray:
     if not fx.is_attractive(model, atoms.total_mass):
         raise OracleError("aggregate dynamics requires a non-increasing velocity a "
                           "on [0, total mass]")
-    return np.diff(fx.eval_A(model, atoms.levels)) / atoms.masses
+    A = fx.eval_A_list(model, atoms.cum)
+    return [(A[i + 1] - A[i]) / m for i, m in enumerate(atoms.ms)]
 
 
 class AggregateSystem:
-    """Aggregates ``atoms`` at ``time``; speeds ``v`` default to velocities(atoms, model)."""
+    """Aggregates ``atoms`` at ``time``; their speeds ``v`` default to
+    velocities(atoms, model).  They are kept as the float list ``vs`` (read it,
+    do not change it); ``v`` is the same as a read-only array, built on first
+    access."""
 
-    __slots__ = ("time", "atoms", "model", "v")
+    __slots__ = ("time", "atoms", "model", "vs", "_v")
 
-    def __init__(self, time: float, atoms: AtomicMeasure, model: fx.FluxModel,
-                 v: np.ndarray | None = None):
+    def __init__(self, time: float, atoms: AtomicMeasure, model: fx.FluxModel, v=None):
         self.time, self.atoms, self.model = time, atoms, model
-        self.v = velocities(atoms, model) if v is None else v
+        self.vs = velocities(atoms, model) if v is None else list(map(float, v))
+        self._v = None
+
+    @property
+    def v(self):
+        if self._v is None:
+            self._v = frozen_array(self.vs)
+        return self._v
 
     @classmethod
     def create(cls, atoms: AtomicMeasure, model: fx.FluxModel,
@@ -105,11 +117,11 @@ def advance(system: AggregateSystem, t_target: float):
     t = system.time
     if not t_target >= t - EVENT_TOL:   # NaN fails this too
         raise ValueError(f"t_target must not precede the current time, got {t_target!r}")
-    x, m, n = system.atoms.positions, system.atoms.masses, system.atoms.n_atoms
+    n = system.atoms.n_atoms
     # Aggregates are named by the slot of their leftmost incoming atom, so
     # slot order is list order.  Slot s covers incoming atoms s .. hi[s] - 1.
-    A = fx.eval_A(system.model, system.atoms.levels).tolist()
-    x0, t0, v, mass = x.tolist(), [t] * n, system.v.tolist(), m.tolist()
+    A = fx.eval_A_list(system.model, system.atoms.cum)
+    x0, t0, v, mass = system.atoms.xs[:], [t] * n, system.vs[:], system.atoms.ms[:]
     hi, nxt, prv = list(range(1, n + 1)), [*range(1, n), -1], list(range(-1, n - 1))
     # stamp[s]: the version of the gap right of slot s in the heap, LINKED while
     # that gap merges at this instant, REMOVED once s merged into its left one
@@ -122,14 +134,16 @@ def advance(system: AggregateSystem, t_target: float):
     # A gap's entry is (t_reach, t_hit, s, version): t_hit is when the
     # neighbours collide (inf if they do not close), t_reach <= t_hit when
     # their gap has closed to EVENT_TOL; a gap where neither happens has none.
-    # Every aggregate starts at time t, so the first heap is one array pass,
-    # without the gaps that cannot link by t_target (never popped here).
-    gap, rate = x[1:] - x[:-1], system.v[:-1] - system.v[1:]
-    c = (rate > 0).nonzero()[0]   # the closing gaps
-    t_reach = t + np.maximum(gap[c] - EVENT_TOL, 0.0) / rate[c]
-    c, t_reach = c[due := t_reach <= t_target + EVENT_TOL], t_reach[due]
-    heap = list(zip(t_reach.tolist(), (t + gap[c] / rate[c]).tolist(), c.tolist(), [0] * c.size))
-    heap += [(t, math.inf, s, 0) for s in ((rate <= 0) & (gap <= EVENT_TOL)).nonzero()[0].tolist()]
+    # Every aggregate starts at time t, so the first heap is one pass over the
+    # gaps, without those that cannot link by t_target (never popped here).
+    heap, due = [], t_target + EVENT_TOL
+    for s in range(n - 1):
+        gap, rate = x0[s + 1] - x0[s], v[s] - v[s + 1]
+        if rate > 0:
+            if (t_reach := t + (gap - EVENT_TOL if gap > EVENT_TOL else 0.0) / rate) <= due:
+                heap.append((t_reach, t + gap / rate, s, 0))
+        elif gap <= EVENT_TOL:
+            heap.append((t, math.inf, s, 0))
     heapify(heap)
 
     events: list[MergeEvent] = []
@@ -202,11 +216,9 @@ def advance(system: AggregateSystem, t_target: float):
         if t == t_target:
             break
 
-    live = np.frombuffer(dead, dtype=np.uint8) == 0
-    v_live = np.array(v)[live]
-    atoms = AtomicMeasure(np.array(x0)[live] + v_live * (t - np.array(t0)[live]),
-                          np.array(mass)[live])
-    return AggregateSystem(t, atoms, system.model, v=v_live), events
+    live = [s for s in range(n) if not dead[s]]
+    atoms = AtomicMeasure([x0[s] + v[s] * (t - t0[s]) for s in live], [mass[s] for s in live])
+    return AggregateSystem(t, atoms, system.model, v=[v[s] for s in live]), events
 
 
 def collapse_time(system: AggregateSystem) -> float:

@@ -17,10 +17,11 @@ import sys
 import warnings
 from typing import NamedTuple
 
-import numpy as np
-
+from . import NumpyOnFirstUse
 from . import flux as fx   # called as fx.name, where bench/tracer.py rebinds flux's functions
 from .measure import BOUNDARY_TOL, MONOTONE_TOL, GridField
+
+np = NumpyOnFirstUse(globals())
 
 MAX_STEPS = 10**7   # the largest step budget pde.run accepts
 MAX_CELL_STEPS = 10**10   # the largest n_cells x step budget pde.run accepts

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
+from . import NumpyOnFirstUse
 from . import flux as fx
 from .analysis import AnalysisError
 from .scenario import parse_flux, read_json
+
+np = NumpyOnFirstUse(globals())
 
 RIEMANN_SAMPLES = 2001   # classify_riemann: points on which the envelope of A is taken
 RIEMANN_TOL = 1e-10      # classify_riemann: dip of A below the chord (over max |A|) of a shock

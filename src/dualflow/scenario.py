@@ -215,13 +215,12 @@ def _check_resolved(atoms: AtomicMeasure):
     """Refuse atoms that u cannot resolve: each must raise the cumulative mass, and
     its mid level (analysis.reconstruct_flow's mass coordinate) lie strictly between
     the cumulative masses left and right of it."""
-    cum = atoms.levels
-    mid = cum[:-1] + 0.5 * atoms.masses
-    if (coarse := ((mid <= cum[:-1]) | (mid >= cum[1:])).nonzero()[0]).size:
-        j = int(coarse[0])
-        raise ScenarioError(f"initial.atoms: the atom at x = {float(atoms.positions[j])!r} of "
-                            f"mass {float(atoms.masses[j])!r} is below the resolution of the "
-                            f"cumulative mass {float(cum[j])!r} of the atoms left of it")
+    cum = atoms.cum
+    for j, m in enumerate(atoms.ms):
+        if not cum[j] < cum[j] + 0.5 * m < cum[j + 1]:
+            raise ScenarioError(f"initial.atoms: the atom at x = {atoms.xs[j]!r} of mass {m!r} "
+                                f"is below the resolution of the cumulative mass {cum[j]!r} "
+                                f"of the atoms left of it")
 
 
 def check_grid(x_min: float, x_max: float, n_cells, where: str, initial):

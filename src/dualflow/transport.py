@@ -9,10 +9,11 @@ on its first call, so a command compiles it only when it runs one of them:
 
 from __future__ import annotations
 
-import numpy as np
-
+from . import NumpyOnFirstUse
 from .measure import (ATOM_MASS_SHARE, ATOM_WIDTH_CELLS, AtomicMeasure, GridField, MeasureError,
                       _cdf)
+
+np = NumpyOnFirstUse(globals())
 
 
 def extract_atoms(field: GridField) -> AtomicMeasure:

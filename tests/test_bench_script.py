@@ -97,9 +97,13 @@ def test_process_layer(bench, monkeypatch):
     monkeypatch.setattr(bench, "PROCESS_SPAWNS", 1)
     results = bench.process_layer()
     assert bench.asked == list(results) == list(bench.workloads.WORKLOADS)
-    for per_process in results.values():
-        assert set(per_process) == {"wall_ms", "teardown_ms", "lines_compiled"}
+    for name, per_process in results.items():
+        assert set(per_process) == {"wall_ms", "wall_ms_blas_unset", "teardown_ms",
+                                    "lines_compiled", "numpy_loaded"}
         assert 0.0 < per_process["teardown_ms"] < per_process["wall_ms"] < math.inf
+        assert 0.0 < per_process["wall_ms_blas_unset"] < math.inf
+        # the particle engine builds no array
+        assert per_process["numpy_loaded"] is (name != "particle_collapse")
     # the particle engine's run compiles these modules (cli as __main__) and no other
     sources = bench.ROOT / "src" / "dualflow"
     assert results["particle_collapse"]["lines_compiled"] == sum(

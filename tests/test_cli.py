@@ -476,7 +476,7 @@ class TestProcessEntry:
     """
 
     @pytest.mark.parametrize("enabled, frozen, blocked", [
-        (True, False, []), (False, False, []), (True, False, ["numpy"]), (False, True, []),
+        (True, False, []), (False, False, []), (True, False, ["json"]), (False, True, []),
     ], ids=["enabled", "disabled", "an-import-fails", "frozen-objects"])
     def test_import_runs_no_collection_and_leaves_the_collector_as_found(self, enabled, frozen,
                                                                          blocked):

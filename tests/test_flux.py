@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -311,3 +312,61 @@ def test_polynomial_eval_equals_polyval_bit_for_bit(coeffs, u):
 ])
 def test_identity_a_is_recognised_by_value(model, expected):
     assert fx.is_identity_a(model) is expected
+
+
+# ---------------------------------------------------------------------------
+# The oracle's float routes: eval_A_list and is_attractive decide in Python
+# floats what eval_A and max_slope_of_a compute with the tables, bit for bit
+
+FLOAT_SPECIALS = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310]
+ZEROS = st.sampled_from([0.0, -0.0])
+
+
+@st.composite
+def any_model(draw):
+    """A model of any kind: polynomial coefficients and piecewise-linear
+    values of a may be zeros of either sign."""
+    kind = draw(st.sampled_from(fx.KINDS))
+    try:
+        if kind == "polynomial":
+            return fx.polynomial(draw(st.lists(ZEROS | st.floats(-4.0, 4.0), min_size=1,
+                                               max_size=5)))
+        if kind == "piecewise-linear-a":
+            us = draw(st.lists(st.floats(-2.0, 2.0), min_size=2, max_size=5, unique=True))
+            avs = draw(st.lists(ZEROS | st.floats(-2.0, 2.0), min_size=len(us),
+                                max_size=len(us)))
+            return fx.piecewise_linear(zip(sorted(us), avs))
+    except fx.FluxError:   # roots out of range, or nodes too close for a finite slope
+        reject()
+    return fx.quadratic_attractive() if kind == "quadratic-attractive" else fx.quadratic_repulsive()
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=any_model(), u=st.lists(st.floats(-3.0, 3.0), max_size=20))
+# A_raw(0) = -0.0, whose subtraction turns A's -0.0 into +0.0
+@example(model=fx.piecewise_linear([(-1.0, -0.0), (0.0, -0.0), (1.0, -1.0)]), u=[0.0, -0.5])
+@example(model=fx.polynomial([-0.0]), u=[-0.0])
+def test_eval_A_list_is_eval_A_bit_for_bit(model, u):
+    # with +-0.0 and subnormals, and each node of the piecewise-linear kind, its
+    # neighbouring floats and u past the node range
+    points = [*u, *FLOAT_SPECIALS]
+    for node, _ in model.nodes:
+        points += [node, math.nextafter(node, -math.inf), math.nextafter(node, math.inf),
+                   node - 1.0, node + 1.0]
+    got = fx.eval_A_list(model, points)
+    assert all(type(x) is float for x in got)
+    assert np.array_equal(bits(got), bits(fx.eval_A(model, np.array(points))))
+
+
+def test_eval_A_list_refuses_non_finite_levels():
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(fx.FluxError, match="non-finite"):
+            fx.eval_A_list(ATTR, [0.0, bad])
+
+
+@settings(max_examples=200, deadline=None)
+@given(model=any_model(), m_total=ZEROS | st.sampled_from([5e-324, 1e-12]) | st.floats(0.0, 5.0))
+def test_is_attractive_decides_as_max_slope_of_a(model, m_total):
+    # the float route of the quadratic and piecewise-linear kinds, also at the nodes
+    for m in (m_total, *(u for u, _ in model.nodes if u >= 0.0)):
+        assert fx.is_attractive(model, m) is (fx.max_slope_of_a(model, 0.0, m) <= fx.ATTRACTIVE_TOL)

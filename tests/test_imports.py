@@ -5,10 +5,13 @@ use.  ``cli`` imports the PDE engine, the particle oracle, the diagnostics,
 the CSV formatter, the writer fork, the convergence study and the Riemann
 classifier inside the functions that run them, ``flux`` the piecewise-linear
 A only for that kind, and ``scenario`` reads the check table without
-``analysis``.  ``pde`` alone loads the flux plan, and ``measure`` loads the
-bodies of its atoms, W1 and quantile functions on their first call.  Each
-test that looks at ``sys.modules`` runs one fresh interpreter, since this
-test process has imported every module already.
+``analysis``.  ``measure`` loads the bodies of its atoms, W1 and quantile
+functions on their first call.  numpy is imported by the first function
+that builds an array, with the collector off: `run --engine particles`
+builds none, and ``cli.entry``, not ``cli.main``, sets one BLAS thread
+before it.  Each test that looks at ``sys.modules`` or the environment runs
+one fresh interpreter, since this test process has imported every module
+already.
 """
 
 import ast
@@ -218,3 +221,69 @@ def test_solver_error_is_one_error_line_in_a_fresh_process(tmp_path):
     assert out.returncode == 1 and out.stdout == ""
     [line] = out.stderr.splitlines()
     assert line.startswith("error: t_end = 1e+300 needs a budget of ") and "MAX_STEPS" in line
+
+
+# the numpy-free command lines: the particle engine under a quadratic or a
+# piecewise-linear a, with and without CSV files
+PARTICLE_LINES = [line[:2] for line in COMMAND_LINES if line[0][-1] == "particles"] + [
+    (["run", "--engine", "particles"],
+     {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 1.0], [0.5, 0.0], [1.0, -1.0]]}})]
+NUMPY_LOAD = """
+import gc, sys
+passes = []   # the collections that begin while numpy is still loading
+def seen(phase, info):
+    numpy = sys.modules.get("numpy")
+    if phase == "start" and getattr(getattr(numpy, "__spec__", None), "_initializing", False):
+        passes.append(info["generation"])
+gc.callbacks.append(seen)
+exec(sys.argv[1])
+print(("numpy" in sys.modules, passes))
+"""
+
+
+def numpy_load(code: str) -> tuple[bool, list]:
+    """Whether a fresh interpreter that runs ``code`` loads numpy, and the
+    generations of the collections that run while it loads."""
+    out = fresh(NUMPY_LOAD, code)
+    assert out.returncode == 0, out.stderr
+    return ast.literal_eval(out.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("argv, overrides", PARTICLE_LINES,
+                         ids=["csv", "json", "piecewise-linear"])
+def test_the_particle_engine_runs_without_numpy(tmp_path, argv, overrides):
+    assert numpy_load(command_code(tmp_path, argv, overrides)) == (False, [])
+    assert (tmp_path / "out" / "trajectory.csv").exists() == ("output" not in overrides)
+
+
+@pytest.mark.parametrize("argv, overrides", [line[:2] for line in COMMAND_LINES
+                                             if line[0][-1] != "particles"],
+                         ids=[i for i in COMMAND_IDS if not i.startswith("run-particles")])
+def test_every_other_command_loads_numpy_without_collections(tmp_path, argv, overrides):
+    assert numpy_load(command_code(tmp_path, argv, overrides)) == (True, [])
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# the BLAS variables of the child as it exits, read by a handler registered before its code
+BLAS_AT_EXIT = f"""
+import atexit, os, sys
+atexit.register(lambda: print([os.environ.get(name) for name in {BLAS_THREADS!r}]))
+exec(sys.argv[1])
+"""
+RIEMANN = ["riemann", "--flux", '{"kind": "quadratic-attractive"}', "0", "1"]
+
+
+@pytest.mark.parametrize("code, user, seen", [
+    (f"import sys\nsys.argv[1:] = {RIEMANN!r}\nfrom dualflow import cli\ncli.entry()",
+     {}, ["1", "1", "1"]),
+    (f"import sys\nsys.argv[1:] = {RIEMANN!r}\nfrom dualflow import cli\ncli.entry()",
+     {"OPENBLAS_NUM_THREADS": "2"}, ["2", "1", "1"]),
+    (f"from dualflow import cli\nassert cli.main({RIEMANN!r}) == 0", {}, [None, None, None]),
+    ("import dualflow\ndualflow.run", {}, [None, None, None]),
+], ids=["entry", "entry-keeps-the-users-value", "main", "import"])
+def test_only_the_entry_sets_one_blas_thread(code, user, seen):
+    env = {k: v for k, v in ENV.items() if k not in BLAS_THREADS} | user
+    out = subprocess.run([sys.executable, "-S", "-c", BLAS_AT_EXIT, code], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert ast.literal_eval(out.stdout.splitlines()[-1]) == seen

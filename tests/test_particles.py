@@ -304,14 +304,14 @@ def reference_advance(system, t_target):
 CUBIC = fx.polynomial([0.5, -0.5, 0.0, -1.0])  # a(u) = 1/2 - u/2 - u^3
 
 
-def assert_matches_reference(pairs, model, times):
+def assert_matches_reference(pairs, model, times, last=math.inf):
     """advance and reference_advance, chained through times and then to
-    t = inf, record the same merge groups; times, positions and speeds agree
+    ``last``, record the same merge groups; times, positions and speeds agree
     to 1e-10 (relative beyond magnitude 1: slow merges can come at t ~ 10^3)
     and masses exactly."""
     close = functools.partial(pytest.approx, rel=1e-10, abs=1e-10)
     new = old = system(pairs, model)
-    for t in [*sorted(times), math.inf]:
+    for t in [*sorted(times), last]:
         new, ev_new = pt.advance(new, t)
         old, ev_old = reference_advance(old, t)
         assert [e.indices for e in ev_new] == [e.indices for e in ev_old]
@@ -358,6 +358,23 @@ def test_large_collapse_chained_matches_reference():
     xs = np.sort(np.random.default_rng(2048).uniform(-1.0, 1.0, 2048))
     assert_matches_reference([(x, 1 / 2048) for x in xs.tolist()], ATTR,
                              [0.0, 0.5, 1.0, 2.0, 4.0, 8.0])
+
+
+@pytest.mark.parametrize("n", [10**2, 10**3, 10**4])
+@settings(max_examples=4, deadline=None)
+@given(model=st.one_of(attractive_models(), st.just(CUBIC)), seed=st.integers(0, 2**32 - 1))
+def test_large_systems_match_reference_over_their_first_merges(n, model, seed):
+    # advance builds its first heap in one pass over the gaps and its result from
+    # its lists; up to 10^4 atoms, advanced through three times between their first
+    # 60 merges (the reference pays O(n) per merge)
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2.0, 2.0, n)   # dyadic masses, of about 0.5 in all
+    pairs = list(zip(xs.tolist(), (rng.integers(1, 65, n) / 2**(5 + n.bit_length())).tolist()))
+    _, events = pt.advance(system(pairs, model), math.inf)
+    t = [e.t for e in events[:62]] or [0.0]
+    t += [t[-1] + 1.0] * (62 - len(t))   # with fewer merges, times after the last
+    assert_matches_reference(pairs, model, [0.5 * (t[20] + t[21]), 0.5 * (t[40] + t[41])],
+                             last=0.5 * (t[60] + t[61]))
 
 
 @settings(max_examples=60, deadline=None)
