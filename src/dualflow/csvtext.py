@@ -71,9 +71,8 @@ class Csv:
                 hit = self.prev.get(j)
                 cells = hit[2] if hit and hit[:2] == key else _reprs(c)
                 arrays[j] = (*key, cells)
-            elif isinstance(c, list):   # plain floats and ints: repr, _fmt's text, unquoted
-                cells = (list(map(repr, c)) if set(map(type, c)) <= {float, int}
-                         else _verbatim(list(map(_fmt, c)), len(block) == 1))
+            elif isinstance(c, list):
+                cells = _verbatim(list(map(_fmt, c)), len(block) == 1)
             else:
                 cells = repeat(_verbatim([_fmt(c)], len(block) == 1)[0], n)
             cols.append(cells)

@@ -54,7 +54,8 @@ class FluxModel:
             us = [u for u, _ in nodes]
             if any(u2 <= u1 for u1, u2 in zip(us, us[1:])):
                 raise FluxError("piecewise-linear-a nodes must have increasing u")
-            if not all(map(math.isfinite, [*us, *_slopes(nodes)])):
+            slopes = [(a2 - a1) / (u2 - u1) for (u1, a1), (u2, a2) in zip(nodes, nodes[1:])]
+            if not all(map(math.isfinite, [*us, *slopes])):
                 raise FluxError("piecewise-linear-a nodes must be finite, with a "
                                 "finite slope of a between them")
         elif kind == "polynomial":
@@ -136,27 +137,20 @@ def eval_A(model: FluxModel, u):
 
 def eval_A_list(model: FluxModel, us: list) -> list:
     """eval_A at each float of the list ``us``, bit for bit, as a list of
-    floats (the oracle's A at its atom levels): the same operations in the
-    same order, on Python floats.  No array is built, so beyond the
-    polynomial kind's tables, which its construction builds, this needs no
-    numpy."""
+    floats (the oracle's A at its atom levels).  The polynomial-type kinds
+    run _horner's operations in its order on Python floats and build no
+    array, so beyond the polynomial kind's tables, which its construction
+    builds, they need no numpy; the piecewise-linear kind calls eval_A."""
     if not all(map(math.isfinite, us)):
         raise FluxError("non-finite argument to flux evaluation")
     if model.nodes:
-        from .pwl import float_A, float_table   # loaded by this kind only
-        table = float_table(model.nodes)
-        return [float_A(table, u) for u in us]
+        return eval_A(model, np.array(us)).tolist()
     return _horner_list(us, _horner_plan(_integral(model.a_coeffs)))
 
 
 def _integral(a_coeffs) -> list:
     """The coefficients of A, the integral of a(u) = sum c_k u^k from 0."""
     return [0.0, *(c / k for k, c in enumerate(a_coeffs, 1))]
-
-
-def _slopes(nodes) -> list:
-    """The slope of a on each segment between the piecewise-linear kind's nodes."""
-    return [(a2 - a1) / (u2 - u1) for (u1, a1), (u2, a2) in zip(nodes, nodes[1:])]
 
 
 def _horner_plan(coeffs) -> list:
@@ -254,11 +248,11 @@ def _new_tables(model: FluxModel) -> tuple[_Extrema, _Extrema, _Extrema]:
     if model.kind == "piecewise-linear-a":
         from .pwl import PwlA   # loaded by this kind only
         us, avs = map(np.array, zip(*model.nodes))
-        slopes = np.array([0.0, *_slopes(model.nodes), 0.0])
+        slopes = np.r_[0.0, np.diff(avs) / np.diff(us), 0.0]
         k = np.nonzero(avs[:-1] * avs[1:] < 0)[0]   # segments on which a changes sign
         zeros = np.sort(np.r_[us[avs == 0.0],
                               us[k] - avs[k] * (us[k + 1] - us[k]) / (avs[k + 1] - avs[k])])
-        return (_table(zeros, PwlA(model.nodes)),
+        return (_table(zeros, PwlA(us, avs, slopes)),
                 _table(us, lambda u, out: np.interp(u, us, avs)),
                 _Extrema(np.r_[-np.inf, us], np.r_[us, np.inf], slopes, None))
     c = np.asarray(model.a_coeffs)
@@ -340,18 +334,9 @@ ATTRACTIVE_TOL = 1e-12   # the largest slope of a that is_attractive calls non-i
 
 def is_attractive(model: FluxModel, m_total: float) -> bool:
     """True when a is non-increasing on [0, m_total] (concave A): when
-    max_slope_of_a(model, 0, m_total) <= ATTRACTIVE_TOL.  Where a' is
-    piecewise constant that is decided in floats, without the tables: a' is
-    c_1 (or 0) for an a of degree 1 or less, and under the piecewise-linear
-    kind the slope of each segment that meets (0, m_total), 0 on the
-    extensions."""
-    if model.nodes:
-        lo, hi = min(0.0, m_total), max(0.0, m_total)
-        us = [u for u, _ in model.nodes]
-        stretches = zip([-math.inf, *us], [*us, math.inf], [0.0, *_slopes(model.nodes), 0.0])
-        return max((s for left, right, s in stretches if left < hi and lo < right),
-                   default=0.0) <= ATTRACTIVE_TOL
-    if len(model.a_coeffs) <= 2:   # a = c_0 + c_1 u
+    max_slope_of_a(model, 0, m_total) <= ATTRACTIVE_TOL.  For an a of degree
+    1 or less that is decided in floats, without the tables: a' is c_1, or 0."""
+    if not model.nodes and len(model.a_coeffs) <= 2:   # a = c_0 + c_1 u
         return (model.a_coeffs[1] if len(model.a_coeffs) == 2 else 0.0) <= ATTRACTIVE_TOL
     return max_slope_of_a(model, 0.0, m_total) <= ATTRACTIVE_TOL
 

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from . import NumpyOnFirstUse
 from . import flux as fx
-from .measure import AtomicMeasure, MeasureError, frozen_array
+from .measure import AtomicMeasure, MeasureError, _floats, frozen_array
 
 np = NumpyOnFirstUse(globals())
 
@@ -67,7 +67,7 @@ class AggregateSystem:
 
     def __init__(self, time: float, atoms: AtomicMeasure, model: fx.FluxModel, v=None):
         self.time, self.atoms, self.model = time, atoms, model
-        self.vs = velocities(atoms, model) if v is None else list(map(float, v))
+        self.vs = velocities(atoms, model) if v is None else _floats(v)
         self._v = None
 
     @property

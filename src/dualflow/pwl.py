@@ -1,61 +1,40 @@
-"""A(u) of the piecewise-linear kind: its row table, computed in floats, and
-two evaluators of it that give the same bits, float_A on one float (the
-oracle's, through flux.eval_A_list) and PwlA on arrays (the flux tables').
+"""A(u) of the piecewise-linear kind, the evaluator of its flux tables.
 
-Loaded on first use, by flux for a piecewise-linear-a model; a run of
-another kind never compiles it.
+Loaded on first use, by flux._new_tables for a piecewise-linear-a model;
+a run of another kind never compiles it.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_right
-from itertools import accumulate
 
 from . import NumpyOnFirstUse
-from .flux import _slopes
 
 np = NumpyOnFirstUse(globals())
 
 RUNS_FROM = 128   # the faces from which PwlA.sorted gathers its rows by runs
 
 
-def float_table(nodes):
-    """(breaks, columns, shift): u falls in row r = bisect_right(breaks, u) of
-    N + 1, where A(u) = a0*du + raw0 + h*du*du - shift, du = u - u0, from the
-    columns (u0, a0, raw0, h).  Rows 1..N-1 are the segments between the N
-    nodes (the last node stays on the last one), rows 0 and N the constant
-    extensions of a; raw0 is the integral of a from the first node to u0 (the
-    sums of np.cumsum), h half the slope of a (-0.0 on the extensions, where
-    the quadratic term changes no bit) and shift = A_raw(0), so A(0) = 0."""
-    us, avs = [u for u, _ in nodes], [a for _, a in nodes]
-    raw = [0.0, *accumulate(0.5 * (a1 + a2) * (u2 - u1)
-                            for (u1, a1), (u2, a2) in zip(nodes, nodes[1:]))]
-    half = [-0.0, *(0.5 * s for s in _slopes(nodes)), -0.0]
-    breaks = [*us[:-1], math.nextafter(us[-1], math.inf)]
-    columns = [[v[0], *v] for v in (us, avs, raw)] + [half]
-    return breaks, columns, float_A((breaks, columns, 0.0), 0.0)
-
-
-def float_A(table, u: float) -> float:
-    """A at the float u, from float_table's ``table``."""
-    breaks, (u0, a0, raw0, h), shift = table
-    r = bisect_right(breaks, u)
-    du = u - u0[r]
-    return a0[r] * du + raw0[r] + h[r] * du * du - shift
-
-
 class PwlA:
-    """A(u) for the piecewise-linear kind with the nodes ``nodes``, on arrays:
-    float_table's rows, found by ``breaks``, with one column of ``table``
-    (u0, a0, raw0, h) per row, gathered in one call."""
+    """A(u) for the piecewise-linear kind, a = avs at the N nodes us: one row
+    per stretch of the a' table, of values ``slopes``.  Rows 1..N-1 are the
+    segments between nodes, rows 0 and N the constant extensions of a."""
 
-    def __init__(self, nodes):
-        breaks, columns, shift = float_table(nodes)
-        self.breaks, self.table = np.array(breaks), np.array(columns)
-        # None for +0.0: x - (+0.0) is x, even for -0.0; else 0-d, as in _horner_coeffs
-        self.shift = np.array(shift) if shift or math.copysign(1.0, shift) < 0 else None
+    def __init__(self, us, avs, slopes):
+        raw = np.concatenate(([0.0], np.cumsum(0.5 * (avs[1:] + avs[:-1]) * np.diff(us))))
+        # the row of u; the last node stays on the last segment
+        self.breaks = np.append(us[:-1], np.nextafter(us[-1], np.inf))
+        # per row one column, gathered in one call: u, a, A_raw where it starts, half
+        # the slope of a (-0.0 on the extensions, where the quadratic term changes no bit)
+        half_slope = 0.5 * slopes
+        half_slope[[0, -1]] = -0.0
+        self.table = np.vstack([np.r_[v[0], v] for v in (us, avs, raw)] + [half_slope])
+        # then A_raw(0), from a first call; None for +0.0: x - (+0.0) is x, even for -0.0
+        self.shift = None
+        shift = float(self(np.asarray(0.0)))
+        if shift or math.copysign(1.0, shift) < 0:
+            self.shift = np.array(shift)   # 0-d, as in _horner_coeffs
 
     def __call__(self, u, out=None):
         """A(u) = A_raw(u) - A_raw(0), A_raw the integral of a from the first node."""

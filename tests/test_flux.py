@@ -367,6 +367,6 @@ def test_eval_A_list_refuses_non_finite_levels():
 @settings(max_examples=200, deadline=None)
 @given(model=any_model(), m_total=ZEROS | st.sampled_from([5e-324, 1e-12]) | st.floats(0.0, 5.0))
 def test_is_attractive_decides_as_max_slope_of_a(model, m_total):
-    # the float route of the quadratic and piecewise-linear kinds, also at the nodes
+    # the float route of an a of degree 1 or less, and the tables' for the others
     for m in (m_total, *(u for u, _ in model.nodes if u >= 0.0)):
         assert fx.is_attractive(model, m) is (fx.max_slope_of_a(model, 0.0, m) <= fx.ATTRACTIVE_TOL)

@@ -8,7 +8,7 @@ A only for that kind, and ``scenario`` reads the check table without
 ``analysis``.  ``measure`` loads the bodies of its atoms, W1 and quantile
 functions on their first call.  numpy is imported by the first function
 that builds an array, with the collector off: `run --engine particles`
-builds none, and ``cli.entry``, not ``cli.main``, sets one BLAS thread
+builds none under a quadratic a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread
 before it.  Each test that looks at ``sys.modules`` or the environment runs
 one fresh interpreter, since this test process has imported every module
 already.
@@ -223,11 +223,11 @@ def test_solver_error_is_one_error_line_in_a_fresh_process(tmp_path):
     assert line.startswith("error: t_end = 1e+300 needs a budget of ") and "MAX_STEPS" in line
 
 
-# the numpy-free command lines: the particle engine under a quadratic or a
-# piecewise-linear a, with and without CSV files
-PARTICLE_LINES = [line[:2] for line in COMMAND_LINES if line[0][-1] == "particles"] + [
-    (["run", "--engine", "particles"],
-     {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 1.0], [0.5, 0.0], [1.0, -1.0]]}})]
+# the numpy-free command lines: the particle engine under a quadratic a, with
+# and without CSV files; under a piecewise-linear a it evaluates A on arrays
+PARTICLE_LINES = [line[:2] for line in COMMAND_LINES if line[0][-1] == "particles"]
+PWL_PARTICLES = (["run", "--engine", "particles"],
+                 {"flux": {"kind": "piecewise-linear-a", "nodes": [[0.0, 1.0], [0.5, 0.0], [1.0, -1.0]]}})
 NUMPY_LOAD = """
 import gc, sys
 passes = []   # the collections that begin while numpy is still loading
@@ -250,15 +250,16 @@ def numpy_load(code: str) -> tuple[bool, list]:
 
 
 @pytest.mark.parametrize("argv, overrides", PARTICLE_LINES,
-                         ids=["csv", "json", "piecewise-linear"])
+                         ids=["csv", "json"])
 def test_the_particle_engine_runs_without_numpy(tmp_path, argv, overrides):
     assert numpy_load(command_code(tmp_path, argv, overrides)) == (False, [])
     assert (tmp_path / "out" / "trajectory.csv").exists() == ("output" not in overrides)
 
 
 @pytest.mark.parametrize("argv, overrides", [line[:2] for line in COMMAND_LINES
-                                             if line[0][-1] != "particles"],
-                         ids=[i for i in COMMAND_IDS if not i.startswith("run-particles")])
+                                             if line[0][-1] != "particles"] + [PWL_PARTICLES],
+                         ids=[i for i in COMMAND_IDS if not i.startswith("run-particles")]
+                         + ["run-particles-pwl"])
 def test_every_other_command_loads_numpy_without_collections(tmp_path, argv, overrides):
     assert numpy_load(command_code(tmp_path, argv, overrides)) == (True, [])
 
