@@ -108,6 +108,19 @@ def _space_bumps(x_min: float, x_max: float, n_cells: int) -> list[tuple[float, 
     return bumps
 
 
+def _space_integrals(snapshots: list[SolverState], model: fx.FluxModel):
+    """(int u phi dx, int A(u) phi' dx), arrays [bump, snapshot], over the cells for
+    weak_residual's bumps phi.  einsum sums in numpy's own loop, so no BLAS thread
+    count moves a bit (its optimize, left off, would hand the sums to BLAS)."""
+    f0 = snapshots[0].field
+    u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
+                      for s in snapshots])
+    phi, dphi = map(np.array, zip(*(_bump(c, r, f0.centers) for c, r in
+                                    _space_bumps(f0.x_min, f0.x_max, f0.n_cells))))
+    return (np.einsum("kc,sc->ks", phi, u_mid) * f0.dx,
+            np.einsum("kc,sc->ks", dphi, fx.eval_A(model, u_mid)) * f0.dx)
+
+
 def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
     """Max |weak form of u_t + A(u)_x = 0| over the test functions psi(t) * phi(x).
 
@@ -119,17 +132,7 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
     """
     if len(snapshots) < 2:
         raise AnalysisError("weak residual needs at least two snapshots")
-    f0 = snapshots[0].field
     times = np.array([s.t for s in snapshots])
-    centers, dx = f0.centers, f0.dx
-    u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
-                      for s in snapshots])
-    A_mid = fx.eval_A(model, u_mid)
-    integrals = []   # (int u phi dx, int A(u) phi' dx) per snapshot, for each bump phi
-    for c, r in _space_bumps(f0.x_min, f0.x_max, f0.n_cells):
-        phi, dphi = _bump(c, r, centers)
-        # one matvec per bump: a matmul over all of them would sum in another order
-        integrals.append((u_mid @ phi * dx, A_mid @ dphi * dx))
     t0, T = times[0], times[-1] - times[0]
     windows = [(np.ones_like(times), np.zeros_like(times))]
     draws = iter(WEAK_DRAWS[2 * N_SPACE:])
@@ -137,7 +140,7 @@ def weak_residual(snapshots: list[SolverState], model: fx.FluxModel) -> float:
         r = T * _uniform(0.2, 0.45, next(draws))
         c = _uniform(t0 + 0.05 * T, times[-1] - 0.05 * T, next(draws))
         windows.append(_bump(c, r, times))
-    space_u, space_Adp = (np.array(v)[:, None] for v in zip(*integrals))
+    space_u, space_Adp = (v[:, None] for v in _space_integrals(snapshots, model))
     psi, dpsi = map(np.array, zip(*windows))
     interior = np.trapezoid(space_u * dpsi + space_Adp * psi, times)
     boundary = space_u[..., -1] * psi[:, -1] - space_u[..., 0] * psi[:, 0]
@@ -165,7 +168,7 @@ def reconstruct_flow(snapshots: list[SolverState], initial, model: fx.FluxModel)
         raise AnalysisError("flow reconstruction requires a non-increasing velocity a")
     if isinstance(initial, AtomicMeasure):
         q = initial.levels[:-1] + 0.5 * initial.masses
-        w = initial.masses.copy()
+        w = np.array(initial.ms)
     else:
         q = (np.arange(N_QUANTILES) + 0.5) * total / N_QUANTILES
         w = np.full(N_QUANTILES, total / N_QUANTILES)

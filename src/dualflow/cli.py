@@ -19,11 +19,11 @@ failure.
 
 from __future__ import annotations
 
-from . import NumpyOnFirstUse, without_collections
+from . import without_collections
 
 # The imports below allocate long-lived objects and free none of them, so every
-# collection they would trigger finds no garbage; numpy is imported by the first
-# function that builds an array (NumpyOnFirstUse), without collections too.
+# collection they would trigger finds no garbage.  cli binds no numpy: the
+# modules that build arrays import it on first use, without collections too.
 with without_collections():
     import atexit
     import contextlib
@@ -34,8 +34,6 @@ with without_collections():
 
     from .measure import GridField, extract_atoms, sample_to_grid
     from .scenario import CHECKS, Scenario, ScenarioError, load_scenario, write_files
-
-np = NumpyOnFirstUse(globals())
 
 
 def initial_grid(scn: Scenario) -> GridField:
@@ -105,7 +103,7 @@ def write_field_outputs(out_dir: str, snapshots):
         f, mu = s.field, extract_atoms(s.field)
         faces.add((s.t, f.faces, f.u_faces))
         cells.add((s.t, f.centers, (m := f.cell_masses), m / f.dx))
-        atoms.add((s.t, np.arange(mu.n_atoms), mu.positions, mu.masses))
+        atoms.add((s.t, list(range(mu.n_atoms)), mu.xs, mu.ms))
     write_files(out_dir, texts)
 
 
@@ -129,7 +127,7 @@ def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
     residual = next((c.value for c in records if c.name == "weak_residual"), "")
     write_files(out_dir, {"diagnostics.csv": csv_text(
         ["t", "total_mass", "max_cell_density", "oleinik_lhs_max", "residual_weak"],
-        [(s.t, s.field.total_mass, float(np.max(s.field.cell_masses) / s.field.dx),
+        [(s.t, s.field.total_mass, float(s.field.cell_masses.max() / s.field.dx),
           analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
           residual) for s in snapshots])})
 
@@ -354,10 +352,11 @@ def entry():
 
     Before main, and so before numpy is first imported, each of BLAS_THREADS
     that the environment does not set is set to 1: OpenBLAS then starts no
-    thread pool (whose start is a large share of a short command), and the
-    bits of weak_residual's matrix-vector product depend on no core count.
-    A value the user set is kept.  cli.main and ``import dualflow`` leave
-    the environment alone."""
+    thread pool, whose start is a large share of a short command and whose
+    threads the field writer's fork does not copy.  The outputs do not
+    depend on it: weak_residual sums in numpy's own loop, not in BLAS.  A
+    value the user set is kept.  cli.main and ``import dualflow`` leave the
+    environment alone."""
     for name in BLAS_THREADS:
         os.environ.setdefault(name, "1")
     code = main()

@@ -40,7 +40,7 @@ def _reference(scn: Scenario, finest: GridField):
         return particles.advance(particles.AggregateSystem.create(mu, scn.model),
                                  scn.t_end)[0].atoms
     if isinstance(mu, AtomicMeasure) and mu.n_atoms == 1 and fx.is_identity_a(scn.model):
-        x0, m = float(mu.positions[0]), mu.total_mass
+        x0, m = mu.xs[0], mu.total_mass
         x1 = x0 + m * scn.t_end
         return GridField(x0, x1, 1, [0.0, m]) if x1 > x0 else mu
     return finest

@@ -316,17 +316,23 @@ def max_slope_on_intervals(model: FluxModel, lo, hi):
     taken as 0.
     """
     lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
-    table = model._tables[2]
-    # a' with no evaluator gives no end values: its stretches alone, which cover
-    # the line and leave -inf only at a lone node
-    ends = np.empty((0, *lo.shape)) if table.at is None else _value(table.at, np.array((lo, hi)))
-    top = _span(table, lo, hi, ends)[1]
+    top = slope_range_of_a(model, lo, hi)[1]
     return _scalar(np.where(top == -np.inf, 0.0, top))
 
 
 def max_slope_of_a(model: FluxModel, lo: float, hi: float) -> float:
     """Largest slope of a on [lo, hi]; used to test the attractive hypothesis."""
     return float(max_slope_on_intervals(model, min(lo, hi), max(lo, hi)))
+
+
+def slope_range_of_a(model: FluxModel, lo, hi):
+    """(min, max) of a' over each [lo, hi], lo <= hi, from its extremum table.
+    a' with no evaluator gives no end values: its stretches alone, which cover
+    the line and leave (inf, -inf) only at a lone node."""
+    table = model._tables[2]
+    ends = (np.empty((0, *np.shape(lo))) if table.at is None
+            else _value(table.at, np.array((lo, hi))))
+    return _span(table, lo, hi, ends)
 
 
 ATTRACTIVE_TOL = 1e-12   # the largest slope of a that is_attractive calls non-increasing

@@ -36,10 +36,10 @@ class AtomicMeasure:
 
     The data are checked and summed as Python floats, kept as the lists ``xs``,
     ``ms`` and ``cum`` (read them, do not change them); ``positions``,
-    ``masses`` and ``levels`` are the same as read-only arrays, built on first
-    access, so a caller that reads none of them needs no numpy."""
+    ``masses`` and ``levels`` are the same as new read-only arrays, built on
+    each read, so a caller that reads none of them needs no numpy."""
 
-    __slots__ = ("xs", "ms", "cum", "_arrays")
+    __slots__ = ("xs", "ms", "cum")
 
     def __init__(self, positions, masses):
         x, m = _floats(positions), _floats(masses)   # copies: the caller's stay writable
@@ -52,7 +52,7 @@ class AtomicMeasure:
         if any(map(operator.ge, x, x[1:])):
             raise MeasureError("atom positions must be strictly increasing")
         # np.cumsum's sums, in its order; past the float range a sum is inf
-        self.xs, self.ms, self.cum, self._arrays = x, m, [0.0, *accumulate(m)], None
+        self.xs, self.ms, self.cum = x, m, [0.0, *accumulate(m)]
 
     @classmethod
     def from_pairs(cls, pairs) -> "AtomicMeasure":
@@ -66,14 +66,9 @@ class AtomicMeasure:
                 ms.append(m)
         return cls(xs, ms)
 
-    def _array(self, k: int):
-        if self._arrays is None:
-            self._arrays = tuple(map(frozen_array, (self.xs, self.ms, self.cum)))
-        return self._arrays[k]
-
-    positions = property(lambda self: self._array(0), doc="xs as a read-only array")
-    masses = property(lambda self: self._array(1), doc="ms as a read-only array")
-    levels = property(lambda self: self._array(2), doc="cum as a read-only array")
+    positions = property(lambda self: frozen_array(self.xs), doc="xs as a new read-only array")
+    masses = property(lambda self: frozen_array(self.ms), doc="ms as a new read-only array")
+    levels = property(lambda self: frozen_array(self.cum), doc="cum as a new read-only array")
 
     @property
     def n_atoms(self) -> int:

@@ -21,11 +21,8 @@ import math
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from . import NumpyOnFirstUse
 from . import flux as fx
 from .measure import AtomicMeasure, MeasureError, _floats, frozen_array
-
-np = NumpyOnFirstUse(globals())
 
 EVENT_TOL = 1e-12
 MAX_EVENTS = 10**6
@@ -60,21 +57,15 @@ def velocities(atoms: AtomicMeasure, model: fx.FluxModel) -> list[float]:
 class AggregateSystem:
     """Aggregates ``atoms`` at ``time``; their speeds ``v`` default to
     velocities(atoms, model).  They are kept as the float list ``vs`` (read it,
-    do not change it); ``v`` is the same as a read-only array, built on first
-    access."""
+    do not change it); ``v`` is the same as a new read-only array."""
 
-    __slots__ = ("time", "atoms", "model", "vs", "_v")
+    __slots__ = ("time", "atoms", "model", "vs")
 
     def __init__(self, time: float, atoms: AtomicMeasure, model: fx.FluxModel, v=None):
         self.time, self.atoms, self.model = time, atoms, model
         self.vs = velocities(atoms, model) if v is None else _floats(v)
-        self._v = None
 
-    @property
-    def v(self):
-        if self._v is None:
-            self._v = frozen_array(self.vs)
-        return self._v
+    v = property(lambda self: frozen_array(self.vs), doc="vs as a new read-only array")
 
     @classmethod
     def create(cls, atoms: AtomicMeasure, model: fx.FluxModel,
@@ -88,18 +79,13 @@ class AggregateSystem:
 
 def next_event(system: AggregateSystem):
     """(t_event, colliding pairs) for the earliest adjacent collision, or (None, [])."""
-    x, v = system.atoms.positions, system.v
-    if x.size < 2:
+    x, v = system.atoms.xs, system.vs
+    times = [(x[i + 1] - x[i]) / (v[i] - v[i + 1]) if v[i] > v[i + 1] else math.inf
+             for i in range(len(x) - 1)]
+    t_min = min(times, default=math.inf)
+    if t_min == math.inf:
         return None, []
-    gaps = np.diff(x)
-    closing = v[:-1] - v[1:]
-    times = np.full(gaps.shape, np.inf)
-    active = closing > 0
-    times[active] = gaps[active] / closing[active]
-    t_min = times.min()
-    if not np.isfinite(t_min):
-        return None, []
-    pairs = [(i, i + 1) for i in np.nonzero(times <= t_min + EVENT_TOL)[0]]
+    pairs = [(i, i + 1) for i, t in enumerate(times) if t <= t_min + EVENT_TOL]
     return system.time + t_min, pairs
 
 

@@ -75,7 +75,10 @@ def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
 
 
 def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict:
-    """Wave structure for nondecreasing data via the lower convex envelope of A."""
+    """Wave structure for nondecreasing data: one rarefaction where a' >= 0 on
+    [u_minus, u_plus] and a is not constant, one shock where a' <= 0, each
+    decided from the signs of a' (flux.slope_range_of_a); where a' changes
+    sign, the lower convex envelope of A, sampled."""
     if u_minus >= u_plus:
         raise AnalysisError("a Riemann problem requires u_minus < u_plus")
     low, high, selected = admissible_speed_range(model, u_minus, u_plus)
@@ -85,12 +88,15 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
         chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
         # no cross product of the hull exceeds this
         reach = 2.0 * (us[-1] - us[0]) * (As.max() - As.min())
+        slope_low, slope_high = fx.slope_range_of_a(model, u_minus, u_plus)
     if not (np.isfinite(chord).all() and np.isfinite(reach)):
         raise AnalysisError(f"the envelope of A overflows for the states "
                             f"({u_minus}, {u_plus})")
     scale = max(1.0, float(np.max(np.abs(As))))
-    if np.all(As >= chord - RIEMANN_TOL * scale):
-        hull = [0, us.size - 1]
+    if slope_low >= 0 and slope_high > 0:
+        hull = list(range(us.size))   # every sample on the envelope: one rarefaction
+    elif slope_high <= 0 or np.all(As >= chord - RIEMANN_TOL * scale):
+        hull = [0, us.size - 1]   # one shock
     else:
         hull = _lower_hull_indices(us, As)
     # an edge between neighbouring samples follows the graph of A (rarefaction),

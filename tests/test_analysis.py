@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import dualflow
 from dualflow import analysis as an
 from dualflow import flux as fx
 from dualflow import measure as ms
@@ -105,7 +110,9 @@ def _closure_bump(c, r):
 
 def _weak_residual_reference(snapshots, model):
     """The weak residual as 32 (phi, phi', psi, psi') closures, each taken
-    in turn; weak_residual must keep its value bit for bit."""
+    in turn; weak_residual must keep its value bit for bit.  Each space
+    integral is one einsum over the cells, which sums as weak_residual's
+    stacked einsum does, without BLAS."""
     f0 = snapshots[0].field
     times = np.array([s.t for s in snapshots])
     t0, t1 = float(times[0]), float(times[-1])
@@ -132,8 +139,8 @@ def _weak_residual_reference(snapshots, model):
             pv = phi(f0.centers)
             if abs(pv[0]) > 0 or abs(pv[-1]) > 0:
                 raise an.AnalysisError("test function support touches the domain boundary")
-            space_u = u_mid @ pv * f0.dx
-            space_Adp = A_mid @ dphi(f0.centers) * f0.dx
+            space_u = np.einsum("sc,c->s", u_mid, pv) * f0.dx
+            space_Adp = np.einsum("sc,c->s", A_mid, dphi(f0.centers)) * f0.dx
             psiv, dpsiv = psi(times), dpsi(times)
             interior = float(np.trapezoid(space_u * dpsiv + space_Adp * psiv, times))
             boundary = float(space_u[-1] * psiv[-1] - space_u[0] * psiv[0])
@@ -195,6 +202,20 @@ class TestSelectedSpeedInRange:
                 assert low <= s <= high
 
 
+# the digest of weak_residual's space integrals on 101 random snapshots of 10 000 cells
+BLAS_CHILD = """
+import hashlib, types
+import numpy as np
+from dualflow import analysis, flux
+from dualflow.measure import GridField
+u = np.cumsum(np.random.default_rng(5).random((101, 10_001)), axis=1)
+snapshots = [types.SimpleNamespace(t=0.01 * k, field=GridField(-1.0, 1.0, 10_000, row))
+             for k, row in enumerate(u)]
+integrals = analysis._space_integrals(snapshots, flux.quadratic_attractive())
+print(hashlib.sha256(b"".join(a.tobytes() for a in integrals)).hexdigest())
+"""
+
+
 class TestWeakResidualFamily:
     def test_draws_are_the_first_of_default_rng_0(self):
         assert an.WEAK_DRAWS == tuple(np.random.default_rng(0).random(22).tolist())
@@ -216,6 +237,21 @@ class TestWeakResidualFamily:
         got = an.weak_residual(snaps, model)
         assert type(got) is float
         assert np.float64(got).view(np.int64) == np.float64(ref).view(np.int64)
+
+    @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="one core: one BLAS thread")
+    def test_space_integrals_do_not_depend_on_the_blas_thread_count(self):
+        # 101 snapshots of 10 000 cells: a BLAS matrix-vector product per bump
+        # (u_mid @ phi) sums this shape in another order with two threads
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(Path(dualflow.__file__).parents[1]),
+                       OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       MKL_NUM_THREADS=threads)
+            out = subprocess.run([sys.executable, "-c", BLAS_CHILD], env=env,
+                                 capture_output=True, text=True)
+            assert out.returncode == 0, out.stderr
+            digests.append(out.stdout)
+        assert digests[0] == digests[1]
 
     def test_support_touching_the_boundary_rejected(self):
         # on 20 cells of [-3, 1] the first cell centre lies inside a bump

@@ -1209,6 +1209,18 @@ class TestRiemannCommand:
                                            "wave type: shock\n"
                                            "  shock 1e-320 -> 1e-310, speed -1e-320\n")
 
+    @pytest.mark.parametrize("states", [("1e-320", "1e-310"), ("0.5", "0.500001")])
+    @pytest.mark.parametrize("kind, wave", [("quadratic-repulsive", "rarefaction"),
+                                            ("quadratic-attractive", "shock")])
+    def test_the_sign_of_the_slope_of_a_gives_the_wave(self, capsys, kind, wave, states):
+        # A stays within RIEMANN_TOL of its chord on both state pairs: a sampled
+        # envelope took the rarefaction of a rising a for a shock
+        rc = cli.main(["riemann", "--flux", json.dumps({"kind": kind}), *states])
+        assert rc == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2:] == [f"wave type: {wave}", f"  {wave} {' -> '.join(states)}"
+                             + (f", speed {lines[1].split()[-1]}" if wave == "shock" else "")]
+
     def test_decreasing_states_rejected(self, capsys):
         rc = cli.main(["riemann", "--flux",
                        '{"kind": "quadratic-attractive"}', "1", "0"])

@@ -193,6 +193,14 @@ def test_max_slope_pwl_segments_and_extensions():
     assert fx.max_slope_of_a(PWL, 0.1, 0.1) == -4.0
 
 
+def test_slope_range_of_a():
+    # the min and max of a' that max_slope_of_a reads the max of
+    assert fx.slope_range_of_a(PWL, 0.0, 0.5) == (-4.0, -4.0)
+    assert fx.slope_range_of_a(PWL, 0.25, 3.0) == (-4.0, 0.0)
+    assert fx.slope_range_of_a(ATTR, 1e-320, 1e-310) == (-1.0, -1.0)
+    assert fx.slope_range_of_a(fx.polynomial([0.75, -3.0, 3.0]), 0.0, 1.0) == (-3.0, 3.0)
+
+
 @pytest.mark.parametrize("make", [
     lambda: fx.piecewise_linear([(0.0, 0.0), (5e-324, 1.0)]),      # slope of a overflows
     lambda: fx.piecewise_linear([(0.0, 0.0), (float("inf"), 1.0)]),

@@ -7,9 +7,9 @@ classifier inside the functions that run them, ``flux`` the piecewise-linear
 A only for that kind, and ``scenario`` reads the check table without
 ``analysis``.  ``measure`` loads the bodies of its atoms, W1 and quantile
 functions on their first call.  numpy is imported by the first function
-that builds an array, with the collector off: `run --engine particles`
-builds none under a quadratic a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread
-before it.  Each test that looks at ``sys.modules`` or the environment runs
+that builds an array, with the collector off: ``cli`` and ``particles``
+bind no numpy, `run --engine particles` builds no array under a quadratic
+a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread before it.  Each test that looks at ``sys.modules`` or the environment runs
 one fresh interpreter, since this test process has imported every module
 already.
 """
@@ -254,6 +254,24 @@ def numpy_load(code: str) -> tuple[bool, list]:
 def test_the_particle_engine_runs_without_numpy(tmp_path, argv, overrides):
     assert numpy_load(command_code(tmp_path, argv, overrides)) == (False, [])
     assert (tmp_path / "out" / "trajectory.csv").exists() == ("output" not in overrides)
+
+
+def test_the_oracle_and_the_cli_bind_no_numpy():
+    from dualflow import cli, particles
+    for module in (cli, particles):
+        assert "np" not in vars(module), module.__name__
+
+
+def test_the_oracle_steps_from_float_lists_without_numpy():
+    code = """
+from dualflow import flux, measure, particles
+atoms = measure.AtomicMeasure([-0.375, 0.0, 0.375], [0.25, 0.5, 0.25])
+system = particles.AggregateSystem.create(atoms, flux.quadratic_attractive())
+assert particles.next_event(system) == (1.0, [(0, 1), (1, 2)])
+final, events = particles.advance(system, 2.0)
+assert (final.atoms.xs, final.vs, len(events)) == ([-1.0], [-0.5], 1)
+"""
+    assert numpy_load(code) == (False, [])
 
 
 @pytest.mark.parametrize("argv, overrides", [line[:2] for line in COMMAND_LINES
