@@ -80,8 +80,8 @@ class AggregateSystem:
 def next_event(system: AggregateSystem):
     """(t_event, colliding pairs) for the earliest adjacent collision, or (None, [])."""
     x, v = system.atoms.xs, system.vs
-    times = [(x[i + 1] - x[i]) / (v[i] - v[i + 1]) if v[i] > v[i + 1] else math.inf
-             for i in range(len(x) - 1)]
+    times = [(xr - xl) / (vl - vr) if vl > vr else math.inf
+             for xl, xr, vl, vr in zip(x, x[1:], v, v[1:])]
     t_min = min(times, default=math.inf)
     if t_min == math.inf:
         return None, []
