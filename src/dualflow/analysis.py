@@ -115,7 +115,8 @@ def _space_integrals(snapshots: list[SolverState], model: fx.FluxModel):
     f0 = snapshots[0].field
     u_mid = np.array([0.5 * (s.field.u_faces[:-1] + s.field.u_faces[1:])
                       for s in snapshots])
-    phi, dphi = map(np.array, zip(*(_bump(c, r, f0.centers) for c, r in
+    centers = f0.centers
+    phi, dphi = map(np.array, zip(*(_bump(c, r, centers) for c, r in
                                     _space_bumps(f0.x_min, f0.x_max, f0.n_cells))))
     return (np.einsum("kc,sc->ks", phi, u_mid) * f0.dx,
             np.einsum("kc,sc->ks", dphi, fx.eval_A(model, u_mid)) * f0.dx)
