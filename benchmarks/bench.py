@@ -16,17 +16,18 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
 - output: the three field CSVs (fields_faces.csv, fields_cells.csv and
   atoms_extracted.csv) of the 17 PDE snapshots of `attractive_crosscheck`.
   Timed two ways.  In process, `cli.write_field_outputs` over the
-  snapshots, as seconds and as MB of CSV written per second.  And the way
-  `run` drives the writer: the march (`cli.run_pde`) streaming each
-  snapshot to the forked `fieldwriter.FieldWriter`, the workload's
-  checks (`cli.run_diagnostics(scn, snapshots)`, which returns their
-  records and writes no file), the commit and the reaping of the child,
-  against the same march and checks alone.  Reported are both wall times,
-  their difference (what the writer adds, in ms) and the time the parent
-  waits at the commit (ms): the child's formatting that the march and the
-  checks did not hide, and its writing of the three files, which the
-  commit waits for.  `run` writes its other files after the commit
-  returns; those writes are left out.
+  snapshots and `scenario.write_files` of its texts, as seconds and as MB
+  of CSV written per second.  And the way `run` drives the writer: the
+  march (`cli.run_pde`) streaming each snapshot to the forked
+  `fieldwriter.FieldWriter`, the workload's checks
+  (`cli.run_diagnostics(scn, snapshots)`, which returns their records and
+  writes no file), the commit, which returns the child's texts, the
+  reaping of the child and the `write_files` of those texts, against the
+  same march and checks alone.  Reported are both wall times, their
+  difference (what the writer adds, in ms) and the time the parent waits
+  at the commit (ms): the child's formatting that the march and the checks
+  did not hide, and the texts' way back up the pipe.  `run` writes its
+  other files in the same `write_files` call; those are left out.
 - pde_step: microseconds per PDE step, each one call of the step body
   that `pde.march` runs (`_March.stepper`), on n = 6 400 cells, for the
   flux of each workload, one per kind: quadratic-repulsive a(u) = u
@@ -104,7 +105,7 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 from dualflow import cli, fieldwriter, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
-from dualflow.scenario import CHECKS, Scenario, parse_scenario  # noqa: E402
+from dualflow.scenario import CHECKS, Scenario, parse_scenario, write_files  # noqa: E402
 
 SEED = 1
 SIZES = (10**3, 10**4, 10**5)
@@ -198,18 +199,19 @@ def output_layer() -> dict:
         scn = scn._replace(out_dir=out)
         for _ in range(REPEATS):
             start = time.perf_counter()
-            cli.write_field_outputs(out, snapshots)
+            write_files(out, cli.write_field_outputs(snapshots))
             keep("seconds", time.perf_counter() - start)
             start = time.perf_counter()
             cli.run_diagnostics(scn, cli.run_pde(scn))
             keep("march_s", time.perf_counter() - start)
             start = time.perf_counter()
-            with fieldwriter.FieldWriter(scn.out_dir, cli.write_field_outputs) as fields:
+            with fieldwriter.FieldWriter(cli.write_field_outputs) as fields:
                 streamed = cli.run_pde(scn, each=fields.send)
                 cli.run_diagnostics(scn, streamed)
                 commit = time.perf_counter()
-                fields.commit(streamed)
+                texts = fields.commit(streamed)
                 keep("commit_wait_ms", (time.perf_counter() - commit) * 1e3)
+            write_files(out, texts)
             keep("streamed_s", time.perf_counter() - start)
         size = sum(f.stat().st_size for f in Path(out).iterdir())
     best.update(mb_per_s=size / 1e6 / best["seconds"], bytes=size,

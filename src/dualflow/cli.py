@@ -91,9 +91,9 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None) -> list:   # of analy
 # file output
 
 
-def write_field_outputs(out_dir: str, snapshots):
-    """The three field CSVs of ``snapshots``, an iterable: each snapshot is
-    formatted as it comes, and the files are written after the last."""
+def write_field_outputs(snapshots) -> dict:
+    """The three field CSVs of ``snapshots``, an iterable, as write_files takes
+    them: each snapshot is formatted as it comes."""
     from .csvtext import Csv
     texts = {"fields_faces.csv": [], "fields_cells.csv": [], "atoms_extracted.csv": []}
     faces, cells, atoms = (Csv(header, text.append) for header, text in zip(
@@ -104,13 +104,13 @@ def write_field_outputs(out_dir: str, snapshots):
         faces.add((s.t, f.faces, f.u_faces))
         cells.add((s.t, f.centers, (m := f.cell_masses), m / f.dx))
         atoms.add((s.t, list(range(mu.n_atoms)), mu.xs, mu.ms))
-    write_files(out_dir, texts)
+    return texts
 
 
-def write_particle_outputs(out_dir: str, states, events):
-    """trajectory.csv and events.csv, from the oracle's float lists: no numpy."""
+def write_particle_outputs(states, events) -> dict:
+    """trajectory.csv and events.csv, formatted from the oracle's float lists: no numpy."""
     from .csvtext import csv_text
-    write_files(out_dir, {
+    return {
         "trajectory.csv": csv_text(
             ["t", "atom_id", "x", "m", "v"],
             ((st.time, list(range(st.atoms.n_atoms)), st.atoms.xs, st.atoms.ms, st.vs)
@@ -118,18 +118,18 @@ def write_particle_outputs(out_dir: str, states, events):
         "events.csv": csv_text(
             ["t_event", "ids_merged", "x", "m"],
             [([e.t for e in events], ["+".join(map(str, e.indices)) for e in events],
-              [e.x for e in events], [e.m for e in events])])})
+              [e.x for e in events], [e.m for e in events])])}
 
 
-def write_summary_csv(out_dir: str, scn: Scenario, snapshots, records):
+def write_summary_csv(scn: Scenario, snapshots, records) -> dict:
     from . import analysis
     from .csvtext import csv_text
     residual = next((c.value for c in records if c.name == "weak_residual"), "")
-    write_files(out_dir, {"diagnostics.csv": csv_text(
+    return {"diagnostics.csv": csv_text(
         ["t", "total_mass", "max_cell_density", "oleinik_lhs_max", "residual_weak"],
         [(s.t, s.field.total_mass, float(s.field.cell_masses.max() / s.field.dx),
           analysis.check_oleinik(s, scn.model, 0.0)[0].value if s.t > 0 else "",
-          residual) for s in snapshots])})
+          residual) for s in snapshots])}
 
 
 def json_report(scn: Scenario, records) -> dict:
@@ -156,30 +156,25 @@ def cmd_run(args) -> int:
         raise ScenarioError(f"--engine {args.engine} {refusal}")
     oracle = None if args.engine == "pde" else run_particles(scn)
     if args.engine == "particles":
-        if "csv" in scn.formats:
-            write_particle_outputs(scn.out_dir, *oracle)
+        write_files(scn.out_dir, write_particle_outputs(*oracle) if "csv" in scn.formats else {})
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-    writer = contextlib.nullcontext()   # whose fields are None: no field CSVs
+    writer = contextlib.nullcontext()   # whose fields are None: no CSVs
     if "csv" in scn.formats:
         from .fieldwriter import FieldWriter   # its child starts before the march
-        writer = FieldWriter(scn.out_dir, write_field_outputs)
+        writer = FieldWriter(write_field_outputs)
     with writer as fields:
         snapshots = run_pde(scn, each=fields and fields.send)
-        # every engine and check runs, and the writer child writes the field CSVs, before
-        # this process writes a file: a failure up to the commit's return leaves this
-        # process's files as they were; one in the writes below exits 1 and leaves each file
-        # already renamed into place (whole) beside the previous run's others
         records = run_diagnostics(scn, snapshots, oracle)
-        report = json_report(scn, records) if "json" in scn.formats else {}
-        if fields:   # the child formatted its last snapshots while the report was made
-            fields.commit(snapshots)
-        write_files(scn.out_dir, report)
-        if "csv" in scn.formats:
-            if oracle:
-                write_particle_outputs(scn.out_dir, *oracle)
-            write_summary_csv(scn.out_dir, scn, snapshots, records)
+        texts = json_report(scn, records) if "json" in scn.formats else {}
+        if fields:   # formatted while the child formats its last snapshots
+            texts.update(write_particle_outputs(*oracle) if oracle else {})
+            texts.update(write_summary_csv(scn, snapshots, records))
+            texts.update(fields.commit(snapshots))
+    # every engine and check has run, and the child is reaped, before the one write: a
+    # failure before its first rename leaves every previous output as it was
+    write_files(scn.out_dir, texts)
     for c in records:
         if not c.passed:
             print(f"FAIL {c.name} t={c.t}: value={c.value} bound={c.bound}",

@@ -82,13 +82,10 @@ class Csv:
             self.write(rows + "\r\n")
 
 
-def csv_text(header: list[str], blocks):
-    """The Csv of ``blocks``: its header, then each block's rows, yielded as
-    the block is formatted, so that a file written from it is never held whole."""
+def csv_text(header: list[str], blocks) -> list[str]:
+    """The Csv of ``blocks``, formatted: its header, then a string per block."""
     text: list[str] = []
     csv = Csv(header, text.append)
     for block in blocks:
-        yield from text
-        text.clear()
         csv.add(block)
-    yield from text
+    return text

@@ -1,10 +1,10 @@
-"""The forked writer of `run`'s field CSVs.
+"""The forked formatter of `run`'s field CSVs.
 
 Loaded on first use, by a `run` of the PDE engine with ``csv`` in its
 formats; no other command compiles it.  It imports no ``dualflow.cli``,
 which runs as ``__main__`` under ``python -m dualflow.cli`` (importing it
 would compile and run it a second time): FieldWriter is handed the function
-that writes the field CSVs.
+that formats the field CSVs.
 """
 
 from __future__ import annotations
@@ -15,18 +15,17 @@ import pickle
 
 
 class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ returns self
-    """``write(out_dir, snapshots)`` (cli.write_field_outputs) in a forked
-    child, fed each snapshot by ``send`` as the march reaches it.  The child
-    writes the files only after ``commit`` (every engine and check has run)
-    and exits writing nothing when the pipe ends without one.  It answers
-    once, when the files are written: a line, empty for done, else its error
-    (an OSError here), and commit returns on that answer.  Leaving the
-    ``with`` block reaps it.  Without a fork (no os.fork, or it fails),
-    commit formats and writes in this process.
+    """``texts(snapshots)`` (cli.write_field_outputs, {file: text}) in a
+    forked child, fed each snapshot by ``send`` as the march reaches it.  The
+    child opens no file.  It answers once, with the texts after ``commit``,
+    or with its error as one line (an OSError here); commit returns the
+    texts.  A pipe that ends without a commit stops it, and no answer is
+    read.  Leaving the ``with`` block reaps it.  Without a fork (no os.fork,
+    or it fails), commit formats in this process.
     """
 
-    def __init__(self, out_dir: str, write):
-        self.out_dir, self.write, self.pid = out_dir, write, None
+    def __init__(self, texts):
+        self.texts, self.pid = texts, None
         if not hasattr(os, "fork"):
             return
         # loaded before the fork: the child unpickles pde's states, extracts their atoms with
@@ -36,7 +35,7 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
         (feed, self.feed), (self.back, back) = os.pipe(), os.pipe()
         try:
             self.pid = os.fork()
-        except OSError:   # no process to spare: commit writes in this process
+        except OSError:   # no process to spare: commit formats in this process
             for fd in (feed, self.feed, self.back, back):
                 os.close(fd)
             return
@@ -46,52 +45,54 @@ class FieldWriter(contextlib.AbstractContextManager):   # whose __enter__ return
                 signal.signal(signal.SIGINT, signal.SIG_IGN)   # the pipe says when to stop
                 os.close(self.feed)
                 os.close(self.back)
-                feed, back = os.fdopen(feed, "rb"), os.fdopen(back, "w", 1, "utf-8")
-
-                def received():
-                    while (state := pickle.load(feed)) is not None:   # EOFError: no commit
-                        yield state
-                write(out_dir, received())
-                back.write("\n")   # every snapshot is formatted and written
-            except Exception as exc:   # one line, never empty: an empty one means done
-                back.write(" ".join(str(exc).splitlines()) or type(exc).__name__)
-                back.write("\n")
+                feed = os.fdopen(feed, "rb")
+                # the snapshots up to the commit's None; EOFError when the pipe ends before it
+                reply = texts(iter(lambda: pickle.load(feed), None))
+            except Exception as exc:   # one line, never empty
+                reply = " ".join(str(exc).splitlines()) or type(exc).__name__
+            try:
+                with os.fdopen(back, "wb") as out:
+                    pickle.dump(reply, out, pickle.HIGHEST_PROTOCOL)
             finally:
                 os._exit(0)
         os.close(feed)
         os.close(back)
-        self.back = os.fdopen(self.back, encoding="utf-8")
+        self.back = os.fdopen(self.back, "rb")
 
     def _put(self, item):
         try:
             data = memoryview(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
             while data:
                 data = data[os.write(self.feed, data):]
-        except BrokenPipeError:   # the child has stopped: its line says why
+        except BrokenPipeError:   # the child has stopped: its reply says why
             self._reply()
             raise
 
-    def _reply(self):
-        if (line := self.back.readline()) != "\n":
-            raise OSError(line.strip() or "the field writer stopped without a reply")
+    def _reply(self) -> dict:
+        try:
+            reply = pickle.load(self.back)
+        except (EOFError, pickle.UnpicklingError):   # the child stopped mid-reply, or before
+            reply = "the field writer stopped without a reply"
+        if isinstance(reply, str):
+            raise OSError(reply)
+        return reply
 
     def send(self, snapshot):
         if self.pid:
             self._put(snapshot)
         return snapshot
 
-    def commit(self, snapshots):
-        if self.pid:
-            self._put(None)
-            os.close(self.feed)
-            self.feed = None
-            self._reply()
-        else:   # no child: format and write here
-            self.write(self.out_dir, snapshots)
+    def commit(self, snapshots) -> dict:
+        if not self.pid:
+            return self.texts(snapshots)
+        self._put(None)
+        os.close(self.feed)
+        self.feed = None
+        return self._reply()
 
     def __exit__(self, *_):
         if self.pid:
-            if self.feed is not None:   # no commit: the child writes nothing
+            if self.feed is not None:   # no commit: the child stops, and no answer is read
                 os.close(self.feed)
             self.back.close()
             os.waitpid(self.pid, 0)

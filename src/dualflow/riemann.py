@@ -82,20 +82,39 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
     if u_minus >= u_plus:
         raise AnalysisError("a Riemann problem requires u_minus < u_plus")
     low, high, selected = admissible_speed_range(model, u_minus, u_plus)
+    with np.errstate(over="ignore", invalid="ignore"):   # an infinite a' keeps its sign
+        slope_low, slope_high = fx.slope_range_of_a(model, u_minus, u_plus)
+    if slope_low >= 0 and slope_high > 0:
+        segments = [("rarefaction", float(u_minus), float(u_plus), None)]
+    elif slope_high <= 0:
+        segments = [("shock", float(u_minus), float(u_plus), selected)]
+    else:   # a' changes sign: the envelope decides
+        segments = _envelope_segments(model, u_minus, u_plus)
+    wave = segments[0][0] if len(segments) == 1 else "composite"
+    return {
+        "wave": wave,
+        "segments": segments,
+        "admissible_low": low,
+        "admissible_high": high,
+        "selected_speed": selected,
+    }
+
+
+def _envelope_segments(model: fx.FluxModel, u_minus: float, u_plus: float) -> list:
+    """The waves of the lower convex envelope of A on [u_minus, u_plus],
+    sampled at RIEMANN_SAMPLES points: one shock where A stays above its
+    chord (within RIEMANN_TOL)."""
     us = np.linspace(u_minus, u_plus, RIEMANN_SAMPLES)
     with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
         As = fx.eval_A(model, us)
         chord = As[0] + (As[-1] - As[0]) * (us - us[0]) / (us[-1] - us[0])
         # no cross product of the hull exceeds this
         reach = 2.0 * (us[-1] - us[0]) * (As.max() - As.min())
-        slope_low, slope_high = fx.slope_range_of_a(model, u_minus, u_plus)
     if not (np.isfinite(chord).all() and np.isfinite(reach)):
         raise AnalysisError(f"the envelope of A overflows for the states "
                             f"({u_minus}, {u_plus})")
     scale = max(1.0, float(np.max(np.abs(As))))
-    if slope_low >= 0 and slope_high > 0:
-        hull = list(range(us.size))   # every sample on the envelope: one rarefaction
-    elif slope_high <= 0 or np.all(As >= chord - RIEMANN_TOL * scale):
+    if np.all(As >= chord - RIEMANN_TOL * scale):
         hull = [0, us.size - 1]   # one shock
     else:
         hull = _lower_hull_indices(us, As)
@@ -110,14 +129,7 @@ def classify_riemann(model: fx.FluxModel, u_minus: float, u_plus: float) -> dict
             segments[-1] = ("rarefaction", segments[-1][1], ub, None)
         else:
             segments.append(("rarefaction", ua, ub, None))
-    wave = segments[0][0] if len(segments) == 1 else "composite"
-    return {
-        "wave": wave,
-        "segments": segments,
-        "admissible_low": low,
-        "admissible_high": high,
-        "selected_speed": selected,
-    }
+    return segments
 
 
 def _lower_hull_indices(x: np.ndarray, y: np.ndarray) -> list[int]:

@@ -10,6 +10,7 @@ ScenarioError naming the field, e.g. ``grid.x_min must be a number, got 'a'``.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -22,7 +23,8 @@ DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
 MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
 # the most face values (faces x snapshot times) of a run's snapshots, one snapshot of the
-# largest grid: each costs `run` about 150 bytes in its writer child and 120 of CSV
+# largest grid: each costs `run` about 150-160 bytes in its writer child, 110 in the parent,
+# which holds the child's text from the commit to the write, and 105 of CSV (README)
 MAX_SNAPSHOT_VALUES = MAX_CELLS + 1
 MAX_COORD = 1e100              # largest |x| of a grid end: the checks' sums of m x^2 stay finite
 MASS_RANGE = (1e-100, 1e100)   # of the total mass: so do those sums, and no mass floor underflows
@@ -330,25 +332,26 @@ def parse_scenario(raw: dict) -> Scenario:
 
 def write_files(out_dir: str, texts: dict):
     """Write each file of ``texts``, a file name mapped to an iterable of str,
-    into ``out_dir``, creating it on the first file.
+    into ``out_dir``, creating it when there is a file to write.
 
-    Each file is a temporary one until it is whole, then replaces the file
-    of its name: readers see the old file or the complete new one, never a
-    partial write.  On error the temporary file is removed.  Each file gets
-    the mode open() would give it (0o666 less the umask), not mkstemp's 0o600.
+    Every file is written whole into a temporary directory in ``out_dir``,
+    and a target that is a directory refused, before the first rename: a
+    failure up to then leaves every old file as it was, and each rename swaps
+    in a whole file.  The temporary directory is removed on every path out.
     """
-    import tempfile   # loaded by the commands that write, not by reading a scenario
-    umask = os.umask(0o077)   # reading the umask means setting it
-    os.umask(umask)
-    for name, text in texts.items():
-        os.makedirs(out_dir or ".", exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=out_dir or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", newline="") as fh:
+    if not texts:
+        return
+    import shutil   # these two are loaded by the commands that write, not by reading a scenario
+    import tempfile
+    os.makedirs(out_dir or ".", exist_ok=True)
+    stage = tempfile.mkdtemp(dir=out_dir or ".", suffix=".tmp")
+    try:
+        for name, text in texts.items():
+            if os.path.isdir(target := os.path.join(out_dir, name)):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), target)
+            with open(os.path.join(stage, name), "w", newline="") as fh:
                 fh.writelines(text)
-            os.chmod(tmp, 0o666 & ~umask)
-            os.replace(tmp, os.path.join(out_dir, name))
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        for name in texts:   # the one window: a failure here leaves the files before it new
+            os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)

@@ -715,6 +715,18 @@ class TestOutputFiles:
                                        for a, b in reference_rows(block))
         assert (tmp_path / "fast.csv").read_bytes() == expected.encode()
 
+    def test_a_text_that_fails_leaves_every_old_file(self, tmp_path):
+        write_files(str(tmp_path), {"a.csv": ["old a\n"], "b.csv": ["old b\n"]})
+
+        def failing():
+            yield "new b\n"
+            raise ValueError("formatting failed")
+
+        with pytest.raises(ValueError, match="formatting failed"):
+            write_files(str(tmp_path), {"a.csv": ["new a\n"], "b.csv": failing()})
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == {
+            "a.csv": b"old a\n", "b.csv": b"old b\n"}   # and no temporary
+
     @pytest.mark.parametrize("header, block", [
         (["t", "s"], (0.5, ["1+2", "3,4"])),
         (["t", "s"], (0.5, 'a"b')),
@@ -754,7 +766,8 @@ def field_blocks(snapshots, name):
 
 class TestFieldWriter:
     """run --engine pde|both formats the field CSVs in a forked child as the
-    march reaches each snapshot; the child writes them only on a commit."""
+    march reaches each snapshot; the child answers a commit with their texts,
+    and the parent writes every output file in one write_files call."""
 
     @pytest.mark.parametrize("name", ["single_dirac_attractive.json", "two_atoms_attractive.json",
                                       "three_atoms_attractive.json",
@@ -859,23 +872,36 @@ class TestFieldWriter:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_field_csv_the_child_cannot_write_leaves_the_parents_files(self, tmp_path,
-                                                                         capsys):
+    def blocked_run(self, tmp_path, capsys, blocked):
+        """A second run --engine both into the first one's outputs, with a
+        directory in place of the file ``blocked``: one i/o error line, exit 1,
+        every other previous output byte-identical, no temporary and no child."""
         out = tmp_path / "out"
         first = write_scenario(tmp_path)
         assert cli.main(["run", "--engine", "both", "--scenario", first, "--out", str(out)]) == 0
-        kept = {name: (out / name).read_bytes() for name in ("diagnostics.json", "diagnostics.csv")}
-        (out / "fields_faces.csv").unlink()
-        (out / "fields_faces.csv").mkdir()
+        kept = {p.name: p.read_bytes() for p in out.iterdir() if p.name != blocked}
+        assert len(kept) == 6
+        (out / blocked).unlink()
+        (out / blocked).mkdir()
         second = write_scenario(tmp_path, "second.json",
                                 time={"t_end": 0.5, "output_times": [0.0, 0.25, 0.5]})
         assert cli.main(["run", "--engine", "both", "--scenario", second, "--out", str(out)]) == 1
         [line] = capsys.readouterr().err.splitlines()
         assert line.startswith("i/o error: ") and "Is a directory" in line, line
-        assert {name: (out / name).read_bytes() for name in kept} == kept
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != blocked} == kept
+        assert (out / blocked).is_dir() and not list((out / blocked).iterdir())
         assert not list(out.glob("*.tmp"))
         with pytest.raises(ChildProcessError):   # every child is reaped
             os.waitpid(-1, os.WNOHANG)
+
+    def test_a_field_csv_the_child_cannot_write_leaves_the_parents_files(self, tmp_path,
+                                                                         capsys):
+        # the child formats fields_faces.csv; the parent's one write cannot place it
+        self.blocked_run(tmp_path, capsys, "fields_faces.csv")
+
+    def test_a_file_of_the_parent_in_the_way_leaves_every_previous_output(self, tmp_path,
+                                                                          capsys):
+        self.blocked_run(tmp_path, capsys, "diagnostics.csv")
 
     @pytest.mark.parametrize("overrides, code", [
         ({}, 0), ({"diagnostics": {"checks": ["mass"], "tolerances": {"mass": -1.0}}}, 2)])
@@ -1225,8 +1251,7 @@ class TestRiemannCommand:
         assert rc == 1
 
     @pytest.mark.parametrize("kind, u_plus", [("quadratic-attractive", "1e308"),
-                                              ("quadratic-repulsive", "1e200"),
-                                              ("quadratic-repulsive", "1e154")])
+                                              ("quadratic-repulsive", "1e200")])
     def test_states_where_A_overflows_are_an_error_line(self, capsys, kind, u_plus):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1234,6 +1259,18 @@ class TestRiemannCommand:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("u_plus", ["1e153", "1e154"])
+    def test_a_rising_a_is_a_rarefaction_where_the_envelope_would_overflow(self, capsys,
+                                                                             u_plus):
+        # A = u^2/2 and its chord stay finite; the sampled envelope's bound
+        # 2 (u+ - u-) (max A - min A) does not, and the signs of a' need none of it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = cli.main(["riemann", "--flux", '{"kind":"quadratic-repulsive"}', "0", u_plus])
+        assert rc == 0
+        assert capsys.readouterr().out.endswith(
+            f"wave type: rarefaction\n  rarefaction 0.0 -> {float(u_plus)!r}\n")
 
     def test_non_finite_flux_json_rejected(self, capsys):
         rc = cli.main(["riemann", "--flux", '{"kind":"polynomial","coeffs":[NaN]}', "0", "1"])

@@ -13,7 +13,7 @@ from dualflow import cli
 from dualflow import flux as fx
 from dualflow import particles as pt
 from dualflow.measure import AtomicMeasure, MeasureError, TriangularDensity, UniformDensity
-from dualflow.scenario import parse_scenario
+from dualflow.scenario import parse_scenario, write_files
 
 ATTR = fx.quadratic_attractive()
 
@@ -175,7 +175,7 @@ class TestAdvanceEdgeCases:
             "grid": {"x_min": -3.0, "x_max": 1.0, "n_cells": 200},
             "time": {"t_end": 2.0, "output_times": [0.0, 0.5, 2.0]},
         })
-        cli.write_particle_outputs(str(tmp_path), *cli.run_particles(scn))
+        write_files(str(tmp_path), cli.write_particle_outputs(*cli.run_particles(scn)))
         with open(tmp_path / "trajectory.csv", newline="") as fh:
             header, *rows = list(csv.reader(fh))
         assert header == ["t", "atom_id", "x", "m", "v"]
