@@ -16,9 +16,10 @@ Before each pair a probe reads how much of the host is free: a CPU-bound
 loop is timed alone, then in two processes at once (this one and a fork),
 and the pair records the second wall time over the first.  Where each
 copy has a core to itself it reads about 1; where the two take turns on one
-core, about 2.  A workload whose command forks (the field writer of `run`) gains
-from the second core only while it is free, so its A/B can move with the
-host rather than with the change; the ratio tells the spells apart.
+core, about 2.  No command of the program forks, but a host shared with
+other work can leave its commands less than a core each, so an A/B can
+move with the host rather than with the change; the ratio tells the
+spells apart.
 
 Writes `BENCH_L.json` at the repository root: the identity verdict, every
 sample (its end-to-end metrics and the digest of its outputs, or its layer

@@ -14,20 +14,11 @@ scenario `bench/run.py --seed 1` runs (`workload_scenario`).  Five layers so far
   does: every call after the first starts from merged aggregates and builds
   its own heap, which the t = inf collapse does once.
 - output: the three field CSVs (fields_faces.csv, fields_cells.csv and
-  atoms_extracted.csv) of the 17 PDE snapshots of `attractive_crosscheck`.
-  Timed two ways.  In process, `cli.write_field_outputs` over the
-  snapshots and `scenario.write_files` of its texts, as seconds and as MB
-  of CSV written per second.  And the way `run` drives the writer: the
-  march (`cli.run_pde`) streaming each snapshot to the forked
-  `fieldwriter.FieldWriter`, the workload's checks
-  (`cli.run_diagnostics(scn, snapshots)`, which returns their records and
-  writes no file), the commit, which returns the child's texts, the
-  reaping of the child and the `write_files` of those texts, against the
-  same march and checks alone.  Reported are both wall times, their
-  difference (what the writer adds, in ms) and the time the parent waits
-  at the commit (ms): the child's formatting that the march and the checks
-  did not hide, and the texts' way back up the pipe.  `run` writes its
-  other files in the same `write_files` call; those are left out.
+  atoms_extracted.csv) of the 17 PDE snapshots of `attractive_crosscheck`:
+  `cli.write_field_outputs` over the snapshots and `scenario.write_files`
+  of its texts, as `run` formats and writes them, as seconds and as MB of
+  CSV written per second.  `run` writes its other files in the same
+  `write_files` call; those are left out.
 - pde_step: microseconds per PDE step, each one call of the step body
   that `pde.march` runs (`_March.stepper`), on n = 6 400 cells, for the
   flux of each workload, one per kind: quadratic-repulsive a(u) = u
@@ -103,7 +94,7 @@ sys.dont_write_bytecode = True   # leave bench/ as it is
 sys.path.insert(0, str(ROOT / "bench"))
 
 import workloads  # noqa: E402
-from dualflow import cli, fieldwriter, flux as fx, particles, pde  # noqa: E402
+from dualflow import cli, flux as fx, particles, pde  # noqa: E402
 from dualflow.measure import AtomicMeasure, GridField  # noqa: E402
 from dualflow.scenario import CHECKS, Scenario, parse_scenario, write_files  # noqa: E402
 
@@ -186,40 +177,18 @@ def particles_layer() -> dict:
 
 
 def output_layer() -> dict:
-    """Best of REPEATS of each: write_field_outputs in process, the march and
-    checks alone, and the same with the forked writer, with its commit wait."""
-    scn = workload("attractive_crosscheck")
-    snapshots = cli.run_pde(scn)
-    best = dict.fromkeys(("seconds", "march_s", "streamed_s", "commit_wait_ms"), math.inf)
-
-    def keep(key, value):
-        best[key] = min(best[key], value)
-
+    """Best of REPEATS of write_field_outputs and the write_files of its texts."""
+    snapshots = cli.run_pde(workload("attractive_crosscheck"))
+    seconds = math.inf
     with tempfile.TemporaryDirectory() as out:
-        scn = scn._replace(out_dir=out)
         for _ in range(REPEATS):
             start = time.perf_counter()
             write_files(out, cli.write_field_outputs(snapshots))
-            keep("seconds", time.perf_counter() - start)
-            start = time.perf_counter()
-            cli.run_diagnostics(scn, cli.run_pde(scn))
-            keep("march_s", time.perf_counter() - start)
-            start = time.perf_counter()
-            with fieldwriter.FieldWriter(cli.write_field_outputs) as fields:
-                streamed = cli.run_pde(scn, each=fields.send)
-                cli.run_diagnostics(scn, streamed)
-                commit = time.perf_counter()
-                texts = fields.commit(streamed)
-                keep("commit_wait_ms", (time.perf_counter() - commit) * 1e3)
-            write_files(out, texts)
-            keep("streamed_s", time.perf_counter() - start)
+            seconds = min(seconds, time.perf_counter() - start)
         size = sum(f.stat().st_size for f in Path(out).iterdir())
-    best.update(mb_per_s=size / 1e6 / best["seconds"], bytes=size,
-                writer_ms=(best["streamed_s"] - best["march_s"]) * 1e3)
-    print(f"output write_field_outputs: {best['seconds']:.4f} s, {best['mb_per_s']:.1f} MB/s "
-          f"({size} bytes); march and checks {best['march_s']:.4f} s, with the writer "
-          f"{best['streamed_s']:.4f} s (+{best['writer_ms']:.1f} ms), commit wait "
-          f"{best['commit_wait_ms']:.1f} ms", flush=True)
+    best = {"seconds": seconds, "mb_per_s": size / 1e6 / seconds, "bytes": size}
+    print(f"output write_field_outputs: {seconds:.4f} s, {best['mb_per_s']:.1f} MB/s "
+          f"({size} bytes)", flush=True)
     return best
 
 

@@ -26,7 +26,6 @@ from . import without_collections
 # modules that build arrays import it on first use, without collections too.
 with without_collections():
     import atexit
-    import contextlib
     import json
     import os
     import sys
@@ -40,12 +39,10 @@ def initial_grid(scn: Scenario) -> GridField:
     return sample_to_grid(scn.initial, scn.x_min, scn.x_max, scn.n_cells)
 
 
-def run_pde(scn: Scenario, each=None) -> list:   # of SolverState
-    """The snapshots of pde.run; ``each``, when given, is called on each one as
-    the march reaches it and returns it."""
+def run_pde(scn: Scenario) -> list:   # of SolverState
+    """The snapshots of pde.run on the scenario."""
     from . import pde
-    args = (initial_grid(scn), scn.model, scn.t_end, scn.cfl, scn.output_times)
-    return pde.run(*args) if each is None else list(map(each, pde.march(*args)))
+    return pde.run(initial_grid(scn), scn.model, scn.t_end, scn.cfl, scn.output_times)
 
 
 def run_particles(scn: Scenario):
@@ -92,8 +89,7 @@ def run_diagnostics(scn: Scenario, snapshots, oracle=None) -> list:   # of analy
 
 
 def write_field_outputs(snapshots) -> dict:
-    """The three field CSVs of ``snapshots``, an iterable, as write_files takes
-    them: each snapshot is formatted as it comes."""
+    """The three field CSVs of ``snapshots``, as write_files takes them."""
     from .csvtext import Csv
     texts = {"fields_faces.csv": [], "fields_cells.csv": [], "atoms_extracted.csv": []}
     faces, cells, atoms = (Csv(header, text.append) for header, text in zip(
@@ -160,20 +156,15 @@ def cmd_run(args) -> int:
         return 0
     if args.engine == "both" and "w1_vs_particles" not in scn.checks:
         scn = scn._replace(checks=scn.checks + ("w1_vs_particles",))
-    writer = contextlib.nullcontext()   # whose fields are None: no CSVs
+    snapshots = run_pde(scn)
+    records = run_diagnostics(scn, snapshots, oracle)
+    texts = json_report(scn, records) if "json" in scn.formats else {}
     if "csv" in scn.formats:
-        from .fieldwriter import FieldWriter   # its child starts before the march
-        writer = FieldWriter(write_field_outputs)
-    with writer as fields:
-        snapshots = run_pde(scn, each=fields and fields.send)
-        records = run_diagnostics(scn, snapshots, oracle)
-        texts = json_report(scn, records) if "json" in scn.formats else {}
-        if fields:   # formatted while the child formats its last snapshots
-            texts.update(write_particle_outputs(*oracle) if oracle else {})
-            texts.update(write_summary_csv(scn, snapshots, records))
-            texts.update(fields.commit(snapshots))
-    # every engine and check has run, and the child is reaped, before the one write: a
-    # failure before its first rename leaves every previous output as it was
+        texts.update(write_particle_outputs(*oracle) if oracle else {})
+        texts.update(write_summary_csv(scn, snapshots, records))
+        texts.update(write_field_outputs(snapshots))
+    # every engine and check has run before the one write: a failure before its
+    # first rename leaves every previous output as it was
     write_files(scn.out_dir, texts)
     for c in records:
         if not c.passed:
@@ -340,18 +331,17 @@ def entry():
     code, after the atexit handlers and the flush of sys.stdout and sys.stderr,
     as at any exit, and then os._exit: no module teardown and no final
     collections, whose only work left is freeing memory that the exit returns
-    anyway.  Every output file is closed, and the field writer child reaped,
-    before main returns.  A flush that fails exits through sys.exit instead, so
-    that the interpreter reports the failure as it does at any exit.
-    cli.main(argv), the call of the library and the tests, only returns.
+    anyway.  Every output file is closed before main returns.  A flush that
+    fails exits through sys.exit instead, so that the interpreter reports the
+    failure as it does at any exit.  cli.main(argv), the call of the library
+    and the tests, only returns.
 
     Before main, and so before numpy is first imported, each of BLAS_THREADS
     that the environment does not set is set to 1: OpenBLAS then starts no
-    thread pool, whose start is a large share of a short command and whose
-    threads the field writer's fork does not copy.  The outputs do not
-    depend on it: weak_residual sums in numpy's own loop, not in BLAS.  A
-    value the user set is kept.  cli.main and ``import dualflow`` leave the
-    environment alone."""
+    thread pool, whose start is a large share of a short command.  The
+    outputs do not depend on it: weak_residual sums in numpy's own loop, not
+    in BLAS.  A value the user set is kept.  cli.main and ``import dualflow``
+    leave the environment alone."""
     for name in BLAS_THREADS:
         os.environ.setdefault(name, "1")
     code = main()

@@ -25,29 +25,27 @@ RIEMANN_TOL = 1e-10      # classify_riemann: dip of A below the chord (over max 
 def admissible_speed_range(model: fx.FluxModel, u_minus: float, u_plus: float):
     """(low, high, selected) speeds for a jump from u_minus to u_plus.
 
-    low/high bracket the endpoint velocities; selected is the
-    Rankine-Hugoniot chord slope of A, the speed singled out by the
-    flux-product identity.
+    low/high are the range of a on the interval (fx.a_range); selected is
+    the Rankine-Hugoniot chord slope of A, the speed singled out by the
+    flux-product identity, which the mean value theorem puts in that range.
     """
     if u_minus == u_plus:
         raise AnalysisError("degenerate state pair (u_minus == u_plus)")
     with np.errstate(over="ignore", invalid="ignore"):   # refused below instead
-        a_m = fx.eval_a(model, u_minus)
-        a_p = fx.eval_a(model, u_plus)
+        low, high = fx.a_range(model, u_minus, u_plus)
         width = u_plus - u_minus
-        selected = _chord_slope(model, u_minus, u_plus)
-    if not all(map(math.isfinite, (a_m, a_p, width, selected))):
+        selected = _chord_slope(model, u_minus, u_plus, low, high)
+    if not all(map(math.isfinite, (low, high, width, selected))):
         raise AnalysisError(f"a, A or the chord slope of A overflows for the states "
                             f"({u_minus}, {u_plus})")
-    return min(a_m, a_p), max(a_m, a_p), selected
+    return low, high, selected
 
 
-def _chord_slope(model: fx.FluxModel, l: float, r: float) -> float:
-    """(A(r) - A(l)) / (r - l), clipped to the range of a on [l, r], where the
-    mean value theorem puts the exact slope: the clip removes only rounding.
-    An overflow stays inf or nan."""
+def _chord_slope(model: fx.FluxModel, l: float, r: float, low: float, high: float) -> float:
+    """(A(r) - A(l)) / (r - l), clipped to (low, high), the range of a on
+    [l, r], where the mean value theorem puts the exact slope: the clip
+    removes only rounding.  An overflow stays inf or nan."""
     s = (fx.eval_A(model, r) - fx.eval_A(model, l)) / (r - l)
-    low, high = fx.a_range(model, l, r)
     return min(max(s, low), high) if math.isfinite(s) else s
 
 
@@ -55,8 +53,9 @@ def nonuniqueness_demo(model: fx.FluxModel, x0: float, speed: float,
                        t_end: float) -> dict:
     """Classify the candidate solution delta_{x0 + speed t} for unit mass.
 
-    Any speed strictly inside (a(1), a(0)) yields a duality solution; only
-    the chord slope A(1) - A(0) satisfies the flux-product selection.
+    Any speed strictly inside the range of a on [0, 1] ((a(1), a(0)) for a
+    non-increasing a) yields a duality solution; only the chord slope
+    A(1) - A(0) satisfies the flux-product selection.
     """
     low, high, selected = admissible_speed_range(model, 0.0, 1.0)
     admissible = low < speed < high
@@ -124,7 +123,8 @@ def _envelope_segments(model: fx.FluxModel, u_minus: float, u_plus: float) -> li
     for i, j in zip(hull, hull[1:]):
         ua, ub = float(us[i]), float(us[j])
         if j - i > 1:
-            segments.append(("shock", ua, ub, _chord_slope(model, ua, ub)))
+            speed = _chord_slope(model, ua, ub, *fx.a_range(model, ua, ub))
+            segments.append(("shock", ua, ub, speed))
         elif segments and segments[-1][0] == "rarefaction":
             segments[-1] = ("rarefaction", segments[-1][1], ub, None)
         else:

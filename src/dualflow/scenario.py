@@ -23,8 +23,8 @@ DEFAULT_CHECKS = ("mass", "oleinik", "pressureless")
 FORMATS = ("csv", "json")
 MAX_CELLS = 10**7   # the most cells of a grid: 80 MB per array of face values
 # the most face values (faces x snapshot times) of a run's snapshots, one snapshot of the
-# largest grid: each costs `run` about 150-160 bytes in its writer child, 110 in the parent,
-# which holds the child's text from the commit to the write, and 105 of CSV (README)
+# largest grid: each costs `run` about 160-175 bytes of peak memory, most of it the field
+# text it holds until the one write, and 105 of CSV (README)
 MAX_SNAPSHOT_VALUES = MAX_CELLS + 1
 MAX_COORD = 1e100              # largest |x| of a grid end: the checks' sums of m x^2 stay finite
 MASS_RANGE = (1e-100, 1e100)   # of the total mass: so do those sums, and no mass floor underflows

@@ -172,19 +172,20 @@ class TestSelectedSpeedInRange:
     @settings(max_examples=300, deadline=None)
     @given(model=st.sampled_from(KIND_MODELS), pair=STATE_PAIRS)
     @example(model=ATTR, pair=(0.0, 1e155))   # A(1e155) overflows; a clip would hide it
+    @example(model=KIND_MODELS[2], pair=(0.0, 1.0))   # a(u) = u - u^2: a at the ends gives (0, 0)
     def test_selected_speed(self, model, pair):
         u_minus, u_plus = pair
         with np.errstate(over="ignore", invalid="ignore"):
-            a_m, a_p = fx.eval_a(model, u_minus), fx.eval_a(model, u_plus)
             width = u_plus - u_minus
             chord = (fx.eval_A(model, u_plus) - fx.eval_A(model, u_minus)) / width
             low, high = fx.a_range(model, u_minus, u_plus)
-        if not all(map(math.isfinite, (a_m, a_p, width, chord))):
+        if not all(map(math.isfinite, (low, high, width, chord))):
             with pytest.raises(an.AnalysisError, match="overflows"):
                 riemann.admissible_speed_range(model, u_minus, u_plus)
             return
-        selected = riemann.admissible_speed_range(model, u_minus, u_plus)[2]
+        bottom, top, selected = riemann.admissible_speed_range(model, u_minus, u_plus)
         assert low <= selected <= high
+        assert bottom <= selected <= top   # the returned range holds it too
 
     @settings(max_examples=200, deadline=None)
     @given(model=st.sampled_from(KIND_MODELS), pair=STATE_PAIRS)

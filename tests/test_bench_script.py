@@ -66,9 +66,8 @@ def test_pde_step_layer(bench, monkeypatch):
 def test_output_layer(bench, monkeypatch):
     monkeypatch.setattr(bench, "REPEATS", 1)
     results = bench.output_layer()
-    assert set(results) == {"seconds", "march_s", "streamed_s", "commit_wait_ms", "mb_per_s",
-                            "bytes", "writer_ms"}
-    assert results["bytes"] > 0 and results["streamed_s"] > results["commit_wait_ms"] / 1e3 >= 0
+    assert set(results) == {"seconds", "mb_per_s", "bytes"}
+    assert results["bytes"] > 0 and 0.0 < results["seconds"] < math.inf
     assert bench.asked == ["attractive_crosscheck"]
 
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import dualflow
-from dualflow import analysis, cli, csvtext, fieldwriter, particles, pde
+from dualflow import analysis, cli, csvtext, particles, pde
 from dualflow.measure import AtomicMeasure, UniformDensity, extract_atoms, wasserstein1
 from dualflow.scenario import CHECKS, parse_scenario, write_files
 
@@ -765,9 +765,9 @@ def field_blocks(snapshots, name):
 
 
 class TestFieldWriter:
-    """run --engine pde|both formats the field CSVs in a forked child as the
-    march reaches each snapshot; the child answers a commit with their texts,
-    and the parent writes every output file in one write_files call."""
+    """run --engine pde|both formats the field CSVs in process, after the
+    march and the checks, and writes every output file in one write_files
+    call."""
 
     @pytest.mark.parametrize("name", ["single_dirac_attractive.json", "two_atoms_attractive.json",
                                       "three_atoms_attractive.json",
@@ -786,33 +786,14 @@ class TestFieldWriter:
         for fname in FIELD_FILES:
             assert (out / fname).read_bytes() == (ref / fname).read_bytes(), fname
 
-    @pytest.mark.parametrize("fork", ["missing", "failing"])
-    def test_without_fork_the_same_bytes_are_written_in_process(self, tmp_path, monkeypatch,
-                                                                fork):
-        path = write_scenario(tmp_path)
-        assert cli.main(["run", "--engine", "both", "--scenario", path,
-                         "--out", str(tmp_path / "forked")]) == 0
-
-        def no_process():
-            raise BlockingIOError(11, "Resource temporarily unavailable")
-
-        if fork == "missing":
-            monkeypatch.delattr(os, "fork")
-        else:
-            monkeypatch.setattr(os, "fork", no_process)
-        assert cli.main(["run", "--engine", "both", "--scenario", path,
-                         "--out", str(tmp_path / "in_process")]) == 0
-        for fname in os.listdir(tmp_path / "forked"):
-            assert ((tmp_path / "forked" / fname).read_bytes()
-                    == (tmp_path / "in_process" / fname).read_bytes()), fname
-
     @pytest.mark.parametrize("argv, overrides", [
         (["validate"], {}),
         (["convergence", "--resolutions", "50,100,200"], {}),
         (["run", "--engine", "particles"], {}),
         (["run", "--engine", "both"], {"output": {"formats": ["json"]}}),
-    ], ids=["validate", "convergence", "run-particles", "run-without-csv"])
-    def test_only_a_csv_run_of_the_pde_forks(self, tmp_path, monkeypatch, argv, overrides):
+        (["run", "--engine", "both"], {}),
+    ], ids=["validate", "convergence", "run-particles", "run-without-csv", "run-with-csv"])
+    def test_no_command_forks(self, tmp_path, monkeypatch, argv, overrides):
         monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
         path = write_scenario(tmp_path, **overrides)
         assert cli.main([*argv, "--scenario", path, "--out", str(tmp_path / "out")]) == 0
@@ -823,24 +804,24 @@ class TestFieldWriter:
         out = tmp_path / "out"
         assert cli.main(["run", "--engine", engine, "--scenario", path, "--out", str(out)]) == 1
         assert not out.exists()
-        with pytest.raises(ChildProcessError):   # every child is reaped
+        with pytest.raises(ChildProcessError):   # no child process
             os.waitpid(-1, os.WNOHANG)
         [line] = capsys.readouterr().err.splitlines()
         return line
 
     def test_solver_error_after_streamed_snapshots(self, tmp_path, capsys, monkeypatch):
-        sent = []
-        send = fieldwriter.FieldWriter.send
-        monkeypatch.setattr(fieldwriter.FieldWriter, "send",
-                            lambda self, s: sent.append(s.t) or send(self, s))
+        reached = []
+        march = pde.march
+        monkeypatch.setattr(pde, "march", lambda *args: (
+            reached.append(s.t) or s for s in march(*args)))
         monkeypatch.setattr(pde._March, "step_budget", lambda *args: 20)   # t = 0.1 takes 12
         path = write_scenario(tmp_path, time={"t_end": 1.0, "output_times": [0.0, 0.1, 0.5]})
         assert self.failed(tmp_path, capsys, path).startswith("error: step budget (20 steps)")
-        assert sent == [0.0, 0.1]
+        assert reached == [0.0, 0.1]
 
     def test_scenario_error_after_the_march(self, tmp_path, capsys, monkeypatch):
-        # every refusal comes at load; an error between the march and the commit
-        # still writes nothing and reaps the child
+        # every refusal comes at load; an error between the march and the write
+        # still writes nothing
         def refuse(*args):
             raise cli.ScenarioError("refused after the march")
 
@@ -848,17 +829,14 @@ class TestFieldWriter:
         line = self.failed(tmp_path, capsys, write_scenario(tmp_path), "both")
         assert line == "error: refused after the march"
 
-    @pytest.mark.parametrize("error, message", [(ValueError("no repr here"), "no repr here"),
-                                                (MemoryError(), "MemoryError")],
-                             ids=["ValueError", "bare-MemoryError"])
-    def test_a_failure_in_the_child_is_one_io_error_line(self, tmp_path, capsys, monkeypatch,
-                                                         error, message):
+    def test_a_formatting_error_is_one_error_line(self, tmp_path, capsys, monkeypatch):
+        # raised in process, as from the march: a bare MemoryError is not caught
         def refuse(a):
-            raise error
+            raise ValueError("no repr here")
 
-        monkeypatch.setattr(csvtext, "_reprs", refuse)   # the child is a fork: it calls this too
+        monkeypatch.setattr(csvtext, "_reprs", refuse)
         line = self.failed(tmp_path, capsys, write_scenario(tmp_path), "both")
-        assert line == f"i/o error: {message}"
+        assert line == "error: no repr here"
 
     def test_an_exception_in_the_parent_leaves_no_child(self, tmp_path, monkeypatch):
         def interrupted(*args, **kwargs):
@@ -891,12 +869,10 @@ class TestFieldWriter:
         assert {p.name: p.read_bytes() for p in out.iterdir() if p.name != blocked} == kept
         assert (out / blocked).is_dir() and not list((out / blocked).iterdir())
         assert not list(out.glob("*.tmp"))
-        with pytest.raises(ChildProcessError):   # every child is reaped
+        with pytest.raises(ChildProcessError):   # no child process
             os.waitpid(-1, os.WNOHANG)
 
-    def test_a_field_csv_the_child_cannot_write_leaves_the_parents_files(self, tmp_path,
-                                                                         capsys):
-        # the child formats fields_faces.csv; the parent's one write cannot place it
+    def test_a_field_csv_in_the_way_leaves_every_previous_output(self, tmp_path, capsys):
         self.blocked_run(tmp_path, capsys, "fields_faces.csv")
 
     def test_a_file_of_the_parent_in_the_way_leaves_every_previous_output(self, tmp_path,

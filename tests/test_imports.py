@@ -2,14 +2,14 @@
 
 ``import dualflow`` loads no submodule; its names load their module on first
 use.  ``cli`` imports the PDE engine, the particle oracle, the diagnostics,
-the CSV formatter, the writer fork, the convergence study and the Riemann
-classifier inside the functions that run them, ``flux`` the piecewise-linear
-A only for that kind, and ``scenario`` reads the check table without
-``analysis``.  ``measure`` loads the bodies of its atoms, W1 and quantile
-functions on their first call.  numpy is imported by the first function
-that builds an array, with the collector off: ``cli`` and ``particles``
-bind no numpy, `run --engine particles` builds no array under a quadratic
-a, and ``cli.entry``, not ``cli.main``, sets one BLAS thread before it.
+the CSV formatter, the convergence study and the Riemann classifier inside
+the functions that run them, ``flux`` the piecewise-linear A only for that
+kind, and ``scenario`` reads the check table without ``analysis``.
+``measure`` loads the bodies of its atoms, W1 and quantile functions on
+their first call.  numpy is imported by the first function that builds an
+array, with the collector off: ``cli`` and ``particles`` bind no numpy,
+`run --engine particles` builds no array under a quadratic a, and
+``cli.entry``, not ``cli.main``, sets one BLAS thread before it.
 Each test that looks at ``sys.modules`` or the environment runs one fresh
 interpreter, since this test process has imported every module already.
 """
@@ -85,8 +85,7 @@ COMMAND_LINES = [
      ["cli", "csvtext", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "particles"], JSON_ONLY, ["cli", "flux", "measure", "particles", "scenario"]),
     (["run", "--engine", "pde"], {},
-     ["analysis", "cli", "csvtext", "fieldwriter", "flux", "measure", "pde", "scenario",
-      "transport"]),
+     ["analysis", "cli", "csvtext", "flux", "measure", "pde", "scenario", "transport"]),
     (["run", "--engine", "pde"], JSON_ONLY,
      ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
     (["validate"], {}, ["analysis", "cli", "flux", "measure", "pde", "scenario"]),
@@ -112,9 +111,8 @@ def command_code(tmp_path, argv, overrides) -> str:
 
 @pytest.mark.parametrize("argv, overrides, loaded", COMMAND_LINES, ids=COMMAND_IDS)
 def test_a_command_loads_only_the_modules_it_runs(tmp_path, argv, overrides, loaded):
-    # the CSV formatter only with "csv" in the formats, the writer fork only for the
-    # field CSVs of the PDE engine, the piecewise-linear A only for that kind;
-    # convergence and riemann only for their own commands; the flux plan only with
+    # the CSV formatter only with "csv" in the formats, the piecewise-linear A only
+    # for that kind; convergence and riemann only for their own commands; the flux plan only with
     # the PDE engine, and the atoms, W1 and quantile bodies (transport) only for the
     # field CSVs, a W1 check or the flow reconstruction: neither for the particle
     # engine alone nor for riemann
